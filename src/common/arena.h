@@ -1,7 +1,7 @@
 // A bump allocator for per-query scratch memory.
 //
 // The I3 query hot path (i3_search.cc) builds thousands of short-lived
-// candidate cells, partial-document tables, and term lists per query. Giving
+// candidate cells and doc columns per query. Giving
 // each query a bump arena turns all of that into pointer arithmetic:
 // Allocate() is a few instructions, Reset() rewinds to empty while
 // *retaining* every block, so a long-lived arena (e.g. one per search

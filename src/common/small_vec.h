@@ -1,20 +1,18 @@
 // A small vector with inline storage and arena spill.
 //
-// Built for the I3 query hot path: a partial document carries a handful of
-// (query-term, weight) pairs, a candidate cell a handful of dense keywords.
+// Built for the I3 query hot path: a candidate cell carries a handful of
+// dense keywords, deferred fetches, and doc columns.
 // Inline capacity N absorbs the common case with zero allocator traffic;
 // overflow spills into a caller-supplied Arena, so growth never touches the
 // global allocator either.
 //
 // Relocation safety: the active storage is *computed* (`cap_ == N` means
 // inline), never a self-pointer, so a SmallVec may be moved around with the
-// enclosing object's bytes (FlatMap rehash does exactly that).
+// enclosing object's bytes.
 //
-// Copying: the copy constructor is implicitly available because enclosing
-// types must stay trivially copyable for byte relocation -- but a plain
-// copy of a *spilled* SmallVec aliases the spill array. For a deep,
-// independent copy use AssignFrom. Within one map/arena generation the
-// relocation use is safe; everything else should AssignFrom.
+// Copying: the copy constructor is implicitly available so enclosing types
+// stay trivially copyable -- but a plain copy of a *spilled* SmallVec
+// aliases the spill array.
 
 #ifndef I3_COMMON_SMALL_VEC_H_
 #define I3_COMMON_SMALL_VEC_H_
@@ -80,16 +78,6 @@ class SmallVec {
   void PushBack(Arena* arena, const T& v) {
     if (size_ == cap_) Grow(arena, cap_ * 2);
     data()[size_++] = v;
-  }
-
-  /// \brief Deep copy: contents land in this vector's own (possibly grown)
-  /// storage, never aliasing `o`'s spill.
-  void AssignFrom(Arena* arena, const SmallVec& o) {
-    if (o.size_ > cap_) {
-      Grow(arena, o.size_ > cap_ * 2 ? o.size_ : cap_ * 2);
-    }
-    std::memcpy(data(), o.data(), o.size_ * sizeof(T));
-    size_ = o.size_;
   }
 
  private:

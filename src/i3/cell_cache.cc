@@ -83,10 +83,10 @@ bool CellCache::EvictOne(Stripe& s) {
   return false;
 }
 
-void CellCache::Insert(uint64_t key, uint64_t epoch, Collector&& c) {
-  if (!enabled() || !c.cacheable()) return;
+void CellCache::Insert(uint64_t key, uint64_t epoch, const CellColumns& c) {
+  if (!enabled() || c.term == kInvalidTermId) return;
   Stripe& s = StripeOf(key);
-  const size_t bytes = EntryBytes(c.docs_.size());
+  const size_t bytes = EntryBytes(c.n);
   if (bytes > s.capacity_bytes) return;  // would monopolize the stripe
 
   std::unique_lock<std::shared_mutex> lock(s.mutex);
@@ -115,13 +115,13 @@ void CellCache::Insert(uint64_t key, uint64_t epoch, Collector&& c) {
   Entry& e = s.entries[idx];
   e.key = key;
   e.epoch = epoch;
-  e.term = c.term_;
+  e.term = c.term;
   e.live = true;
   e.visited.store(0, std::memory_order_relaxed);  // SIEVE: enter unvisited
-  e.docs.assign(c.docs_.begin(), c.docs_.end());
-  e.weights.assign(c.weights_.begin(), c.weights_.end());
-  e.xs.assign(c.xs_.begin(), c.xs_.end());
-  e.ys.assign(c.ys_.begin(), c.ys_.end());
+  e.docs.assign(c.docs, c.docs + c.n);
+  e.weights.assign(c.weights, c.weights + c.n);
+  e.xs.assign(c.xs, c.xs + c.n);
+  e.ys.assign(c.ys, c.ys + c.n);
   s.index[key] = idx;
   s.bytes += bytes;
   resident_bytes_.fetch_add(bytes, std::memory_order_relaxed);

@@ -20,6 +20,7 @@
 
 #include <atomic>
 #include <cstdint>
+#include <cstring>
 #include <deque>
 #include <memory>
 #include <mutex>
@@ -33,6 +34,46 @@
 #include "storage/page_file.h"
 
 namespace i3 {
+
+/// \brief Read-only columnar image of one keyword cell: `n` rows of four
+/// parallel arrays in slot order (not necessarily doc-id order), all
+/// carrying term `term` -- kInvalidTermId when the rows mix term ids.
+struct CellColumns {
+  uint32_t term = 0;
+  uint32_t n = 0;
+  const DocId* docs = nullptr;
+  const float* weights = nullptr;
+  const double* xs = nullptr;
+  const double* ys = nullptr;
+
+  SpatialTuple Tuple(uint32_t i) const {
+    SpatialTuple t;
+    t.term = term;
+    t.doc = docs[i];
+    t.location.x = xs[i];
+    t.location.y = ys[i];
+    t.weight = weights[i];
+    return t;
+  }
+};
+
+/// \brief Destination of a bulk cell copy: four parallel arrays with room
+/// for the rows being written.
+struct CellRows {
+  DocId* docs;
+  float* weights;
+  double* xs;
+  double* ys;
+};
+
+/// Copies all `src.n` rows of `src` to `dst` (four memcpys).
+inline void CopyRows(const CellColumns& src, const CellRows& dst) {
+  if (src.n == 0) return;  // an empty entry's arrays may be null
+  std::memcpy(dst.docs, src.docs, src.n * sizeof(DocId));
+  std::memcpy(dst.weights, src.weights, src.n * sizeof(float));
+  std::memcpy(dst.xs, src.xs, src.n * sizeof(double));
+  std::memcpy(dst.ys, src.ys, src.n * sizeof(double));
+}
 
 /// \brief Options controlling CellCache behaviour.
 struct CellCacheOptions {
@@ -56,13 +97,15 @@ class CellCache {
     return static_cast<uint64_t>(page) << 32 | source;
   }
 
-  /// \brief Visits every tuple of the entry at `key` if it is resident and
-  /// its epoch matches `epoch`; `fn(const SpatialTuple&)`. Returns the
-  /// number visited on a hit, or -1 on a miss (absent or stale -- a stale
-  /// entry is dropped on the spot). `fn` runs under the stripe's shared
-  /// lock: it must not re-enter the cache.
+  /// \brief Calls `fn(const CellColumns&)` once with the entry at `key` if
+  /// it is resident and its epoch matches `epoch`. Returns the entry's row
+  /// count on a hit, or -1 on a miss (absent or stale -- a stale entry is
+  /// dropped on the spot). `fn` runs under the stripe's shared lock and the
+  /// columns are valid only inside it (a concurrent insert may evict the
+  /// entry afterwards): copy what must outlive the call, and do not
+  /// re-enter the cache.
   template <typename Fn>
-  int64_t VisitIfFresh(uint64_t key, uint64_t epoch, Fn&& fn) {
+  int64_t ReadIfFresh(uint64_t key, uint64_t epoch, Fn&& fn) {
     if (!enabled()) return -1;
     Stripe& s = StripeOf(key);
     {
@@ -73,15 +116,9 @@ class CellCache {
         if (e.epoch == epoch) {
           e.visited.store(1, std::memory_order_relaxed);
           hits_metric_->Increment(1);
-          SpatialTuple t;
-          t.term = e.term;
-          for (size_t i = 0; i < e.docs.size(); ++i) {
-            t.doc = e.docs[i];
-            t.location.x = e.xs[i];
-            t.location.y = e.ys[i];
-            t.weight = e.weights[i];
-            fn(t);
-          }
+          fn(CellColumns{e.term, static_cast<uint32_t>(e.docs.size()),
+                         e.docs.data(), e.weights.data(), e.xs.data(),
+                         e.ys.data()});
           return static_cast<int64_t>(e.docs.size());
         }
       }
@@ -91,40 +128,12 @@ class CellCache {
     return -1;
   }
 
-  /// \brief Collector for the miss path: accumulates the tuples a page
-  /// visit streams by, for insertion afterwards. A cell whose tuples carry
-  /// more than one term id is never cached (a keyword cell is one term's
-  /// quadtree cell; a mixed tag would make the memoized `term` wrong).
-  class Collector {
-   public:
-    void Add(const SpatialTuple& t) {
-      if (docs_.empty()) {
-        term_ = t.term;
-      } else if (t.term != term_) {
-        mixed_ = true;
-      }
-      docs_.push_back(t.doc);
-      weights_.push_back(t.weight);
-      xs_.push_back(t.location.x);
-      ys_.push_back(t.location.y);
-    }
-    bool cacheable() const { return !mixed_; }
-
-   private:
-    friend class CellCache;
-    uint32_t term_ = 0;
-    bool mixed_ = false;
-    std::vector<DocId> docs_;
-    std::vector<float> weights_;
-    std::vector<double> xs_;
-    std::vector<double> ys_;
-  };
-
-  /// \brief Inserts the collected cell under (`key`, `epoch`), evicting
-  /// SIEVE victims until it fits the stripe's byte budget. Oversized cells
-  /// (bigger than one stripe's whole budget) and uncacheable collections
-  /// are dropped. An existing entry for `key` is replaced.
-  void Insert(uint64_t key, uint64_t epoch, Collector&& c);
+  /// \brief Inserts a copy of `cols` under (`key`, `epoch`), evicting SIEVE
+  /// victims until it fits the stripe's byte budget. Oversized cells
+  /// (bigger than one stripe's whole budget) and mixed-term cells
+  /// (`cols.term == kInvalidTermId`) are dropped. An existing entry for
+  /// `key` is replaced.
+  void Insert(uint64_t key, uint64_t epoch, const CellColumns& cols);
 
   /// \brief Drops every entry (cold-cache reset; pairs with
   /// BufferPool::Clear in DataFile::ClearCache).

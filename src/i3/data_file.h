@@ -147,29 +147,46 @@ class PageView {
     return codec::IsV2Page(data_, page_size_);
   }
 
-  /// \brief Format-agnostic ForEachOfSource: visits every tuple of
-  /// `source`, decoding v2 groups through the block decoder. Returns the
-  /// number visited, or Corruption when a damaged v2 page fails to decode.
-  template <typename Fn>
-  Result<uint32_t> VisitSource(SourceId source, Fn&& fn) const {
-    if (!compressed()) return ForEachOfSource(source, std::forward<Fn>(fn));
+  /// \brief Format-agnostic columnar copy of every tuple of `source`,
+  /// decoding v2 groups through the block decoder: `alloc(n)` is called
+  /// once with the row count and returns a CellRows with room for `n`
+  /// rows, which are written in slot order. Returns a view of the written
+  /// rows (term kInvalidTermId if they mix term ids), or Corruption when a
+  /// damaged v2 page fails to decode.
+  template <typename Alloc>
+  Result<CellColumns> CopySource(SourceId source, Alloc&& alloc) const {
+    CellColumns out;
+    if (!compressed()) {
+      const uint32_t n = ForEachOfSource(source, [](const SpatialTuple&) {});
+      const CellRows dst = alloc(n);
+      uint32_t i = 0;
+      ForEachOfSource(source, [&](const SpatialTuple& t) {
+        if (i == 0) {
+          out.term = t.term;
+        } else if (t.term != out.term) {
+          out.term = kInvalidTermId;
+        }
+        dst.docs[i] = t.doc;
+        dst.weights[i] = t.weight;
+        dst.xs[i] = t.location.x;
+        dst.ys[i] = t.location.y;
+        ++i;
+      });
+      return CellColumns{out.term, n, dst.docs, dst.weights, dst.xs, dst.ys};
+    }
     codec::GroupRef g;
     auto found = codec::FindGroup(data_, page_size_, source, &g);
     if (!found.ok()) return found.status();
-    if (!found.ValueOrDie()) return 0u;
+    if (!found.ValueOrDie()) {
+      alloc(0u);
+      return out;
+    }
     codec::DecodeScratch scratch;
     codec::DecodedGroup d;
     I3_RETURN_NOT_OK(codec::DecodeGroup(data_, page_size_, g, &scratch, &d));
-    SpatialTuple t;
-    t.term = g.term;
-    for (uint32_t i = 0; i < d.n; ++i) {
-      t.doc = d.docs[i];
-      t.location.x = d.xs[i];
-      t.location.y = d.ys[i];
-      t.weight = d.weights[i];
-      fn(t);
-    }
-    return d.n;
+    const CellRows dst = alloc(d.n);
+    CopyRows({g.term, d.n, d.docs, d.weights, d.xs, d.ys}, dst);
+    return CellColumns{g.term, d.n, dst.docs, dst.weights, dst.xs, dst.ys};
   }
 
   /// \brief Format-agnostic ForEachSlot: visits every stored tuple with its
@@ -297,39 +314,64 @@ class DataFile {
   /// read). See PageView for the lifetime rules.
   Result<PageView> View(PageId id);
 
-  /// \brief Visits every tuple of the keyword cell `source` on page `id`
-  /// through the decoded-cell cache: a fresh entry (matching the page's
-  /// current write epoch) is replayed without touching the page at all; a
-  /// miss views the page once, streams the tuples to `fn` *and* collects
-  /// them for insertion at the pinned frame's epoch. Returns the number
-  /// visited. Falls back to a plain page visit when the cache is disabled.
-  /// Same exclusion contract as View: no concurrent writer.
-  template <typename Fn>
-  Result<uint32_t> VisitSourceCached(PageId id, SourceId source, Fn&& fn) {
-    if (!cell_cache_.enabled() || !pool_.Pinnable()) {
-      auto view = View(id);
-      if (!view.ok()) return view.status();
-      return view.ValueOrDie().VisitSource(source, std::forward<Fn>(fn));
-    }
+  /// \brief Bulk-copies the keyword cell `source` on page `id` through the
+  /// decoded-cell cache: `alloc(n)` is called once and returns a CellRows
+  /// with room for the cell's `n` rows (slot order). A fresh entry
+  /// (matching the page's current write epoch) is copied under its stripe
+  /// lock without touching the page; a miss views the page once, decodes
+  /// straight into the caller's rows and memoizes them at the pinned
+  /// frame's epoch. Returns a view of the copied rows. Falls back to a
+  /// plain page copy when the cache is disabled. Same exclusion contract
+  /// as View: no concurrent writer.
+  template <typename Alloc>
+  Result<CellColumns> CopySourceCached(PageId id, SourceId source,
+                                       Alloc&& alloc) {
+    const bool cached = cell_cache_.enabled() && pool_.Pinnable();
     const uint64_t key = CellCache::Key(id, source);
-    const int64_t hit =
-        cell_cache_.VisitIfFresh(key, pool_.PageEpoch(id), fn);
-    if (hit >= 0) return static_cast<uint32_t>(hit);
+    if (cached) {
+      CellColumns copied;
+      const int64_t hit = cell_cache_.ReadIfFresh(
+          key, pool_.PageEpoch(id), [&](const CellColumns& c) {
+            const CellRows dst = alloc(c.n);
+            CopyRows(c, dst);
+            copied = {c.term, c.n, dst.docs, dst.weights, dst.xs, dst.ys};
+          });
+      if (hit >= 0) return copied;
+    }
     auto view = View(id);
     if (!view.ok()) return view.status();
-    CellCache::Collector collect;
-    auto n = view.ValueOrDie().VisitSource(
-        source, [&fn, &collect](const SpatialTuple& t) {
-          collect.Add(t);
-          fn(t);
-        });
-    if (!n.ok()) return n.status();
+    auto cols = view.ValueOrDie().CopySource(source, alloc);
+    if (!cols.ok()) return cols.status();
     // Keyed to the epoch captured *at pin time*: if the page is rewritten
     // between this visit and the next probe, the bumped epoch makes the
     // entry invisible.
-    cell_cache_.Insert(key, view.ValueOrDie().pin_.epoch(),
-                       std::move(collect));
-    return n;
+    if (cached) {
+      cell_cache_.Insert(key, view.ValueOrDie().pin_.epoch(),
+                         cols.ValueOrDie());
+    }
+    return cols;
+  }
+
+  /// \brief Tuple-visitor form of CopySourceCached for the cold paths
+  /// (delete rebuild, invariant checks, range search): copies the cell
+  /// into local buffers, then calls `fn(const SpatialTuple&)` per tuple.
+  /// Returns the number visited.
+  template <typename Fn>
+  Result<uint32_t> VisitSourceCached(PageId id, SourceId source, Fn&& fn) {
+    std::vector<DocId> docs;
+    std::vector<float> weights;
+    std::vector<double> xs, ys;
+    auto cols = CopySourceCached(id, source, [&](uint32_t n) {
+      docs.resize(n);
+      weights.resize(n);
+      xs.resize(n);
+      ys.resize(n);
+      return CellRows{docs.data(), weights.data(), xs.data(), ys.data()};
+    });
+    if (!cols.ok()) return cols.status();
+    const CellColumns& c = cols.ValueOrDie();
+    for (uint32_t i = 0; i < c.n; ++i) fn(c.Tuple(i));
+    return c.n;
   }
 
   /// \brief Checksum-verifying *device* read of page `id`, bypassing the

@@ -48,6 +48,9 @@ struct I3SearchStats {
   /// re-derived upper bound could no longer beat the k-th heap score
   /// (the WAND-style block-max prune).
   uint64_t blockmax_prunes = 0;
+  /// Join work: rows copied into candidate doc columns (fetched keyword
+  /// cells) plus rows routed from a candidate's columns to its children.
+  uint64_t rows_joined = 0;
 };
 
 inline SearchStatsView View(const I3SearchStats& s) {
@@ -60,6 +63,7 @@ inline SearchStatsView View(const I3SearchStats& s) {
   v.Set("docs_scored", s.docs_scored);
   v.Set("cells_skipped", s.cells_skipped);
   v.Set("blockmax_prunes", s.blockmax_prunes);
+  v.Set("rows_joined", s.rows_joined);
   return v;
 }
 
@@ -220,15 +224,15 @@ class I3Index final : public SpatialKeywordIndex {
                                             obs::QueryTrace* trace);
 
   /// Reads all tuples of the keyword cell referenced by (page, overflow,
-  /// source), charging data-file I/O. Cold paths only; the query hot path
-  /// streams through VisitCellTuples instead of materializing a vector.
+  /// source), charging data-file I/O. Cold paths only; top-k search copies
+  /// cells into doc columns (DataFile::CopySourceCached) instead.
   Result<std::vector<SpatialTuple>> ReadCellTuples(
       PageId page, const std::vector<PageId>& overflow, SourceId source);
 
-  /// \brief Single-pass, zero-copy visit of every tuple of the keyword cell
-  /// (page, overflow, source): `fn(const SpatialTuple&)` is invoked straight
-  /// off the pinned page frames, one charged read per page, no intermediate
-  /// vector. `overflow` may be null when the cell has no overflow chain.
+  /// \brief Visit of every tuple of the keyword cell (page, overflow,
+  /// source): `fn(const SpatialTuple&)`, at most one charged read per page.
+  /// `overflow` may be null when the cell has no overflow chain. The cold
+  /// paths' reader (delete rebuild, invariant checks, range search).
   template <typename Fn>
   Status VisitCellTuples(PageId page, const std::vector<PageId>* overflow,
                          SourceId source, Fn&& fn) {

@@ -2,21 +2,27 @@
 // cells with AND-semantics signature pruning (Algorithms 5-6) and the
 // Apriori subset lattice for the OR-semantics upper bound (Section 5.3).
 //
-// Memory discipline (see DESIGN.md, "Hot-path memory architecture"): all
-// per-query state -- candidate cells, partial-document tables, term lists,
+// The join (see DESIGN.md, "Hot-path memory architecture"): a candidate
+// cell holds one doc column per fetched non-dense keyword cell -- parallel
+// arrays of doc id, weight, x and y, sorted by doc id. A fetch bulk-copies
+// the cell's rows into a new column; zooming into the four children is a
+// stable partition of every column by quadrant. Under AND a new column is
+// merge-intersected with the candidate's others, so all columns of an AND
+// candidate hold the same docs in the same order; OR columns stay
+// independent and are scored by a k-way union merge.
+//
+// Memory discipline: all per-query state -- candidate cells, doc columns,
 // the priority queue -- lives in a per-thread bump Arena that is Reset at
 // the start of each query, and reusable scratch (signatures, OR-lattice
 // tables) is per-thread too. Once a thread reaches its high-water mark, a
 // query touches the global allocator only for the result vector it returns.
-// Page tuples are streamed straight off pinned buffer-pool frames through
-// I3Index::VisitCellTuples; no TuplePage is materialized.
 
 #include <algorithm>
+#include <numeric>
 #include <vector>
 
 #include "common/arena.h"
 #include "common/deadline.h"
-#include "common/flat_map.h"
 #include "common/small_vec.h"
 #include "i3/i3_index.h"
 #include "model/topk.h"
@@ -50,12 +56,6 @@ struct I3Index::Candidate {
     const SummaryEntry* entry;  ///< E = <sig, max_s> of <w, C>
   };
 
-  /// One fetched term weight of a partial document.
-  struct TermWeight {
-    uint8_t qidx;
-    float w;
-  };
-
   /// A keyword cell whose page fetch is deferred (WAND-style): the parent's
   /// summary E stands in as the candidate's upper-bound evidence, and the
   /// pages are read only if the candidate is popped while its bound still
@@ -71,43 +71,40 @@ struct I3Index::Candidate {
     const SummaryEntry* entry;  ///< the proxy summary standing in
   };
 
-  /// A document discovered through keywords that stopped being dense on
-  /// the path to this cell, with the term weights fetched so far.
-  struct PartialDoc {
-    Point loc;
-    uint32_t mask = 0;  ///< query-term positions matched so far
-    SmallVec<TermWeight, 4> terms;
+  /// The rows of one fetched keyword cell (a keyword that stopped being
+  /// dense on the path to this cell) that fall inside this cell: parallel
+  /// arena arrays sorted by doc id. Never empty.
+  struct Column {
+    uint8_t qidx;  ///< position of the keyword in the query
+    uint32_t n;
+    DocId* docs;
+    float* weights;
+    double* xs;
+    double* ys;
 
-    double TextSum() const {
-      double s = 0.0;
-      for (const TermWeight& tw : terms) s += tw.w;
-      return s;
+    /// Copies row `from` of `src` into row `to` (`src` may be *this).
+    void SetRow(uint32_t to, const Column& src, uint32_t from) {
+      docs[to] = src.docs[from];
+      weights[to] = src.weights[from];
+      xs[to] = src.xs[from];
+      ys[to] = src.ys[from];
     }
   };
-
-  explicit Candidate(Arena* arena) : docs(arena) {}
 
   Rect rect;
   double upper = 0.0;
   SmallVec<DenseKwd, 8> dense;
   SmallVec<PendingFetch, 8> pending;
-  FlatMap<DocId, PartialDoc> docs;
+  SmallVec<Column, 4> cols;  ///< ascending qidx
   Candidate* next_free = nullptr;  ///< freelist link while recycled
 
-  /// Reclaims the candidate for reuse, keeping dense/docs storage.
+  /// Reclaims the candidate for reuse, keeping its list storage.
   void Recycle() {
     upper = 0.0;
     dense.Clear();
     pending.Clear();
-    docs.Clear();
+    cols.Clear();
     next_free = nullptr;
-  }
-
-  void MergeTuple(Arena* arena, uint8_t qidx, const SpatialTuple& t) {
-    PartialDoc& pd = docs.FindOrInsert(t.doc);
-    pd.loc = t.location;
-    pd.mask |= (1u << qidx);
-    pd.terms.PushBack(arena, {qidx, t.weight});
   }
 };
 
@@ -120,9 +117,7 @@ struct SearchScratch {
   Arena arena;
   Signature and_sig;                  // AND intersection scratch
   std::vector<OrEvidence> or_ev;      // per-term evidence list
-  std::vector<Signature> or_nd_sig;   // per-qidx non-dense doc signatures
-  std::vector<double> or_nd_m;        // per-qidx best non-dense weight
-  std::vector<uint8_t> or_nd_seen;    // per-qidx: any non-dense evidence?
+  std::vector<Signature> or_nd_sig;   // per-qidx column doc signatures
   std::vector<Signature> or_lat_sig;  // lattice evidence per subset mask
   std::vector<double> or_lat_score;   // lattice score per subset mask
 };
@@ -131,9 +126,12 @@ thread_local SearchScratch t_search_scratch;
 
 }  // namespace
 
-/// Per-query search state and the pruning/upper-bound routines.
+/// Per-query search state, the column join, and the pruning/upper-bound
+/// routines.
 class I3Index::SearchContext {
  public:
+  using Column = Candidate::Column;
+
   SearchContext(I3Index* index, const Query& q, double alpha,
                 I3SearchStats* stats, SearchScratch* scratch)
       : index_(index),
@@ -145,13 +143,9 @@ class I3Index::SearchContext {
     for (size_t i = 0; i < q.terms.size(); ++i) {
       full_mask_ |= (1u << i);
     }
-    if (q.semantics == Semantics::kOr) {
-      const size_t n = q.terms.size();
-      if (scratch_->or_nd_sig.size() < n) {
-        scratch_->or_nd_sig.resize(n);
-        scratch_->or_nd_m.resize(n);
-        scratch_->or_nd_seen.resize(n);
-      }
+    if (q.semantics == Semantics::kOr &&
+        scratch_->or_nd_sig.size() < q.terms.size()) {
+      scratch_->or_nd_sig.resize(q.terms.size());
     }
   }
 
@@ -165,7 +159,7 @@ class I3Index::SearchContext {
       free_list_ = c->next_free;
       c->Recycle();
     } else {
-      c = arena()->New<Candidate>(arena());
+      c = arena()->New<Candidate>();
     }
     c->rect = rect;
     return c;
@@ -201,8 +195,80 @@ class I3Index::SearchContext {
     return n;
   }
 
+  /// \brief Reads the keyword cell (page, overflow, source) of query term
+  /// `qidx` into a new column of `c`: one bulk copy per page (cell-cache
+  /// entry or decoded page) into the arena, sorted by doc id, then joined.
+  /// Under AND, rows missing any term already fetched into `c` die here.
+  Status FetchColumn(Candidate* c, uint8_t qidx, PageId page,
+                     const std::vector<PageId>* overflow, SourceId source) {
+    Column col{qidx, 0, nullptr, nullptr, nullptr, nullptr};
+    // Each page of the cell appends one chunk; only cells at the deepest
+    // split level have an overflow chain, so the regrow copy is rare.
+    auto append = [this, &col](uint32_t n) {
+      Column grown = NewColumn(col.qidx, col.n + n);
+      for (uint32_t r = 0; r < col.n; ++r) grown.SetRow(r, col, r);
+      const uint32_t at = col.n;
+      col = grown;
+      return CellRows{col.docs + at, col.weights + at, col.xs + at,
+                      col.ys + at};
+    };
+    DataFile* data = index_->data_.get();
+    I3_RETURN_NOT_OK(data->CopySourceCached(page, source, append).status());
+    if (overflow != nullptr) {
+      for (PageId op : *overflow) {
+        I3_RETURN_NOT_OK(data->CopySourceCached(op, source, append).status());
+      }
+    }
+    stats_->rows_joined += col.n;
+    // An empty cell leaves the term uncovered: Prune drops an AND
+    // candidate, and OR simply has no evidence for it here.
+    if (col.n == 0) return Status::OK();
+    SortByDoc(&col);
+    if (query_.semantics == Semantics::kAnd && !c->cols.empty()) {
+      IntersectAnd(c, &col);
+      if (col.n == 0) {
+        c->cols.Clear();
+        return Status::OK();
+      }
+    }
+    c->cols.PushBack(arena(), col);
+    for (uint32_t i = c->cols.size() - 1;
+         i > 0 && c->cols[i - 1].qidx > qidx; --i) {
+      std::swap(c->cols[i - 1], c->cols[i]);
+    }
+    return Status::OK();
+  }
+
+  /// \brief Routes every column of `c` to `children` (indexed by quadrant):
+  /// a stable partition by quadrant, so each child column stays sorted by
+  /// doc id and AND columns stay aligned. Empty pieces are not attached.
+  void RouteColumns(const Candidate* c, Candidate* const* children) {
+    for (const Column& col : c->cols) {
+      uint8_t* quad = arena()->AllocateArray<uint8_t>(col.n);
+      uint32_t count[kQuadrants] = {};
+      for (uint32_t r = 0; r < col.n; ++r) {
+        quad[r] = static_cast<uint8_t>(
+            CellSpace::QuadrantOf(c->rect, Point{col.xs[r], col.ys[r]}));
+        ++count[quad[r]];
+      }
+      Column piece[kQuadrants];
+      for (int q = 0; q < kQuadrants; ++q) {
+        piece[q] = NewColumn(col.qidx, count[q]);
+        piece[q].n = 0;  // fill cursor
+      }
+      for (uint32_t r = 0; r < col.n; ++r) {
+        Column& p = piece[quad[r]];
+        p.SetRow(p.n++, col, r);
+      }
+      for (int q = 0; q < kQuadrants; ++q) {
+        if (piece[q].n != 0) children[q]->cols.PushBack(arena(), piece[q]);
+      }
+      stats_->rows_joined += col.n;
+    }
+  }
+
   /// Algorithm 5 (AND) / Section 5.3 (OR). Returns true if the candidate
-  /// cell can be discarded; may shrink c->docs as a side effect (AND).
+  /// cell can be discarded; may drop rows of c->cols as a side effect (AND).
   bool Prune(Candidate* c) {
     if (query_.semantics == Semantics::kAnd) return PruneAnd(c);
     return PruneOr(c);
@@ -219,18 +285,21 @@ class I3Index::SearchContext {
   }
 
   /// Scores the documents of a fully resolved cell (Algorithm 4, 6-10).
+  /// Per-doc bound: no doc here is nearer than the cell itself, so a doc
+  /// whose text score cannot lift the cell's spatial bound to the k-th
+  /// score is skipped unscored. The test is strict because a doc tying
+  /// the threshold can still enter on the doc-id tie-break.
   void ScoreDocs(Candidate* c) {
-    for (auto& slot : c->docs) {
-      const Candidate::PartialDoc& pd = slot.value;
-      if (query_.semantics == Semantics::kAnd && pd.mask != full_mask_) {
-        continue;
-      }
-      const double score =
-          scorer_.Combine(scorer_.SpatialProximity(query_.location, pd.loc),
-                          pd.TextSum());
-      heap_.Offer(slot.key, score, pd.loc);
+    const double phi_s_upper =
+        scorer_.SpatialProximityUpper(query_.location, c->rect);
+    ForEachDoc(c, [&](DocId doc, double text, const Point& loc) {
+      if (scorer_.Combine(phi_s_upper, text) < heap_.Threshold()) return;
+      heap_.Offer(doc,
+                  scorer_.Combine(
+                      scorer_.SpatialProximity(query_.location, loc), text),
+                  loc);
       ++stats_->docs_scored;
-    }
+    });
   }
 
   double Threshold() const { return heap_.Threshold(); }
@@ -244,6 +313,91 @@ class I3Index::SearchContext {
     }
   };
 
+  /// A column of `n` uninitialized rows for query term `qidx`.
+  Column NewColumn(uint8_t qidx, uint32_t n) {
+    Arena* a = arena();
+    return {qidx,
+            n,
+            a->AllocateArray<DocId>(n),
+            a->AllocateArray<float>(n),
+            a->AllocateArray<double>(n),
+            a->AllocateArray<double>(n)};
+  }
+
+  /// Restores the column invariant: keyword-cell rows arrive in slot
+  /// order, which is usually -- but after deletes and reinserts not
+  /// always -- doc-id order.
+  void SortByDoc(Column* col) {
+    const DocId* docs = col->docs;
+    if (std::is_sorted(docs, docs + col->n)) return;
+    uint32_t* perm = arena()->AllocateArray<uint32_t>(col->n);
+    std::iota(perm, perm + col->n, 0u);
+    std::sort(perm, perm + col->n, [docs](uint32_t a, uint32_t b) {
+      return docs[a] != docs[b] ? docs[a] < docs[b] : a < b;
+    });
+    Column sorted = NewColumn(col->qidx, col->n);
+    for (uint32_t r = 0; r < col->n; ++r) sorted.SetRow(r, *col, perm[r]);
+    *col = sorted;
+  }
+
+  /// AND join: keeps only the docs present both in `col` and in the
+  /// candidate's (mutually aligned) columns, compacting all in place.
+  void IntersectAnd(Candidate* c, Column* col) {
+    const DocId* ref = c->cols[0].docs;
+    const uint32_t ref_n = c->cols[0].n;
+    uint32_t i = 0, j = 0, w = 0;
+    while (i < ref_n && j < col->n) {
+      if (ref[i] < col->docs[j]) {
+        ++i;
+      } else if (col->docs[j] < ref[i]) {
+        ++j;
+      } else {
+        for (Column& other : c->cols) other.SetRow(w, other, i);
+        col->SetRow(w, *col, j);
+        ++w;
+        ++i;
+        ++j;
+      }
+    }
+    for (Column& other : c->cols) other.n = w;
+    col->n = w;
+  }
+
+  /// \brief k-way union merge over the columns of `c`: calls
+  /// `fn(doc, text, location)` once per distinct doc, in doc-id order, with
+  /// `text` the doc's fetched weights summed in ascending query-term order
+  /// -- the order Scorer::TextualScore adds them, so scores match the
+  /// brute-force oracle bit for bit. (An AND candidate's columns are
+  /// aligned, so there every row is one doc.)
+  template <typename Fn>
+  static void ForEachDoc(const Candidate* c, Fn&& fn) {
+    const uint32_t m = c->cols.size();
+    uint32_t pos[kMaxQueryTerms] = {};
+    while (true) {
+      int first = -1;
+      DocId doc = 0;
+      for (uint32_t k = 0; k < m; ++k) {
+        const Column& col = c->cols[k];
+        if (pos[k] < col.n && (first < 0 || col.docs[pos[k]] < doc)) {
+          first = static_cast<int>(k);
+          doc = col.docs[pos[k]];
+        }
+      }
+      if (first < 0) return;
+      const Column& src = c->cols[first];
+      const Point loc{src.xs[pos[first]], src.ys[pos[first]]};
+      double text = 0.0;
+      for (uint32_t k = 0; k < m; ++k) {
+        const Column& col = c->cols[k];
+        if (pos[k] < col.n && col.docs[pos[k]] == doc) {
+          text += col.weights[pos[k]];
+          ++pos[k];
+        }
+      }
+      fn(doc, text, loc);
+    }
+  }
+
   bool PruneAnd(Candidate* c) {
     // Lines 1-6: intersect the signatures of the dense keywords.
     if (index_->options_.signature_pruning && !c->dense.empty()) {
@@ -256,21 +410,26 @@ class I3Index::SearchContext {
         ++stats_->cells_pruned_signature;
         return true;
       }
-      // Lines 7-12: drop partial documents outside the intersection.
-      for (auto it = c->docs.begin(); it != c->docs.end();) {
-        if (!sig.MayContain(it->key)) {
-          it = c->docs.Erase(it);
-        } else {
-          ++it;
+      // Lines 7-12: drop rows outside the intersection (the columns are
+      // aligned, so one test per row decides for every column).
+      if (!c->cols.empty()) {
+        const uint32_t n = c->cols[0].n;
+        uint32_t w = 0;
+        for (uint32_t r = 0; r < n; ++r) {
+          if (!sig.MayContain(c->cols[0].docs[r])) continue;
+          for (Column& col : c->cols) col.SetRow(w, col, r);
+          ++w;
         }
+        for (Column& col : c->cols) col.n = w;
+        if (w == 0) c->cols.Clear();
       }
     }
-    // Coverage: every query keyword must be dense in this cell or matched
-    // by some partial document; otherwise no document here can contain all
+    // Coverage: every query keyword must be dense in this cell or fetched
+    // with surviving rows; otherwise no document here can contain all
     // keywords. (Generalizes lines 11-12 to empty C.docs.)
     uint32_t covered = 0;
     for (const auto& dk : c->dense) covered |= (1u << dk.qidx);
-    for (auto& slot : c->docs) covered |= slot.value.mask;
+    for (const Column& col : c->cols) covered |= (1u << col.qidx);
     if (covered != full_mask_) {
       ++stats_->cells_pruned_coverage;
       return true;
@@ -280,8 +439,8 @@ class I3Index::SearchContext {
 
   bool PruneOr(Candidate* c) {
     // A cell is prunable only if it holds no query keyword at all: no dense
-    // keyword (a dense cell is nonempty by definition) and no partial doc.
-    if (c->dense.empty() && c->docs.empty()) {
+    // keyword (a dense cell is nonempty by definition) and no fetched row.
+    if (c->dense.empty() && c->cols.empty()) {
       ++stats_->cells_pruned_coverage;
       return true;
     }
@@ -292,9 +451,9 @@ class I3Index::SearchContext {
     double dense_sum = 0.0;
     for (const auto& dk : c->dense) dense_sum += dk.entry->max_s;
     double nd_max = 0.0;
-    for (auto& slot : c->docs) {
-      nd_max = std::max(nd_max, slot.value.TextSum());
-    }
+    ForEachDoc(c, [&nd_max](DocId, double text, const Point&) {
+      nd_max = std::max(nd_max, text);
+    });
     return dense_sum + nd_max;
   }
 
@@ -305,29 +464,23 @@ class I3Index::SearchContext {
     for (const auto& dk : c->dense) {
       s.or_ev.push_back({dk.entry->max_s, &dk.entry->sig});
     }
-    // Group the non-dense contributions by query term.
-    std::fill(s.or_nd_seen.begin(), s.or_nd_seen.end(), uint8_t{0});
-    for (auto& slot : c->docs) {
-      for (const auto& tw : slot.value.terms) {
-        if (!s.or_nd_seen[tw.qidx]) {
-          s.or_nd_seen[tw.qidx] = 1;
-          s.or_nd_m[tw.qidx] = 0.0;
-          if (s.or_nd_sig[tw.qidx].bits() != eta) {
-            s.or_nd_sig[tw.qidx] = Signature(eta);
-          } else {
-            s.or_nd_sig[tw.qidx].Clear();
-          }
-        }
-        s.or_nd_m[tw.qidx] =
-            std::max(s.or_nd_m[tw.qidx], static_cast<double>(tw.w));
-        s.or_nd_sig[tw.qidx].Add(slot.key);
+    // Each column is one term's non-dense evidence: its best weight and a
+    // signature of its docs.
+    for (const Column& col : c->cols) {
+      Signature& sig = s.or_nd_sig[col.qidx];
+      if (sig.bits() != eta) {
+        sig = Signature(eta);
+      } else {
+        sig.Clear();
       }
-    }
-    for (size_t i = 0; i < query_.terms.size(); ++i) {
-      if (s.or_nd_seen[i]) s.or_ev.push_back({s.or_nd_m[i], &s.or_nd_sig[i]});
+      double m = 0.0;
+      for (uint32_t r = 0; r < col.n; ++r) {
+        m = std::max(m, static_cast<double>(col.weights[r]));
+        sig.Add(col.docs[r]);
+      }
+      s.or_ev.push_back({m, &sig});
     }
     if (s.or_ev.empty()) return 0.0;
-
     const size_t p = s.or_ev.size();
     if (p > kMaxLatticeTerms) {
       // Degenerate fallback: the plain sum is still a valid upper bound.
@@ -405,6 +558,7 @@ Result<std::vector<ScoredDoc>> I3Index::Search(const Query& q_in,
     if (backoff_ns != 0) trace->AddStage("retry_backoff", backoff_ns);
     trace->Annotate("candidates_popped", stats.candidates_popped);
     trace->Annotate("docs_scored", stats.docs_scored);
+    trace->Annotate("rows_joined", stats.rows_joined);
     trace->Annotate("cells_skipped", stats.cells_skipped);
     trace->Annotate("blockmax_prunes", stats.blockmax_prunes);
     if (result.ok()) trace->Annotate("results", result.ValueOrDie().size());
@@ -467,11 +621,8 @@ Result<std::vector<ScoredDoc>> I3Index::SearchImpl(const Query& q_in,
         root->dense.PushBack(
             arena, {static_cast<uint8_t>(i), entry.node, &node.self});
       } else {
-        const uint8_t qidx = static_cast<uint8_t>(i);
-        I3_RETURN_NOT_OK(VisitCellTuples(
-            entry.page, nullptr, entry.source, [&](const SpatialTuple& t) {
-              root->MergeTuple(arena, qidx, t);
-            }));
+        I3_RETURN_NOT_OK(ctx.FetchColumn(root, static_cast<uint8_t>(i),
+                                         entry.page, nullptr, entry.source));
       }
     }
   }
@@ -536,14 +687,11 @@ Result<std::vector<ScoredDoc>> I3Index::SearchImpl(const Query& q_in,
       }
       c->dense.Truncate(w);
       {
-        const uint8_t qidx = pf.qidx;
         obs::ScopedStage stage(trace, "page_decode");
-        I3_RETURN_NOT_OK(VisitCellTuples(
-            pf.page, pf.overflow, pf.source, [&](const SpatialTuple& t) {
-              c->MergeTuple(arena, qidx, t);
-            }));
+        I3_RETURN_NOT_OK(
+            ctx.FetchColumn(c, pf.qidx, pf.page, pf.overflow, pf.source));
       }
-      if ((c->dense.empty() && c->docs.empty()) || TracedPrune(c)) {
+      if ((c->dense.empty() && c->cols.empty()) || TracedPrune(c)) {
         ctx.stats()->cells_skipped += c->pending.size();
         ctx.Free(c);
         continue;
@@ -578,22 +726,18 @@ Result<std::vector<ScoredDoc>> I3Index::SearchImpl(const Query& q_in,
       }
     }
 
+    // Route every fetched row to the unique child containing it.
+    Candidate* children[kQuadrants];
     for (int quad = 0; quad < kQuadrants; ++quad) {
-      Candidate* child = ctx.NewCandidate(CellSpace::ChildRect(c->rect, quad));
+      children[quad] = ctx.NewCandidate(CellSpace::ChildRect(c->rect, quad));
+    }
+    {
+      obs::ScopedStage stage(trace, "candidate_merge");
+      ctx.RouteColumns(c, children);
+    }
 
-      // Route each partial document to the unique child containing it.
-      {
-        obs::ScopedStage stage(trace, "candidate_merge");
-        for (auto& slot : c->docs) {
-          const Candidate::PartialDoc& pd = slot.value;
-          if (CellSpace::QuadrantOf(c->rect, pd.loc) == quad) {
-            Candidate::PartialDoc& dst = child->docs.FindOrInsert(slot.key);
-            dst.loc = pd.loc;
-            dst.mask = pd.mask;
-            dst.terms.AssignFrom(arena, pd.terms);
-          }
-        }
-      }
+    for (int quad = 0; quad < kQuadrants; ++quad) {
+      Candidate* child = children[quad];
 
       // Keywords that stop being dense in this child are *not* fetched
       // here: their summaries E (stored in the parent's node, already in
@@ -624,19 +768,16 @@ Result<std::vector<ScoredDoc>> I3Index::SearchImpl(const Query& q_in,
                           &ref.overflow, &nodes[d]->child_summary[quad]});
             } else {
               // Ablation / literal Algorithm 4: fetch eagerly.
-              const uint8_t qidx = c->dense[d].qidx;
               obs::ScopedStage stage(trace, "page_scan");
-              I3_RETURN_NOT_OK(VisitCellTuples(
-                  ref.page, &ref.overflow, ref.source,
-                  [&](const SpatialTuple& t) {
-                    child->MergeTuple(arena, qidx, t);
-                  }));
+              I3_RETURN_NOT_OK(ctx.FetchColumn(child, c->dense[d].qidx,
+                                               ref.page, &ref.overflow,
+                                               ref.source));
             }
             break;
         }
       }
 
-      if ((child->dense.empty() && child->docs.empty()) ||
+      if ((child->dense.empty() && child->cols.empty()) ||
           TracedPrune(child)) {
         ctx.stats()->cells_skipped += child->pending.size();
         ctx.Free(child);

@@ -154,6 +154,10 @@ Status ReplicaSet::ApplyOp(SpatialKeywordIndex& index, const Op& op) {
 }
 
 Status ReplicaSet::Replicate(Op op) {
+  // Let a pending catch-up take op_mutex_ first (see catchup_waiters_).
+  while (catchup_waiters_.load(std::memory_order_acquire) != 0) {
+    std::this_thread::yield();
+  }
   std::lock_guard<std::mutex> op_lock(op_mutex_);
   op.seq = log_head_.load(std::memory_order_relaxed) + 1;
   log_head_.store(op.seq, std::memory_order_release);
@@ -423,7 +427,9 @@ Status ReplicaSet::CatchUp(uint32_t r) {
   // Holding op_mutex_ freezes the log head: once the replay below drains
   // the tail, the replica is exactly caught up, and flipping it healthy
   // before releasing the mutex means the very next write includes it.
+  catchup_waiters_.fetch_add(1, std::memory_order_acq_rel);
   std::lock_guard<std::mutex> op_lock(op_mutex_);
+  catchup_waiters_.fetch_sub(1, std::memory_order_acq_rel);
   const uint64_t watermark = rep.watermark.load(std::memory_order_acquire);
   const uint64_t head = log_head_.load(std::memory_order_relaxed);
   if (watermark < head) {

@@ -342,6 +342,11 @@ class ReplicaSet final : public SpatialKeywordIndex {
   /// Sequence of the last accepted op. Written only under op_mutex_;
   /// atomic so gauge/status readers can load it without the mutex.
   std::atomic<uint64_t> log_head_{0};
+  /// Recoveries waiting to take op_mutex_ for their catch-up commit.
+  /// Writers stand aside while it is nonzero: std::mutex is not fair, and a
+  /// saturating writer could otherwise re-take it until the log trims past
+  /// the recovering replica's snapshot (OutOfRange on every attempt).
+  std::atomic<uint32_t> catchup_waiters_{0};
   /// Snapshot file uniquifier (one temp dir may host many sets).
   std::atomic<uint64_t> snapshot_seq_{0};
 

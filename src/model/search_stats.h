@@ -32,7 +32,7 @@ namespace i3 {
 /// must produce them in a fixed order, so views of the same index are
 /// positionally comparable and an emitter can pre-register counters.
 struct SearchStatsView {
-  static constexpr size_t kMaxStats = 8;
+  static constexpr size_t kMaxStats = 9;
 
   size_t count = 0;
   std::array<const char*, kMaxStats> names{};

@@ -11,7 +11,6 @@
 
 #include "common/arena.h"
 #include "common/deadline.h"
-#include "common/flat_map.h"
 #include "common/geo.h"
 #include "common/rng.h"
 #include "common/small_vec.h"
@@ -275,22 +274,10 @@ TEST(SmallVecTest, ClearKeepsCapacity) {
   EXPECT_EQ(v.capacity(), cap);
 }
 
-TEST(SmallVecTest, AssignFromDeepCopies) {
-  Arena arena;
-  SmallVec<uint32_t, 2> a;
-  for (uint32_t i = 0; i < 8; ++i) a.PushBack(&arena, i);
-  SmallVec<uint32_t, 2> b;
-  b.AssignFrom(&arena, a);
-  a[0] = 999;  // must not leak into b
-  ASSERT_EQ(b.size(), 8u);
-  EXPECT_EQ(b[0], 0u);
-  EXPECT_EQ(b[7], 7u);
-}
-
 TEST(SmallVecTest, RelocatesByMemcpy) {
-  // The FlatMap rehash contract: a SmallVec's bytes may be copied to a new
-  // address and the copy must stay valid (inline storage is discriminated
-  // by capacity, not by a self-pointer).
+  // A SmallVec's bytes may be copied to a new address and the copy must
+  // stay valid (inline storage is discriminated by capacity, not by a
+  // self-pointer), so enclosing types stay trivially copyable.
   Arena arena;
   SmallVec<uint32_t, 4> v;
   for (uint32_t i = 0; i < 3; ++i) v.PushBack(&arena, i + 1);
@@ -300,113 +287,6 @@ TEST(SmallVecTest, RelocatesByMemcpy) {
   ASSERT_EQ(moved->size(), 3u);
   EXPECT_EQ((*moved)[0], 1u);
   EXPECT_EQ((*moved)[2], 3u);
-}
-
-// --------------------------------------------------------------- flat map
-
-TEST(FlatMapTest, InsertFindErase) {
-  Arena arena;
-  FlatMap<uint32_t, uint64_t> m(&arena);
-  for (uint32_t k = 0; k < 100; ++k) m.FindOrInsert(k) = k * 10;
-  EXPECT_EQ(m.size(), 100u);
-  for (uint32_t k = 0; k < 100; ++k) {
-    auto* v = m.Find(k);
-    ASSERT_NE(v, nullptr);
-    EXPECT_EQ(*v, k * 10);
-  }
-  EXPECT_EQ(m.Find(1000), nullptr);
-  EXPECT_TRUE(m.Erase(50u));
-  EXPECT_FALSE(m.Erase(50u));
-  EXPECT_EQ(m.Find(50), nullptr);
-  EXPECT_EQ(m.size(), 99u);
-}
-
-TEST(FlatMapTest, ValueInitializesOnFirstSight) {
-  Arena arena;
-  FlatMap<uint32_t, uint64_t> m(&arena);
-  EXPECT_EQ(m.FindOrInsert(7), 0u);
-  m.FindOrInsert(7) += 5;
-  EXPECT_EQ(m.FindOrInsert(7), 5u);
-}
-
-TEST(FlatMapTest, IteratesExactlyLiveEntries) {
-  Arena arena;
-  FlatMap<uint32_t, uint64_t> m(&arena);
-  for (uint32_t k = 0; k < 40; ++k) m.FindOrInsert(k) = k;
-  for (uint32_t k = 0; k < 40; k += 2) m.Erase(k);
-  uint64_t sum = 0;
-  uint32_t n = 0;
-  for (auto& slot : m) {
-    sum += slot.value;
-    ++n;
-  }
-  EXPECT_EQ(n, 20u);
-  EXPECT_EQ(sum, 20u * 20u);  // 1 + 3 + ... + 39
-}
-
-TEST(FlatMapTest, EraseViaIteratorReturnsNext) {
-  Arena arena;
-  FlatMap<uint32_t, uint64_t> m(&arena);
-  for (uint32_t k = 0; k < 10; ++k) m.FindOrInsert(k) = k;
-  for (auto it = m.begin(); it != m.end();) {
-    if (it->value % 2 == 0) {
-      it = m.Erase(it);
-    } else {
-      ++it;
-    }
-  }
-  EXPECT_EQ(m.size(), 5u);
-  for (uint32_t k = 0; k < 10; ++k) {
-    EXPECT_EQ(m.Find(k) != nullptr, k % 2 == 1) << k;
-  }
-}
-
-TEST(FlatMapTest, SurvivesTombstoneChurn) {
-  // Insert/erase cycles at a fixed population must not wedge the table
-  // (tombstone-heavy rehash rewrites at the same capacity).
-  Arena arena;
-  FlatMap<uint32_t, uint64_t> m(&arena);
-  for (uint32_t round = 0; round < 50; ++round) {
-    for (uint32_t k = 0; k < 8; ++k) m.FindOrInsert(round * 8 + k) = round;
-    for (uint32_t k = 0; k < 8; ++k) m.Erase(round * 8 + k);
-  }
-  EXPECT_EQ(m.size(), 0u);
-  m.FindOrInsert(1) = 1;
-  EXPECT_EQ(*m.Find(1), 1u);
-}
-
-TEST(FlatMapTest, ClearKeepsStorageAndReuses) {
-  Arena arena;
-  FlatMap<uint32_t, uint64_t> m(&arena);
-  for (uint32_t k = 0; k < 64; ++k) m.FindOrInsert(k) = k;
-  const size_t used_before = arena.BytesUsed();
-  m.Clear();
-  EXPECT_TRUE(m.empty());
-  for (uint32_t k = 0; k < 64; ++k) m.FindOrInsert(k) = k + 1;
-  EXPECT_EQ(arena.BytesUsed(), used_before);  // no new table allocation
-  EXPECT_EQ(*m.Find(63), 64u);
-}
-
-TEST(FlatMapTest, HoldsSmallVecValues) {
-  // The hot path's actual shape: map values containing arena-backed small
-  // vectors, surviving rehash relocation.
-  struct Payload {
-    uint32_t mask = 0;
-    SmallVec<float, 2> weights;
-  };
-  Arena arena;
-  FlatMap<uint32_t, Payload> m(&arena);
-  for (uint32_t k = 0; k < 200; ++k) {  // forces several rehashes
-    Payload& p = m.FindOrInsert(k % 50);
-    p.mask |= 1u << (k % 20);
-    p.weights.PushBack(&arena, static_cast<float>(k));
-  }
-  EXPECT_EQ(m.size(), 50u);
-  const Payload* p = m.Find(7);
-  ASSERT_NE(p, nullptr);
-  ASSERT_EQ(const_cast<Payload*>(p)->weights.size(), 4u);
-  EXPECT_EQ(const_cast<Payload*>(p)->weights[0], 7.0f);
-  EXPECT_EQ(const_cast<Payload*>(p)->weights[3], 157.0f);
 }
 
 TEST(DeadlineTimerTest, DefaultIsUnbounded) {

@@ -245,8 +245,13 @@ TEST(I3IndexTest, DuplicateLocationsOverflowChain) {
 // workloads across semantics, alpha, k, and page capacities.
 // ---------------------------------------------------------------------------
 
+// gtest registers each case under a byte dump of its parameter, so the
+// padding after `semantics` used to leak indeterminate bytes into the test
+// names. `name_tag` fills that gap explicitly; its values pin every case to
+// the name it has been tracked under.
 struct EquivParam {
   Semantics semantics;
+  uint32_t name_tag;
   double alpha;
   uint32_t k;
   size_t page_size;
@@ -288,20 +293,20 @@ TEST_P(I3EquivalenceTest, MatchesBruteForce) {
 INSTANTIATE_TEST_SUITE_P(
     Sweep, I3EquivalenceTest,
     ::testing::Values(
-        EquivParam{Semantics::kAnd, 0.5, 10, 128, 2},
-        EquivParam{Semantics::kOr, 0.5, 10, 128, 2},
-        EquivParam{Semantics::kAnd, 0.1, 10, 128, 3},
-        EquivParam{Semantics::kOr, 0.1, 10, 128, 3},
-        EquivParam{Semantics::kAnd, 0.9, 10, 128, 3},
-        EquivParam{Semantics::kOr, 0.9, 10, 128, 3},
-        EquivParam{Semantics::kAnd, 0.5, 1, 256, 4},
-        EquivParam{Semantics::kOr, 0.5, 1, 256, 4},
-        EquivParam{Semantics::kAnd, 0.5, 50, 256, 5},
-        EquivParam{Semantics::kOr, 0.5, 50, 256, 5},
-        EquivParam{Semantics::kAnd, 0.0, 20, 512, 2},
-        EquivParam{Semantics::kOr, 1.0, 20, 512, 2},
-        EquivParam{Semantics::kAnd, 0.5, 200, 4096, 3},
-        EquivParam{Semantics::kOr, 0.5, 200, 4096, 3}));
+        EquivParam{Semantics::kAnd, 0, 0.5, 10, 128, 2},
+        EquivParam{Semantics::kOr, 0, 0.5, 10, 128, 2},
+        EquivParam{Semantics::kAnd, 0xFFFFFFFF, 0.1, 10, 128, 3},
+        EquivParam{Semantics::kOr, 0x00005591, 0.1, 10, 128, 3},
+        EquivParam{Semantics::kAnd, 0, 0.9, 10, 128, 3},
+        EquivParam{Semantics::kOr, 0x00007FCF, 0.9, 10, 128, 3},
+        EquivParam{Semantics::kAnd, 0x00007FCF, 0.5, 1, 256, 4},
+        EquivParam{Semantics::kOr, 0x632E7865, 0.5, 1, 256, 4},
+        EquivParam{Semantics::kAnd, 0, 0.5, 50, 256, 5},
+        EquivParam{Semantics::kOr, 0, 0.5, 50, 256, 5},
+        EquivParam{Semantics::kAnd, 0x002C3B03, 0.0, 20, 512, 2},
+        EquivParam{Semantics::kOr, 0, 1.0, 20, 512, 2},
+        EquivParam{Semantics::kAnd, 0, 0.5, 200, 4096, 3},
+        EquivParam{Semantics::kOr, 0, 0.5, 200, 4096, 3}));
 
 TEST(I3PropertyTest, InvariantsHoldUnderMixedWorkload) {
   CorpusOptions copt;

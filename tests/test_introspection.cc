@@ -633,20 +633,22 @@ TEST_F(IntrospectionTest, EndpointsServeValidJsonUnderTraffic) {
   const CorpusOptions copt = ServingCorpus();
 
   std::atomic<bool> stop{false};
+  std::atomic<uint64_t> served{0};
+  std::atomic<bool> exited{false};
   std::thread traffic([&] {
     auto client = Connect();
-    if (!client.ok()) return;
     const auto queries = MakeQueries(copt, 50, /*qn=*/2, /*k=*/10,
                                      Semantics::kOr, /*seed=*/151);
     uint64_t id = 0;
-    while (!stop.load()) {
+    while (client.ok() && !stop.load()) {
       Request req =
           SearchRequest(queries[id % queries.size()], id, 0.5,
                         /*tenant=*/static_cast<uint32_t>(id % 3));
       req.trace = id % 4 == 0;
-      if (!client.ValueOrDie()->Call(req).ok()) return;
-      ++id;
+      if (!client.ValueOrDie()->Call(req).ok()) break;
+      served.store(++id);
     }
+    exited.store(true);
   });
 
   for (int round = 0; round < 3; ++round) {
@@ -661,6 +663,10 @@ TEST_F(IntrospectionTest, EndpointsServeValidJsonUnderTraffic) {
       EXPECT_TRUE(IsValidJson(r.body)) << path << ":\n" << r.body;
     }
   }
+  // The endpoint rounds can finish before the first search is answered;
+  // keep the traffic running until every tenant has been served once, so
+  // /statusz below has their SLO windows to report.
+  while (served.load() < 3 && !exited.load()) std::this_thread::yield();
   stop.store(true);
   traffic.join();
 
