@@ -13,7 +13,7 @@
 //   spatialkw_cli range  <index-prefix> <minlng> <minlat> <maxlng> <maxlat>
 //                        <and|or> <text...>
 //   spatialkw_cli serve  <index-prefix> [--port=N] [--workers=N]
-//                        [--batch=N] [--rate=R] [--burst=B]
+//                        [--rate=R] [--burst=B]
 //                        [--max-queue=N] [--slow-threshold-us=N]
 //                        [--replicas=N] [--scrub-interval-ms=N]
 //
@@ -21,7 +21,9 @@
 // (src/net/protocol.h) over TCP, plus `GET /metrics`, `/statusz`,
 // `/tracez`, `/cachez`, and `/healthz` on the same port; --port=0 (the
 // default) picks an ephemeral port, printed as "serving on port N" for
-// scripts (tools/loadgen) to scrape. --rate/--burst set the default
+// scripts (tools/loadgen) to scrape. --workers=N runs N event loops
+// (default 2), each serving its connections' requests start to finish,
+// searches included. --rate/--burst set the default
 // per-tenant admission budget (requests/second and bucket size; 0 =
 // unlimited); --slow-threshold-us sets the slow-query-log bar.
 // --replicas=N loads N byte-identical copies of the index behind a
@@ -382,8 +384,6 @@ int CmdServe(int argc, char** argv) {
       sopts.port = static_cast<uint16_t>(std::atoi(argv[i] + 7));
     } else if (std::strncmp(argv[i], "--workers=", 10) == 0) {
       sopts.worker_threads = static_cast<uint32_t>(std::atoi(argv[i] + 10));
-    } else if (std::strncmp(argv[i], "--batch=", 8) == 0) {
-      sopts.batch_max = static_cast<uint32_t>(std::atoi(argv[i] + 8));
     } else if (std::strncmp(argv[i], "--rate=", 7) == 0) {
       sopts.default_limit.rate = std::atof(argv[i] + 7);
     } else if (std::strncmp(argv[i], "--burst=", 8) == 0) {

@@ -57,6 +57,8 @@ void AppendCacheLevel(std::ostringstream* os, const char* level,
 }  // namespace
 
 std::string StatuszJson(const ServerStatus& s) {
+  uint64_t open_connections = 0;
+  for (const LoopStatus& l : s.loops) open_connections += l.open_connections;
   std::ostringstream os;
   os << "{\n  \"build\": {\"compiler\": \"";
   AppendEscaped(&os, s.build_compiler);
@@ -65,18 +67,26 @@ std::string StatuszJson(const ServerStatus& s) {
      << "  \"uptime_s\": " << s.uptime_s << ",\n"
      << "  \"config\": {\"shards\": " << s.shards
      << ", \"worker_threads\": " << s.worker_threads
-     << ", \"batch_max\": " << s.batch_max
      << ", \"max_queue\": " << s.max_queue
      << ", \"max_connections\": " << s.max_connections
      << ", \"result_cache_entries\": " << s.result_cache_entries
      << ", \"slow_threshold_us\": " << s.slow_threshold_us
      << ", \"slo_window_seconds\": " << s.slo_window_seconds << "},\n"
      << "  \"live\": {\"documents\": " << s.documents
-     << ", \"open_connections\": " << s.open_connections
+     << ", \"open_connections\": " << open_connections
      << ", \"queue_depth\": " << s.queue_depth
      << ", \"requests_ok\": " << s.requests_ok
      << ", \"requests_shed\": " << s.requests_shed
      << ", \"requests_error\": " << s.requests_error << "},\n"
+     << "  \"loops\": [";
+  for (size_t i = 0; i < s.loops.size(); ++i) {
+    const LoopStatus& l = s.loops[i];
+    os << (i == 0 ? "" : ", ") << "{\"loop\": " << i
+       << ", \"open_connections\": " << l.open_connections
+       << ", \"searches\": " << l.searches
+       << ", \"peak_unsent_bytes\": " << l.peak_unsent_bytes << "}";
+  }
+  os << "],\n"
      << "  \"replication\": {\"replicated_shards\": " << s.replicated_shards
      << ", \"failovers\": " << s.failovers
      << ", \"recoveries\": " << s.recoveries

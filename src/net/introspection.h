@@ -23,6 +23,16 @@
 namespace i3 {
 namespace net {
 
+/// \brief One event loop's load (server.h): its open connections, the
+/// search requests it has answered (index or result cache; sheds not
+/// counted), and the most response bytes one of its connections has had
+/// waiting to be sent.
+struct LoopStatus {
+  uint64_t open_connections = 0;
+  uint64_t searches = 0;
+  uint64_t peak_unsent_bytes = 0;
+};
+
 /// \brief Everything /statusz renders: build identity, static serving
 /// configuration, and live gauges, sampled by the server at request time.
 struct ServerStatus {
@@ -32,7 +42,6 @@ struct ServerStatus {
 
   uint32_t shards = 0;
   uint32_t worker_threads = 0;
-  uint32_t batch_max = 0;
   uint64_t max_queue = 0;
   uint64_t max_connections = 0;
   uint64_t result_cache_entries = 0;
@@ -41,11 +50,12 @@ struct ServerStatus {
 
   uint64_t uptime_s = 0;
   uint64_t documents = 0;
-  uint64_t open_connections = 0;
   int64_t queue_depth = 0;
   uint64_t requests_ok = 0;
   uint64_t requests_shed = 0;
   uint64_t requests_error = 0;
+  /// Per event loop; "open_connections" renders their sum.
+  std::vector<LoopStatus> loops;
 
   /// Replication summary (all zero when no shard is replicated); the
   /// per-replica detail lives on /healthz.

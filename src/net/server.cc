@@ -11,9 +11,11 @@
 #include <algorithm>
 #include <cerrno>
 #include <cstring>
+#include <mutex>
+#include <thread>
+#include <unordered_map>
 #include <utility>
 
-#include "net/introspection.h"
 #include "obs/clock.h"
 #include "obs/export.h"
 
@@ -22,7 +24,7 @@ namespace net {
 
 namespace {
 
-/// epoll user-data tags for the two non-connection descriptors;
+/// epoll user-data tags for a loop's two non-connection descriptors;
 /// connection ids start above them.
 constexpr uint64_t kListenerTag = 0;
 constexpr uint64_t kWakeTag = 1;
@@ -31,6 +33,9 @@ constexpr uint64_t kFirstConnId = 2;
 constexpr size_t kReadChunk = 4096;
 /// An HTTP request line + headers larger than this is not /metrics.
 constexpr size_t kMaxHttpHeader = 8192;
+/// The largest response frame: what a search waiting in the turn's batch
+/// holds of its connection's Server::kMaxUnsentBytes.
+constexpr size_t kMaxResponseFrame = kFrameHeaderBytes + kMaxFramePayload;
 
 /// Best-effort request id of an undecodable-but-framed payload, so the
 /// error response still matches the client's outstanding request.
@@ -74,6 +79,11 @@ std::string HexEncode(const std::string& bytes) {
   return out;
 }
 
+void Wake(int event_fd) {
+  const uint64_t one = 1;
+  [[maybe_unused]] ssize_t n = ::write(event_fd, &one, sizeof(one));
+}
+
 }  // namespace
 
 /// Loop-thread-only per-connection state.
@@ -82,16 +92,66 @@ struct Server::Connection {
   int fd = -1;
   /// Unconsumed inbound bytes (partial frames accumulate here).
   std::vector<uint8_t> read_buf;
-  /// Encoded-but-unsent outbound bytes.
+  /// Encoded outbound bytes; [write_pos, size) is still unsent.
   std::string write_buf;
   size_t write_pos = 0;
-  /// Protocol sniffed from the first bytes: binary frames or one-shot
-  /// HTTP (metrics scrape).
+  /// kMaxResponseFrame per search of this connection waiting in the
+  /// turn's batch: decoding counts it against kMaxUnsentBytes.
+  size_t reserved = 0;
+  /// Sniffed from the first bytes: binary frames or one-shot HTTP.
   enum class Mode { kUnknown, kBinary, kHttp } mode = Mode::kUnknown;
   /// Set when the connection must close once write_buf drains.
   bool close_after_flush = false;
-  /// Whether EPOLLOUT is currently armed.
+  /// Whether EPOLLOUT is armed, and whether EPOLLIN is dropped because
+  /// kMaxUnsentBytes wait to be sent (back-pressure).
   bool want_write = false;
+  bool paused = false;
+  /// Decoding stopped at the bound with frames left in read_buf.
+  bool stalled = false;
+
+  size_t unsent() const { return write_buf.size() - write_pos; }
+};
+
+/// One admitted search waiting for its loop's end-of-turn SearchBatch.
+struct Server::PendingSearch {
+  uint64_t conn_id = 0;
+  uint64_t arrival_ns = 0;
+  /// When admission + cache probe finished (queue wait counts from here).
+  uint64_t admitted_ns = 0;
+  /// Server-stamped trace id (0 when untraced).
+  uint64_t trace_id = 0;
+  /// Canonical result-cache key; empty when the response must not be
+  /// cached (cache disabled or the request opted out via no_cache).
+  std::string cache_key;
+  /// The decoded request (moved, not copied): tenant, flags, and the
+  /// slow-query log's canonical re-encode.
+  Request request;
+  ShardedIndex::BatchItem item;
+};
+
+/// One event loop: its epoll set, the connections it owns, and the
+/// searches it admitted this turn.
+struct Server::Loop {
+  int epoll_fd = -1;
+  int wake_fd = -1;
+  // Loop thread only.
+  std::unordered_map<uint64_t, std::unique_ptr<Connection>> conns;
+  uint64_t next_conn_id = kFirstConnId;
+  std::vector<PendingSearch> pending;
+  std::vector<ShardedIndex::BatchItem> items;
+  std::vector<obs::QueryTrace> traces;
+  /// Stalled connections back under the bound, decoded again next turn
+  /// (their frames wait in read_buf; no socket event may come).
+  std::vector<uint64_t> revisit;
+  /// Sockets the acceptor handed over that the loop has not adopted yet.
+  std::mutex mailbox_mutex;
+  std::vector<int> mailbox;
+  /// Counted up by the acceptor at hand-off, down by the loop at close.
+  std::atomic<uint64_t> open_connections{0};
+  std::atomic<uint64_t> searches{0};
+  std::atomic<uint64_t> peak_unsent_bytes{0};
+  /// Declared last: joined (in Server::Stop) before the state above dies.
+  std::thread thread;
 };
 
 Server::Server(ShardedIndex* index, ServerOptions options)
@@ -111,7 +171,8 @@ Server::Server(ShardedIndex* index, ServerOptions options)
   connections_gauge_ =
       reg.GetGauge("i3_net_connections", "Open client connections.");
   queue_depth_gauge_ = reg.GetGauge(
-      "i3_net_queue_depth", "Admitted requests waiting for a worker.");
+      "i3_net_queue_depth",
+      "Admitted searches waiting for their loop's SearchBatch.");
   shed_metric_ = reg.GetCounter(
       "i3_requests_shed_total",
       "Requests rejected by admission control (token bucket or queue "
@@ -153,9 +214,6 @@ Status Server::Start() {
   if (options_.worker_threads == 0) {
     return Status::InvalidArgument("worker_threads must be >= 1");
   }
-  if (options_.batch_max == 0) {
-    return Status::InvalidArgument("batch_max must be >= 1");
-  }
 
   listen_fd_ = ::socket(AF_INET, SOCK_STREAM | SOCK_NONBLOCK | SOCK_CLOEXEC,
                         0);
@@ -164,50 +222,50 @@ Status Server::Start() {
   const int one = 1;
   ::setsockopt(listen_fd_, SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one));
 
+  // Failures release whatever was set up (errno is read before Stop()).
+  auto fail = [this](Status st) {
+    Stop();
+    return st;
+  };
   sockaddr_in addr{};
   addr.sin_family = AF_INET;
   addr.sin_port = htons(options_.port);
   if (::inet_pton(AF_INET, options_.host.c_str(), &addr.sin_addr) != 1) {
-    Stop();
-    return Status::InvalidArgument("bad host: " + options_.host);
+    return fail(Status::InvalidArgument("bad host: " + options_.host));
   }
   if (::bind(listen_fd_, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) <
       0) {
-    const Status st = Status::IOError("bind: " +
-                                      std::string(std::strerror(errno)));
-    Stop();
-    return st;
+    return fail(Status::IOError("bind: " + std::string(std::strerror(errno))));
   }
   if (::listen(listen_fd_, 128) < 0) {
-    const Status st = Status::IOError("listen: " +
-                                      std::string(std::strerror(errno)));
-    Stop();
-    return st;
+    return fail(
+        Status::IOError("listen: " + std::string(std::strerror(errno))));
   }
   socklen_t addr_len = sizeof(addr);
   ::getsockname(listen_fd_, reinterpret_cast<sockaddr*>(&addr), &addr_len);
   port_ = ntohs(addr.sin_port);
 
-  epoll_fd_ = ::epoll_create1(EPOLL_CLOEXEC);
-  wake_fd_ = ::eventfd(0, EFD_NONBLOCK | EFD_CLOEXEC);
-  if (epoll_fd_ < 0 || wake_fd_ < 0) {
-    Stop();
-    return Status::IOError("epoll/eventfd setup failed");
-  }
+  loops_.clear();
   epoll_event ev{};
   ev.events = EPOLLIN;
+  for (uint32_t i = 0; i < options_.worker_threads; ++i) {
+    Loop* loop = loops_.emplace_back(std::make_unique<Loop>()).get();
+    loop->epoll_fd = ::epoll_create1(EPOLL_CLOEXEC);
+    loop->wake_fd = ::eventfd(0, EFD_NONBLOCK | EFD_CLOEXEC);
+    if (loop->epoll_fd < 0 || loop->wake_fd < 0) {
+      return fail(Status::IOError("epoll/eventfd setup failed"));
+    }
+    ev.data.u64 = kWakeTag;
+    ::epoll_ctl(loop->epoll_fd, EPOLL_CTL_ADD, loop->wake_fd, &ev);
+  }
   ev.data.u64 = kListenerTag;
-  ::epoll_ctl(epoll_fd_, EPOLL_CTL_ADD, listen_fd_, &ev);
-  ev.data.u64 = kWakeTag;
-  ::epoll_ctl(epoll_fd_, EPOLL_CTL_ADD, wake_fd_, &ev);
+  ::epoll_ctl(loops_[0]->epoll_fd, EPOLL_CTL_ADD, listen_fd_, &ev);
 
   stopping_.store(false);
   start_ns_ = obs::NowNanos();
   running_.store(true, std::memory_order_release);
-  loop_thread_ = std::thread([this] { RunLoop(); });
-  workers_.reserve(options_.worker_threads);
-  for (uint32_t i = 0; i < options_.worker_threads; ++i) {
-    workers_.emplace_back([this] { RunWorker(); });
+  for (auto& loop : loops_) {
+    loop->thread = std::thread([this, l = loop.get()] { RunLoop(l); });
   }
   return Status::OK();
 }
@@ -217,46 +275,47 @@ void Server::Stop() {
     // Final pull-model refresh: an embedding process that snapshots the
     // registry after Stop() still sees current SLO windows.
     slo_.ExportMetrics(obs::NowNanos());
-    {
-      std::lock_guard<std::mutex> lock(queue_mutex_);
-      // Wake every worker so they observe stopping_.
-    }
-    queue_cv_.notify_all();
-    if (wake_fd_ >= 0) {
-      const uint64_t one = 1;
-      [[maybe_unused]] ssize_t n = ::write(wake_fd_, &one, sizeof(one));
+    for (auto& loop : loops_) {
+      if (loop->wake_fd >= 0) Wake(loop->wake_fd);
     }
   }
-  for (auto& w : workers_) {
-    if (w.joinable()) w.join();
+  for (auto& loop : loops_) {
+    if (loop->thread.joinable()) loop->thread.join();
   }
-  workers_.clear();
-  if (loop_thread_.joinable()) loop_thread_.join();
-  // The loop closed every connection on exit; tear down the listener and
-  // loop descriptors here so a failed Start() can also call Stop().
-  for (int* fd : {&listen_fd_, &epoll_fd_, &wake_fd_}) {
-    if (*fd >= 0) {
-      ::close(*fd);
+  // Loops close their connections on exit; close sockets never adopted
+  // and the descriptors here, so a failed Start() can also call Stop().
+  for (auto& loop : loops_) {
+    for (int fd : loop->mailbox) ::close(fd);
+    loop->mailbox.clear();
+    for (int* fd : {&loop->epoll_fd, &loop->wake_fd}) {
+      if (*fd >= 0) ::close(*fd);
       *fd = -1;
     }
   }
-  {
-    std::lock_guard<std::mutex> lock(queue_mutex_);
-    queue_.clear();
-  }
-  queue_depth_gauge_->Set(0);
+  if (listen_fd_ >= 0) ::close(listen_fd_);
+  listen_fd_ = -1;
   running_.store(false, std::memory_order_release);
 }
 
-void Server::RunLoop() {
+std::vector<LoopStatus> Server::loop_statuses() const {
+  std::vector<LoopStatus> out;
+  for (const auto& loop : loops_) {
+    out.push_back({loop->open_connections.load(std::memory_order_relaxed),
+                   loop->searches.load(std::memory_order_relaxed),
+                   loop->peak_unsent_bytes.load(std::memory_order_relaxed)});
+  }
+  return out;
+}
+
+void Server::RunLoop(Loop* loop) {
   constexpr int kMaxEvents = 64;
   epoll_event events[kMaxEvents];
+  std::vector<uint64_t> revisit;
   while (!stopping_.load(std::memory_order_acquire)) {
-    const int n = ::epoll_wait(epoll_fd_, events, kMaxEvents, /*timeout=*/100);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      break;
-    }
+    revisit.swap(loop->revisit);
+    const int n = ::epoll_wait(loop->epoll_fd, events, kMaxEvents,
+                               revisit.empty() ? 100 : 0);
+    if (n < 0 && errno != EINTR) break;
     for (int i = 0; i < n; ++i) {
       const uint64_t tag = events[i].data.u64;
       if (tag == kListenerTag) {
@@ -265,62 +324,88 @@ void Server::RunLoop() {
       }
       if (tag == kWakeTag) {
         uint64_t drain;
-        while (::read(wake_fd_, &drain, sizeof(drain)) > 0) {
+        [[maybe_unused]] ssize_t r =
+            ::read(loop->wake_fd, &drain, sizeof(drain));
+        std::vector<int> fds;
+        {
+          std::lock_guard<std::mutex> lock(loop->mailbox_mutex);
+          fds.swap(loop->mailbox);
         }
-        DrainOutbox();
+        for (int fd : fds) {  // adopt the handed-over sockets
+          auto conn = std::make_unique<Connection>();
+          conn->id = loop->next_conn_id++;
+          conn->fd = fd;
+          UpdateEpoll(loop, conn.get(), EPOLL_CTL_ADD);
+          connections_gauge_->Add(1);
+          loop->conns.emplace(conn->id, std::move(conn));
+        }
         continue;
       }
-      auto it = conns_.find(tag);
-      if (it == conns_.end()) continue;
+      auto it = loop->conns.find(tag);
+      if (it == loop->conns.end()) continue;
       Connection* conn = it->second.get();
       if (events[i].events & (EPOLLHUP | EPOLLERR)) {
-        CloseConnection(conn);
+        CloseConnection(loop, conn);
         continue;
       }
       if (events[i].events & EPOLLIN) {
-        HandleReadable(conn);
-        if (conns_.find(tag) == conns_.end()) continue;  // closed above
+        HandleReadable(loop, conn);
+        if (loop->conns.count(tag) == 0) continue;  // closed above
       }
-      if (events[i].events & EPOLLOUT) HandleWritable(conn);
+      if (events[i].events & EPOLLOUT) FlushWrites(loop, conn);
     }
-    // Responses may have been posted while epoll_wait slept between
-    // eventfd notifications; drain opportunistically.
-    DrainOutbox();
+    for (uint64_t id : revisit) {
+      auto it = loop->conns.find(id);
+      if (it != loop->conns.end()) HandleReadable(loop, it->second.get());
+    }
+    revisit.clear();
+    RunBatch(loop);
   }
-  // Shutdown: close every connection (pending responses are dropped; the
-  // peers see a clean close).
-  std::vector<Connection*> open;
-  open.reserve(conns_.size());
-  for (auto& [id, conn] : conns_) open.push_back(conn.get());
-  for (Connection* conn : open) CloseConnection(conn);
+  // Shutdown: unanswered requests are dropped; peers see a clean close.
+  while (!loop->conns.empty()) {
+    CloseConnection(loop, loop->conns.begin()->second.get());
+  }
 }
 
 void Server::AcceptAll() {
+  auto open = [](const Loop* loop) {
+    return loop->open_connections.load(std::memory_order_relaxed);
+  };
   while (true) {
     const int fd = ::accept4(listen_fd_, nullptr, nullptr,
                              SOCK_NONBLOCK | SOCK_CLOEXEC);
     if (fd < 0) return;  // EAGAIN or transient error; epoll will re-arm
-    if (conns_.size() >= options_.max_connections) {
+    // The loop with the fewest open connections gets the socket; the
+    // rotating scan start breaks ties, so even short-lived connections
+    // spread over every loop.
+    Loop* target = loops_[next_loop_].get();
+    uint64_t open_total = 0;
+    for (size_t i = 0; i < loops_.size(); ++i) {
+      Loop* loop = loops_[(next_loop_ + i) % loops_.size()].get();
+      open_total += open(loop);
+      if (open(loop) < open(target)) target = loop;
+    }
+    if (open_total >= options_.max_connections) {
       ::close(fd);
       continue;
     }
+    next_loop_ = (next_loop_ + 1) % loops_.size();
     const int one = 1;
     ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
-    auto conn = std::make_unique<Connection>();
-    conn->id = next_conn_id_++;
-    conn->fd = fd;
-    epoll_event ev{};
-    ev.events = EPOLLIN;
-    ev.data.u64 = conn->id;
-    ::epoll_ctl(epoll_fd_, EPOLL_CTL_ADD, fd, &ev);
-    connections_gauge_->Add(1);
-    conns_.emplace(conn->id, std::move(conn));
+    target->open_connections.fetch_add(1, std::memory_order_relaxed);
+    {
+      std::lock_guard<std::mutex> lock(target->mailbox_mutex);
+      target->mailbox.push_back(fd);
+    }
+    Wake(target->wake_fd);
   }
 }
 
-void Server::HandleReadable(Connection* conn) {
+void Server::HandleReadable(Loop* loop, Connection* conn) {
+  // A paused connection is not read until its peer drains the responses
+  // it is owed; buffered input is held to the same bound.
   uint8_t chunk[kReadChunk];
-  while (true) {
+  while (!conn->paused && conn->read_buf.size() < kMaxUnsentBytes) {
     const ssize_t n = ::recv(conn->fd, chunk, sizeof(chunk), 0);
     if (n > 0) {
       conn->read_buf.insert(conn->read_buf.end(), chunk, chunk + n);
@@ -328,12 +413,12 @@ void Server::HandleReadable(Connection* conn) {
       continue;
     }
     if (n == 0) {  // orderly peer close
-      CloseConnection(conn);
+      CloseConnection(loop, conn);
       return;
     }
     if (errno == EAGAIN || errno == EWOULDBLOCK) break;
     if (errno == EINTR) continue;
-    CloseConnection(conn);
+    CloseConnection(loop, conn);
     return;
   }
   if (conn->read_buf.empty()) return;
@@ -348,17 +433,15 @@ void Server::HandleReadable(Connection* conn) {
   }
   const bool keep = conn->mode == Connection::Mode::kHttp
                         ? ConsumeHttp(conn)
-                        : ConsumeFrames(conn);
+                        : ConsumeFrames(loop, conn);
   // A protocol violation (or a one-shot HTTP exchange) closes after any
   // queued response drains. FlushWrites may free conn, so it is the last
   // thing this handler touches.
   if (!keep) conn->close_after_flush = true;
-  FlushWrites(conn);
+  FlushWrites(loop, conn);
 }
 
-void Server::HandleWritable(Connection* conn) { FlushWrites(conn); }
-
-bool Server::ConsumeFrames(Connection* conn) {
+bool Server::ConsumeFrames(Loop* loop, Connection* conn) {
   size_t consumed = 0;
   const uint64_t arrival_ns = obs::NowNanos();
   while (true) {
@@ -367,11 +450,17 @@ bool Server::ConsumeFrames(Connection* conn) {
     uint32_t payload_len = 0;
     const FrameStatus fs = NextFrame(base, avail, &payload_len);
     if (fs == FrameStatus::kNeedMore) break;
+    // Back-pressure: every frame adds at most one response, so decoding
+    // stops at the bound and resumes once it drains.
+    if (conn->unsent() + conn->reserved >= kMaxUnsentBytes) {
+      conn->stalled = true;
+      break;
+    }
     if (fs == FrameStatus::kTooLarge) {
       protocol_errors_metric_->Increment();
-      QueueResponse(
-          conn, ErrorResponse(0, Status::InvalidArgument(
-                                     "frame exceeds maximum payload size")));
+      const Status st =
+          Status::InvalidArgument("frame exceeds maximum payload size");
+      EncodeResponse(ErrorResponse(0, st), &conn->write_buf);
       conn->read_buf.clear();
       return false;  // stream cannot be resynchronized
     }
@@ -380,29 +469,30 @@ bool Server::ConsumeFrames(Connection* conn) {
     consumed += kFrameHeaderBytes + payload_len;
     if (!req.ok()) {
       protocol_errors_metric_->Increment();
-      QueueResponse(conn, ErrorResponse(PeekRequestId(payload, payload_len),
-                                        req.status()));
+      EncodeResponse(
+          ErrorResponse(PeekRequestId(payload, payload_len), req.status()),
+          &conn->write_buf);
       // Framing is still sound (the length prefix was honored), so the
       // connection survives a malformed payload.
       continue;
     }
-    DispatchRequest(conn, req.MoveValue(), arrival_ns);
+    DispatchRequest(loop, conn, req.MoveValue(), arrival_ns);
   }
   conn->read_buf.erase(conn->read_buf.begin(),
                        conn->read_buf.begin() + consumed);
   return true;
 }
 
-void Server::DispatchRequest(Connection* conn, Request req,
+void Server::DispatchRequest(Loop* loop, Connection* conn, Request req,
                              uint64_t arrival_ns) {
   if (req.type == MessageType::kPing) {
     Response pong;
     pong.request_id = req.request_id;
-    QueueResponse(conn, pong);
+    EncodeResponse(pong, &conn->write_buf);
     return;
   }
   // Trace opt-in: the server stamps the id (clients cannot forge
-  // cross-request correlation) and carries the flag with the work item.
+  // cross-request correlation) and carries the flag with the search.
   // Untraced requests pay nothing here beyond the flag test.
   const bool traced = req.trace;
   uint64_t trace_id = 0;
@@ -411,104 +501,79 @@ void Server::DispatchRequest(Connection* conn, Request req,
     trace_id =
         MixTraceId(next_trace_seq_.fetch_add(1, std::memory_order_relaxed));
   }
-  // Admission control, on the loop thread: a rejected request costs one
-  // bucket probe and an immediate response -- it never queues behind
-  // index work, which is what keeps shed latency bounded under overload.
-  const char* shed_reason = nullptr;
+  // A shed or a result-cache hit is answered right here, without waiting
+  // for index work -- which is what keeps shed latency bounded under
+  // overload.
+  Response now;
+  now.request_id = req.request_id;
+  now.outcome = ResponseOutcome::kShed;
+  uint64_t admit_done_ns = 0;
   if (!limiter_.Admit(req.tenant, arrival_ns)) {
-    shed_reason = "tenant rate limit exceeded";
+    now.message = "tenant rate limit exceeded";
   } else {
-    const uint64_t admit_done_ns = traced ? obs::NowNanos() : 0;
+    admit_done_ns = traced ? obs::NowNanos() : 0;
     // Result-cache probe, after admission (a cached answer still spends
     // tenant tokens -- the cache must not turn one tenant's hot query
-    // into free capacity) but before the queue: a hit is answered right
-    // here on the loop thread and never touches a worker or the index.
+    // into free capacity) but before the batch: a hit never touches the
+    // index.
     std::string cache_key;
     if (result_cache_.enabled()) {
       if (req.no_cache) {
         result_cache_.CountBypass();
       } else {
         cache_key = ResultCache::KeyOf(req);
-        Response cached;
-        if (result_cache_.Lookup(cache_key, index_->generation(),
-                                 &cached)) {
-          cached.request_id = req.request_id;
-          const uint64_t done_ns = obs::NowNanos();
-          obs::QueryTrace hit_trace;
-          if (traced) {
-            hit_trace.label = "serve";
-            hit_trace.start_ns = arrival_ns;
-            hit_trace.total_ns = done_ns - arrival_ns;
-            hit_trace.AddStage("admission", admit_done_ns - arrival_ns);
-            hit_trace.AddStage("result_cache", done_ns - admit_done_ns);
-            hit_trace.Annotate("result_cache_hit", 1);
-            cached.has_trace = true;
-            cached.trace =
-                BuildWireTrace(trace_id, hit_trace.total_ns, hit_trace);
-          }
-          QueueResponse(conn, cached);
-          RecordOutcome(ResponseOutcome::kOk, /*degraded=*/false,
-                        /*deadline_miss=*/false, req.tenant, arrival_ns);
-          MaybeLogSlow(req, ResponseOutcome::kOk, trace_id, arrival_ns,
-                       done_ns, /*search_ns=*/0, done_ns,
-                       traced ? &hit_trace : nullptr);
-          return;
-        }
       }
     }
-    std::lock_guard<std::mutex> lock(queue_mutex_);
-    if (queue_.size() >= options_.max_queue) {
-      shed_reason = "server overloaded (queue full)";
+    if (!cache_key.empty() &&
+        result_cache_.Lookup(cache_key, index_->generation(), &now)) {
+      // `now` holds the cached answer.
+    } else if (loop->pending.size() >= options_.max_queue) {
+      now.message = "server overloaded (queue full)";
     } else {
-      WorkItem item;
-      item.conn_id = conn->id;
-      item.request_id = req.request_id;
-      item.arrival_ns = arrival_ns;
-      item.admitted_ns = obs::NowNanos();
-      item.trace_id = trace_id;
-      item.tenant = req.tenant;
-      item.traced = traced;
-      item.cache_key = std::move(cache_key);
-      item.item.query = req.ToQuery();
+      PendingSearch& p = loop->pending.emplace_back();
+      p.conn_id = conn->id;
+      p.arrival_ns = arrival_ns;
+      p.admitted_ns = obs::NowNanos();
+      p.trace_id = trace_id;
+      p.cache_key = std::move(cache_key);
+      p.item.query = req.ToQuery();
       if (req.deadline_ms > 0) {
         // Propagate the wire deadline: anchor the absolute budget now so
-        // queue wait is charged against it.
-        item.item.query.control =
+        // the wait for the batch is charged against it.
+        p.item.query.control =
             QueryControl::AfterMicros(uint64_t{req.deadline_ms} * 1000);
       }
-      item.item.alpha = req.alpha;
-      item.request = std::move(req);
-      queue_.push_back(std::move(item));
-      queue_depth_gauge_->Set(static_cast<int64_t>(queue_.size()));
+      p.item.alpha = req.alpha;
+      p.request = std::move(req);
+      conn->reserved += kMaxResponseFrame;
+      queue_depth_gauge_->Add(1);
+      return;
     }
   }
-  if (shed_reason != nullptr) {
-    shed_metric_->Increment();
-    Response shed;
-    shed.outcome = ResponseOutcome::kShed;
-    shed.request_id = req.request_id;
-    shed.message = shed_reason;
-    const uint64_t done_ns = obs::NowNanos();
-    obs::QueryTrace shed_trace;
-    if (traced) {
-      shed_trace.label = "serve";
-      shed_trace.start_ns = arrival_ns;
-      shed_trace.total_ns = done_ns - arrival_ns;
-      shed_trace.AddStage("admission", done_ns - arrival_ns);
-      shed_trace.Annotate("shed", 1);
-      shed.has_trace = true;
-      shed.trace =
-          BuildWireTrace(trace_id, shed_trace.total_ns, shed_trace);
+  const bool shed = now.outcome == ResponseOutcome::kShed;
+  if (shed) shed_metric_->Increment();
+  const uint64_t done_ns = obs::NowNanos();
+  obs::QueryTrace trace;
+  if (traced) {
+    trace.label = "serve";
+    trace.start_ns = arrival_ns;
+    trace.total_ns = done_ns - arrival_ns;
+    if (shed) {
+      trace.AddStage("admission", done_ns - arrival_ns);
+      trace.Annotate("shed", 1);
+    } else {
+      trace.AddStage("admission", admit_done_ns - arrival_ns);
+      trace.AddStage("result_cache", done_ns - admit_done_ns);
+      trace.Annotate("result_cache_hit", 1);
     }
-    QueueResponse(conn, shed);
-    RecordOutcome(ResponseOutcome::kShed, /*degraded=*/false,
-                  /*deadline_miss=*/false, req.tenant, arrival_ns);
-    MaybeLogSlow(req, ResponseOutcome::kShed, trace_id, arrival_ns,
-                 done_ns, /*search_ns=*/0, done_ns,
-                 traced ? &shed_trace : nullptr);
-    return;
+    now.has_trace = true;
+    now.trace = BuildWireTrace(trace_id, trace.total_ns, trace);
   }
-  queue_cv_.notify_one();
+  EncodeResponse(now, &conn->write_buf);
+  RecordOutcome(loop, now.outcome, /*degraded=*/false,
+                /*deadline_miss=*/false, req.tenant, arrival_ns);
+  MaybeLogSlow(req, now.outcome, trace_id, arrival_ns, done_ns,
+               /*search_ns=*/0, done_ns, traced ? &trace : nullptr);
 }
 
 bool Server::ConsumeHttp(Connection* conn) {
@@ -546,7 +611,6 @@ bool Server::ConsumeHttp(Connection* conn) {
     s.protocol_version = kProtocolVersion;
     s.shards = index_->num_shards();
     s.worker_threads = options_.worker_threads;
-    s.batch_max = options_.batch_max;
     s.max_queue = options_.max_queue;
     s.max_connections = options_.max_connections;
     s.result_cache_entries = options_.result_cache_entries;
@@ -554,11 +618,8 @@ bool Server::ConsumeHttp(Connection* conn) {
     s.slo_window_seconds = slo_.window_seconds();
     s.uptime_s = uptime_s;
     s.documents = index_->DocumentCount();
-    s.open_connections = conns_.size();  // loop thread owns conns_
-    {
-      std::lock_guard<std::mutex> lock(queue_mutex_);
-      s.queue_depth = static_cast<int64_t>(queue_.size());
-    }
+    s.loops = loop_statuses();
+    s.queue_depth = queue_depth_gauge_->Value();
     s.requests_ok = requests_ok();
     s.requests_shed = requests_shed();
     s.requests_error = requests_error();
@@ -591,85 +652,63 @@ bool Server::ConsumeHttp(Connection* conn) {
   return false;  // one-shot: close after the response flushes
 }
 
-void Server::QueueResponse(Connection* conn, const Response& resp) {
-  // Append-only: the caller flushes when it is done touching conn
-  // (FlushWrites may close and free the connection).
-  EncodeResponse(resp, &conn->write_buf);
-}
-
-void Server::PostResponse(uint64_t conn_id, const Response& resp) {
-  Outbound out;
-  out.conn_id = conn_id;
-  EncodeResponse(resp, &out.bytes);
-  {
-    std::lock_guard<std::mutex> lock(outbox_mutex_);
-    outbox_.push_back(std::move(out));
+void Server::FlushWrites(Loop* loop, Connection* conn) {
+  // Single writer (this loop), so a plain load/store keeps the peak.
+  if (conn->unsent() >
+      loop->peak_unsent_bytes.load(std::memory_order_relaxed)) {
+    loop->peak_unsent_bytes.store(conn->unsent(), std::memory_order_relaxed);
   }
-  const uint64_t one = 1;
-  [[maybe_unused]] ssize_t n = ::write(wake_fd_, &one, sizeof(one));
-}
-
-void Server::DrainOutbox() {
-  std::vector<Outbound> batch;
-  {
-    std::lock_guard<std::mutex> lock(outbox_mutex_);
-    batch.swap(outbox_);
-  }
-  for (Outbound& out : batch) {
-    auto it = conns_.find(out.conn_id);
-    if (it == conns_.end()) continue;  // client left; drop the response
-    Connection* conn = it->second.get();
-    conn->write_buf += out.bytes;
-    FlushWrites(conn);
-  }
-}
-
-void Server::FlushWrites(Connection* conn) {
   while (conn->write_pos < conn->write_buf.size()) {
     const ssize_t n =
         ::send(conn->fd, conn->write_buf.data() + conn->write_pos,
-               conn->write_buf.size() - conn->write_pos, MSG_NOSIGNAL);
+               conn->unsent(), MSG_NOSIGNAL);
     if (n > 0) {
       conn->write_pos += static_cast<size_t>(n);
       continue;
     }
     if (errno == EINTR) continue;
-    if (errno == EAGAIN || errno == EWOULDBLOCK) {
-      if (!conn->want_write) {
-        conn->want_write = true;
-        UpdateEpoll(conn);
-      }
-      return;
-    }
-    CloseConnection(conn);
+    if (errno == EAGAIN || errno == EWOULDBLOCK) break;
+    CloseConnection(loop, conn);
     return;
   }
-  conn->write_buf.clear();
-  conn->write_pos = 0;
-  if (conn->want_write) {
-    conn->want_write = false;
-    UpdateEpoll(conn);
+  if (conn->write_pos * 2 >= conn->write_buf.size()) {
+    // Drop the sent prefix once it is half the buffer (or all of it).
+    conn->write_buf.erase(0, conn->write_pos);
+    conn->write_pos = 0;
   }
-  if (conn->close_after_flush) CloseConnection(conn);
+  const bool want_write = conn->unsent() > 0;
+  const bool paused = conn->unsent() >= kMaxUnsentBytes;
+  if (want_write != conn->want_write || paused != conn->paused) {
+    conn->want_write = want_write;
+    conn->paused = paused;
+    UpdateEpoll(loop, conn, EPOLL_CTL_MOD);
+  }
+  if (!paused && conn->stalled) {
+    conn->stalled = false;
+    loop->revisit.push_back(conn->id);
+  }
+  if (!want_write && conn->close_after_flush) CloseConnection(loop, conn);
 }
 
-void Server::UpdateEpoll(Connection* conn) {
+void Server::UpdateEpoll(Loop* loop, Connection* conn, int op) {
   epoll_event ev{};
-  ev.events = EPOLLIN | (conn->want_write ? EPOLLOUT : 0u);
+  ev.events = (conn->paused ? 0u : EPOLLIN) |
+              (conn->want_write ? EPOLLOUT : 0u);
   ev.data.u64 = conn->id;
-  ::epoll_ctl(epoll_fd_, EPOLL_CTL_MOD, conn->fd, &ev);
+  ::epoll_ctl(loop->epoll_fd, op, conn->fd, &ev);
 }
 
-void Server::CloseConnection(Connection* conn) {
-  ::epoll_ctl(epoll_fd_, EPOLL_CTL_DEL, conn->fd, nullptr);
+void Server::CloseConnection(Loop* loop, Connection* conn) {
+  ::epoll_ctl(loop->epoll_fd, EPOLL_CTL_DEL, conn->fd, nullptr);
   ::close(conn->fd);
   connections_gauge_->Sub(1);
-  conns_.erase(conn->id);  // frees conn
+  loop->open_connections.fetch_sub(1, std::memory_order_relaxed);
+  loop->conns.erase(conn->id);  // frees conn
 }
 
-void Server::RecordOutcome(ResponseOutcome outcome, bool degraded,
-                           bool deadline_miss, uint32_t tenant,
-                           uint64_t arrival_ns) {
+void Server::RecordOutcome(Loop* loop, ResponseOutcome outcome,
+                           bool degraded, bool deadline_miss,
+                           uint32_t tenant, uint64_t arrival_ns) {
   const uint64_t now_ns = obs::NowNanos();
   const uint64_t latency_us = (now_ns - arrival_ns) / 1000;
   const int idx = static_cast<int>(outcome);
@@ -688,6 +727,9 @@ void Server::RecordOutcome(ResponseOutcome outcome, bool degraded,
     case ResponseOutcome::kError:
       error_count_.fetch_add(1, std::memory_order_relaxed);
       break;
+  }
+  if (outcome != ResponseOutcome::kShed) {
+    loop->searches.fetch_add(1, std::memory_order_relaxed);
   }
 }
 
@@ -733,7 +775,7 @@ void Server::MaybeLogSlow(const Request& req, ResponseOutcome outcome,
   } else {
     // Untraced request: synthesize the coarse stages the timestamps
     // alone can attribute -- admission, index search, and the remainder
-    // (queue wait + batch assembly + dispatch).
+    // (wait for the batch + the batch's other searches + dispatch).
     rec.trace.label = "serve";
     rec.trace.start_ns = arrival_ns;
     rec.trace.total_ns = done_ns - arrival_ns;
@@ -748,109 +790,101 @@ void Server::MaybeLogSlow(const Request& req, ResponseOutcome outcome,
   slow_log_.Record(std::move(rec));
 }
 
-void Server::RunWorker() {
-  std::vector<WorkItem> taken;
-  std::vector<ShardedIndex::BatchItem> items;
-  std::vector<obs::QueryTrace> traces;
-  while (true) {
-    taken.clear();
-    items.clear();
-    {
-      std::unique_lock<std::mutex> lock(queue_mutex_);
-      queue_cv_.wait(lock, [this] {
-        return stopping_.load(std::memory_order_acquire) || !queue_.empty();
-      });
-      if (stopping_.load(std::memory_order_acquire)) return;
-      const size_t take = std::min<size_t>(options_.batch_max, queue_.size());
-      for (size_t i = 0; i < take; ++i) {
-        taken.push_back(std::move(queue_.front()));
-        queue_.pop_front();
-      }
-      queue_depth_gauge_->Set(static_cast<int64_t>(queue_.size()));
-      if (!queue_.empty()) queue_cv_.notify_one();
-    }
-    const uint64_t dequeue_ns = obs::NowNanos();
-    batch_size_->Record(taken.size());
-    items.reserve(taken.size());
-    // The traces vector is sized once per batch BEFORE any pointer is
-    // taken; it must not grow while items reference its elements.
-    traces.assign(taken.size(), obs::QueryTrace());
-    for (size_t i = 0; i < taken.size(); ++i) {
-      const WorkItem& w = taken[i];
-      items.push_back(w.item);
-      if (!w.traced) continue;
-      obs::QueryTrace& t = traces[i];
-      t.label = "serve";
-      t.start_ns = w.arrival_ns;
-      t.AddStage("admission", w.admitted_ns - w.arrival_ns);
-      t.AddStage("queue_wait", dequeue_ns - w.admitted_ns);
-      t.Annotate("batch_size", taken.size());
-      // Request-scoped trace: the index layers accumulate their stages
-      // (shard sweeps, descent, cell-cache hits) into this object.
-      items[i].query.control.trace = &t;
-      items[i].query.control.trace_id = w.trace_id;
-    }
-    // Capture the generation BEFORE the search: a mutation completing
-    // mid-search bumps the counter past this value, so the entry we tag
-    // with it can never be served after that mutation (Lookup requires
-    // an exact match against the current generation).
-    const uint64_t generation = index_->generation();
-    const auto results = index_->SearchBatch(items);
-    for (size_t i = 0; i < taken.size(); ++i) {
-      const auto& r = results[i];
-      Response resp;
-      resp.request_id = taken[i].request_id;
-      if (r.status.ok() && r.degraded &&
-          taken[i].request.require_complete) {
-        // All-or-nothing: the client said a partial top-k is worse than
-        // failing, so surface the failing shard's own error instead.
-        Status refusal(r.first_error.ok() ? StatusCode::kResourceExhausted
-                                          : r.first_error.code(),
-                       "incomplete result (require_complete): " +
-                           r.first_error.message());
-        resp = ErrorResponse(taken[i].request_id, refusal);
-      } else if (r.status.ok()) {
-        resp.outcome = ResponseOutcome::kOk;
-        resp.degraded = r.degraded;
-        resp.results = r.results;
-        // Only complete answers are cacheable: a degraded top-k is
-        // missing failed shards' documents and must not outlive the
-        // failure.
-        if (!resp.degraded && !taken[i].cache_key.empty()) {
-          result_cache_.Insert(taken[i].cache_key, generation,
-                               resp.results);
-        }
-      } else {
-        resp = ErrorResponse(taken[i].request_id, r.status);
-      }
-      const bool deadline_miss =
-          resp.outcome == ResponseOutcome::kError &&
-          resp.code == StatusCode::kDeadlineExceeded;
-      if (taken[i].traced) {
-        obs::QueryTrace& t = traces[i];
-        // Time the encode against a scratch buffer first -- the real
-        // encode must carry the trace, and the trace must contain the
-        // encode stage. The double encode is traced-path-only cost, and
-        // it keeps the result bytes identical to the untraced twin
-        // (asserted by the differential test).
-        std::string scratch;
-        const uint64_t encode_start_ns = obs::NowNanos();
-        EncodeResponse(resp, &scratch);
-        t.AddStage("encode", obs::NowNanos() - encode_start_ns);
-        t.Annotate("results", resp.results.size());
-        t.total_ns = obs::NowNanos() - taken[i].arrival_ns;
-        resp.has_trace = true;
-        resp.trace = BuildWireTrace(taken[i].trace_id, t.total_ns, t);
-      }
-      const uint64_t done_ns = obs::NowNanos();
-      RecordOutcome(resp.outcome, resp.degraded, deadline_miss,
-                    taken[i].tenant, taken[i].arrival_ns);
-      MaybeLogSlow(taken[i].request, resp.outcome, taken[i].trace_id,
-                   taken[i].arrival_ns, taken[i].admitted_ns, r.search_ns,
-                   done_ns, taken[i].traced ? &traces[i] : nullptr);
-      PostResponse(taken[i].conn_id, resp);
-    }
+void Server::RunBatch(Loop* loop) {
+  std::vector<PendingSearch>& batch = loop->pending;
+  if (batch.empty()) return;
+  const uint64_t dequeue_ns = obs::NowNanos();
+  queue_depth_gauge_->Sub(static_cast<int64_t>(batch.size()));
+  batch_size_->Record(batch.size());
+  std::vector<ShardedIndex::BatchItem>& items = loop->items;
+  items.clear();
+  // The traces vector is sized once per batch BEFORE any pointer is
+  // taken; it must not grow while items reference its elements.
+  std::vector<obs::QueryTrace>& traces = loop->traces;
+  traces.assign(batch.size(), obs::QueryTrace());
+  for (size_t i = 0; i < batch.size(); ++i) {
+    PendingSearch& p = batch[i];
+    items.push_back(std::move(p.item));
+    if (!p.request.trace) continue;
+    obs::QueryTrace& t = traces[i];
+    t.label = "serve";
+    t.start_ns = p.arrival_ns;
+    t.AddStage("admission", p.admitted_ns - p.arrival_ns);
+    t.AddStage("queue_wait", dequeue_ns - p.admitted_ns);
+    t.Annotate("batch_size", batch.size());
+    // Request-scoped trace: the index layers accumulate their stages
+    // (shard sweeps, descent, cell-cache hits) into this object.
+    items[i].query.control.trace = &t;
+    items[i].query.control.trace_id = p.trace_id;
   }
+  // Capture the generation BEFORE the search: a mutation completing
+  // mid-search bumps the counter past this value, so the entry we tag
+  // with it can never be served after that mutation (Lookup requires
+  // an exact match against the current generation).
+  const uint64_t generation = index_->generation();
+  auto results = index_->SearchBatch(items);
+  for (size_t i = 0; i < batch.size(); ++i) {
+    const PendingSearch& p = batch[i];
+    auto& r = results[i];
+    Response resp;
+    resp.request_id = p.request.request_id;
+    if (r.status.ok() && r.degraded && p.request.require_complete) {
+      // All-or-nothing: the client said a partial top-k is worse than
+      // failing, so surface the failing shard's own error instead.
+      Status refusal(r.first_error.ok() ? StatusCode::kResourceExhausted
+                                        : r.first_error.code(),
+                     "incomplete result (require_complete): " +
+                         r.first_error.message());
+      resp = ErrorResponse(p.request.request_id, refusal);
+    } else if (r.status.ok()) {
+      resp.outcome = ResponseOutcome::kOk;
+      resp.degraded = r.degraded;
+      resp.results = std::move(r.results);
+      // Only complete answers are cacheable: a degraded top-k is
+      // missing failed shards' documents and must not outlive the
+      // failure.
+      if (!resp.degraded && !p.cache_key.empty()) {
+        result_cache_.Insert(p.cache_key, generation, resp.results);
+      }
+    } else {
+      resp = ErrorResponse(p.request.request_id, r.status);
+    }
+    const bool deadline_miss = resp.outcome == ResponseOutcome::kError &&
+                               resp.code == StatusCode::kDeadlineExceeded;
+    if (p.request.trace) {
+      obs::QueryTrace& t = traces[i];
+      // Time the encode against a scratch buffer first -- the real
+      // encode must carry the trace, and the trace must contain the
+      // encode stage. The double encode is traced-path-only cost, and
+      // it keeps the result bytes identical to the untraced twin
+      // (asserted by the differential test).
+      std::string scratch;
+      const uint64_t encode_start_ns = obs::NowNanos();
+      EncodeResponse(resp, &scratch);
+      t.AddStage("encode", obs::NowNanos() - encode_start_ns);
+      t.Annotate("results", resp.results.size());
+      t.total_ns = obs::NowNanos() - p.arrival_ns;
+      resp.has_trace = true;
+      resp.trace = BuildWireTrace(p.trace_id, t.total_ns, t);
+    }
+    const uint64_t done_ns = obs::NowNanos();
+    RecordOutcome(loop, resp.outcome, resp.degraded, deadline_miss,
+                  p.request.tenant, p.arrival_ns);
+    MaybeLogSlow(p.request, resp.outcome, p.trace_id, p.arrival_ns,
+                 p.admitted_ns, r.search_ns, done_ns,
+                 p.request.trace ? &traces[i] : nullptr);
+    auto it = loop->conns.find(p.conn_id);
+    if (it == loop->conns.end()) continue;  // client left; drop it
+    it->second->reserved -= kMaxResponseFrame;
+    EncodeResponse(resp, &it->second->write_buf);
+  }
+  // Flush once every response is queued: the first flush of a connection
+  // sends them all, later ones find nothing left to send.
+  for (const PendingSearch& p : batch) {
+    auto it = loop->conns.find(p.conn_id);
+    if (it != loop->conns.end()) FlushWrites(loop, it->second.get());
+  }
+  batch.clear();
 }
 
 }  // namespace net

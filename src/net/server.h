@@ -1,32 +1,32 @@
-// The async network serving front end: an epoll-based event-loop TCP
-// server answering the length-prefixed query protocol (net/protocol.h)
-// over a ShardedIndex.
+// The async network serving front end: `worker_threads` epoll event loops
+// answering the length-prefixed query protocol (net/protocol.h) over a
+// ShardedIndex.
 //
-// Architecture (DESIGN.md §12):
+// Architecture (DESIGN.md §12), one loop turn:
 //
-//   accept/read/write ──> [event-loop thread] ──decode──> admission
-//        ▲                                                 │
-//        │  eventfd                                 shed?──┴──> queue
-//        │                                                       │
-//   [outbox] <──encode── [worker threads] <──batch (SearchBatch)─┘
+//   epoll ─> read ─> decode ─> admission ─> result cache ─┬─> send
+//                                  │   shed / hit ─────────┘   ▲
+//                                  └─> the turn's searches ─> one
+//                                      SearchBatch ─> encode ──┘
 //
-//  - One event-loop thread owns the listener, every connection, and all
-//    epoll state; no connection structure is ever touched off-loop, so
-//    the I/O plane needs no locks.
-//  - Parsed requests pass admission control (per-tenant token buckets +
-//    a global queue-depth bound) on the loop thread. Rejected requests
-//    get an immediate "shed" response that never waits behind index
-//    work -- the fast path a saturating tenant cannot congest.
-//  - Admitted requests are queued; worker threads drain them in batches
-//    of up to `batch_max` and answer each batch with one
-//    ShardedIndex::SearchBatch call (per-item alpha and degraded
-//    outcome). Encoded responses go to the outbox; an eventfd wakes the
-//    loop to write them out, with partial writes buffered under
-//    EPOLLOUT.
+//  - Loop 0 also owns the listener and hands each accepted socket to the
+//    loop with the fewest open connections (mailbox + eventfd). Only that
+//    loop's thread ever touches the connection, so the I/O plane needs no
+//    locks.
+//  - Each request is served start to finish on its connection's loop.
+//    Admission control (per-tenant token buckets + a per-turn search
+//    bound) and the result-cache probe run at decode: a shed or a hit is
+//    answered without waiting for index work, the fast path a saturating
+//    tenant cannot congest. The searches admitted in one turn run as one
+//    ShardedIndex::SearchBatch call at its end.
+//  - Trade-off: a search blocked on storage holds up the other
+//    connections of its loop, not those of other loops; at most
+//    `worker_threads` searches run at once.
+//  - Back-pressure: a connection owed kMaxUnsentBytes is neither read nor
+//    decoded until its peer drains it.
 //  - Deadlines propagate from the wire: a request's relative
 //    `deadline_ms` becomes an absolute QueryControl deadline at
-//    admission, so queue wait counts against the budget and an overrun
-//    degrades or fails exactly like a library-level deadline.
+//    admission, so the wait for the batch counts against the budget.
 //  - A connection whose first bytes are an HTTP request line is served
 //    as a one-shot HTTP client: `GET /metrics` returns the process
 //    metrics registry in Prometheus text format, and /statusz, /tracez,
@@ -49,18 +49,14 @@
 #define I3_NET_SERVER_H_
 
 #include <atomic>
-#include <condition_variable>
 #include <cstdint>
-#include <deque>
 #include <memory>
-#include <mutex>
 #include <string>
-#include <thread>
-#include <unordered_map>
 #include <vector>
 
 #include "common/status.h"
 #include "model/sharded_index.h"
+#include "net/introspection.h"
 #include "net/protocol.h"
 #include "net/result_cache.h"
 #include "net/token_bucket.h"
@@ -77,25 +73,22 @@ struct ServerOptions {
   std::string host = "127.0.0.1";
   /// TCP port; 0 picks an ephemeral port (see Server::port()).
   uint16_t port = 0;
-  /// Search worker threads draining the request queue.
+  /// Event loops. Each serves its connections start to finish, searches
+  /// included, so this also bounds the searches running at once.
   uint32_t worker_threads = 2;
-  /// Requests a worker answers with one SearchBatch call. Larger batches
-  /// amortize wakeups under load; a batch never waits for fill -- a
-  /// worker takes whatever is queued, up to this cap.
-  uint32_t batch_max = 16;
   /// Default per-tenant admission limit (rate <= 0 = unlimited).
   TenantLimit default_limit;
   /// Per-tenant overrides.
   std::vector<std::pair<uint32_t, TenantLimit>> tenant_limits;
-  /// Admitted-but-unserved requests the queue may hold before the server
+  /// Searches one loop may admit in one turn (its SearchBatch) before it
   /// sheds regardless of tenant budgets (overload backstop). 0 sheds
   /// every search request -- useful to tests, not to production.
   size_t max_queue = 4096;
   /// Accepted connections beyond this are closed immediately.
   size_t max_connections = 1024;
   /// Whole-query result cache entries (net/result_cache.h); 0 disables.
-  /// Hits are answered on the loop thread after admission, so cached
-  /// requests still spend tenant tokens but skip the queue and the index.
+  /// Hits are answered during decode, after admission, so cached
+  /// requests still spend tenant tokens but skip the batch and the index.
   size_t result_cache_entries = 4096;
   /// Slow-query log (obs/slow_log.h): requests finishing at or over this
   /// latency are captured with their span timeline and canonical request
@@ -109,11 +102,16 @@ struct ServerOptions {
   uint32_t slo_max_tenants = 16;
 };
 
-/// \brief The serving front end. Start() binds and spawns the event loop
-/// and workers; Stop() (or destruction) shuts everything down. Searches
-/// run against the caller-owned index, which must outlive the server.
+/// \brief The serving front end. Start() binds and spawns the event
+/// loops; Stop() (or destruction) shuts everything down. Searches run
+/// against the caller-owned index, which must outlive the server.
 class Server {
  public:
+  /// Back-pressure bound: a connection owed this many response bytes (a
+  /// waiting search counts as its largest possible response) is not read
+  /// until they drain. Unsent bytes exceed it by at most one frame.
+  static constexpr size_t kMaxUnsentBytes = size_t{1} << 20;
+
   Server(ShardedIndex* index, ServerOptions options);
   ~Server();
 
@@ -125,7 +123,7 @@ class Server {
   Status Start();
 
   /// \brief Stops accepting, closes every connection, joins all
-  /// threads. Idempotent. Queued-but-unanswered requests are dropped
+  /// threads. Idempotent. Admitted-but-unanswered requests are dropped
   /// (their connections are closing anyway).
   void Stop();
 
@@ -141,6 +139,9 @@ class Server {
   uint64_t requests_shed() const { return shed_count_.load(); }
   uint64_t requests_error() const { return error_count_.load(); }
 
+  /// Per-loop load, as /statusz renders it (empty before Start()).
+  std::vector<LoopStatus> loop_statuses() const;
+
   /// The server's slow-query log and SLO windows (read-only views for
   /// tests and embedding processes; the HTTP side channel renders both).
   const obs::SlowQueryLog& slow_log() const { return slow_log_; }
@@ -148,60 +149,36 @@ class Server {
 
  private:
   struct Connection;
+  struct PendingSearch;
+  struct Loop;
 
-  /// One admitted request travelling loop -> worker.
-  struct WorkItem {
-    uint64_t conn_id = 0;
-    uint64_t request_id = 0;
-    uint64_t arrival_ns = 0;
-    /// When admission + cache probe finished and the request entered the
-    /// queue (the worker charges queue wait against this).
-    uint64_t admitted_ns = 0;
-    /// Wire trace flag and the server-stamped id (0 when untraced).
-    uint64_t trace_id = 0;
-    uint32_t tenant = 0;
-    bool traced = false;
-    /// Canonical result-cache key; empty when the response must not be
-    /// cached (cache disabled or the request opted out via no_cache).
-    std::string cache_key;
-    /// The decoded request, kept for slow-query capture (canonical
-    /// re-encode on the slow path only; holding it here adds no
-    /// allocation -- it is moved, not copied).
-    Request request;
-    ShardedIndex::BatchItem item;
-  };
+  void RunLoop(Loop* loop);
 
-  /// One encoded response travelling worker -> loop.
-  struct Outbound {
-    uint64_t conn_id = 0;
-    std::string bytes;
-  };
-
-  void RunLoop();
-  void RunWorker();
-
+  /// Loop 0: accepts and hands each socket to a loop's mailbox.
   void AcceptAll();
-  void HandleReadable(Connection* conn);
-  void HandleWritable(Connection* conn);
+  void HandleReadable(Loop* loop, Connection* conn);
   /// Consumes complete frames from conn's read buffer; returns false if
   /// the connection must close (protocol violation).
-  bool ConsumeFrames(Connection* conn);
-  /// Dispatches one decoded request: ping, shed, or enqueue for workers.
-  void DispatchRequest(Connection* conn, Request req, uint64_t arrival_ns);
+  bool ConsumeFrames(Loop* loop, Connection* conn);
+  /// Dispatches one decoded request: ping, shed, cache hit, or a search
+  /// for the turn's batch.
+  void DispatchRequest(Loop* loop, Connection* conn, Request req,
+                       uint64_t arrival_ns);
   /// Serves the HTTP side channel; returns false to close.
   bool ConsumeHttp(Connection* conn);
+  /// Answers the searches the loop admitted this turn with one
+  /// SearchBatch call, then encodes and sends every response.
+  void RunBatch(Loop* loop);
 
-  /// Appends an encoded response to conn's write buffer (loop thread);
-  /// the caller flushes once it is done touching conn.
-  void QueueResponse(Connection* conn, const Response& resp);
-  /// Worker-side: encode + hand to the outbox, wake the loop.
-  void PostResponse(uint64_t conn_id, const Response& resp);
-  void DrainOutbox();
-  void FlushWrites(Connection* conn);
-  void CloseConnection(Connection* conn);
-  void UpdateEpoll(Connection* conn);
+  /// Sends what the socket takes of conn's write buffer (responses are
+  /// appended to it, then flushed once the caller is done with conn) and
+  /// re-arms epoll for write interest and back-pressure. May free conn.
+  void FlushWrites(Loop* loop, Connection* conn);
+  void CloseConnection(Loop* loop, Connection* conn);
+  /// Registers (EPOLL_CTL_ADD) or re-arms (EPOLL_CTL_MOD) conn's interest.
+  void UpdateEpoll(Loop* loop, Connection* conn, int op);
 
-  void RecordOutcome(ResponseOutcome outcome, bool degraded,
+  void RecordOutcome(Loop* loop, ResponseOutcome outcome, bool degraded,
                      bool deadline_miss, uint32_t tenant,
                      uint64_t arrival_ns);
 
@@ -226,31 +203,19 @@ class Server {
   obs::SloTracker slo_;
 
   int listen_fd_ = -1;
-  int epoll_fd_ = -1;
-  int wake_fd_ = -1;
   uint16_t port_ = 0;
   /// Steady-clock Start() time (uptime on /statusz and /healthz).
   uint64_t start_ns_ = 0;
   /// Trace-id generator: mixed counter, stamped per traced request.
   std::atomic<uint64_t> next_trace_seq_{1};
+  /// Acceptor's rotating tie-break among equally loaded loops (loop 0's
+  /// thread only).
+  uint32_t next_loop_ = 0;
 
   std::atomic<bool> running_{false};
   std::atomic<bool> stopping_{false};
 
-  std::thread loop_thread_;
-  std::vector<std::thread> workers_;
-
-  /// Loop-thread-only connection table (id -> connection). Ids start
-  /// above the reserved epoll tags (listener, wake eventfd).
-  std::unordered_map<uint64_t, std::unique_ptr<Connection>> conns_;
-  uint64_t next_conn_id_ = 2;
-
-  std::mutex queue_mutex_;
-  std::condition_variable queue_cv_;
-  std::deque<WorkItem> queue_;
-
-  std::mutex outbox_mutex_;
-  std::vector<Outbound> outbox_;
+  std::vector<std::unique_ptr<Loop>> loops_;
 
   std::atomic<uint64_t> ok_count_{0};
   std::atomic<uint64_t> shed_count_{0};

@@ -121,7 +121,6 @@ TEST(NetChaosTest, ServingUnderFaultsEndsEveryRequestCleanly) {
   ServingChaosRig rig;
   ServerOptions sopts;
   sopts.worker_threads = 3;
-  sopts.batch_max = 8;
   InitRig(&rig, /*corpus_seed=*/11, sopts);
   const CorpusOptions copt = ChaosCorpus();
   const auto queries = MakeQueries(copt, /*num_queries=*/24, /*qn=*/2,

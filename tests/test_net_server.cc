@@ -3,13 +3,18 @@
 // order-sensitive checksum) to direct ShardedIndex::Search calls under a
 // seeded concurrent mixed workload; protocol-abuse scenarios (garbage,
 // oversized frames, slow dribbling writers, pipelining); the HTTP metrics
-// side channel; and the admission-control contract -- a saturating tenant
-// is shed fast with bounded latency while other tenants are unaffected.
+// side channel; the admission-control contract -- a saturating tenant
+// is shed fast with bounded latency while other tenants are unaffected;
+// and the event loops -- connections spread over them, a loop stalled on
+// storage does not hold up the others, and a client that never reads is
+// met with back-pressure instead of unbounded buffering.
 
 #include <gtest/gtest.h>
+#include <sys/socket.h>
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <cstdlib>
 #include <cstring>
 #include <memory>
@@ -24,6 +29,7 @@
 #include "net/server.h"
 #include "net/token_bucket.h"
 #include "obs/clock.h"
+#include "storage/fault_injection.h"
 #include "test_util.h"
 
 namespace i3 {
@@ -141,7 +147,6 @@ TEST_F(NetServerTest, WireResultsMatchDirectSearch) {
 TEST_F(NetServerTest, ConcurrentClientsDifferential) {
   ServerOptions sopts;
   sopts.worker_threads = 3;
-  sopts.batch_max = 8;
   StartServer(sopts);
   const CorpusOptions copt = ServingCorpus();
   constexpr int kClients = 6;
@@ -437,6 +442,206 @@ TEST_F(NetServerTest, QueueBoundShedsWhenFull) {
   EXPECT_EQ(server_->requests_shed(), queries.size());
 }
 
+// With two loops the acceptor hands each connection to the loop with the
+// fewest open ones, so four connections land two per loop, each loop
+// serves the searches of its own connections, and /statusz lists both.
+TEST_F(NetServerTest, ConnectionsSpreadEvenlyOverLoops) {
+  ServerOptions opts;
+  opts.worker_threads = 2;
+  StartServer(opts);
+  const auto queries = MakeQueries(ServingCorpus(), 4, /*qn=*/2, /*k=*/10,
+                                   Semantics::kOr, /*seed=*/95);
+  std::vector<std::unique_ptr<Client>> clients;
+  for (int i = 0; i < 4; ++i) {
+    auto client = Connect();
+    ASSERT_TRUE(client.ok()) << client.status().ToString();
+    clients.push_back(client.MoveValue());
+    // The pong proves the connection's loop has adopted it.
+    ASSERT_TRUE(clients.back()->Ping().ok());
+  }
+  std::vector<LoopStatus> loops = server_->loop_statuses();
+  ASSERT_EQ(loops.size(), 2u);
+  EXPECT_EQ(loops[0].open_connections, 2u);
+  EXPECT_EQ(loops[1].open_connections, 2u);
+
+  for (size_t i = 0; i < clients.size(); ++i) {
+    auto direct = index_->Search(queries[i], 0.5);
+    ASSERT_TRUE(direct.ok());
+    auto resp = clients[i]->Call(SearchRequest(queries[i], i, 0.5));
+    ASSERT_TRUE(resp.ok()) << resp.status().ToString();
+    ASSERT_EQ(resp.ValueOrDie().outcome, ResponseOutcome::kOk);
+    EXPECT_EQ(ResultChecksum(resp.ValueOrDie().results),
+              ResultChecksum(direct.ValueOrDie()));
+  }
+  loops = server_->loop_statuses();
+  EXPECT_EQ(loops[0].searches, 2u);
+  EXPECT_EQ(loops[1].searches, 2u);
+
+  auto statusz = HttpGet("127.0.0.1", server_->port(), "/statusz");
+  ASSERT_TRUE(statusz.ok()) << statusz.status().ToString();
+  const std::string& body = statusz.ValueOrDie();
+  EXPECT_NE(body.find("\"loops\": [{\"loop\": 0, "), std::string::npos)
+      << body;
+  EXPECT_NE(body.find("{\"loop\": 1, "), std::string::npos) << body;
+  EXPECT_EQ(body.find("{\"loop\": 2, "), std::string::npos) << body;
+}
+
+// A search stalled on storage holds up only its own loop: while loop 0
+// sleeps through injected device latency, a ping on loop 1's connection
+// is answered at once.
+TEST_F(NetServerTest, SearchStalledOnStorageDoesNotDelayOtherLoop) {
+  const CorpusOptions copt = ServingCorpus();
+  std::vector<FaultInjectionPageFile*> files;
+  auto res = ShardedIndex::Create(
+      [&copt, &files](uint32_t) {
+        I3Options opt;
+        opt.space = copt.space;
+        opt.page_size = 128;
+        opt.signature_bits = 64;
+        opt.page_file_factory = [&files](size_t page_size) {
+          auto file = std::make_unique<FaultInjectionPageFile>(
+              std::make_unique<InMemoryPageFile>(page_size));
+          files.push_back(file.get());
+          return file;
+        };
+        return std::make_unique<I3Index>(opt);
+      },
+      {.num_shards = 1});
+  ASSERT_TRUE(res.ok()) << res.status().ToString();
+  index_ = res.MoveValue();
+  for (const auto& d : MakeCorpus(copt, /*seed=*/21)) {
+    ASSERT_TRUE(index_->Insert(d).ok());
+  }
+  ServerOptions opts;
+  opts.worker_threads = 2;
+  server_ = std::make_unique<Server>(index_.get(), opts);
+  ASSERT_TRUE(server_->Start().ok());
+
+  // Connected one after the other, the two land on loops 0 and 1.
+  auto slow = Connect({.recv_timeout_ms = 30000});
+  ASSERT_TRUE(slow.ok());
+  ASSERT_TRUE(slow.ValueOrDie()->Ping().ok());
+  auto fast = Connect();
+  ASSERT_TRUE(fast.ok());
+  ASSERT_TRUE(fast.ValueOrDie()->Ping().ok());
+  const std::vector<LoopStatus> loops = server_->loop_statuses();
+  ASSERT_EQ(loops[0].open_connections, 1u);
+  ASSERT_EQ(loops[1].open_connections, 1u);
+
+  // Every device read now sleeps 30 ms, and no cache holds a page.
+  FaultProfile stall;
+  stall.latency_spike_rate = 1.0;
+  stall.latency_spike_us = 30000;
+  index_->ClearCache();
+  for (auto* f : files) f->injector()->SetProfile(stall);
+  const auto queries = MakeQueries(copt, 1, /*qn=*/2, /*k=*/10,
+                                   Semantics::kOr, /*seed=*/96);
+  Request req = SearchRequest(queries[0], 1, 0.5);
+  req.no_cache = true;
+  Result<Response> slow_resp = Status::IOError("not sent");
+  uint64_t slow_us = 0;
+  std::thread searcher([&] {
+    const uint64_t t0 = obs::NowNanos();
+    slow_resp = slow.ValueOrDie()->Call(req);
+    slow_us = (obs::NowNanos() - t0) / 1000;
+  });
+  auto spikes = [&files] {
+    uint64_t n = 0;
+    for (auto* f : files) n += f->injector()->faults_injected();
+    return n;
+  };
+  // Wait until loop 0 is asleep inside a device read.
+  const uint64_t give_up_ns = obs::NowNanos() + 10000000000ull;
+  while (spikes() == 0 && obs::NowNanos() < give_up_ns) {
+    std::this_thread::yield();
+  }
+  ASSERT_GT(spikes(), 0u);
+  const uint64_t t0 = obs::NowNanos();
+  ASSERT_TRUE(fast.ValueOrDie()->Ping().ok());
+  const uint64_t ping_us = (obs::NowNanos() - t0) / 1000;
+  searcher.join();
+  for (auto* f : files) f->Heal();
+
+  ASSERT_TRUE(slow_resp.ok()) << slow_resp.status().ToString();
+  ASSERT_EQ(slow_resp.ValueOrDie().outcome, ResponseOutcome::kOk);
+  // The search really stalled (at least seven sleeping reads)...
+  EXPECT_GE(slow_us, 200000u);
+  // ...and the other loop did not wait for it.
+  EXPECT_LT(ping_us, 100000u);
+}
+
+// Back-pressure: a client that pipelines requests and never reads stops
+// being read once Server::kMaxUnsentBytes of responses wait for it, so
+// the server's buffer for it stays bounded even after the kernel socket
+// buffers overflow; once the client reads, every response arrives.
+TEST_F(NetServerTest, ClientThatNeverReadsMeetsBackPressure) {
+  StartServer();
+  const auto queries = MakeQueries(ServingCorpus(), 1, /*qn=*/2, /*k=*/200,
+                                   Semantics::kOr, /*seed=*/97);
+  auto direct = index_->Search(queries[0], 0.5);
+  ASSERT_TRUE(direct.ok());
+  const uint64_t want = ResultChecksum(direct.ValueOrDie());
+
+  auto client = Connect({.recv_timeout_ms = 30000});
+  ASSERT_TRUE(client.ok());
+  Client* c = client.ValueOrDie().get();
+  // A small fixed receive window keeps the kernel's share of the backlog
+  // small, so the server's own buffer must absorb the overflow.
+  const int rcvbuf = 64 * 1024;
+  ::setsockopt(c->fd(), SOL_SOCKET, SO_RCVBUF, &rcvbuf, sizeof(rcvbuf));
+  // Warm the result cache: every pipelined copy is then a cheap hit.
+  auto first = c->Call(SearchRequest(queries[0], 0, 0.5));
+  ASSERT_TRUE(first.ok());
+  ASSERT_EQ(ResultChecksum(first.ValueOrDie().results), want);
+
+  // Enough copies for 32 MiB of responses: far past the kernel buffers.
+  std::string one_response;
+  EncodeResponse(first.ValueOrDie(), &one_response);
+  const size_t requests = (size_t{32} << 20) / one_response.size() + 1;
+  std::string frames;
+  for (size_t i = 1; i <= requests; ++i) {
+    EncodeRequest(SearchRequest(queries[0], i, 0.5), &frames);
+  }
+  std::atomic<bool> sent{false};
+  std::thread sender([&] {
+    sent.store(c->SendBytes(frames.data(), frames.size()).ok());
+  });
+  auto peak = [this] {
+    uint64_t p = 0;
+    for (const LoopStatus& l : server_->loop_statuses()) {
+      p = std::max(p, l.peak_unsent_bytes);
+    }
+    return p;
+  };
+  const uint64_t give_up_ns = obs::NowNanos() + 20000000000ull;
+  while (peak() < Server::kMaxUnsentBytes && obs::NowNanos() < give_up_ns) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  // Give a server that ignored the bound time to overshoot it.
+  std::this_thread::sleep_for(std::chrono::milliseconds(100));
+  const uint64_t bound = Server::kMaxUnsentBytes + kFrameHeaderBytes +
+                         kMaxFramePayload;
+  EXPECT_GE(peak(), Server::kMaxUnsentBytes);  // the backlog reached it
+  EXPECT_LT(peak(), bound);
+
+  std::vector<bool> seen(requests + 1, false);
+  for (size_t i = 0; i < requests; ++i) {
+    auto resp = c->ReadResponse();
+    ASSERT_TRUE(resp.ok()) << i << ": " << resp.status().ToString();
+    const Response& r = resp.ValueOrDie();
+    ASSERT_EQ(r.outcome, ResponseOutcome::kOk) << r.message;
+    ASSERT_GE(r.request_id, 1u);
+    ASSERT_LE(r.request_id, requests);
+    EXPECT_FALSE(seen[r.request_id]) << r.request_id;
+    seen[r.request_id] = true;
+    ASSERT_EQ(ResultChecksum(r.results), want) << r.request_id;
+  }
+  sender.join();
+  EXPECT_TRUE(sent.load());
+  EXPECT_LT(peak(), bound);
+  EXPECT_EQ(server_->requests_error(), 0u);
+}
+
 // Token-bucket unit behavior backing the admission tests: deterministic
 // virtual time, refill capping, per-tenant independence.
 TEST(TokenBucketTest, RefillAndBurstSemantics) {
@@ -462,6 +667,41 @@ TEST(TokenBucketTest, RefillAndBurstSemantics) {
   EXPECT_FALSE(limiter.Admit(7, now));
   // Other tenants ride the unlimited default.
   for (int i = 0; i < 100; ++i) ASSERT_TRUE(limiter.Admit(8, now));
+}
+
+// A scan of wire tenant ids cannot grow the limiter. Under a limited
+// default, tenants past the cap share one overflow bucket, which still
+// sheds; under an unlimited default no tenant gets a bucket at all.
+TEST(TokenBucketTest, TenantTableIsCappedAndStillSheds) {
+  const uint64_t ns = 1000000000ull;
+  const uint64_t now = 50 * ns;
+  constexpr size_t kCap = TenantRateLimiter::kMaxTenantBuckets;
+  TenantRateLimiter limiter({.rate = 1.0, .burst = 1.0});
+  size_t admitted = 0;
+  for (uint32_t t = 0; t < 100000; ++t) admitted += limiter.Admit(t, now);
+  EXPECT_EQ(limiter.bucket_count(), kCap);
+  // Each tabled tenant spent its one-token burst; the other 98976 shared
+  // the overflow bucket's single token.
+  EXPECT_EQ(admitted, kCap + 1);
+  EXPECT_FALSE(limiter.Admit(0, now));
+  EXPECT_FALSE(limiter.Admit(99999, now));
+  EXPECT_TRUE(limiter.Admit(99999, now + ns));  // one token refilled
+  EXPECT_FALSE(limiter.Admit(50000, now + ns));
+  // Overrides still get a bucket of their own past the cap.
+  limiter.SetLimit(200000, {.rate = 1.0, .burst = 3.0});
+  for (int i = 0; i < 3; ++i) EXPECT_TRUE(limiter.Admit(200000, now)) << i;
+  EXPECT_FALSE(limiter.Admit(200000, now));
+  EXPECT_EQ(limiter.bucket_count(), kCap + 1);
+
+  TenantRateLimiter open({.rate = 0.0, .burst = 0.0});
+  open.SetLimit(7, {.rate = 1.0, .burst = 1.0});
+  for (uint32_t t = 0; t < 100000; ++t) {
+    if (t == 7) continue;
+    ASSERT_TRUE(open.Admit(t, now)) << t;
+  }
+  EXPECT_TRUE(open.Admit(7, now));
+  EXPECT_FALSE(open.Admit(7, now));
+  EXPECT_EQ(open.bucket_count(), 1u);  // only the override's
 }
 
 }  // namespace
