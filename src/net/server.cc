@@ -501,9 +501,9 @@ void Server::DispatchRequest(Loop* loop, Connection* conn, Request req,
     trace_id =
         MixTraceId(next_trace_seq_.fetch_add(1, std::memory_order_relaxed));
   }
-  // A shed or a result-cache hit is answered right here, without waiting
-  // for index work -- which is what keeps shed latency bounded under
-  // overload.
+  // A shed or a result-cache hit is answered right here, before this
+  // turn's batch runs, so under overload shed latency is bounded by one
+  // loop turn rather than by the searches queued behind it.
   Response now;
   now.request_id = req.request_id;
   now.outcome = ResponseOutcome::kShed;

@@ -16,12 +16,12 @@
 //  - Each request is served start to finish on its connection's loop.
 //    Admission control (per-tenant token buckets + a per-turn search
 //    bound) and the result-cache probe run at decode: a shed or a hit is
-//    answered without waiting for index work, the fast path a saturating
-//    tenant cannot congest. The searches admitted in one turn run as one
-//    ShardedIndex::SearchBatch call at its end.
-//  - Trade-off: a search blocked on storage holds up the other
-//    connections of its loop, not those of other loops; at most
-//    `worker_threads` searches run at once.
+//    answered in the turn it arrives, before that turn's searches run as
+//    one ShardedIndex::SearchBatch call at its end.
+//  - Trade-off: whatever arrives while a loop runs its batch (a shed, a
+//    hit, a ping, an accept on loop 0) waits for it, and a search blocked
+//    on storage holds up the whole loop; other loops are unaffected. At
+//    most `worker_threads` searches run at once.
 //  - Back-pressure: a connection owed kMaxUnsentBytes is neither read nor
 //    decoded until its peer drains it.
 //  - Deadlines propagate from the wire: a request's relative

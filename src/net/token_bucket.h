@@ -13,17 +13,18 @@
 // through an explicit timeline instead of sleeping.
 //
 // Thread model: every event loop of the server calls Admit concurrently.
-// Under an unlimited default, a tenant without an override is admitted by
-// one atomic load -- no lock, no allocation. Every other Admit takes the
-// limiter's mutex. The bucket table is capped: tenants past
-// kMaxTenantBuckets that run on the default limit share one overflow
-// bucket, so a scan of wire tenant ids cannot grow memory without bound.
+// Overrides are installed before that starts (the server does it in its
+// constructor), so Admit reads them without a lock: a tenant whose limit
+// is unlimited is admitted with no lock and no allocation. Every other
+// Admit takes the limiter's mutex. The bucket table is capped: tenants
+// past kMaxTenantBuckets that run on the default limit share one
+// overflow bucket, so a scan of wire tenant ids cannot grow memory
+// without bound.
 
 #ifndef I3_NET_TOKEN_BUCKET_H_
 #define I3_NET_TOKEN_BUCKET_H_
 
 #include <algorithm>
-#include <atomic>
 #include <cstdint>
 #include <mutex>
 #include <unordered_map>
@@ -85,26 +86,22 @@ class TenantRateLimiter {
   explicit TenantRateLimiter(TenantLimit default_limit = {})
       : default_limit_(default_limit) {}
 
-  /// Installs an override for `tenant` (before or during serving).
+  /// Installs an override for `tenant`. Not safe while Admit runs on
+  /// another thread: install every override before serving starts.
   void SetLimit(uint32_t tenant, TenantLimit limit) {
-    std::lock_guard<std::mutex> lock(mutex_);
     limits_[tenant] = limit;
     buckets_.erase(tenant);  // rebuilt with the new limit on next use
-    const uint32_t bit = tenant % kFilterBits;
-    override_filter_[bit / 64].fetch_or(uint64_t{1} << (bit % 64),
-                                        std::memory_order_release);
   }
 
   /// \brief True if `tenant` may proceed at `now_ns`; false = shed.
   bool Admit(uint32_t tenant, uint64_t now_ns) {
-    if (default_limit_.rate <= 0 && !MayHaveOverride(tenant)) return true;
+    auto lim = limits_.find(tenant);
+    const bool overridden = lim != limits_.end();
+    const TenantLimit limit = overridden ? lim->second : default_limit_;
+    if (limit.rate <= 0) return true;  // unlimited: no bucket needed
     std::lock_guard<std::mutex> lock(mutex_);
     auto it = buckets_.find(tenant);
     if (it == buckets_.end()) {
-      auto lim = limits_.find(tenant);
-      const bool overridden = lim != limits_.end();
-      const TenantLimit limit = overridden ? lim->second : default_limit_;
-      if (limit.rate <= 0) return true;  // unlimited: no bucket needed
       if (!overridden && buckets_.size() >= kMaxTenantBuckets) {
         return overflow_.TryAcquire(now_ns);
       }
@@ -122,23 +119,10 @@ class TenantRateLimiter {
   }
 
  private:
-  static constexpr uint32_t kFilterBits = 4096;
-
-  /// Lock-free; false proves `tenant` has no override (bits are set by
-  /// SetLimit and never cleared).
-  bool MayHaveOverride(uint32_t tenant) const {
-    const uint32_t bit = tenant % kFilterBits;
-    const uint64_t word =
-        override_filter_[bit / 64].load(std::memory_order_acquire);
-    return (word >> (bit % 64)) & 1;
-  }
-
   const TenantLimit default_limit_;
-  /// Bit (tenant mod kFilterBits) is set once a tenant mapping there gets
-  /// an override.
-  std::atomic<uint64_t> override_filter_[kFilterBits / 64] = {};
-  mutable std::mutex mutex_;
+  /// Written by SetLimit only, before concurrent Admit calls.
   std::unordered_map<uint32_t, TenantLimit> limits_;
+  mutable std::mutex mutex_;
   std::unordered_map<uint32_t, TokenBucket> buckets_;
   /// Shared by default-limit tenants once buckets_ is full.
   TokenBucket overflow_{default_limit_.rate, default_limit_.burst};

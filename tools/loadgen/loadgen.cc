@@ -8,19 +8,25 @@
 //
 // Usage:
 //   loadgen --port=N [--host=H] [--connections=4] [--requests=500]
+//           [--seconds=0]
 //           [--seed=42] [--k=10] [--qn=2] [--max-term=50]
 //           [--and-fraction=0.5] [--alpha=0.5] [--tenants=1]
+//           [--tenant-base=0] [--distinct=0]
 //           [--deadline-ms=0] [--space=minx,miny,maxx,maxy]
 //           [--connect-retries=20] [--json] [--trace]
 //           [--require-complete]
 //
-// `--requests` is per connection. Terms are uniform ids in
+// `--requests` is per connection; `--seconds=S` instead keeps every
+// connection sending for S seconds. Terms are uniform ids in
 // [0, max-term); locations are uniform in `--space` (default the
 // 0..100 square the synthetic corpora use). Tenant ids round-robin over
-// `--tenants`, so shed behavior under per-tenant limits is observable
-// from one process. Every response must be a well-formed ok/shed/error
-// frame; anything else (transport error, id mismatch) is a hard failure
-// and a nonzero exit.
+// `--tenant-base` + [0, `--tenants`), so shed behavior under per-tenant
+// limits is observable from one process, and two loadgen processes can
+// play disjoint tenants. `--distinct=N` draws every request Zipf(1) from
+// one pool of N requests shared by all connections (a repeat-heavy mix
+// that the server's result cache answers). Every response must be a
+// well-formed ok/shed/error frame; anything else (transport error, id
+// mismatch) is a hard failure and a nonzero exit.
 //
 // `--require-complete` sets wire flag bit 2 on every request: the server
 // refuses to serve a silently-partial (degraded) top-k and returns the
@@ -31,13 +37,16 @@
 // `--trace` sets the wire trace flag on every request and reports the
 // aggregated server-side span timeline next to the client-observed
 // latency: per-stage average time and share, plus the server-total vs
-// client-total gap (wire + client overhead the server cannot see).
+// client-total gap (wire + client overhead the server cannot see). It
+// also splits ok latency into result-cache hits and misses, which only
+// the trace's `result_cache_hit` annotation tells apart.
 
 #include <atomic>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <map>
+#include <memory>
 #include <string>
 #include <thread>
 #include <vector>
@@ -57,6 +66,7 @@ struct Options {
   uint16_t port = 0;
   uint32_t connections = 4;
   uint32_t requests = 500;
+  double seconds = 0.0;
   uint64_t seed = 42;
   uint32_t k = 10;
   uint32_t qn = 2;
@@ -64,6 +74,8 @@ struct Options {
   double and_fraction = 0.5;
   double alpha = 0.5;
   uint32_t tenants = 1;
+  uint32_t tenant_base = 0;
+  uint32_t distinct = 0;
   uint32_t deadline_ms = 0;
   double space[4] = {0.0, 0.0, 100.0, 100.0};
   uint32_t connect_retries = 20;
@@ -80,6 +92,9 @@ struct WorkerStats {
   uint64_t mismatched = 0;  ///< id mismatches: always a bug somewhere
   obs::HistogramSnapshot ok_latency_us;
   obs::HistogramSnapshot shed_latency_us;
+  /// --trace only: ok latency of result-cache hits and of misses.
+  obs::HistogramSnapshot hit_latency_us;
+  obs::HistogramSnapshot miss_latency_us;
 
   /// --trace aggregation: responses that carried a timeline, the
   /// server-reported totals, the client-observed wall time of those same
@@ -97,6 +112,8 @@ struct WorkerStats {
     mismatched += o.mismatched;
     ok_latency_us.MergeFrom(o.ok_latency_us);
     shed_latency_us.MergeFrom(o.shed_latency_us);
+    hit_latency_us.MergeFrom(o.hit_latency_us);
+    miss_latency_us.MergeFrom(o.miss_latency_us);
     traced += o.traced;
     server_total_ns += o.server_total_ns;
     client_total_ns += o.client_total_ns;
@@ -122,6 +139,8 @@ bool ParseOptions(int argc, char** argv, Options* opt) {
       opt->connections = static_cast<uint32_t>(std::atoi(v));
     } else if (ParseFlag(argv[i], "--requests=", &v)) {
       opt->requests = static_cast<uint32_t>(std::atoi(v));
+    } else if (ParseFlag(argv[i], "--seconds=", &v)) {
+      opt->seconds = std::atof(v);
     } else if (ParseFlag(argv[i], "--seed=", &v)) {
       opt->seed = std::strtoull(v, nullptr, 10);
     } else if (ParseFlag(argv[i], "--k=", &v)) {
@@ -136,6 +155,10 @@ bool ParseOptions(int argc, char** argv, Options* opt) {
       opt->alpha = std::atof(v);
     } else if (ParseFlag(argv[i], "--tenants=", &v)) {
       opt->tenants = static_cast<uint32_t>(std::atoi(v));
+    } else if (ParseFlag(argv[i], "--tenant-base=", &v)) {
+      opt->tenant_base = static_cast<uint32_t>(std::atoi(v));
+    } else if (ParseFlag(argv[i], "--distinct=", &v)) {
+      opt->distinct = static_cast<uint32_t>(std::atoi(v));
     } else if (ParseFlag(argv[i], "--deadline-ms=", &v)) {
       opt->deadline_ms = static_cast<uint32_t>(std::atoi(v));
     } else if (ParseFlag(argv[i], "--space=", &v)) {
@@ -174,7 +197,7 @@ bool ParseOptions(int argc, char** argv, Options* opt) {
 net::Request RandomRequest(const Options& opt, Rng* rng, uint64_t id) {
   net::Request req;
   req.request_id = id;
-  req.tenant = static_cast<uint32_t>(id % opt.tenants);
+  req.tenant = opt.tenant_base + static_cast<uint32_t>(id % opt.tenants);
   req.k = opt.k;
   req.semantics = rng->Chance(opt.and_fraction) ? Semantics::kAnd
                                                 : Semantics::kOr;
@@ -195,7 +218,14 @@ net::Request RandomRequest(const Options& opt, Rng* rng, uint64_t id) {
   return req;
 }
 
-void RunWorker(const Options& opt, uint32_t worker_id, WorkerStats* stats,
+/// The --distinct request pool, shared read-only by every connection.
+struct RequestPool {
+  std::vector<net::Request> requests;
+  std::unique_ptr<ZipfSampler> rank;
+};
+
+void RunWorker(const Options& opt, const RequestPool& pool,
+               uint32_t worker_id, WorkerStats* stats,
                std::atomic<bool>* hard_failure) {
   net::ClientOptions copts;
   copts.host = opt.host;
@@ -210,9 +240,19 @@ void RunWorker(const Options& opt, uint32_t worker_id, WorkerStats* stats,
     return;
   }
   Rng rng(opt.seed * 1000003 + worker_id);
-  for (uint32_t i = 0; i < opt.requests; ++i) {
+  const uint64_t end_ns =
+      obs::NowNanos() + static_cast<uint64_t>(opt.seconds * 1e9);
+  for (uint32_t i = 0;
+       opt.seconds > 0 ? obs::NowNanos() < end_ns : i < opt.requests; ++i) {
     const uint64_t id = uint64_t{worker_id} << 32 | i;
-    const net::Request req = RandomRequest(opt, &rng, id);
+    net::Request req;
+    if (pool.rank != nullptr) {
+      req = pool.requests[pool.rank->Sample(&rng)];
+      req.request_id = id;
+      req.tenant = opt.tenant_base + static_cast<uint32_t>(id % opt.tenants);
+    } else {
+      req = RandomRequest(opt, &rng, id);
+    }
     const uint64_t t0 = obs::NowNanos();
     auto resp = client.ValueOrDie()->Call(req);
     const uint64_t us = (obs::NowNanos() - t0) / 1000;
@@ -227,8 +267,12 @@ void RunWorker(const Options& opt, uint32_t worker_id, WorkerStats* stats,
       ++stats->mismatched;
       continue;
     }
+    bool hit = false;
     if (r.has_trace) {
       ++stats->traced;
+      for (const auto& a : r.trace.annotations) {
+        hit = hit || (a.name == "result_cache_hit" && a.value != 0);
+      }
       stats->server_total_ns += r.trace.total_ns;
       stats->client_total_ns += us * 1000;
       for (const auto& span : r.trace.spans) {
@@ -240,6 +284,9 @@ void RunWorker(const Options& opt, uint32_t worker_id, WorkerStats* stats,
         ++stats->ok;
         if (r.degraded) ++stats->degraded;
         stats->ok_latency_us.Record(us);
+        if (r.has_trace) {
+          (hit ? stats->hit_latency_us : stats->miss_latency_us).Record(us);
+        }
         break;
       case net::ResponseOutcome::kShed:
         ++stats->shed;
@@ -252,11 +299,22 @@ void RunWorker(const Options& opt, uint32_t worker_id, WorkerStats* stats,
   }
 }
 
+void PrintLatency(const char* label, const obs::HistogramSnapshot& h) {
+  if (h.count() == 0) return;
+  std::printf("  %-16s p50 %llu  p90 %llu  p99 %llu\n", label,
+              static_cast<unsigned long long>(h.Quantile(0.5)),
+              static_cast<unsigned long long>(h.Quantile(0.9)),
+              static_cast<unsigned long long>(h.Quantile(0.99)));
+}
+
 void PrintHuman(const Options& opt, const WorkerStats& total,
                 double elapsed_s, double qps) {
-  std::printf("loadgen: %u connections x %u requests in %.2fs "
+  std::printf("loadgen: %u connections, %llu requests in %.2fs "
               "(%.0f req/s)\n",
-              opt.connections, opt.requests, elapsed_s, qps);
+              opt.connections,
+              static_cast<unsigned long long>(total.ok + total.shed +
+                                              total.error),
+              elapsed_s, qps);
   std::printf("  ok       %llu (%llu degraded)\n",
               static_cast<unsigned long long>(total.ok),
               static_cast<unsigned long long>(total.degraded));
@@ -264,24 +322,10 @@ void PrintHuman(const Options& opt, const WorkerStats& total,
               static_cast<unsigned long long>(total.shed));
   std::printf("  error    %llu\n",
               static_cast<unsigned long long>(total.error));
-  if (total.ok > 0) {
-    std::printf("  ok latency us    p50 %llu  p90 %llu  p99 %llu\n",
-                static_cast<unsigned long long>(
-                    total.ok_latency_us.Quantile(0.5)),
-                static_cast<unsigned long long>(
-                    total.ok_latency_us.Quantile(0.9)),
-                static_cast<unsigned long long>(
-                    total.ok_latency_us.Quantile(0.99)));
-  }
-  if (total.shed > 0) {
-    std::printf("  shed latency us  p50 %llu  p90 %llu  p99 %llu\n",
-                static_cast<unsigned long long>(
-                    total.shed_latency_us.Quantile(0.5)),
-                static_cast<unsigned long long>(
-                    total.shed_latency_us.Quantile(0.9)),
-                static_cast<unsigned long long>(
-                    total.shed_latency_us.Quantile(0.99)));
-  }
+  PrintLatency("ok latency us", total.ok_latency_us);
+  PrintLatency("shed latency us", total.shed_latency_us);
+  PrintLatency("hit latency us", total.hit_latency_us);
+  PrintLatency("miss latency us", total.miss_latency_us);
   if (total.traced > 0) {
     const double n = static_cast<double>(total.traced);
     const double server_avg_us =
@@ -307,6 +351,16 @@ void PrintHuman(const Options& opt, const WorkerStats& total,
   }
 }
 
+std::string LatencyJson(const obs::HistogramSnapshot& h) {
+  char buf[96];
+  std::snprintf(buf, sizeof(buf),
+                "{\"p50\": %llu, \"p90\": %llu, \"p99\": %llu}",
+                static_cast<unsigned long long>(h.Quantile(0.5)),
+                static_cast<unsigned long long>(h.Quantile(0.9)),
+                static_cast<unsigned long long>(h.Quantile(0.99)));
+  return buf;
+}
+
 void PrintJson(const Options& opt, const WorkerStats& total,
                double elapsed_s, double qps) {
   std::printf(
@@ -314,9 +368,7 @@ void PrintJson(const Options& opt, const WorkerStats& total,
       "\"seed\": %llu, \"elapsed_s\": %.4f, \"qps\": %.1f, "
       "\"ok\": %llu, \"degraded\": %llu, \"shed\": %llu, "
       "\"error\": %llu, \"mismatched\": %llu, "
-      "\"ok_latency_us\": {\"p50\": %llu, \"p90\": %llu, \"p99\": %llu}, "
-      "\"shed_latency_us\": {\"p50\": %llu, \"p90\": %llu, "
-      "\"p99\": %llu}",
+      "\"ok_latency_us\": %s, \"shed_latency_us\": %s",
       opt.connections, opt.requests,
       static_cast<unsigned long long>(opt.seed), elapsed_s, qps,
       static_cast<unsigned long long>(total.ok),
@@ -324,20 +376,20 @@ void PrintJson(const Options& opt, const WorkerStats& total,
       static_cast<unsigned long long>(total.shed),
       static_cast<unsigned long long>(total.error),
       static_cast<unsigned long long>(total.mismatched),
-      static_cast<unsigned long long>(total.ok_latency_us.Quantile(0.5)),
-      static_cast<unsigned long long>(total.ok_latency_us.Quantile(0.9)),
-      static_cast<unsigned long long>(total.ok_latency_us.Quantile(0.99)),
-      static_cast<unsigned long long>(total.shed_latency_us.Quantile(0.5)),
-      static_cast<unsigned long long>(total.shed_latency_us.Quantile(0.9)),
-      static_cast<unsigned long long>(
-          total.shed_latency_us.Quantile(0.99)));
+      LatencyJson(total.ok_latency_us).c_str(),
+      LatencyJson(total.shed_latency_us).c_str());
   if (total.traced > 0) {
     std::printf(
         ", \"trace\": {\"responses\": %llu, \"server_total_ns\": %llu, "
-        "\"client_total_ns\": %llu, \"stages_ns\": {",
+        "\"client_total_ns\": %llu, \"hits\": %llu, "
+        "\"hit_latency_us\": %s, \"miss_latency_us\": %s, "
+        "\"stages_ns\": {",
         static_cast<unsigned long long>(total.traced),
         static_cast<unsigned long long>(total.server_total_ns),
-        static_cast<unsigned long long>(total.client_total_ns));
+        static_cast<unsigned long long>(total.client_total_ns),
+        static_cast<unsigned long long>(total.hit_latency_us.count()),
+        LatencyJson(total.hit_latency_us).c_str(),
+        LatencyJson(total.miss_latency_us).c_str());
     bool first = true;
     for (const auto& [name, ns] : total.stage_ns) {
       std::printf("%s\"%s\": %llu", first ? "" : ", ", name.c_str(),
@@ -355,14 +407,22 @@ int main(int argc, char** argv) {
   Options opt;
   if (!ParseOptions(argc, argv, &opt)) return 2;
 
+  RequestPool pool;
+  if (opt.distinct > 0) {
+    Rng rng(opt.seed);
+    for (uint32_t i = 0; i < opt.distinct; ++i) {
+      pool.requests.push_back(RandomRequest(opt, &rng, i));
+    }
+    pool.rank = std::make_unique<ZipfSampler>(opt.distinct, 1.0);
+  }
   std::vector<WorkerStats> per_worker(opt.connections);
   std::atomic<bool> hard_failure{false};
   const uint64_t t0 = obs::NowNanos();
   std::vector<std::thread> threads;
   threads.reserve(opt.connections);
   for (uint32_t w = 0; w < opt.connections; ++w) {
-    threads.emplace_back(RunWorker, std::cref(opt), w, &per_worker[w],
-                         &hard_failure);
+    threads.emplace_back(RunWorker, std::cref(opt), std::cref(pool), w,
+                         &per_worker[w], &hard_failure);
   }
   for (auto& t : threads) t.join();
   const double elapsed_s =
