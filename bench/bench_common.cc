@@ -179,6 +179,8 @@ QuerySetCost RunQuerySet(SpatialKeywordIndex* index,
     if (run.deadline_us > 0) {
       q.control = QueryControl::AfterMicros(run.deadline_us);
     }
+    QueryStats stats;
+    q.control.stats = &stats;
     const uint64_t q0 = obs::NowNanos();
     auto res = index->Search(q, alpha);
     latencies_us.Record((obs::NowNanos() - q0) / 1000);
@@ -191,14 +193,14 @@ QuerySetCost RunQuerySet(SpatialKeywordIndex* index,
       ++cost.failed_queries;
       continue;
     }
-    cost.degraded_queries += index->LastSearchStats().Get("degraded");
+    if (stats.fanout.degraded) ++cost.degraded_queries;
   }
   cost.avg_ms = timer.ElapsedMillis() / queries.size();
   cost.p50_ms = static_cast<double>(latencies_us.Quantile(0.50)) / 1000.0;
   cost.p90_ms = static_cast<double>(latencies_us.Quantile(0.90)) / 1000.0;
   cost.p99_ms = static_cast<double>(latencies_us.Quantile(0.99)) / 1000.0;
   cost.max_ms = static_cast<double>(latencies_us.Max()) / 1000.0;
-  const IoStats& io = index->io_stats();
+  const IoStats io = index->io_stats();
   // The stats were reset above, so the cumulative counters are exactly
   // this query set's delta.
   RecordIoMetrics(io);

@@ -1,16 +1,13 @@
-// Multi-threaded search throughput of the concurrency layer.
+// Multi-threaded search throughput of ShardedIndex.
 //
 // Compares, at 1/2/4/8 client threads over the same Twitter-tier corpus:
-//   serialized : ConcurrentIndex(I3) with force_serialized_queries -- the
-//                wrapper's historical coarse locking, every Search holds one
-//                query mutex (the pre-fix baseline);
-//   concurrent : ConcurrentIndex(I3) as shipped -- readers share the lock
-//                and run in parallel;
-//   sharded    : ShardedIndex(I3 x S), each client thread fanning out over
-//                the shards sequentially (search_threads = 0: client
-//                threads are already the parallelism);
-// plus one batched row: ShardedIndex::SearchMany driving its internal pool
-// from a single caller.
+//   1 shard  : ShardedIndex over one I3 -- the plain thread-safe wrapper;
+//              readers share the shard lock and run in parallel;
+//   8 shards : ShardedIndex(I3 x 8), each client thread visiting the
+//              shards in turn.
+// Every search runs on its caller's thread, so the client threads are the
+// only parallelism; each cell also shows the speedup over the same index
+// at one client thread.
 //
 // Simulated per-page IO latency is armed during measurement, so the figures
 // reflect the paper's disk-resident setting where concurrent queries
@@ -22,7 +19,6 @@
 #include <vector>
 
 #include "bench_common.h"
-#include "model/concurrent_index.h"
 #include "model/sharded_index.h"
 #include "storage/io_stats.h"
 
@@ -96,9 +92,9 @@ int main(int argc, char** argv) {
       qgen.Freq(cfg.default_qn, std::max(cfg.num_queries, 64u),
                 cfg.default_k, Semantics::kOr, /*seed=*/4242);
 
-  ConcurrentIndex serialized(BuildI3(ds, cfg.eta),
-                             {.force_serialized_queries = true});
-  ConcurrentIndex concurrent(BuildI3(ds, cfg.eta));
+  std::vector<std::unique_ptr<SpatialKeywordIndex>> one;
+  one.push_back(BuildI3(ds, cfg.eta));
+  ShardedIndex single(std::move(one));
 
   I3Options shard_opt;
   shard_opt.space = ds.space;
@@ -106,72 +102,49 @@ int main(int argc, char** argv) {
   auto sharded_res = ShardedIndex::Create(
       [&](uint32_t) { return std::make_unique<I3Index>(shard_opt); },
       {.num_shards = kNumShards});
-  auto batched_res = ShardedIndex::Create(
-      [&](uint32_t) { return std::make_unique<I3Index>(shard_opt); },
-      {.num_shards = kNumShards, .search_threads = 8});
-  if (!sharded_res.ok() || !batched_res.ok()) {
+  if (!sharded_res.ok()) {
     std::fprintf(stderr, "sharded build failed\n");
     return 1;
   }
   auto& sharded = *sharded_res.ValueOrDie();
-  auto& batched = *batched_res.ValueOrDie();
   for (const auto& d : ds.docs) {
-    if (!sharded.Insert(d).ok() || !batched.Insert(d).ok()) {
+    if (!sharded.Insert(d).ok()) {
       std::fprintf(stderr, "sharded insert failed\n");
       return 1;
     }
   }
 
-  // Warm each index's caches once so every mode is measured steady-state.
+  // Warm each index's caches once so both are measured steady-state.
   for (const Query& q : queries) {
-    serialized.Search(q, cfg.default_alpha).ok();
-    concurrent.Search(q, cfg.default_alpha).ok();
+    single.Search(q, cfg.default_alpha).ok();
     sharded.Search(q, cfg.default_alpha).ok();
-    batched.Search(q, cfg.default_alpha).ok();
   }
 
   ScopedIoLatency latency(iolat);
 
-  std::printf("\n-- OR FREQ_%u throughput (queries/s; speedup vs serialized "
-              "at the same thread count) --\n", cfg.default_qn);
-  PrintRow({"Threads", "serialized", "concurrent", "sharded x8"});
-  PrintRule(4);
-  double serialized_1t = 0.0, sharded_best = 0.0, serialized_at_best = 0.0;
+  std::printf("\n-- OR FREQ_%u throughput (queries/s; speedup vs the same "
+              "index at 1 thread) --\n", cfg.default_qn);
+  PrintRow({"Threads", "1 shard", "sharded x8"});
+  PrintRule(3);
+  double single_1t = 0.0, sharded_1t = 0.0;
+  double single_at_max = 0.0, sharded_at_max = 0.0;
   for (int threads : kThreadCounts) {
-    const double qps_ser =
-        MeasureQps(&serialized, queries, cfg.default_alpha, threads);
-    const double qps_con =
-        MeasureQps(&concurrent, queries, cfg.default_alpha, threads);
+    const double qps_one =
+        MeasureQps(&single, queries, cfg.default_alpha, threads);
     const double qps_sha =
         MeasureQps(&sharded, queries, cfg.default_alpha, threads);
-    if (threads == 1) serialized_1t = qps_ser;
-    if (threads == kThreadCounts[3]) {
-      sharded_best = qps_sha;
-      serialized_at_best = qps_ser;
+    if (threads == 1) {
+      single_1t = qps_one;
+      sharded_1t = qps_sha;
     }
-    PrintRow({std::to_string(threads), Fmt(qps_ser, 0),
-              Fmt(qps_con, 0) + " (" + Fmt(qps_con / qps_ser, 2) + "x)",
-              Fmt(qps_sha, 0) + " (" + Fmt(qps_sha / qps_ser, 2) + "x)"});
+    single_at_max = qps_one;
+    sharded_at_max = qps_sha;
+    PrintRow({std::to_string(threads),
+              Fmt(qps_one, 0) + " (" + Fmt(qps_one / single_1t, 2) + "x)",
+              Fmt(qps_sha, 0) + " (" + Fmt(qps_sha / sharded_1t, 2) + "x)"});
   }
-
-  // Batched mode: one caller, the internal pool spreads whole queries.
-  Timer timer;
-  constexpr int kBatches = 25;
-  for (int i = 0; i < kBatches; ++i) {
-    auto res = batched.SearchMany(queries, cfg.default_alpha);
-    if (!res.ok()) {
-      std::fprintf(stderr, "SearchMany failed\n");
-      return 1;
-    }
-  }
-  const double batched_qps = static_cast<double>(kBatches) * queries.size() /
-                             (timer.ElapsedSeconds());
-  std::printf("\nSearchMany (1 caller, pool=8): %s q/s (%sx vs serialized "
-              "1 thread)\n",
-              Fmt(batched_qps, 0).c_str(),
-              Fmt(batched_qps / serialized_1t, 2).c_str());
-  std::printf("sharded x8 @ %d threads vs serialized @ %d threads: %sx\n",
+  std::printf("\nsharded x8 @ %d threads vs 1 shard @ %d threads: %sx\n",
               kThreadCounts[3], kThreadCounts[3],
-              Fmt(sharded_best / serialized_at_best, 2).c_str());
+              Fmt(sharded_at_max / single_at_max, 2).c_str());
   return 0;
 }

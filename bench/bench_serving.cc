@@ -1,5 +1,5 @@
 // Serving-stack benchmark: the full wire path (client -> TCP -> epoll
-// loop -> admission -> SearchBatch -> response) against an in-process
+// loop -> admission -> Search -> response) against an in-process
 // net::Server, plus a forced-overload phase measuring shed behavior.
 //
 // Differential anchor: the query workload is EXACTLY the hot-path smoke

@@ -550,15 +550,10 @@ IndexSizeInfo I3Index::SizeInfo() const {
   return info;
 }
 
-const IoStats& I3Index::io_stats() const {
-  // Merged-on-read snapshot. The lock serializes concurrent accessors; the
-  // returned reference is stable only until the next io_stats() call, so
-  // callers that need a durable value copy it (IoStats is copyable).
-  std::lock_guard<std::mutex> lock(stats_mutex_);
-  merged_stats_.Reset();
-  merged_stats_.MergeFrom(data_->io_stats());
-  merged_stats_.MergeFrom(head_.io_stats());
-  return merged_stats_;
+IoStats I3Index::io_stats() const {
+  IoStats merged = data_->io_stats();
+  merged.MergeFrom(head_.io_stats());
+  return merged;
 }
 
 void I3Index::ResetIoStats() {

@@ -17,7 +17,6 @@
 #define I3_I3_I3_INDEX_H_
 
 #include <memory>
-#include <mutex>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -84,12 +83,6 @@ class I3Index final : public SpatialKeywordIndex {
   Result<std::vector<ScoredDoc>> Search(const Query& q,
                                         double alpha) override;
 
-  /// The query path keeps all per-query state on the stack (SearchContext)
-  /// and charges I/O to internally synchronized counters, so concurrent
-  /// readers are safe as long as no writer runs (the concurrency wrappers
-  /// provide that exclusion).
-  bool SupportsConcurrentSearch() const override { return true; }
-
   /// \brief Range-constrained keyword search (the "query region" variant
   /// of spatial keyword search surveyed in the paper's Section 2): returns
   /// the documents located inside `range` that satisfy `semantics` over
@@ -120,23 +113,17 @@ class I3Index final : public SpatialKeywordIndex {
   uint64_t DocumentCount() const override { return doc_count_; }
   IndexSizeInfo SizeInfo() const override;
 
-  const IoStats& io_stats() const override;
+  IoStats io_stats() const override;
   void ResetIoStats() override;
   void ClearCache() override {
     data_->ClearCache();
     head_.ClearCache();
   }
 
-  /// Statistics of the most recent completed Search call (snapshot; under
-  /// concurrent readers "most recent" is whichever search published last).
-  I3SearchStats last_search_stats() const {
-    std::lock_guard<std::mutex> lock(stats_mutex_);
-    return last_search_stats_;
-  }
-
-  SearchStatsView LastSearchStats() const override {
-    return View(last_search_stats());
-  }
+  /// \brief Statistics of the calling thread's most recent completed I3
+  /// search, on any I3Index. Per-request callers read
+  /// QueryControl::stats instead, which also sums a fan-out's shards.
+  static I3SearchStats last_search_stats();
 
   /// Number of summary nodes in the head file.
   size_t SummaryNodeCount() const { return head_.NodeCount(); }
@@ -258,13 +245,6 @@ class I3Index final : public SpatialKeywordIndex {
   HeadFile head_;
   SourceId next_source_ = 1;
   uint64_t doc_count_ = 0;
-  // Guards last_search_stats_ and merged_stats_ (both are snapshot scratch
-  // published by/for accessors; the index structures themselves rely on the
-  // caller's reader/writer exclusion instead).
-  mutable std::mutex stats_mutex_;
-  I3SearchStats last_search_stats_;
-  mutable IoStats merged_stats_;  // scratch for io_stats()
-
   // Metric handles cached at construction (see obs/metrics.h: the registry
   // is never touched on the query path). Index 0 = AND, 1 = OR.
   obs::Histogram* search_latency_us_[2];

@@ -526,47 +526,54 @@ class I3Index::SearchContext {
   uint32_t full_mask_ = 0;
 };
 
+namespace {
+
+/// The calling thread's most recent I3 search (I3Index::last_search_stats).
+thread_local I3SearchStats t_last_search_stats;
+
+}  // namespace
+
+I3SearchStats I3Index::last_search_stats() { return t_last_search_stats; }
+
 Result<std::vector<ScoredDoc>> I3Index::Search(const Query& q_in,
                                                double alpha) {
   const uint64_t start_ns = obs::NowNanos();
-  // A request-scoped sink (wire-propagated tracing) takes precedence over
-  // the sampled global tracer: the caller owns the timeline and publishes
-  // it (over the wire / into the slow-query log), so it is not pushed to
-  // the sampled ring here.
-  obs::QueryTrace* request_trace = q_in.control.trace;
-  obs::QueryTrace trace_storage;
-  obs::QueryTrace* trace = request_trace;
-  if (trace == nullptr &&
-      obs::Tracer::Global().StartTrace("I3.Search", &trace_storage)) {
-    trace = &trace_storage;
-  }
+  // A caller-supplied span sink (wire-propagated tracing, or a fan-out
+  // parent's trace) takes precedence over sampling, and only an outermost
+  // search samples: one request is one sampling decision.
+  obs::QueryTrace* trace = q_in.control.trace;
+  obs::QueryTrace sampled;
+  const bool owns_trace =
+      trace == nullptr && !q_in.control.nested &&
+      obs::Tracer::Global().StartTrace("I3.Search", &sampled);
+  if (owns_trace) trace = &sampled;
   I3SearchStats stats;
   const uint64_t backoff_before = internal::t_retry_backoff_ns;
   auto result = SearchImpl(q_in, alpha, &stats, trace);
   const uint64_t backoff_ns = internal::t_retry_backoff_ns - backoff_before;
   search_latency_us_[q_in.semantics == Semantics::kAnd ? 0 : 1]->Record(
       (obs::NowNanos() - start_ns) / 1000);
-  stats_emitter_.Emit(View(stats));
+  const SearchStatsView view = View(stats);
+  stats_emitter_.Emit(view);
   if (stats.cells_skipped != 0) {
     cells_skipped_total_->Increment(stats.cells_skipped);
   }
   if (stats.blockmax_prunes != 0) {
     blockmax_prunes_total_->Increment(stats.blockmax_prunes);
   }
-  if (trace != nullptr) {
-    // Time this query lost to transient-read retry backoff (buffer pool).
-    if (backoff_ns != 0) trace->AddStage("retry_backoff", backoff_ns);
-    trace->Annotate("candidates_popped", stats.candidates_popped);
-    trace->Annotate("docs_scored", stats.docs_scored);
-    trace->Annotate("rows_joined", stats.rows_joined);
-    trace->Annotate("cells_skipped", stats.cells_skipped);
-    trace->Annotate("blockmax_prunes", stats.blockmax_prunes);
-    if (result.ok()) trace->Annotate("results", result.ValueOrDie().size());
-    if (trace != request_trace)
-      obs::Tracer::Global().Finish(std::move(*trace));
+  if (q_in.control.stats != nullptr) q_in.control.stats->work.Add(view);
+  // Time this query lost to transient-read retry backoff (buffer pool).
+  if (trace != nullptr && backoff_ns != 0) {
+    trace->AddStage("retry_backoff", backoff_ns);
   }
-  std::lock_guard<std::mutex> lock(stats_mutex_);
-  last_search_stats_ = stats;
+  if (owns_trace) {
+    QueryStats own;
+    own.work = view;
+    own.AnnotateTrace(trace);
+    if (result.ok()) trace->Annotate("results", result.ValueOrDie().size());
+    obs::Tracer::Global().Finish(std::move(sampled));
+  }
+  t_last_search_stats = stats;
   return result;
 }
 

@@ -19,7 +19,6 @@
 #define I3_IRTREE_IRTREE_INDEX_H_
 
 #include <memory>
-#include <mutex>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -93,28 +92,12 @@ class IrTreeIndex final : public SpatialKeywordIndex {
 
   uint64_t DocumentCount() const override { return docs_.size(); }
   IndexSizeInfo SizeInfo() const override;
-  const IoStats& io_stats() const override { return io_stats_; }
+  IoStats io_stats() const override { return io_stats_; }
   void ResetIoStats() override { io_stats_.Reset(); }
-
-  /// The query path keeps all per-query state on the stack (priority
-  /// queue, heap, stats) and only reads the tree; statistics are published
-  /// once per search under stats_mutex_, and the io_stats_ counters are
-  /// atomic. Safe for concurrent readers in the absence of writers.
-  bool SupportsConcurrentSearch() const override { return true; }
 
   size_t NodeCount() const { return node_count_; }
   int Height() const;
 
-  /// Statistics of the most recent completed Search call (snapshot; under
-  /// concurrent readers "most recent" is whichever search published last).
-  IrTreeSearchStats last_search_stats() const {
-    std::lock_guard<std::mutex> lock(stats_mutex_);
-    return last_search_stats_;
-  }
-
-  SearchStatsView LastSearchStats() const override {
-    return View(last_search_stats());
-  }
   const IrTreeOptions& options() const { return options_; }
 
   /// Structural checker for tests: MBR containment, pseudo-document
@@ -206,10 +189,6 @@ class IrTreeIndex final : public SpatialKeywordIndex {
   size_t node_count_ = 0;
   std::unordered_map<DocId, SpatialDocument> docs_;
   IoStats io_stats_;
-  /// Guards last_search_stats_ (snapshot scratch published per search; the
-  /// tree itself relies on the caller's reader/writer exclusion).
-  mutable std::mutex stats_mutex_;
-  IrTreeSearchStats last_search_stats_;
 
   // Metric handles cached at construction. Index 0 = AND, 1 = OR.
   obs::Histogram* search_latency_us_[2];

@@ -28,12 +28,9 @@ class BruteForceIndex final : public SpatialKeywordIndex {
   Result<std::vector<ScoredDoc>> Search(const Query& q,
                                         double alpha) override;
 
-  /// Search only reads docs_ into stack-local state.
-  bool SupportsConcurrentSearch() const override { return true; }
-
   uint64_t DocumentCount() const override { return docs_.size(); }
   IndexSizeInfo SizeInfo() const override;
-  const IoStats& io_stats() const override { return io_stats_; }
+  IoStats io_stats() const override { return io_stats_; }
   void ResetIoStats() override { io_stats_.Reset(); }
 
  private:

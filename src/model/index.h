@@ -15,7 +15,6 @@
 #include "common/status.h"
 #include "model/document.h"
 #include "model/query.h"
-#include "model/search_stats.h"
 #include "storage/io_stats.h"
 
 namespace i3 {
@@ -44,14 +43,19 @@ struct IndexSizeInfo {
 
 /// \brief Composes a decorator tag into an index name so stacked wrappers
 /// stay readable: ("I3", "sharded x8") -> "I3 (sharded x8)", but
-/// ("I3 (concurrent)", "sharded x8") -> "I3 (concurrent, sharded x8)".
+/// ("I3 (replicated x2)", "sharded x8") -> "I3 (replicated x2, sharded x8)".
 std::string ComposeIndexName(const std::string& base, const std::string& tag);
 
 /// \brief Abstract top-k spatial keyword index.
 ///
-/// Implementations are single-writer / single-reader, mirroring the paper's
-/// experimental setting. All fallible operations return Status; Search
-/// returns the top-k documents in decreasing score.
+/// Concurrency contract: one writer and any number of concurrent readers.
+/// Search may run on many threads at once as long as no Insert / Delete /
+/// Update / ClearCache runs beside it (ShardedIndex supplies that
+/// exclusion with per-shard reader-writer locks). Every implementation
+/// keeps per-query state on the searching thread's stack, reports
+/// per-query facts only through the caller's QueryControl::stats, and
+/// charges I/O to atomic counters. All fallible operations return Status;
+/// Search returns the top-k documents in decreasing score.
 class SpatialKeywordIndex {
  public:
   virtual ~SpatialKeywordIndex() = default;
@@ -77,26 +81,10 @@ class SpatialKeywordIndex {
 
   /// \brief Answers a top-k query under `alpha` spatial weighting. Results
   /// are sorted by decreasing score (ties by increasing DocId) and contain
-  /// at most q.k entries (fewer when fewer documents match).
+  /// at most q.k entries (fewer when fewer documents match). Adds the
+  /// query's work counters to q.control.stats when it is set.
   virtual Result<std::vector<ScoredDoc>> Search(const Query& q,
                                                 double alpha) = 0;
-
-  /// \brief True if Search may be called from multiple threads at once (in
-  /// the absence of concurrent writers). An implementation may return true
-  /// only when its whole query path touches nothing but per-query stack
-  /// state and internally synchronized counters -- including statistics:
-  /// search stats must be accumulated on the stack and published under a
-  /// mutex (see model/search_stats.h), never incremented on a shared
-  /// member mid-search. I3, IR-tree, S2I, and BruteForce all satisfy this;
-  /// the default stays false so new implementations must opt in
-  /// deliberately. The concurrency wrappers consult this to decide whether
-  /// readers must be serialized.
-  virtual bool SupportsConcurrentSearch() const { return false; }
-
-  /// \brief Name/value view of the most recent completed Search's
-  /// statistics (under concurrent readers, whichever search published
-  /// last). Default: empty view for indexes without stats.
-  virtual SearchStatsView LastSearchStats() const { return {}; }
 
   /// \brief Number of indexed documents.
   virtual uint64_t DocumentCount() const = 0;
@@ -104,8 +92,9 @@ class SpatialKeywordIndex {
   /// \brief Storage footprint by component.
   virtual IndexSizeInfo SizeInfo() const = 0;
 
-  /// \brief Cumulative page I/O counters.
-  virtual const IoStats& io_stats() const = 0;
+  /// \brief Cumulative page I/O counters: a snapshot, each counter read
+  /// once (safe beside concurrent searches).
+  virtual IoStats io_stats() const = 0;
   virtual void ResetIoStats() = 0;
 
   /// \brief Drops any cached pages (cold-cache reset); default no-op for

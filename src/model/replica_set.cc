@@ -62,7 +62,6 @@ ReplicaSet::ReplicaSet(
   replicas_.reserve(replicas.size());
   for (auto& index : replicas) {
     auto rep = std::make_unique<Replica>();
-    rep->serialize_queries = !index->SupportsConcurrentSearch();
     rep->index = std::move(index);
     rep->scrub_cursor = ScrubCursor(options_.scrub_pages_per_tick);
     replicas_.push_back(std::move(rep));
@@ -235,10 +234,6 @@ Result<std::vector<ScoredDoc>> ReplicaSet::SearchFailover(
     ++attempts;
     Result<std::vector<ScoredDoc>> res = [&]() {
       std::shared_lock<std::shared_mutex> lock(rep.mutex);
-      if (rep.serialize_queries) {
-        std::lock_guard<std::mutex> qlock(rep.query_mutex);
-        return rep.index->Search(q, alpha);
-      }
       return rep.index->Search(q, alpha);
     }();
     if (res.ok()) {
@@ -247,7 +242,6 @@ Result<std::vector<ScoredDoc>> ReplicaSet::SearchFailover(
         failovers_.fetch_add(1, std::memory_order_relaxed);
         failover_metric_->Increment();
       }
-      last_served_.store(r, std::memory_order_relaxed);
       if (report != nullptr) {
         report->served_replica = r;
         report->attempts = attempts;
@@ -271,13 +265,6 @@ Result<std::vector<ScoredDoc>> ReplicaSet::SearchFailover(
       "ReplicaSet: no healthy replica to serve read");
 }
 
-SearchStatsView ReplicaSet::LastSearchStats() const {
-  const uint32_t r = last_served_.load(std::memory_order_relaxed);
-  const Replica& rep = *replicas_[r];
-  std::shared_lock<std::shared_mutex> lock(rep.mutex);
-  return rep.index->LastSearchStats();
-}
-
 uint64_t ReplicaSet::DocumentCount() const {
   for (uint32_t r = 0; r < replicas_.size(); ++r) {
     if (replica_state(r) != ReplicaState::kHealthy) continue;
@@ -298,14 +285,13 @@ IndexSizeInfo ReplicaSet::SizeInfo() const {
   return {};
 }
 
-const IoStats& ReplicaSet::io_stats() const {
-  std::lock_guard<std::mutex> lock(stats_mutex_);
-  merged_stats_.Reset();
+IoStats ReplicaSet::io_stats() const {
+  IoStats merged;
   for (const auto& rep : replicas_) {
     std::shared_lock<std::shared_mutex> rlock(rep->mutex);
-    merged_stats_.MergeFrom(rep->index->io_stats());
+    merged.MergeFrom(rep->index->io_stats());
   }
-  return merged_stats_;
+  return merged;
 }
 
 void ReplicaSet::ResetIoStats() {
@@ -415,7 +401,6 @@ Status ReplicaSet::SnapshotInto(uint32_t r, uint32_t source) {
   {
     std::unique_lock<std::shared_mutex> tgt_lock(tgt.mutex);
     tgt.index = loaded.MoveValue();
-    tgt.serialize_queries = !tgt.index->SupportsConcurrentSearch();
     tgt.watermark.store(snap_mark, std::memory_order_release);
   }
   RemoveSnapshot(path);

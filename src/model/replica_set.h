@@ -38,7 +38,7 @@
 // the log. Lock order is always op mutex -> replica mutex; background
 // threads (scrub, auto-recovery) take replica locks only, so they
 // interleave with queries and writers without deadlock. The set is fully
-// internally synchronized -- SupportsConcurrentSearch() is true, and the
+// internally synchronized -- searches run concurrently, and the
 // scrub/recovery machinery runs correctly even while an outer wrapper
 // (ShardedIndex) holds its own per-shard locks.
 //
@@ -209,12 +209,9 @@ class ReplicaSet final : public SpatialKeywordIndex {
   Result<std::vector<ScoredDoc>> SearchFailover(const Query& q, double alpha,
                                                 ReplicaSearchReport* report);
 
-  bool SupportsConcurrentSearch() const override { return true; }
-  SearchStatsView LastSearchStats() const override;
-
   uint64_t DocumentCount() const override;
   IndexSizeInfo SizeInfo() const override;
-  const IoStats& io_stats() const override;
+  IoStats io_stats() const override;
   void ResetIoStats() override;
   void ClearCache() override;
 
@@ -268,9 +265,6 @@ class ReplicaSet final : public SpatialKeywordIndex {
     std::unique_ptr<SpatialKeywordIndex> index;
     /// Searches shared; writes, heals, and index swaps exclusive.
     mutable std::shared_mutex mutex;
-    /// Search serialization for non-reader-safe implementations.
-    mutable std::mutex query_mutex;
-    bool serialize_queries = false;
     std::atomic<int> state{static_cast<int>(ReplicaState::kHealthy)};
     /// Last op sequence applied (written under mutex; read lock-free by
     /// status reporting).
@@ -358,18 +352,12 @@ class ReplicaSet final : public SpatialKeywordIndex {
   std::atomic<uint64_t> scrub_pages_healed_{0};
   std::atomic<uint64_t> failovers_{0};
   std::atomic<uint64_t> recoveries_{0};
-  /// Replica that served the most recent successful Search (feeds
-  /// LastSearchStats through to the right underlying index).
-  std::atomic<uint32_t> last_served_{0};
 
   /// Background maintenance thread (present iff interval > 0).
   std::thread maintenance_;
   std::mutex maintenance_mutex_;
   std::condition_variable maintenance_cv_;
   bool stopping_ = false;
-
-  mutable std::mutex stats_mutex_;
-  mutable IoStats merged_stats_;  ///< scratch for io_stats()
 
   // Metric handles, cached at construction (obs/metrics.h: the registry
   // is never touched on a hot path).

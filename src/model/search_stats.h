@@ -3,15 +3,14 @@
 // Each index keeps its own typed stats struct (I3SearchStats,
 // S2ISearchStats, IrTreeSearchStats) because the interesting counters
 // differ per algorithm; this header is the common denominator: a flat
-// (name, value) view each struct converts into, a virtual accessor on
-// SpatialKeywordIndex (see model/index.h), and an emitter that turns a view
-// into `i3_search_stat_total{index,stat}` counters in the metrics registry.
+// (name, value) view each struct converts into, and an emitter that turns
+// a view into `i3_search_stat_total{index,stat}` counters in the metrics
+// registry.
 //
-// The view also fixes the publication discipline: search paths accumulate
-// into a *stack-local* stats struct and publish it once, under the index's
-// stats mutex, after the search completes. That is what makes concurrent
-// readers safe -- the historical pattern of incrementing a member
-// `last_search_stats_` mid-search raced as soon as two readers overlapped.
+// A search accumulates into a *stack-local* stats struct and, once it
+// completes, adds its view to the caller's per-query context
+// (QueryControl::stats, model/query.h) -- nothing per-query is ever stored
+// on the index, so concurrent readers never share a stats slot.
 
 #ifndef I3_MODEL_SEARCH_STATS_H_
 #define I3_MODEL_SEARCH_STATS_H_
@@ -43,6 +42,26 @@ struct SearchStatsView {
       names[count] = name;
       values[count] = value;
       ++count;
+    }
+  }
+
+  /// \brief Adds `other`'s values into this view, matching stats by name
+  /// and appending the ones this view lacks (a fan-out sums its shards'
+  /// views this way). Views of one index share names and order, so the
+  /// name at the same position is tried first.
+  void Add(const SearchStatsView& other) {
+    if (count == 0) {
+      *this = other;
+      return;
+    }
+    for (size_t i = 0; i < other.count; ++i) {
+      size_t j = i;
+      if (j >= count || std::strcmp(names[j], other.names[i]) != 0) {
+        j = 0;
+        while (j < count && std::strcmp(names[j], other.names[i]) != 0) ++j;
+        if (j == count) Set(other.names[i], 0);
+      }
+      if (j < count) values[j] += other.values[i];
     }
   }
 

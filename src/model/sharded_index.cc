@@ -20,6 +20,22 @@ inline uint64_t MixDocId(DocId doc) {
   return z ^ (z >> 31);
 }
 
+void RecordFailure(FanOutStats* out, size_t shard, const Status& st) {
+  if (out->failed_shards == 0) out->first_error = st;
+  ++out->failed_shards;
+  if (shard < FanOutStats::kMaxTrackedShards) {
+    out->failed_shard_mask |= uint64_t{1} << shard;
+  }
+}
+
+void RecordServed(FanOutStats* out, size_t shard,
+                  const ReplicaSearchReport& report) {
+  if (report.failed_over) ++out->failovers;
+  if (shard < FanOutStats::kMaxTrackedShards) {
+    out->served_replica[shard] = report.served_replica;
+  }
+}
+
 }  // namespace
 
 Result<std::unique_ptr<ShardedIndex>> ShardedIndex::Create(
@@ -37,23 +53,17 @@ Result<std::unique_ptr<ShardedIndex>> ShardedIndex::Create(
     }
     shards.push_back(std::move(shard));
   }
-  return std::make_unique<ShardedIndex>(std::move(shards), options);
+  return std::make_unique<ShardedIndex>(std::move(shards));
 }
 
 ShardedIndex::ShardedIndex(
-    std::vector<std::unique_ptr<SpatialKeywordIndex>> shards,
-    ShardedIndexOptions options)
-    : options_(options) {
+    std::vector<std::unique_ptr<SpatialKeywordIndex>> shards) {
   shards_.reserve(shards.size());
   for (auto& index : shards) {
     auto s = std::make_unique<Shard>();
-    s->serialize_queries = !index->SupportsConcurrentSearch();
     s->index = std::move(index);
     s->replica_set = s->index->AsReplicaSet();
     shards_.push_back(std::move(s));
-  }
-  if (options_.search_threads > 0) {
-    pool_ = std::make_unique<ThreadPool>(options_.search_threads);
   }
   obs::MetricsRegistry& reg = obs::MetricsRegistry::Global();
   search_latency_us_[0] =
@@ -157,20 +167,13 @@ Result<std::vector<ScoredDoc>> ShardedIndex::SearchShard(
   *report = {};
   std::shared_lock lock(s.mutex);
   const uint64_t start_ns = obs::NowNanos();
-  Result<std::vector<ScoredDoc>> res = [&] {
-    // A replicated shard handles its own retry: a failed (or
-    // deadline-blown) primary read is re-issued to a healthy follower
-    // before this fan-out ever sees an error, so degradation only
-    // surfaces when every replica of the shard is down.
-    if (s.replica_set != nullptr) {
-      return s.replica_set->SearchFailover(q, alpha, report);
-    }
-    if (s.serialize_queries) {
-      std::lock_guard<std::mutex> query_lock(s.query_mutex);
-      return s.index->Search(q, alpha);
-    }
-    return s.index->Search(q, alpha);
-  }();
+  // A replicated shard handles its own retry: a failed (or deadline-blown)
+  // primary read is re-issued to a healthy follower before this fan-out
+  // ever sees an error, so degradation only surfaces when every replica of
+  // the shard is down.
+  auto res = s.replica_set != nullptr
+                 ? s.replica_set->SearchFailover(q, alpha, report)
+                 : s.index->Search(q, alpha);
   s.latency_us->Record((obs::NowNanos() - start_ns) / 1000);
   return res;
 }
@@ -187,211 +190,72 @@ std::vector<ScoredDoc> ShardedIndex::MergeTopK(
   return heap.Take();
 }
 
-Result<std::vector<ScoredDoc>> ShardedIndex::SearchSequential(
-    const Query& q, double alpha, obs::QueryTrace* trace,
-    FanOutOutcome* outcome) const {
+Result<std::vector<ScoredDoc>> ShardedIndex::Search(const Query& q,
+                                                    double alpha) {
+  const uint64_t start_ns = obs::NowNanos();
+  QueryStats own_stats;
+  QueryStats* stats =
+      q.control.stats != nullptr ? q.control.stats : &own_stats;
+  // A caller-supplied span sink wins over sampling (see I3Index::Search).
+  obs::QueryTrace* trace = q.control.trace;
+  obs::QueryTrace sampled;
+  const bool owns_trace =
+      trace == nullptr && !q.control.nested &&
+      obs::Tracer::Global().StartTrace("Sharded.Search", &sampled);
+  if (owns_trace) trace = &sampled;
+  // The shards report into this request's stats and trace and never
+  // sample on their own.
+  Query shard_q = q;
+  shard_q.control.trace = trace;
+  shard_q.control.stats = stats;
+  shard_q.control.nested = true;
+
+  FanOutStats& out = stats->fanout;
+  out.shards = static_cast<uint32_t>(shards_.size());
   const DeadlineTimer deadline =
       DeadlineTimer::AtSteadyNanos(q.control.deadline_ns);
   std::vector<std::vector<ScoredDoc>> per_shard(shards_.size());
   for (size_t i = 0; i < shards_.size(); ++i) {
-    // A sequential sweep past the deadline must not pay for the remaining
-    // shards: mark them overrun and let the merge degrade (the shards
-    // already swept still count).
-    if (outcome != nullptr && deadline.Expired()) {
-      outcome->RecordFailure(
-          i, Status::DeadlineExceeded("query deadline exceeded"));
+    // A sweep past the deadline must not pay for the remaining shards:
+    // mark them overrun and let the merge degrade (the shards already
+    // swept still count).
+    if (deadline.Expired()) {
+      RecordFailure(&out, i,
+                    Status::DeadlineExceeded("query deadline exceeded"));
       continue;
     }
     const uint64_t t0 = trace != nullptr ? obs::NowNanos() : 0;
     ReplicaSearchReport report;
-    auto res = SearchShard(*shards_[i], q, alpha, &report);
+    auto res = SearchShard(*shards_[i], shard_q, alpha, &report);
     if (trace != nullptr) {
       trace->AddStage(StageName(i, report), obs::NowNanos() - t0);
     }
+    // Failure isolation: a failing shard (storage fault, deadline
+    // overrun) removes only its own documents from the merge.
     if (!res.ok()) {
-      if (outcome == nullptr) return res.status();  // strict (SearchMany)
-      outcome->RecordFailure(i, res.status());
+      RecordFailure(&out, i, res.status());
       continue;
     }
-    if (outcome != nullptr) outcome->RecordServed(i, report);
+    RecordServed(&out, i, report);
     per_shard[i] = res.MoveValue();
   }
-  if (outcome != nullptr) {
-    outcome->shards = static_cast<uint32_t>(shards_.size());
-    if (outcome->failed == shards_.size()) return outcome->first_error;
-  }
-  return MergeTopK(per_shard, q.k);
-}
-
-Result<std::vector<ScoredDoc>> ShardedIndex::Search(const Query& q,
-                                                    double alpha) {
-  const uint64_t start_ns = obs::NowNanos();
-  // Request-scoped sink wins over sampling (see I3Index::Search): the
-  // caller publishes the timeline, the sampled ring stays untouched.
-  obs::QueryTrace* request_trace = q.control.trace;
-  obs::QueryTrace trace_storage;
-  obs::QueryTrace* trace = request_trace;
-  if (trace == nullptr &&
-      obs::Tracer::Global().StartTrace("Sharded.Search", &trace_storage)) {
-    trace = &trace_storage;
-  }
-  FanOutOutcome outcome;
-  auto result = SearchFanOut(q, alpha, trace, &outcome);
+  Result<std::vector<ScoredDoc>> result =
+      out.failed_shards == shards_.size()
+          ? Result<std::vector<ScoredDoc>>(out.first_error)
+          : Result<std::vector<ScoredDoc>>(MergeTopK(per_shard, q.k));
+  out.degraded = result.ok() && out.failed_shards > 0;
   search_latency_us_[q.semantics == Semantics::kAnd ? 0 : 1]->Record(
       (obs::NowNanos() - start_ns) / 1000);
-  const bool degraded = result.ok() && outcome.failed > 0;
-  if (degraded) degraded_metric_->Increment(1);
-  if (trace != nullptr) {
-    trace->Annotate("shards", shards_.size());
-    trace->Annotate("failed_shards", outcome.failed);
-    if (outcome.failovers > 0) trace->Annotate("failovers", outcome.failovers);
-    if (degraded) trace->Annotate("degraded", 1);
-    if (result.ok()) trace->Annotate("results", result.ValueOrDie().size());
-    if (trace != request_trace)
-      obs::Tracer::Global().Finish(std::move(*trace));
+  if (out.degraded) {
+    degraded_metric_->Increment(1);
+    degraded_queries_.fetch_add(1, std::memory_order_relaxed);
   }
-  SearchStatsView view;
-  view.Set("shards", shards_.size());
-  view.Set("failed_shards", outcome.failed);
-  view.Set("failed_shard_mask", outcome.failed_mask);
-  view.Set("degraded", degraded ? 1 : 0);
-  view.Set("failovers", outcome.failovers);
-  view.Set("served_replica_by_shard", outcome.served_replica_nibbles);
-  {
-    std::lock_guard<std::mutex> lock(stats_mutex_);
-    last_search_stats_ = view;
-    if (degraded) ++degraded_queries_;
+  if (owns_trace) {
+    stats->AnnotateTrace(trace);
+    if (result.ok()) trace->Annotate("results", result.ValueOrDie().size());
+    obs::Tracer::Global().Finish(std::move(sampled));
   }
   return result;
-}
-
-Result<std::vector<ScoredDoc>> ShardedIndex::SearchFanOut(
-    const Query& q, double alpha, obs::QueryTrace* trace,
-    FanOutOutcome* outcome) const {
-  if (pool_ == nullptr || shards_.size() == 1) {
-    return SearchSequential(q, alpha, trace, outcome);
-  }
-  std::vector<Result<std::vector<ScoredDoc>>> results(
-      shards_.size(),
-      Result<std::vector<ScoredDoc>>(std::vector<ScoredDoc>{}));
-  // Per-shard wall times and replica reports are captured in preallocated
-  // slots per shard (no shared trace mutation from the workers) and folded
-  // into the trace after the barrier.
-  std::vector<uint64_t> shard_ns;
-  if (trace != nullptr) shard_ns.assign(shards_.size(), 0);
-  std::vector<ReplicaSearchReport> reports(shards_.size());
-  // The fan-out workers share one Query; a request-scoped span sink is a
-  // single-writer structure, so shards must not write it concurrently.
-  // The parallel path detaches it (per-shard wall times below still reach
-  // the trace after the barrier); only the sequential path gets inner
-  // per-shard stage detail.
-  Query q_shard = q;
-  q_shard.control.trace = nullptr;
-  pool_->ParallelFor(shards_.size(), [&](size_t i) {
-    const uint64_t t0 = trace != nullptr ? obs::NowNanos() : 0;
-    results[i] = SearchShard(*shards_[i], q_shard, alpha, &reports[i]);
-    if (trace != nullptr) shard_ns[i] = obs::NowNanos() - t0;
-  });
-  if (trace != nullptr) {
-    for (size_t i = 0; i < shards_.size(); ++i) {
-      trace->AddStage(StageName(i, reports[i]), shard_ns[i]);
-    }
-  }
-  // Failure isolation: a failing shard (storage fault, deadline overrun)
-  // removes only its own documents from the merge; the lowest failing
-  // shard's error is kept for the all-failed case so the surfaced error
-  // stays deterministic and matches the sequential path.
-  outcome->shards = static_cast<uint32_t>(shards_.size());
-  std::vector<std::vector<ScoredDoc>> per_shard(shards_.size());
-  for (size_t i = 0; i < shards_.size(); ++i) {
-    if (!results[i].ok()) {
-      outcome->RecordFailure(i, results[i].status());
-      continue;
-    }
-    outcome->RecordServed(i, reports[i]);
-    per_shard[i] = results[i].MoveValue();
-  }
-  if (outcome->failed == shards_.size()) return outcome->first_error;
-  return MergeTopK(per_shard, q.k);
-}
-
-Result<std::vector<std::vector<ScoredDoc>>> ShardedIndex::SearchMany(
-    const std::vector<Query>& queries, double alpha) {
-  std::vector<std::vector<ScoredDoc>> out(queries.size());
-  if (pool_ == nullptr || queries.size() <= 1) {
-    for (size_t i = 0; i < queries.size(); ++i) {
-      const uint64_t t0 = obs::NowNanos();
-      auto res = SearchSequential(queries[i], alpha);
-      search_latency_us_[queries[i].semantics == Semantics::kAnd ? 0 : 1]
-          ->Record((obs::NowNanos() - t0) / 1000);
-      if (!res.ok()) return res.status();
-      out[i] = res.MoveValue();
-    }
-    return out;
-  }
-  std::mutex error_mutex;
-  Status first_error = Status::OK();
-  size_t first_error_index = queries.size();
-  pool_->ParallelFor(queries.size(), [&](size_t i) {
-    const uint64_t t0 = obs::NowNanos();
-    auto res = SearchSequential(queries[i], alpha);
-    search_latency_us_[queries[i].semantics == Semantics::kAnd ? 0 : 1]
-        ->Record((obs::NowNanos() - t0) / 1000);
-    if (res.ok()) {
-      out[i] = res.MoveValue();
-    } else {
-      std::lock_guard<std::mutex> lock(error_mutex);
-      if (i < first_error_index) {
-        first_error_index = i;
-        first_error = res.status();
-      }
-    }
-  });
-  if (!first_error.ok()) return first_error;
-  return out;
-}
-
-std::vector<ShardedIndex::BatchItemResult> ShardedIndex::SearchBatch(
-    const std::vector<BatchItem>& items) {
-  std::vector<BatchItemResult> out(items.size());
-  auto run_one = [&](size_t i) {
-    const uint64_t t0 = obs::NowNanos();
-    FanOutOutcome outcome;
-    // A traced request rides its span sink in the query control; the
-    // executing worker is the only writer, so per-shard stages land in
-    // the request's own timeline without synchronization.
-    auto res = SearchSequential(items[i].query, items[i].alpha,
-                                items[i].query.control.trace, &outcome);
-    const uint64_t elapsed_ns = obs::NowNanos() - t0;
-    search_latency_us_[items[i].query.semantics == Semantics::kAnd ? 0 : 1]
-        ->Record(elapsed_ns / 1000);
-    BatchItemResult& r = out[i];
-    r.search_ns = elapsed_ns;
-    r.failed_shards = outcome.failed;
-    r.failovers = outcome.failovers;
-    if (!res.ok()) {
-      r.status = res.status();
-      return;
-    }
-    r.results = res.MoveValue();
-    r.degraded = outcome.failed > 0;
-    if (r.degraded) {
-      r.first_error = outcome.first_error;
-      degraded_metric_->Increment(1);
-    }
-  };
-  if (pool_ == nullptr || items.size() <= 1) {
-    for (size_t i = 0; i < items.size(); ++i) run_one(i);
-  } else {
-    pool_->ParallelFor(items.size(), run_one);
-  }
-  if (!items.empty()) {
-    std::lock_guard<std::mutex> lock(stats_mutex_);
-    for (const BatchItemResult& r : out) {
-      if (r.degraded) ++degraded_queries_;
-    }
-  }
-  return out;
 }
 
 std::vector<ReplicaSetStatus> ShardedIndex::ShardReplicaStatuses() const {
@@ -423,17 +287,14 @@ IndexSizeInfo ShardedIndex::SizeInfo() const {
   return info;
 }
 
-const IoStats& ShardedIndex::io_stats() const {
-  // Merged-on-read aggregate (see the header's IoStats aggregation rule).
-  // The lock serializes concurrent accessors; the reference is stable only
-  // until the next io_stats() call -- copy it for a durable snapshot.
-  std::lock_guard<std::mutex> stats_lock(stats_mutex_);
-  merged_stats_.Reset();
+IoStats ShardedIndex::io_stats() const {
+  // Merged-on-read snapshot (see the header's IoStats aggregation rule).
+  IoStats merged;
   for (const auto& s : shards_) {
     std::shared_lock lock(s->mutex);
-    merged_stats_.MergeFrom(s->index->io_stats());
+    merged.MergeFrom(s->index->io_stats());
   }
-  return merged_stats_;
+  return merged;
 }
 
 void ShardedIndex::ResetIoStats() {

@@ -1,10 +1,13 @@
-// Sharded parallel execution over N inner indexes.
+// Sharded execution over N inner indexes.
 //
 // The paper partitions by keyword so per-query work is bounded; this layer
-// extends the decomposition across threads: documents are hash-partitioned
-// by DocId over N shards (each a full SpatialKeywordIndex covering the whole
-// data space), writers lock only the target shard, and a top-k query fans
-// out to every shard's local top-k and merges.
+// extends the decomposition across documents: they are hash-partitioned by
+// DocId over N shards (each a full SpatialKeywordIndex covering the whole
+// data space), writers lock only the target shard, and a top-k query
+// visits every shard's local top-k on the calling thread and merges.
+// Parallelism comes from callers -- any number of threads may Search at
+// once -- so a 1-shard ShardedIndex is also the plain thread-safe wrapper
+// of one index.
 //
 // Merge contract: because every document lives in exactly one shard and its
 // score depends only on the document and the query (Section 3's ranking
@@ -15,49 +18,55 @@
 // results to an unsharded I3Index on the same corpus (asserted by
 // tests/test_sharded.cc).
 //
-// Locking: one shared_mutex per shard (writers exclusive, searches shared).
-// Shards whose implementation is not reader-safe
-// (!SupportsConcurrentSearch()) additionally serialize their searches
-// behind a per-shard query mutex -- cross-shard parallelism then still
-// applies. IoStats aggregation rule: every shard keeps its own (atomic)
-// counters; io_stats() merges them on read, so concurrent shard searches
-// never contend on a shared counter cache line and the aggregate is a
-// per-counter snapshot, not a cross-shard atomic cut.
+// Locking: one shared_mutex per shard (writers exclusive, searches
+// shared). glibc's shared_mutex prefers readers, so a reader pool that
+// re-acquires it in a tight loop can starve writers; pace readers in
+// write-heavy deployments. IoStats aggregation rule: every shard keeps its
+// own (atomic) counters and io_stats() sums them into a fresh snapshot, so
+// concurrent shard searches never contend on a shared counter cache line
+// and the aggregate is a per-counter snapshot, not a cross-shard atomic
+// cut.
+//
+// Per-request context: Search reports through the caller's
+// QueryControl::stats (model/query.h) -- the shards add their work
+// counters to it and the fan-out records its outcome in its FanOutStats
+// -- and hands the request's span sink to every shard. Only an outermost
+// search samples the global tracer, once ("Sharded.Search"), so one
+// sampled request publishes one trace holding the per-shard stages
+// ("shard0", ...) and the shards' own stages.
 //
 // Degradation contract (fault tolerance): the fan-out isolates per-shard
 // failures. When some -- but not all -- shards fail (storage error,
 // exhausted retries, or a per-query deadline), Search still returns ok with
-// the merge of the shards that answered, and flags the response as degraded:
-// LastSearchStats() reports {degraded=1, failed_shards, failed_shard_mask}
-// and `i3_degraded_queries_total` is incremented. A degraded top-k is a
+// the merge of the shards that answered, and the request's FanOutStats
+// reports {degraded, failed_shards, failed_shard_mask, first_error};
+// `i3_degraded_queries_total` is incremented. A degraded top-k is a
 // correct top-k of the surviving shards' documents -- scores are exact, but
 // documents homed on failed shards are silently absent, which is why the
-// flag must accompany the result. When every shard fails, the first shard's
-// (by shard order, deterministically) error is returned, matching the
-// sequential path and the unsharded index.
+// flag must accompany the result. When every shard fails, the first
+// shard's (by shard order, deterministically) error is returned, matching
+// the unsharded index.
 //
 // Replication (DESIGN.md §15): a shard built as a ReplicaSet
 // (model/replica_set.h) promotes degradation to transparent retry -- a
 // failed or deadline-blown primary read is re-issued to a healthy follower
 // *inside* the shard sweep, before the merge, so the query completes with
 // byte-identical results and `degraded` becomes the last resort (every
-// replica of a shard down). The fan-out records which attempt served each
-// shard: LastSearchStats() adds {failovers, served_replica_by_shard} (the
-// latter nibble-packed, 4 bits per shard for the first 16 shards) and the
-// trace stage for a failed-over shard is named "shardN.rR" instead of
-// "shardN", so /tracez shows failover per shard.
+// replica of a shard down). FanOutStats records the replica that served
+// each shard and counts failovers, and the trace stage for a failed-over
+// shard is named "shardN.rR" instead of "shardN", so /tracez shows
+// failover per shard.
 
 #ifndef I3_MODEL_SHARDED_INDEX_H_
 #define I3_MODEL_SHARDED_INDEX_H_
 
+#include <atomic>
 #include <functional>
 #include <memory>
-#include <mutex>
 #include <shared_mutex>
 #include <string>
 #include <vector>
 
-#include "common/thread_pool.h"
 #include "model/index.h"
 #include "model/replica_set.h"
 #include "obs/trace.h"
@@ -68,17 +77,10 @@ namespace i3 {
 struct ShardedIndexOptions {
   /// Number of shards created by Create().
   uint32_t num_shards = 8;
-
-  /// Worker threads for the per-query shard fan-out. 0 visits the shards
-  /// sequentially on the caller's thread -- the right choice for
-  /// query-throughput workloads where many caller threads (or SearchMany)
-  /// already saturate the cores; a nonzero pool parallelizes a *single*
-  /// query's latency instead.
-  uint32_t search_threads = 0;
 };
 
 /// \brief Hash-partitions documents across N inner indexes and fans
-/// searches out to all of them.
+/// searches out to all of them. Safe for any number of concurrent callers.
 class ShardedIndex final : public SpatialKeywordIndex {
  public:
   /// Builds shard `i` (0-based). All shards must be configured identically
@@ -94,8 +96,7 @@ class ShardedIndex final : public SpatialKeywordIndex {
   /// \brief Takes ownership of pre-built shards (deserialization path and
   /// tests). `shards` must be non-empty.
   explicit ShardedIndex(
-      std::vector<std::unique_ptr<SpatialKeywordIndex>> shards,
-      ShardedIndexOptions options = {});
+      std::vector<std::unique_ptr<SpatialKeywordIndex>> shards);
 
   std::string Name() const override;
 
@@ -107,83 +108,20 @@ class ShardedIndex final : public SpatialKeywordIndex {
   Status Update(const SpatialDocument& old_doc,
                 const SpatialDocument& new_doc) override;
 
+  /// \brief Visits every shard on the calling thread and merges under the
+  /// degradation contract (file comment), reporting to q.control.stats.
   Result<std::vector<ScoredDoc>> Search(const Query& q,
                                         double alpha) override;
 
-  /// \brief Batched search for query-throughput workloads: answers
-  /// `queries` (all under the same alpha) using the internal pool, each
-  /// worker running whole queries with a sequential shard sweep -- queries
-  /// are the unit of parallelism, so throughput scales without oversplitting
-  /// individual queries. Returns one result vector per query, in order.
-  /// Requires search_threads > 0 for actual parallelism (otherwise runs
-  /// sequentially, same results).
-  Result<std::vector<std::vector<ScoredDoc>>> SearchMany(
-      const std::vector<Query>& queries, double alpha);
-
-  /// \brief One request of a SearchBatch: a query plus its own alpha (the
-  /// serving wire protocol carries alpha per request, unlike SearchMany's
-  /// shared alpha).
-  struct BatchItem {
-    Query query;
-    double alpha = 0.5;
-  };
-
-  /// \brief Per-item outcome of a SearchBatch. Unlike SearchMany (strict:
-  /// the first error aborts the whole batch) every item gets an
-  /// independent disposition, and unlike Search the degraded flag is
-  /// returned in-band instead of through LastSearchStats -- the serving
-  /// front end answers many interleaved requests and cannot rely on a
-  /// last-query stats slot.
-  struct BatchItemResult {
-    /// ok() => `results` is a valid (possibly degraded) top-k.
-    Status status;
-    std::vector<ScoredDoc> results;
-    /// Some -- but not all -- shards failed; see the degradation contract.
-    bool degraded = false;
-    uint32_t failed_shards = 0;
-    /// Shards served by a non-primary replica after the primary failed.
-    uint32_t failovers = 0;
-    /// Error of the lowest-indexed failing shard when `degraded` (OK
-    /// otherwise): what a require_complete refusal surfaces as the typed
-    /// error instead of the partial result.
-    Status first_error;
-    /// Wall time this item spent inside the index search, always
-    /// measured (one clock pair per item): the serving layer attributes
-    /// "search" time for slow-query records without a full trace.
-    uint64_t search_ns = 0;
-  };
-
-  /// \brief The serving batch hook: answers every item under the
-  /// per-query degradation contract (partial top-k with `degraded` set
-  /// when some shards fail; an error status only when all fail or the
-  /// deadline expired before any shard answered). Items run in parallel
-  /// on the internal pool when search_threads > 0, sequentially
-  /// otherwise; results come back in item order either way. Never
-  /// returns a short vector -- out.size() == items.size() always.
-  std::vector<BatchItemResult> SearchBatch(
-      const std::vector<BatchItem>& items);
-
-  bool SupportsConcurrentSearch() const override { return true; }
-
-  /// \brief Stats of the most recent Search (any thread): shards queried,
-  /// how many failed, a bitmask of the failed shard indexes (shards beyond
-  /// 63 are counted but not mask-visible), and whether the result was
-  /// degraded (partial). Published once per query under the stats mutex.
-  SearchStatsView LastSearchStats() const override {
-    std::lock_guard<std::mutex> lock(stats_mutex_);
-    return last_search_stats_;
-  }
-
   /// Queries answered with a partial (degraded) top-k since construction.
   uint64_t degraded_queries() const {
-    std::lock_guard<std::mutex> lock(stats_mutex_);
-    return degraded_queries_;
+    return degraded_queries_.load(std::memory_order_relaxed);
   }
 
   uint64_t DocumentCount() const override;
   IndexSizeInfo SizeInfo() const override;
 
-  const IoStats& io_stats() const override;
+  IoStats io_stats() const override;
   void ResetIoStats() override;
   void ClearCache() override;
 
@@ -225,42 +163,8 @@ class ShardedIndex final : public SpatialKeywordIndex {
     ReplicaSet* replica_set = nullptr;
     /// Writers exclusive, searches/stats shared.
     mutable std::shared_mutex mutex;
-    /// Search serialization for non-reader-safe implementations.
-    mutable std::mutex query_mutex;
-    bool serialize_queries = false;
     /// `i3_shard_search_latency_us{shard=...}`, cached at construction.
     obs::Histogram* latency_us = nullptr;
-  };
-
-  /// Per-query fan-out failure bookkeeping (see the degradation contract
-  /// in the file comment).
-  struct FanOutOutcome {
-    uint32_t shards = 0;
-    uint32_t failed = 0;
-    /// Bit i set = shard i failed, for the first 64 shards.
-    uint64_t failed_mask = 0;
-    /// Shards answered by a non-primary replica (replicated shards only).
-    uint32_t failovers = 0;
-    /// Replica that served shard i, nibble-packed: bits [4i, 4i+4) for
-    /// the first 16 shards (replicas above 15 saturate at 15).
-    uint64_t served_replica_nibbles = 0;
-    /// Error of the lowest-indexed failing shard.
-    Status first_error = Status::OK();
-
-    void RecordFailure(size_t shard, const Status& st) {
-      if (failed == 0) first_error = st;
-      ++failed;
-      if (shard < 64) failed_mask |= uint64_t{1} << shard;
-    }
-
-    void RecordServed(size_t shard, const ReplicaSearchReport& report) {
-      if (report.failed_over) ++failovers;
-      if (shard < 16) {
-        const uint64_t nibble =
-            report.served_replica < 15 ? report.served_replica : 15;
-        served_replica_nibbles |= nibble << (4 * shard);
-      }
-    }
   };
 
   /// One shard's local top-k under the shard's shared lock. A ReplicaSet
@@ -270,34 +174,15 @@ class ShardedIndex final : public SpatialKeywordIndex {
                                              double alpha,
                                              ReplicaSearchReport* report)
       const;
-  /// Sequential fan-out + merge on the calling thread. When `trace` is
-  /// non-null, one stage per shard ("shard0", ...) is added so stragglers
-  /// are individually visible. With a null `outcome` the sweep is strict
-  /// (first shard failure aborts, SearchMany semantics); with an outcome it
-  /// degrades per the contract above.
-  Result<std::vector<ScoredDoc>> SearchSequential(
-      const Query& q, double alpha, obs::QueryTrace* trace = nullptr,
-      FanOutOutcome* outcome = nullptr) const;
-  /// Search body behind the metrics/trace wrapper: parallel fan-out via
-  /// the pool when present, else sequential.
-  Result<std::vector<ScoredDoc>> SearchFanOut(const Query& q, double alpha,
-                                              obs::QueryTrace* trace,
-                                              FanOutOutcome* outcome) const;
   /// Merges per-shard local top-k lists under the single-index contract.
   static std::vector<ScoredDoc> MergeTopK(
       const std::vector<std::vector<ScoredDoc>>& per_shard, uint32_t k);
 
   std::vector<std::unique_ptr<Shard>> shards_;
-  ShardedIndexOptions options_;
-  std::unique_ptr<ThreadPool> pool_;  // present iff search_threads > 0
   /// See generation(). fetch_add with release so a reader that observes
   /// the new generation also observes the mutation's writes.
   std::atomic<uint64_t> generation_{0};
-  mutable std::mutex stats_mutex_;
-  mutable IoStats merged_stats_;  // scratch for io_stats()
-  /// Last query's fan-out stats; guarded by stats_mutex_.
-  SearchStatsView last_search_stats_;
-  uint64_t degraded_queries_ = 0;
+  std::atomic<uint64_t> degraded_queries_{0};
 
   /// Stable fan-out trace stage names, [shard][served replica]:
   /// "shard3" when the primary answered, "shard3.r1" after a failover.

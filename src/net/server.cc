@@ -112,7 +112,7 @@ struct Server::Connection {
   size_t unsent() const { return write_buf.size() - write_pos; }
 };
 
-/// One admitted search waiting for its loop's end-of-turn SearchBatch.
+/// One admitted search waiting for its loop's end-of-turn batch.
 struct Server::PendingSearch {
   uint64_t conn_id = 0;
   uint64_t arrival_ns = 0;
@@ -123,10 +123,11 @@ struct Server::PendingSearch {
   /// Canonical result-cache key; empty when the response must not be
   /// cached (cache disabled or the request opted out via no_cache).
   std::string cache_key;
-  /// The decoded request (moved, not copied): tenant, flags, and the
-  /// slow-query log's canonical re-encode.
+  /// The decoded request (moved, not copied): tenant, flags, alpha, and
+  /// the slow-query log's canonical re-encode.
   Request request;
-  ShardedIndex::BatchItem item;
+  /// request.ToQuery() with the wire deadline anchored at admission.
+  Query query;
 };
 
 /// One event loop: its epoll set, the connections it owns, and the
@@ -138,8 +139,6 @@ struct Server::Loop {
   std::unordered_map<uint64_t, std::unique_ptr<Connection>> conns;
   uint64_t next_conn_id = kFirstConnId;
   std::vector<PendingSearch> pending;
-  std::vector<ShardedIndex::BatchItem> items;
-  std::vector<obs::QueryTrace> traces;
   /// Stalled connections back under the bound, decoded again next turn
   /// (their frames wait in read_buf; no socket event may come).
   std::vector<uint64_t> revisit;
@@ -172,7 +171,7 @@ Server::Server(ShardedIndex* index, ServerOptions options)
       reg.GetGauge("i3_net_connections", "Open client connections.");
   queue_depth_gauge_ = reg.GetGauge(
       "i3_net_queue_depth",
-      "Admitted searches waiting for their loop's SearchBatch.");
+      "Admitted searches waiting for their loop's end-of-turn batch.");
   shed_metric_ = reg.GetCounter(
       "i3_requests_shed_total",
       "Requests rejected by admission control (token bucket or queue "
@@ -195,7 +194,7 @@ Server::Server(ShardedIndex* index, ServerOptions options)
         {{"outcome", outcomes[i]}});
   }
   batch_size_ = reg.GetHistogram(
-      "i3_net_batch_size", "Requests answered per SearchBatch call.");
+      "i3_net_batch_size", "Searches answered per loop turn.");
   traced_requests_metric_ = reg.GetCounter(
       "i3_net_traced_requests_total",
       "Requests that carried the wire trace flag (span timeline "
@@ -536,14 +535,13 @@ void Server::DispatchRequest(Loop* loop, Connection* conn, Request req,
       p.admitted_ns = obs::NowNanos();
       p.trace_id = trace_id;
       p.cache_key = std::move(cache_key);
-      p.item.query = req.ToQuery();
+      p.query = req.ToQuery();
       if (req.deadline_ms > 0) {
         // Propagate the wire deadline: anchor the absolute budget now so
         // the wait for the batch is charged against it.
-        p.item.query.control =
+        p.query.control =
             QueryControl::AfterMicros(uint64_t{req.deadline_ms} * 1000);
       }
-      p.item.alpha = req.alpha;
       p.request = std::move(req);
       conn->reserved += kMaxResponseFrame;
       queue_depth_gauge_->Add(1);
@@ -573,7 +571,8 @@ void Server::DispatchRequest(Loop* loop, Connection* conn, Request req,
   RecordOutcome(loop, now.outcome, /*degraded=*/false,
                 /*deadline_miss=*/false, req.tenant, arrival_ns);
   MaybeLogSlow(req, now.outcome, trace_id, arrival_ns, done_ns,
-               /*search_ns=*/0, done_ns, traced ? &trace : nullptr);
+               /*search_ns=*/0, done_ns, traced ? &trace : nullptr,
+               /*stats=*/nullptr);
 }
 
 bool Server::ConsumeHttp(Connection* conn) {
@@ -757,7 +756,8 @@ WireTrace Server::BuildWireTrace(uint64_t trace_id, uint64_t total_ns,
 void Server::MaybeLogSlow(const Request& req, ResponseOutcome outcome,
                           uint64_t trace_id, uint64_t arrival_ns,
                           uint64_t admitted_ns, uint64_t search_ns,
-                          uint64_t done_ns, const obs::QueryTrace* trace) {
+                          uint64_t done_ns, const obs::QueryTrace* trace,
+                          const QueryStats* stats) {
   const uint64_t total_us = (done_ns - arrival_ns) / 1000;
   if (!slow_log_.Qualifies(total_us)) return;
   slow_queries_metric_->Increment();
@@ -786,6 +786,9 @@ void Server::MaybeLogSlow(const Request& req, ResponseOutcome outcome,
       rec.trace.AddStage("queue_and_dispatch",
                          rec.trace.total_ns - accounted);
     }
+    // What the search did -- which prune devices fired, which shards
+    // failed -- from the request's own context.
+    if (stats != nullptr) stats->AnnotateTrace(&rec.trace);
   }
   slow_log_.Record(std::move(rec));
 }
@@ -796,50 +799,43 @@ void Server::RunBatch(Loop* loop) {
   const uint64_t dequeue_ns = obs::NowNanos();
   queue_depth_gauge_->Sub(static_cast<int64_t>(batch.size()));
   batch_size_->Record(batch.size());
-  std::vector<ShardedIndex::BatchItem>& items = loop->items;
-  items.clear();
-  // The traces vector is sized once per batch BEFORE any pointer is
-  // taken; it must not grow while items reference its elements.
-  std::vector<obs::QueryTrace>& traces = loop->traces;
-  traces.assign(batch.size(), obs::QueryTrace());
-  for (size_t i = 0; i < batch.size(); ++i) {
-    PendingSearch& p = batch[i];
-    items.push_back(std::move(p.item));
-    if (!p.request.trace) continue;
-    obs::QueryTrace& t = traces[i];
-    t.label = "serve";
-    t.start_ns = p.arrival_ns;
-    t.AddStage("admission", p.admitted_ns - p.arrival_ns);
-    t.AddStage("queue_wait", dequeue_ns - p.admitted_ns);
-    t.Annotate("batch_size", batch.size());
-    // Request-scoped trace: the index layers accumulate their stages
-    // (shard sweeps, descent, cell-cache hits) into this object.
-    items[i].query.control.trace = &t;
-    items[i].query.control.trace_id = p.trace_id;
-  }
-  // Capture the generation BEFORE the search: a mutation completing
-  // mid-search bumps the counter past this value, so the entry we tag
-  // with it can never be served after that mutation (Lookup requires
-  // an exact match against the current generation).
-  const uint64_t generation = index_->generation();
-  auto results = index_->SearchBatch(items);
-  for (size_t i = 0; i < batch.size(); ++i) {
-    const PendingSearch& p = batch[i];
-    auto& r = results[i];
+  for (PendingSearch& p : batch) {
+    QueryStats stats;
+    p.query.control.stats = &stats;
+    obs::QueryTrace trace;
+    if (p.request.trace) {
+      trace.label = "serve";
+      trace.start_ns = p.arrival_ns;
+      trace.AddStage("admission", p.admitted_ns - p.arrival_ns);
+      trace.AddStage("queue_wait", dequeue_ns - p.admitted_ns);
+      trace.Annotate("batch_size", batch.size());
+      // Request-scoped trace: the index layers add their stages (shard
+      // sweeps, descent, cell-cache hits) to this object.
+      p.query.control.trace = &trace;
+      p.query.control.trace_id = p.trace_id;
+    }
+    // Capture the generation BEFORE the search: a mutation completing
+    // mid-search bumps the counter past this value, so the entry we tag
+    // with it can never be served after that mutation (Lookup requires
+    // an exact match against the current generation).
+    const uint64_t generation = index_->generation();
+    const uint64_t search_start_ns = obs::NowNanos();
+    auto res = index_->Search(p.query, p.request.alpha);
+    const uint64_t search_ns = obs::NowNanos() - search_start_ns;
+    const FanOutStats& fanout = stats.fanout;
     Response resp;
     resp.request_id = p.request.request_id;
-    if (r.status.ok() && r.degraded && p.request.require_complete) {
+    if (res.ok() && fanout.degraded && p.request.require_complete) {
       // All-or-nothing: the client said a partial top-k is worse than
       // failing, so surface the failing shard's own error instead.
-      Status refusal(r.first_error.ok() ? StatusCode::kResourceExhausted
-                                        : r.first_error.code(),
+      Status refusal(fanout.first_error.code(),
                      "incomplete result (require_complete): " +
-                         r.first_error.message());
+                         fanout.first_error.message());
       resp = ErrorResponse(p.request.request_id, refusal);
-    } else if (r.status.ok()) {
+    } else if (res.ok()) {
       resp.outcome = ResponseOutcome::kOk;
-      resp.degraded = r.degraded;
-      resp.results = std::move(r.results);
+      resp.degraded = fanout.degraded;
+      resp.results = res.MoveValue();
       // Only complete answers are cacheable: a degraded top-k is
       // missing failed shards' documents and must not outlive the
       // failure.
@@ -847,12 +843,11 @@ void Server::RunBatch(Loop* loop) {
         result_cache_.Insert(p.cache_key, generation, resp.results);
       }
     } else {
-      resp = ErrorResponse(p.request.request_id, r.status);
+      resp = ErrorResponse(p.request.request_id, res.status());
     }
     const bool deadline_miss = resp.outcome == ResponseOutcome::kError &&
                                resp.code == StatusCode::kDeadlineExceeded;
     if (p.request.trace) {
-      obs::QueryTrace& t = traces[i];
       // Time the encode against a scratch buffer first -- the real
       // encode must carry the trace, and the trace must contain the
       // encode stage. The double encode is traced-path-only cost, and
@@ -861,18 +856,19 @@ void Server::RunBatch(Loop* loop) {
       std::string scratch;
       const uint64_t encode_start_ns = obs::NowNanos();
       EncodeResponse(resp, &scratch);
-      t.AddStage("encode", obs::NowNanos() - encode_start_ns);
-      t.Annotate("results", resp.results.size());
-      t.total_ns = obs::NowNanos() - p.arrival_ns;
+      trace.AddStage("encode", obs::NowNanos() - encode_start_ns);
+      stats.AnnotateTrace(&trace);
+      trace.Annotate("results", resp.results.size());
+      trace.total_ns = obs::NowNanos() - p.arrival_ns;
       resp.has_trace = true;
-      resp.trace = BuildWireTrace(p.trace_id, t.total_ns, t);
+      resp.trace = BuildWireTrace(p.trace_id, trace.total_ns, trace);
     }
     const uint64_t done_ns = obs::NowNanos();
     RecordOutcome(loop, resp.outcome, resp.degraded, deadline_miss,
                   p.request.tenant, p.arrival_ns);
     MaybeLogSlow(p.request, resp.outcome, p.trace_id, p.arrival_ns,
-                 p.admitted_ns, r.search_ns, done_ns,
-                 p.request.trace ? &traces[i] : nullptr);
+                 p.admitted_ns, search_ns, done_ns,
+                 p.request.trace ? &trace : nullptr, &stats);
     auto it = loop->conns.find(p.conn_id);
     if (it == loop->conns.end()) continue;  // client left; drop it
     it->second->reserved -= kMaxResponseFrame;

@@ -6,8 +6,8 @@
 //
 //   epoll ─> read ─> decode ─> admission ─> result cache ─┬─> send
 //                                  │   shed / hit ─────────┘   ▲
-//                                  └─> the turn's searches ─> one
-//                                      SearchBatch ─> encode ──┘
+//                                  └─> the turn's searches, one
+//                                      Search each ─> encode ──┘
 //
 //  - Loop 0 also owns the listener and hands each accepted socket to the
 //    loop with the fewest open connections (mailbox + eventfd). Only that
@@ -16,8 +16,9 @@
 //  - Each request is served start to finish on its connection's loop.
 //    Admission control (per-tenant token buckets + a per-turn search
 //    bound) and the result-cache probe run at decode: a shed or a hit is
-//    answered in the turn it arrives, before that turn's searches run as
-//    one ShardedIndex::SearchBatch call at its end.
+//    answered in the turn it arrives, before that turn's searches run at
+//    its end, one ShardedIndex::Search each with the request's own
+//    QueryControl (deadline, trace sink, QueryStats).
 //  - Trade-off: whatever arrives while a loop runs its batch (a shed, a
 //    hit, a ping, an accept on loop 0) waits for it, and a search blocked
 //    on storage holds up the whole loop; other loops are unaffected. At
@@ -80,7 +81,7 @@ struct ServerOptions {
   TenantLimit default_limit;
   /// Per-tenant overrides.
   std::vector<std::pair<uint32_t, TenantLimit>> tenant_limits;
-  /// Searches one loop may admit in one turn (its SearchBatch) before it
+  /// Searches one loop may admit in one turn (its batch) before it
   /// sheds regardless of tenant budgets (overload backstop). 0 sheds
   /// every search request -- useful to tests, not to production.
   size_t max_queue = 4096;
@@ -166,8 +167,8 @@ class Server {
                        uint64_t arrival_ns);
   /// Serves the HTTP side channel; returns false to close.
   bool ConsumeHttp(Connection* conn);
-  /// Answers the searches the loop admitted this turn with one
-  /// SearchBatch call, then encodes and sends every response.
+  /// Answers the searches the loop admitted this turn, one Search each,
+  /// then sends every response.
   void RunBatch(Loop* loop);
 
   /// Sends what the socket takes of conn's write buffer (responses are
@@ -185,11 +186,14 @@ class Server {
   /// \brief Files a slow-query record when (done - arrival) qualifies;
   /// below the bar this is two relaxed loads and a return (the zero-
   /// allocation fast path). `trace` may be null (untraced request): the
-  /// record then synthesizes coarse server stages from the timestamps.
+  /// record then synthesizes coarse server stages from the timestamps
+  /// and is annotated from `stats` (null when the index was not
+  /// searched).
   void MaybeLogSlow(const Request& req, ResponseOutcome outcome,
                     uint64_t trace_id, uint64_t arrival_ns,
                     uint64_t admitted_ns, uint64_t search_ns,
-                    uint64_t done_ns, const obs::QueryTrace* trace);
+                    uint64_t done_ns, const obs::QueryTrace* trace,
+                    const QueryStats* stats);
 
   /// \brief Builds the wire trace section from a finished span timeline.
   static WireTrace BuildWireTrace(uint64_t trace_id, uint64_t total_ns,

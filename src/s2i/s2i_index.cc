@@ -228,11 +228,9 @@ Result<std::vector<ScoredDoc>> S2IIndex::Search(const Query& q_in,
   auto result = SearchDispatch(q_in, alpha, &stats);
   search_latency_us_[q_in.semantics == Semantics::kAnd ? 0 : 1]->Record(
       (obs::NowNanos() - start_ns) / 1000);
-  stats_emitter_.Emit(View(stats));
-  {
-    std::lock_guard<std::mutex> lock(stats_mutex_);
-    last_search_stats_ = stats;
-  }
+  const SearchStatsView view = View(stats);
+  stats_emitter_.Emit(view);
+  if (q_in.control.stats != nullptr) q_in.control.stats->work.Add(view);
   return result;
 }
 

@@ -14,7 +14,6 @@
 #define I3_S2I_S2I_INDEX_H_
 
 #include <memory>
-#include <mutex>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -88,33 +87,15 @@ class S2IIndex final : public SpatialKeywordIndex {
   Result<std::vector<ScoredDoc>> Search(const Query& q,
                                         double alpha) override;
 
-  /// The query path keeps all per-query state on the stack (sources,
-  /// heaps, stats) and only reads the postings structures; statistics are
-  /// published once per search under stats_mutex_, and ARTree probes /
-  /// iterators are const. Safe for concurrent readers in the absence of
-  /// writers.
-  bool SupportsConcurrentSearch() const override { return true; }
-
   uint64_t DocumentCount() const override { return doc_count_; }
   IndexSizeInfo SizeInfo() const override;
-  const IoStats& io_stats() const override { return io_stats_; }
+  IoStats io_stats() const override { return io_stats_; }
   void ResetIoStats() override { io_stats_.Reset(); }
 
   /// Number of per-keyword aR-tree files currently materialized (the
   /// "large number of small index files" of Table 5's discussion).
   size_t TreeFileCount() const { return tree_count_; }
   size_t KeywordCount() const { return terms_.size(); }
-
-  /// Statistics of the most recent completed Search call (snapshot; under
-  /// concurrent readers "most recent" is whichever search published last).
-  S2ISearchStats last_search_stats() const {
-    std::lock_guard<std::mutex> lock(stats_mutex_);
-    return last_search_stats_;
-  }
-
-  SearchStatsView LastSearchStats() const override {
-    return View(last_search_stats());
-  }
 
   const S2IOptions& options() const { return options_; }
 
@@ -155,10 +136,6 @@ class S2IIndex final : public SpatialKeywordIndex {
   IoStats io_stats_;
   uint64_t doc_count_ = 0;
   size_t tree_count_ = 0;
-  /// Guards last_search_stats_ (snapshot scratch published per search; the
-  /// postings structures rely on the caller's reader/writer exclusion).
-  mutable std::mutex stats_mutex_;
-  S2ISearchStats last_search_stats_;
 
   // Metric handles cached at construction. Index 0 = AND, 1 = OR.
   obs::Histogram* search_latency_us_[2];

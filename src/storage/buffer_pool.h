@@ -67,7 +67,7 @@ struct BufferPoolOptions {
 /// \brief Write-through striped page cache, layered on a PageFile.
 ///
 /// Page accesses are internally synchronized so that concurrent readers
-/// (model/concurrent_index.h, model/sharded_index.h) can share the cache;
+/// (behind model/sharded_index.h) can share the cache;
 /// each page belongs to exactly one stripe and the critical section covers
 /// only that stripe's bookkeeping plus the underlying page copy. Writers
 /// still require external exclusion against readers: the pool orders

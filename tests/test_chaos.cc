@@ -186,25 +186,30 @@ TEST(ChaosTest, FailedShardDegradesToPartialTopK) {
   q.k = static_cast<uint32_t>(docs.size());
   q.semantics = Semantics::kOr;
   rig.index->ClearCache();
+  QueryStats full_stats;
+  q.control.stats = &full_stats;
   auto full = rig.index->Search(q, 0.5);
   ASSERT_TRUE(full.ok());
   ASSERT_GT(full.ValueOrDie().size(), 4u);
-  EXPECT_EQ(rig.index->LastSearchStats().Get("degraded"), 0u);
+  EXPECT_FALSE(full_stats.fanout.degraded);
   EXPECT_EQ(rig.index->degraded_queries(), 0u);
 
   // Hard-fail shard 1 and force device reads: the fan-out isolates the
   // failure and serves the surviving shards' merge, tagged degraded.
   rig.injectors[1]->set_fail_all(true);
   rig.index->ClearCache();
+  QueryStats stats;
+  q.control.stats = &stats;
   auto partial = rig.index->Search(q, 0.5);
   ASSERT_TRUE(partial.ok()) << partial.status().ToString();
   EXPECT_LT(partial.ValueOrDie().size(), full.ValueOrDie().size());
   EXPECT_GT(partial.ValueOrDie().size(), 0u);
-  const SearchStatsView stats = rig.index->LastSearchStats();
-  EXPECT_EQ(stats.Get("degraded"), 1u);
-  EXPECT_EQ(stats.Get("shards"), ChaosRig::kShards);
-  EXPECT_EQ(stats.Get("failed_shards"), 1u);
-  EXPECT_EQ(stats.Get("failed_shard_mask"), uint64_t{1} << 1);
+  EXPECT_TRUE(stats.fanout.degraded);
+  EXPECT_EQ(stats.fanout.shards, ChaosRig::kShards);
+  EXPECT_EQ(stats.fanout.failed_shards, 1u);
+  EXPECT_EQ(stats.fanout.failed_shard_mask, uint64_t{1} << 1);
+  EXPECT_TRUE(stats.fanout.first_error.IsIOError())
+      << stats.fanout.first_error.ToString();
   EXPECT_EQ(rig.index->degraded_queries(), 1u);
 
   // Every surviving document is from a healthy shard, and matches the
@@ -215,10 +220,12 @@ TEST(ChaosTest, FailedShardDegradesToPartialTopK) {
 
   rig.injectors[1]->Heal();
   rig.index->ClearCache();
+  QueryStats healed_stats;
+  q.control.stats = &healed_stats;
   auto healed = rig.index->Search(q, 0.5);
   ASSERT_TRUE(healed.ok());
   ExpectIdentical(healed.ValueOrDie(), full.ValueOrDie(), "healed");
-  EXPECT_EQ(rig.index->LastSearchStats().Get("degraded"), 0u);
+  EXPECT_FALSE(healed_stats.fanout.degraded);
 }
 
 TEST(ChaosTest, AllShardsFailingIsAnErrorNotAnEmptyResult) {
@@ -243,27 +250,10 @@ TEST(ChaosTest, AllShardsFailingIsAnErrorNotAnEmptyResult) {
 }
 
 TEST(ChaosTest, ParallelFanOutDegradesToo) {
-  // Same shard-failure contract with a fan-out thread pool.
+  // Same shard-failure contract with four callers fanning out at once:
+  // each caller's own context reports the degraded answer it got.
   ChaosRig rig;
-  rig.injectors.assign(ChaosRig::kShards, nullptr);
-  auto res = ShardedIndex::Create(
-      [&rig](uint32_t shard) {
-        I3Options opt;
-        opt.space = {0.0, 0.0, 100.0, 100.0};
-        opt.page_size = 128;
-        opt.signature_bits = 64;
-        opt.page_file_factory = [&rig, shard](size_t page_size) {
-          auto file = std::make_unique<FaultInjectionPageFile>(
-              std::make_unique<InMemoryPageFile>(page_size));
-          rig.injectors[shard] = file.get();
-          return file;
-        };
-        return std::make_unique<I3Index>(opt);
-      },
-      {.num_shards = ChaosRig::kShards, .search_threads = 2});
-  ASSERT_TRUE(res.ok());
-  rig.index = res.MoveValue();
-
+  InitRig(&rig);
   const CorpusOptions copt = ChaosCorpus();
   for (const auto& d : MakeCorpus(copt, 41)) {
     ASSERT_TRUE(rig.index->Insert(d).ok());
@@ -275,12 +265,27 @@ TEST(ChaosTest, ParallelFanOutDegradesToo) {
   q.semantics = Semantics::kOr;
   rig.injectors[2]->set_fail_all(true);
   rig.index->ClearCache();
-  auto partial = rig.index->Search(q, 0.5);
-  ASSERT_TRUE(partial.ok()) << partial.status().ToString();
-  const SearchStatsView stats = rig.index->LastSearchStats();
-  EXPECT_EQ(stats.Get("degraded"), 1u);
-  EXPECT_EQ(stats.Get("failed_shards"), 1u);
-  EXPECT_EQ(stats.Get("failed_shard_mask"), uint64_t{1} << 2);
+
+  constexpr int kThreads = 4;
+  std::vector<QueryStats> stats(kThreads);
+  bool ok[kThreads] = {};
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      Query mine = q;
+      mine.control.stats = &stats[t];
+      ok[t] = rig.index->Search(mine, 0.5).ok();
+    });
+  }
+  for (auto& th : threads) th.join();
+  for (int t = 0; t < kThreads; ++t) {
+    ASSERT_TRUE(ok[t]) << "caller " << t;
+    EXPECT_TRUE(stats[t].fanout.degraded) << "caller " << t;
+    EXPECT_EQ(stats[t].fanout.failed_shards, 1u) << "caller " << t;
+    EXPECT_EQ(stats[t].fanout.failed_shard_mask, uint64_t{1} << 2)
+        << "caller " << t;
+  }
+  EXPECT_EQ(rig.index->degraded_queries(), static_cast<uint64_t>(kThreads));
 }
 
 TEST(ChaosTest, ExpiredDeadlineFailsCleanlyOnI3) {

@@ -240,7 +240,7 @@ TEST(ColumnJoinDifferentialTest, ConcurrentReadersMatchOracle) {
 
 // rows_joined counts the join's work: rows copied into candidate columns
 // plus rows routed to children. It is deterministic per query and reaches
-// the trace next to docs_scored.
+// the request's context next to docs_scored.
 TEST(ColumnJoinTest, RowsJoinedIsDeterministicAndTraced) {
   const ChurnedCorpus c = MakeChurnedCorpus();
   I3Index index(SmallPageOptions(/*cell_cache=*/true, /*compress=*/true,
@@ -250,23 +250,31 @@ TEST(ColumnJoinTest, RowsJoinedIsDeterministicAndTraced) {
     Query q = base;
     q.k = 10;
     obs::QueryTrace first;
+    QueryStats s1;
     q.control.trace = &first;
+    q.control.stats = &s1;
     ASSERT_TRUE(index.Search(q, 0.5).ok());
-    const I3SearchStats s1 = index.last_search_stats();
     obs::QueryTrace second;
+    QueryStats s2;
     q.control.trace = &second;
+    q.control.stats = &s2;
     ASSERT_TRUE(index.Search(q, 0.5).ok());
-    const I3SearchStats s2 = index.last_search_stats();
-    EXPECT_EQ(s1.rows_joined, s2.rows_joined);
-    if (s1.docs_scored > 0) {
-      EXPECT_GE(s1.rows_joined, s1.docs_scored);
+    const uint64_t rows = s2.work.Get("rows_joined");
+    EXPECT_EQ(s1.work.Get("rows_joined"), rows);
+    if (s1.work.Get("docs_scored") > 0) {
+      EXPECT_GE(s1.work.Get("rows_joined"), s1.work.Get("docs_scored"));
     }
+    // The caller owns its trace: the index adds stages, and the caller
+    // annotates from the context.
+    EXPECT_TRUE(second.annotations.empty());
+    s2.AnnotateTrace(&second);
     uint64_t traced = UINT64_MAX;
     for (const auto& [key, value] : second.annotations) {
       if (key == "rows_joined") traced = value;
     }
-    EXPECT_EQ(traced, s2.rows_joined);
-    EXPECT_EQ(index.LastSearchStats().Get("rows_joined"), s2.rows_joined);
+    EXPECT_EQ(traced, rows);
+    // The calling thread's last I3 search is the one just run.
+    EXPECT_EQ(I3Index::last_search_stats().rows_joined, rows);
   }
 }
 

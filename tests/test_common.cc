@@ -1,9 +1,8 @@
 // Unit tests of the common substrate: Status/Result, geometry, RNG/Zipf,
-// and the ThreadPool.
+// the arena, small vectors, and deadlines.
 
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <cmath>
 #include <cstring>
 #include <numeric>
@@ -15,7 +14,6 @@
 #include "common/rng.h"
 #include "common/small_vec.h"
 #include "common/status.h"
-#include "common/thread_pool.h"
 #include "obs/clock.h"
 
 namespace i3 {
@@ -165,59 +163,6 @@ TEST(ZipfTest, ThetaZeroIsUniform) {
   for (size_t r = 0; r < 10; ++r) {
     EXPECT_NEAR(zipf.Probability(r), 0.1, 1e-9);
   }
-}
-
-TEST(ThreadPoolTest, SubmitReturnsValues) {
-  ThreadPool pool(4);
-  EXPECT_EQ(pool.size(), 4u);
-  std::vector<std::future<int>> futures;
-  for (int i = 0; i < 32; ++i) {
-    futures.push_back(pool.Submit([i] { return i * i; }));
-  }
-  for (int i = 0; i < 32; ++i) {
-    EXPECT_EQ(futures[i].get(), i * i);
-  }
-}
-
-TEST(ThreadPoolTest, ParallelForCoversEveryIndexExactlyOnce) {
-  ThreadPool pool(3);
-  constexpr size_t kN = 1000;
-  std::vector<std::atomic<int>> hits(kN);
-  pool.ParallelFor(kN, [&](size_t i) { ++hits[i]; });
-  for (size_t i = 0; i < kN; ++i) {
-    EXPECT_EQ(hits[i].load(), 1) << "index " << i;
-  }
-}
-
-TEST(ThreadPoolTest, ParallelForEdgeCases) {
-  ThreadPool pool(2);
-  std::atomic<int> calls{0};
-  pool.ParallelFor(0, [&](size_t) { ++calls; });
-  EXPECT_EQ(calls.load(), 0);
-  pool.ParallelFor(1, [&](size_t i) {
-    EXPECT_EQ(i, 0u);
-    ++calls;
-  });
-  EXPECT_EQ(calls.load(), 1);
-}
-
-TEST(ThreadPoolTest, ZeroWorkerPoolRunsOnCaller) {
-  ThreadPool pool(0);
-  EXPECT_EQ(pool.size(), 0u);
-  std::atomic<int> sum{0};
-  pool.ParallelFor(10, [&](size_t i) { sum += static_cast<int>(i); });
-  EXPECT_EQ(sum.load(), 45);
-}
-
-TEST(ThreadPoolTest, DestructorDrainsQueue) {
-  std::atomic<int> done{0};
-  {
-    ThreadPool pool(2);
-    for (int i = 0; i < 64; ++i) {
-      pool.Submit([&done] { ++done; });
-    }
-  }  // ~ThreadPool must run every queued task before joining
-  EXPECT_EQ(done.load(), 64);
 }
 
 // ----------------------------------------------------------------- arena

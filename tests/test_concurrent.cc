@@ -1,19 +1,21 @@
-// Stress tests of the concurrency layer: N reader + M writer threads over
-// ConcurrentIndex and ShardedIndex must neither crash nor corrupt the
+// Stress tests of the concurrency layer: N reader + M writer threads over a
+// 1-shard and a multi-shard ShardedIndex must neither crash nor corrupt the
 // structure, results observed mid-flight must be well-formed, and the final
 // state must match both a sequential replay and the BruteForceIndex oracle.
+// Concurrent callers must also each get exactly their own per-request
+// context (QueryControl::stats).
 
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cstring>
 #include <memory>
+#include <string>
 #include <thread>
 #include <vector>
 
 #include "i3/i3_index.h"
-#include "irtree/irtree_index.h"
 #include "model/brute_force.h"
-#include "model/concurrent_index.h"
 #include "model/sharded_index.h"
 #include "test_util.h"
 
@@ -32,9 +34,16 @@ I3Options SmallOptions() {
   return opt;
 }
 
+/// A 1-shard ShardedIndex: the thread-safe wrapper of one I3 index.
+ShardedIndex OneShardI3() {
+  std::vector<std::unique_ptr<SpatialKeywordIndex>> shards;
+  shards.push_back(std::make_unique<I3Index>(SmallOptions()));
+  return ShardedIndex(std::move(shards));
+}
+
 TEST(ConcurrentIndexTest, SingleThreadedBehaviourUnchanged) {
-  ConcurrentIndex index(std::make_unique<I3Index>(SmallOptions()));
-  EXPECT_EQ(index.Name(), "I3 (concurrent)");
+  ShardedIndex index = OneShardI3();
+  EXPECT_EQ(index.Name(), "I3 (sharded x1)");
   SpatialDocument d{1, {10, 10}, {{1, 0.5f}}};
   ASSERT_TRUE(index.Insert(d).ok());
   EXPECT_EQ(index.DocumentCount(), 1u);
@@ -52,24 +61,6 @@ TEST(ConcurrentIndexTest, SingleThreadedBehaviourUnchanged) {
   EXPECT_EQ(index.DocumentCount(), 0u);
 }
 
-TEST(ConcurrentIndexTest, ReaderSafetyDependsOnBase) {
-  // Every real index is reader-safe now that search statistics are
-  // stack-local and published under a mutex, so the wrapper must not
-  // serialize any of them; force_serialized_queries remains the escape
-  // hatch for implementations that withdraw the promise.
-  ConcurrentIndex over_i3(std::make_unique<I3Index>(SmallOptions()));
-  EXPECT_FALSE(over_i3.serializes_queries());
-
-  IrTreeOptions iropt;
-  iropt.space = {0.0, 0.0, 100.0, 100.0};
-  ConcurrentIndex over_irtree(std::make_unique<IrTreeIndex>(iropt));
-  EXPECT_FALSE(over_irtree.serializes_queries());
-
-  ConcurrentIndex forced(std::make_unique<I3Index>(SmallOptions()),
-                         {.force_serialized_queries = true});
-  EXPECT_TRUE(forced.serializes_queries());
-}
-
 TEST(ConcurrentIndexTest, ConcurrentReadersSeeSequentialResults) {
   // A static index queried from many threads at once: every thread must see
   // exactly the results a sequential run produces (the readers really do
@@ -81,8 +72,7 @@ TEST(ConcurrentIndexTest, ConcurrentReadersSeeSequentialResults) {
   const auto docs = MakeCorpus(copt, 2024);
   const auto queries = MakeQueries(copt, 40, 2, 10, Semantics::kOr, 2025);
 
-  ConcurrentIndex index(std::make_unique<I3Index>(SmallOptions()));
-  ASSERT_FALSE(index.serializes_queries());
+  ShardedIndex index = OneShardI3();
   for (const auto& d : docs) ASSERT_TRUE(index.Insert(d).ok());
 
   // Sequential ground truth first.
@@ -218,12 +208,12 @@ TEST(ConcurrentIndexTest, ParallelWritersAndReaders) {
   const auto docs = MakeCorpus(copt, 404);
   const auto queries = MakeQueries(copt, 50, 2, 10, Semantics::kOr, 405);
 
-  ConcurrentIndex index(std::make_unique<I3Index>(SmallOptions()));
+  ShardedIndex index = OneShardI3();
   StressAndValidate(&index, copt, docs, queries, /*num_writers=*/4,
                     /*num_readers=*/4, /*queries_per_reader=*/150);
 
   // The wrapped I3 must also be structurally sound.
-  auto* i3 = static_cast<I3Index*>(index.base());
+  auto* i3 = static_cast<I3Index*>(index.shard(0));
   auto check = i3->CheckInvariants();
   ASSERT_TRUE(check.ok()) << check.status().ToString();
 
@@ -237,23 +227,6 @@ TEST(ConcurrentIndexTest, ParallelWritersAndReaders) {
     ASSERT_TRUE(b.ok());
     EXPECT_TRUE(testutil::SameScores(a.ValueOrDie(), b.ValueOrDie()));
   }
-}
-
-TEST(ConcurrentIndexTest, SerializedModeStress) {
-  // force_serialized_queries reproduces the wrapper's historical coarse
-  // locking; the stress workload must still be correct there (it is the
-  // bench_concurrency baseline).
-  CorpusOptions copt;
-  copt.num_docs = 1000;
-  copt.vocab_size = 25;
-  const auto docs = MakeCorpus(copt, 500);
-  const auto queries = MakeQueries(copt, 30, 2, 10, Semantics::kAnd, 501);
-
-  ConcurrentIndex index(std::make_unique<I3Index>(SmallOptions()),
-                        {.force_serialized_queries = true});
-  ASSERT_TRUE(index.serializes_queries());
-  StressAndValidate(&index, copt, docs, queries, /*num_writers=*/3,
-                    /*num_readers=*/3, /*queries_per_reader=*/80);
 }
 
 TEST(ShardedIndexTest, ParallelWritersAndReaders) {
@@ -280,10 +253,9 @@ TEST(ShardedIndexTest, ParallelWritersAndReaders) {
 }
 
 TEST(ShardedIndexTest, ParallelFanOutUnderWriters) {
-  // Same stress but with an internal search pool, so shard fan-out worker
-  // threads interleave with external writers (the TSan-interesting case:
-  // pool workers take shared locks while writer threads take exclusive
-  // ones).
+  // The same stress on a second seed and a smaller corpus: each reader's
+  // shard sweep takes the shards' shared locks one after another while
+  // writer threads take exclusive ones (the TSan-interesting interleaving).
   CorpusOptions copt;
   copt.num_docs = 1200;
   copt.vocab_size = 25;
@@ -292,50 +264,129 @@ TEST(ShardedIndexTest, ParallelFanOutUnderWriters) {
 
   auto res = ShardedIndex::Create(
       [](uint32_t) { return std::make_unique<I3Index>(SmallOptions()); },
-      {.num_shards = 4, .search_threads = 3});
+      {.num_shards = 4});
   ASSERT_TRUE(res.ok());
   StressAndValidate(res.ValueOrDie().get(), copt, docs, queries,
                     /*num_writers=*/3, /*num_readers=*/3,
                     /*queries_per_reader=*/80);
 }
 
-TEST(ShardedIndexTest, ConcurrentSearchManyAndWriters) {
-  // SearchMany from several client threads while writers mutate: batches
-  // must come back complete and well-formed.
+/// Forwards to an index but fails every query asking for kPoisonTerm: a
+/// shard failure that only the caller issuing such a query runs into.
+class PoisonTermShard final : public SpatialKeywordIndex {
+ public:
+  static constexpr TermId kPoisonTerm = 999;
+
+  explicit PoisonTermShard(std::unique_ptr<SpatialKeywordIndex> base)
+      : base_(std::move(base)) {}
+  std::string Name() const override { return base_->Name(); }
+  Status Insert(const SpatialDocument& doc) override {
+    return base_->Insert(doc);
+  }
+  Status Delete(const SpatialDocument& doc) override {
+    return base_->Delete(doc);
+  }
+  Result<std::vector<ScoredDoc>> Search(const Query& q,
+                                        double alpha) override {
+    for (TermId t : q.terms) {
+      if (t == kPoisonTerm) return Status::IOError("poisoned shard");
+    }
+    return base_->Search(q, alpha);
+  }
+  uint64_t DocumentCount() const override { return base_->DocumentCount(); }
+  IndexSizeInfo SizeInfo() const override { return base_->SizeInfo(); }
+  IoStats io_stats() const override { return base_->io_stats(); }
+  void ResetIoStats() override { base_->ResetIoStats(); }
+
+ private:
+  std::unique_ptr<SpatialKeywordIndex> base_;
+};
+
+bool SameContext(const QueryStats& a, const QueryStats& b) {
+  if (a.work.count != b.work.count) return false;
+  for (size_t i = 0; i < a.work.count; ++i) {
+    if (std::strcmp(a.work.names[i], b.work.names[i]) != 0 ||
+        a.work.values[i] != b.work.values[i]) {
+      return false;
+    }
+  }
+  return a.fanout.shards == b.fanout.shards &&
+         a.fanout.failed_shards == b.fanout.failed_shards &&
+         a.fanout.failed_shard_mask == b.fanout.failed_shard_mask &&
+         a.fanout.failovers == b.fanout.failovers &&
+         a.fanout.served_replica == b.fanout.served_replica &&
+         a.fanout.degraded == b.fanout.degraded &&
+         a.fanout.first_error.code() == b.fanout.first_error.code();
+}
+
+TEST(ShardedIndexTest, ConcurrentCallersKeepTheirOwnContexts) {
+  // Four callers search a 4-shard index at once, each with its own
+  // QueryStats. Every context must hold exactly what the same query
+  // reports when run alone, and the shard failure that only query 0 runs
+  // into must mark only its caller's context degraded.
   CorpusOptions copt;
-  copt.num_docs = 1000;
-  copt.vocab_size = 25;
-  const auto docs = MakeCorpus(copt, 909);
-  const auto queries = MakeQueries(copt, 16, 2, 10, Semantics::kOr, 910);
+  copt.num_docs = 1500;
+  copt.vocab_size = 30;
+  const auto docs = MakeCorpus(copt, 1313);
+  auto queries = MakeQueries(copt, 24, 2, 10, Semantics::kOr, 1314);
+  queries[0].terms.push_back(PoisonTermShard::kPoisonTerm);
 
   auto res = ShardedIndex::Create(
-      [](uint32_t) { return std::make_unique<I3Index>(SmallOptions()); },
-      {.num_shards = 4, .search_threads = 2});
+      [](uint32_t s) -> std::unique_ptr<SpatialKeywordIndex> {
+        auto i3 = std::make_unique<I3Index>(SmallOptions());
+        if (s == 1) return std::make_unique<PoisonTermShard>(std::move(i3));
+        return i3;
+      },
+      {.num_shards = 4});
   ASSERT_TRUE(res.ok());
   auto& index = *res.ValueOrDie();
+  for (const auto& d : docs) ASSERT_TRUE(index.Insert(d).ok());
 
-  std::atomic<bool> failed{false};
-  std::vector<std::thread> threads;
-  for (int w = 0; w < 2; ++w) {
-    threads.emplace_back(
-        [&, w] { RunWriter(&index, docs, w, 2, &failed); });
+  std::vector<QueryStats> solo(queries.size());
+  std::vector<std::vector<ScoredDoc>> solo_results(queries.size());
+  for (size_t i = 0; i < queries.size(); ++i) {
+    Query q = queries[i];
+    q.control.stats = &solo[i];
+    auto r = index.Search(q, 0.5);
+    ASSERT_TRUE(r.ok()) << r.status().ToString();
+    solo_results[i] = r.MoveValue();
+    EXPECT_EQ(solo[i].fanout.shards, 4u);
+    EXPECT_GT(solo[i].work.Get("candidates_popped"), 0u) << "query " << i;
   }
-  for (int c = 0; c < 2; ++c) {
-    threads.emplace_back([&] {
-      for (int iter = 0; iter < 15; ++iter) {
-        auto batch = index.SearchMany(queries, 0.5);
-        if (!batch.ok() || batch.ValueOrDie().size() != queries.size()) {
-          failed = true;
+  EXPECT_TRUE(solo[0].fanout.degraded);
+  EXPECT_EQ(solo[0].fanout.failed_shard_mask, uint64_t{1} << 1);
+  EXPECT_TRUE(solo[0].fanout.first_error.IsIOError());
+  for (size_t i = 1; i < queries.size(); ++i) {
+    EXPECT_FALSE(solo[i].fanout.degraded) << "query " << i;
+  }
+
+  constexpr int kThreads = 4;
+  constexpr int kRounds = 5;
+  const uint64_t degraded_before = index.degraded_queries();
+  std::atomic<int> mismatches{0};
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      for (int round = 0; round < kRounds; ++round) {
+        for (size_t j = 0; j < queries.size(); ++j) {
+          const size_t i = (j + t * 7) % queries.size();
+          QueryStats mine;
+          Query q = queries[i];
+          q.control.stats = &mine;
+          auto r = index.Search(q, 0.5);
+          if (!r.ok() || !(r.ValueOrDie() == solo_results[i]) ||
+              !SameContext(mine, solo[i])) {
+            ++mismatches;
+          }
         }
       }
     });
   }
-  for (auto& t : threads) t.join();
-  EXPECT_FALSE(failed.load());
-
-  BruteForceIndex oracle(copt.space);
-  ReplayWriters(&oracle, docs, 2);
-  EXPECT_EQ(index.DocumentCount(), oracle.DocumentCount());
+  for (auto& th : threads) th.join();
+  EXPECT_EQ(mismatches.load(), 0);
+  // Query 0 ran once per caller per round, and only it degraded.
+  EXPECT_EQ(index.degraded_queries() - degraded_before,
+            static_cast<uint64_t>(kThreads) * kRounds);
 }
 
 }  // namespace

@@ -626,6 +626,50 @@ TEST_F(IntrospectionTest, SlowLogCapturesUnderConcurrentLoad) {
   }
 }
 
+// An untraced request's slow-log record carries that request's own work
+// counters and fan-out outcome as annotations -- each once, and equal to
+// what a direct search of the same query puts in its context.
+TEST_F(IntrospectionTest, UntracedSlowLogRecordCarriesWorkCounters) {
+  ServerOptions opts;
+  opts.slow_threshold_us = 0;  // capture everything
+  StartServer(opts);
+  const auto queries = MakeQueries(ServingCorpus(), 5, /*qn=*/2, /*k=*/10,
+                                   Semantics::kOr, /*seed=*/131);
+  auto client = Connect();
+  ASSERT_TRUE(client.ok()) << client.status().ToString();
+  for (size_t i = 0; i < queries.size(); ++i) {
+    Request req = SearchRequest(queries[i], i, 0.5);
+    req.no_cache = true;
+    auto wire = client.ValueOrDie()->Call(req);
+    ASSERT_TRUE(wire.ok()) << wire.status().ToString();
+    ASSERT_EQ(wire.ValueOrDie().outcome, ResponseOutcome::kOk);
+
+    QueryStats direct;
+    Query q = req.ToQuery();
+    q.control.stats = &direct;
+    ASSERT_TRUE(index_->Search(q, 0.5).ok());
+    ASSERT_GT(direct.work.Get("docs_scored"), 0u);
+
+    // The record is filed before the response is sent.
+    const auto recent = server_->slow_log().Recent();
+    ASSERT_EQ(recent.size(), i + 1);
+    const obs::SlowQueryRecord& rec = recent.back();
+    EXPECT_EQ(rec.trace_id, 0u);
+    std::map<std::string, uint64_t> notes;
+    std::map<std::string, int> seen;
+    for (const auto& [key, value] : rec.trace.annotations) {
+      notes[key] = value;
+      ++seen[key];
+    }
+    for (const auto& [key, n] : seen) EXPECT_EQ(n, 1) << key;
+    EXPECT_EQ(notes["docs_scored"], direct.work.Get("docs_scored"));
+    EXPECT_EQ(notes["cells_pruned_score"],
+              direct.work.Get("cells_pruned_score"));
+    EXPECT_EQ(notes["shards"], 4u);
+    EXPECT_EQ(notes["failed_shards"], 0u);
+  }
+}
+
 // All four introspection endpoints serve strictly valid JSON while
 // search traffic is in flight, and /statusz reflects the SLO windows.
 TEST_F(IntrospectionTest, EndpointsServeValidJsonUnderTraffic) {

@@ -515,6 +515,20 @@ TEST(ObsSearchStatsTest, ViewCapsAtMaxStats) {
   EXPECT_EQ(v.count, SearchStatsView::kMaxStats);
 }
 
+TEST(ObsSearchStatsTest, AddSumsByNameAndAppendsNewNames) {
+  SearchStatsView sum;
+  SearchStatsView shard;
+  shard.Set("docs_scored", 3);
+  shard.Set("cells_pruned", 1);
+  sum.Add(shard);
+  sum.Add(shard);
+  SearchStatsView other_order;
+  other_order.Set("cells_pruned", 10);
+  other_order.Set("pages", 5);
+  sum.Add(other_order);
+  EXPECT_EQ(sum.ToString(), "{docs_scored: 6, cells_pruned: 12, pages: 5}");
+}
+
 TEST(ObsSearchStatsTest, EmitterSumsIntoGlobalCounters) {
   SearchStatsView schema;
   schema.Set("obs_test_stat_a", 0);

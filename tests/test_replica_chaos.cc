@@ -185,16 +185,15 @@ TEST(ReplicaChaosTest, KilledPrimariesUnderLoadYieldZeroDegraded) {
     // Stats attribute the serving replica: a fresh single-threaded search
     // shows every shard answered by replica 1.
     rig.index->ClearCache();
-    ASSERT_TRUE(rig.index->Search(queries[0], 0.5).ok());
-    const SearchStatsView stats = rig.index->LastSearchStats();
-    EXPECT_EQ(stats.Get("failovers"), ReplicatedShardedRig::kShards);
-    EXPECT_EQ(stats.Get("degraded"), 0u);
-    // Nibble-packed serving replicas: every shard reports replica 1.
-    uint64_t nibbles = 0;
+    QueryStats stats;
+    Query q = queries[0];
+    q.control.stats = &stats;
+    ASSERT_TRUE(rig.index->Search(q, 0.5).ok());
+    EXPECT_EQ(stats.fanout.failovers, ReplicatedShardedRig::kShards);
+    EXPECT_FALSE(stats.fanout.degraded);
     for (uint32_t s = 0; s < ReplicatedShardedRig::kShards; ++s) {
-      nibbles |= uint64_t{1} << (4 * s);
+      EXPECT_EQ(stats.fanout.served_replica[s], 1u) << "shard " << s;
     }
-    EXPECT_EQ(stats.Get("served_replica_by_shard"), nibbles);
 
     // Recovery while serving continues: readers keep sweeping queries as
     // each killed primary rejoins via snapshot + catch-up.
@@ -219,13 +218,16 @@ TEST(ReplicaChaosTest, KilledPrimariesUnderLoadYieldZeroDegraded) {
     // Fully healed: primaries serve again, answers unchanged.
     rig.index->ClearCache();
     for (size_t i = 0; i < queries.size(); ++i) {
-      auto res = rig.index->Search(queries[i], 0.5);
+      QueryStats recovered;
+      Query rq = queries[i];
+      rq.control.stats = &recovered;
+      auto res = rig.index->Search(rq, 0.5);
       ASSERT_TRUE(res.ok()) << res.status().ToString();
       ExpectIdentical(res.ValueOrDie(), baseline[i],
                       "seed " + std::to_string(seed) + " recovered query " +
                           std::to_string(i));
+      EXPECT_EQ(recovered.fanout.failovers, 0u);
     }
-    EXPECT_EQ(rig.index->LastSearchStats().Get("failovers"), 0u);
   }
 }
 

@@ -2,20 +2,23 @@
 // return byte-identical results -- order, ties, AND/OR, extreme alpha,
 // k > matching docs -- to an unsharded I3Index on the same corpus, also
 // after deletes and updates), routing, aggregation of DocumentCount /
-// SizeInfo / IoStats, name composition, SearchMany, and error propagation.
+// SizeInfo / IoStats, name composition, error propagation, and one sampled
+// trace per request.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
+#include <map>
 #include <memory>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "i3/i3_index.h"
 #include "irtree/irtree_index.h"
-#include "model/brute_force.h"
-#include "model/concurrent_index.h"
 #include "model/sharded_index.h"
+#include "obs/trace.h"
 #include "test_util.h"
 
 namespace i3 {
@@ -70,18 +73,19 @@ TEST(ShardedIndexTest, NameComposesAcrossDecorators) {
   ASSERT_TRUE(direct.ok());
   EXPECT_EQ(direct.ValueOrDie()->Name(), "I3 (sharded x4)");
 
-  auto over_concurrent = ShardedIndex::Create(
-      [](uint32_t) {
-        return std::make_unique<ConcurrentIndex>(
-            std::make_unique<I3Index>(SmallI3Options()));
+  auto over_replicas = ShardedIndex::Create(
+      [](uint32_t) -> std::unique_ptr<SpatialKeywordIndex> {
+        return ReplicaSet::Create(
+                   [](uint32_t) {
+                     return std::make_unique<I3Index>(SmallI3Options());
+                   },
+                   ReplicaOps{}, {.replication_factor = 2})
+            .MoveValue();
       },
       {.num_shards = 2});
-  ASSERT_TRUE(over_concurrent.ok());
-  EXPECT_EQ(over_concurrent.ValueOrDie()->Name(),
-            "I3 (concurrent, sharded x2)");
-
-  ConcurrentIndex stacked(over_concurrent.MoveValue());
-  EXPECT_EQ(stacked.Name(), "I3 (concurrent, sharded x2, concurrent)");
+  ASSERT_TRUE(over_replicas.ok());
+  EXPECT_EQ(over_replicas.ValueOrDie()->Name(),
+            "I3 (replicated x2, sharded x2)");
 }
 
 TEST(ShardedIndexTest, CreateValidatesArguments) {
@@ -214,15 +218,14 @@ class ShardedDifferentialTest : public ::testing::Test {
     auto seq = ShardedIndex::Create(I3Factory(), {.num_shards = 5});
     ASSERT_TRUE(seq.ok());
     sharded_ = seq.MoveValue();
-    auto par = ShardedIndex::Create(
-        I3Factory(), {.num_shards = 5, .search_threads = 3});
-    ASSERT_TRUE(par.ok());
-    sharded_parallel_ = par.MoveValue();
+    auto one = ShardedIndex::Create(I3Factory(), {.num_shards = 1});
+    ASSERT_TRUE(one.ok());
+    one_shard_ = one.MoveValue();
 
     for (const auto& d : docs_) {
       ASSERT_TRUE(unsharded_->Insert(d).ok());
       ASSERT_TRUE(sharded_->Insert(d).ok());
-      ASSERT_TRUE(sharded_parallel_->Insert(d).ok());
+      ASSERT_TRUE(one_shard_->Insert(d).ok());
     }
   }
 
@@ -243,17 +246,17 @@ class ShardedDifferentialTest : public ::testing::Test {
           MakeQueries(copt_, 25, c.qn, c.k, c.semantics, ++seed);
       for (size_t qi = 0; qi < queries.size(); ++qi) {
         auto expected = unsharded_->Search(queries[qi], c.alpha);
-        auto got_seq = sharded_->Search(queries[qi], c.alpha);
-        auto got_par = sharded_parallel_->Search(queries[qi], c.alpha);
+        auto got_five = sharded_->Search(queries[qi], c.alpha);
+        auto got_one = one_shard_->Search(queries[qi], c.alpha);
         ASSERT_TRUE(expected.ok());
-        ASSERT_TRUE(got_seq.ok());
-        ASSERT_TRUE(got_par.ok());
+        ASSERT_TRUE(got_five.ok());
+        ASSERT_TRUE(got_one.ok());
         const std::string ctx =
             phase + " " + CaseName(c) + " query " + std::to_string(qi);
-        ExpectIdenticalResults(got_seq.ValueOrDie(), expected.ValueOrDie(),
-                               ctx + " (sequential fan-out)");
-        ExpectIdenticalResults(got_par.ValueOrDie(), expected.ValueOrDie(),
-                               ctx + " (parallel fan-out)");
+        ExpectIdenticalResults(got_five.ValueOrDie(), expected.ValueOrDie(),
+                               ctx + " (5 shards)");
+        ExpectIdenticalResults(got_one.ValueOrDie(), expected.ValueOrDie(),
+                               ctx + " (1 shard)");
       }
     }
   }
@@ -262,7 +265,7 @@ class ShardedDifferentialTest : public ::testing::Test {
   std::vector<SpatialDocument> docs_;
   std::unique_ptr<I3Index> unsharded_;
   std::unique_ptr<ShardedIndex> sharded_;
-  std::unique_ptr<ShardedIndex> sharded_parallel_;
+  std::unique_ptr<ShardedIndex> one_shard_;
 };
 
 TEST_F(ShardedDifferentialTest, IdenticalOnStaticCorpus) {
@@ -274,33 +277,17 @@ TEST_F(ShardedDifferentialTest, IdenticalAfterDeletesAndUpdates) {
   for (size_t i = 0; i < docs_.size(); i += 3) {
     ASSERT_TRUE(unsharded_->Delete(docs_[i]).ok());
     ASSERT_TRUE(sharded_->Delete(docs_[i]).ok());
-    ASSERT_TRUE(sharded_parallel_->Delete(docs_[i]).ok());
+    ASSERT_TRUE(one_shard_->Delete(docs_[i]).ok());
   }
   for (size_t i = 0; i < docs_.size(); ++i) {
     if (i % 3 == 0 || i % 7 != 0) continue;
     const SpatialDocument updated = Shifted(docs_[i]);
     ASSERT_TRUE(unsharded_->Update(docs_[i], updated).ok());
     ASSERT_TRUE(sharded_->Update(docs_[i], updated).ok());
-    ASSERT_TRUE(sharded_parallel_->Update(docs_[i], updated).ok());
+    ASSERT_TRUE(one_shard_->Update(docs_[i], updated).ok());
   }
   ASSERT_EQ(sharded_->DocumentCount(), unsharded_->DocumentCount());
   RunDifferential("after-maintenance");
-}
-
-TEST_F(ShardedDifferentialTest, SearchManyMatchesSearch) {
-  std::vector<Query> batch = MakeQueries(copt_, 20, 2, 15, Semantics::kOr, 5);
-  const auto and_queries = MakeQueries(copt_, 20, 2, 15, Semantics::kAnd, 6);
-  batch.insert(batch.end(), and_queries.begin(), and_queries.end());
-
-  auto many = sharded_parallel_->SearchMany(batch, 0.5);
-  ASSERT_TRUE(many.ok());
-  ASSERT_EQ(many.ValueOrDie().size(), batch.size());
-  for (size_t i = 0; i < batch.size(); ++i) {
-    auto expected = unsharded_->Search(batch[i], 0.5);
-    ASSERT_TRUE(expected.ok());
-    ExpectIdenticalResults(many.ValueOrDie()[i], expected.ValueOrDie(),
-                           "SearchMany query " + std::to_string(i));
-  }
 }
 
 TEST_F(ShardedDifferentialTest, ErrorsMatchUnsharded) {
@@ -309,17 +296,17 @@ TEST_F(ShardedDifferentialTest, ErrorsMatchUnsharded) {
   empty.k = 10;
   auto expected = unsharded_->Search(empty, 0.5);
   auto got = sharded_->Search(empty, 0.5);
-  auto got_par = sharded_parallel_->Search(empty, 0.5);
+  auto got_one = one_shard_->Search(empty, 0.5);
   ASSERT_FALSE(expected.ok());
   ASSERT_FALSE(got.ok());
-  ASSERT_FALSE(got_par.ok());
+  ASSERT_FALSE(got_one.ok());
   EXPECT_EQ(got.status().code(), expected.status().code());
-  EXPECT_EQ(got_par.status().code(), expected.status().code());
+  EXPECT_EQ(got_one.status().code(), expected.status().code());
 
-  // Invalid alpha propagates from every path too.
+  // Invalid alpha propagates from every shard count too.
   Query q = MakeQueries(copt_, 1, 2, 5, Semantics::kOr, 9)[0];
   EXPECT_FALSE(sharded_->Search(q, 1.5).ok());
-  EXPECT_FALSE(sharded_parallel_->Search(q, -0.1).ok());
+  EXPECT_FALSE(one_shard_->Search(q, -0.1).ok());
 }
 
 TEST(ShardedIndexTest, CrossShardUpdateMovesDocument) {
@@ -349,80 +336,135 @@ TEST(ShardedIndexTest, CrossShardUpdateMovesDocument) {
   EXPECT_EQ(hits.ValueOrDie()[0].doc, b);
 }
 
-/// Forwarding wrapper that withdraws the reader-safety promise -- stands in
-/// for an implementation with unsynchronized per-index query scratch (all
-/// real indexes are reader-safe now that search stats are stack-local and
-/// published under a mutex, so the serialize path needs a test double).
-class NotReaderSafeIndex final : public SpatialKeywordIndex {
- public:
-  explicit NotReaderSafeIndex(std::unique_ptr<SpatialKeywordIndex> base)
-      : base_(std::move(base)) {}
-  std::string Name() const override { return base_->Name(); }
-  Status Insert(const SpatialDocument& doc) override {
-    return base_->Insert(doc);
-  }
-  Status Delete(const SpatialDocument& doc) override {
-    return base_->Delete(doc);
-  }
-  Result<std::vector<ScoredDoc>> Search(const Query& q,
-                                        double alpha) override {
-    return base_->Search(q, alpha);
-  }
-  bool SupportsConcurrentSearch() const override { return false; }
-  uint64_t DocumentCount() const override { return base_->DocumentCount(); }
-  IndexSizeInfo SizeInfo() const override { return base_->SizeInfo(); }
-  const IoStats& io_stats() const override { return base_->io_stats(); }
-  void ResetIoStats() override { base_->ResetIoStats(); }
-
- private:
-  std::unique_ptr<SpatialKeywordIndex> base_;
-};
-
 TEST(ShardedIndexTest, IrTreeShardsAreReaderSafe) {
-  // IR-tree used to mutate per-index stats scratch mid-search; stats are
-  // stack-local now, so its shards must NOT serialize searches.
-  IrTreeOptions iropt;
-  iropt.space = {0.0, 0.0, 100.0, 100.0};
-  auto res = ShardedIndex::Create(
-      [&](uint32_t) { return std::make_unique<IrTreeIndex>(iropt); },
-      {.num_shards = 2});
-  ASSERT_TRUE(res.ok());
-  EXPECT_TRUE(res.ValueOrDie()->shard(0)->SupportsConcurrentSearch());
-}
-
-TEST(ShardedIndexTest, SerializesQueriesOfNonReaderSafeShards) {
-  // A shard that is not reader-safe must have its searches serialized
-  // (cross-shard parallelism still applies) -- and the results must stay
-  // correct.
+  // The IR-tree keeps all per-query state on the searching thread's stack,
+  // so concurrent readers of its shards see exactly the sequential answers.
   IrTreeOptions iropt;
   iropt.space = {0.0, 0.0, 100.0, 100.0};
   iropt.page_size = 256;
   auto res = ShardedIndex::Create(
-      [&](uint32_t) {
-        return std::make_unique<NotReaderSafeIndex>(
-            std::make_unique<IrTreeIndex>(iropt));
-      },
-      {.num_shards = 3, .search_threads = 2});
+      [&](uint32_t) { return std::make_unique<IrTreeIndex>(iropt); },
+      {.num_shards = 2});
   ASSERT_TRUE(res.ok());
   auto& index = *res.ValueOrDie();
-  EXPECT_FALSE(index.shard(0)->SupportsConcurrentSearch());
-
   CorpusOptions copt;
   copt.num_docs = 400;
-  const auto docs = MakeCorpus(copt, 55);
-  BruteForceIndex oracle(copt.space);
-  for (const auto& d : docs) {
+  for (const auto& d : MakeCorpus(copt, 55)) {
     ASSERT_TRUE(index.Insert(d).ok());
-    ASSERT_TRUE(oracle.Insert(d).ok());
   }
-  for (const Query& q : MakeQueries(copt, 20, 2, 10, Semantics::kOr, 56)) {
-    auto got = index.Search(q, 0.5);
-    auto expected = oracle.Search(q, 0.5);
-    ASSERT_TRUE(got.ok());
-    ASSERT_TRUE(expected.ok());
-    EXPECT_TRUE(
-        testutil::SameScores(got.ValueOrDie(), expected.ValueOrDie()));
+  const auto queries = MakeQueries(copt, 20, 2, 10, Semantics::kOr, 56);
+  std::vector<std::vector<ScoredDoc>> expected;
+  for (const Query& q : queries) {
+    auto r = index.Search(q, 0.5);
+    ASSERT_TRUE(r.ok());
+    expected.push_back(r.MoveValue());
   }
+
+  std::atomic<int> mismatches{0};
+  std::vector<std::thread> readers;
+  for (int t = 0; t < 4; ++t) {
+    readers.emplace_back([&, t] {
+      for (size_t j = 0; j < queries.size(); ++j) {
+        const size_t i = (j + t) % queries.size();
+        auto r = index.Search(queries[i], 0.5);
+        if (!r.ok() || !(r.ValueOrDie() == expected[i])) ++mismatches;
+      }
+    });
+  }
+  for (auto& th : readers) th.join();
+  EXPECT_EQ(mismatches.load(), 0);
+}
+
+TEST(ShardedIndexTest, IoStatsNeverGoBackwardsUnderConcurrentReads) {
+  // io_stats() returns a fresh snapshot per call, so readers beside a
+  // searcher (and beside each other) only ever see the totals grow.
+  I3Options opt = SmallI3Options();
+  opt.buffer_pool.capacity_pages = 0;  // every page view is a device read
+  auto res = ShardedIndex::Create(
+      [&](uint32_t) { return std::make_unique<I3Index>(opt); },
+      {.num_shards = 4});
+  ASSERT_TRUE(res.ok());
+  auto& index = *res.ValueOrDie();
+  CorpusOptions copt;
+  copt.num_docs = 500;
+  for (const auto& d : MakeCorpus(copt, 71)) {
+    ASSERT_TRUE(index.Insert(d).ok());
+  }
+  const auto queries = MakeQueries(copt, 20, 2, 10, Semantics::kOr, 72);
+
+  std::atomic<bool> done{false};
+  std::atomic<uint64_t> decreases{0};
+  std::vector<std::thread> readers;
+  for (int r = 0; r < 2; ++r) {
+    readers.emplace_back([&] {
+      uint64_t last = 0;
+      while (!done.load()) {
+        const uint64_t now = index.io_stats().TotalReads();
+        if (now < last) ++decreases;
+        last = now;
+      }
+    });
+  }
+  bool all_ok = true;
+  for (int round = 0; round < 10; ++round) {
+    for (const Query& q : queries) all_ok &= index.Search(q, 0.5).ok();
+  }
+  done = true;
+  for (auto& th : readers) th.join();
+  EXPECT_TRUE(all_ok);
+  EXPECT_EQ(decreases.load(), 0u);
+  EXPECT_GT(index.io_stats().TotalReads(), 0u);
+}
+
+/// Runs `queries` through a fresh 4-shard index at trace sample `rate` and
+/// returns what the global tracer published.
+std::vector<obs::QueryTrace> SampledTraces(double rate, size_t num_queries) {
+  auto res = ShardedIndex::Create(I3Factory(), {.num_shards = 4});
+  EXPECT_TRUE(res.ok());
+  auto& index = *res.ValueOrDie();
+  CorpusOptions copt;
+  copt.num_docs = 400;
+  for (const auto& d : MakeCorpus(copt, 81)) {
+    EXPECT_TRUE(index.Insert(d).ok());
+  }
+  const auto queries =
+      MakeQueries(copt, num_queries, 2, 10, Semantics::kOr, 82);
+  obs::Tracer& tracer = obs::Tracer::Global();
+  tracer.Clear();
+  tracer.SetSampleRate(rate);
+  for (const Query& q : queries) EXPECT_TRUE(index.Search(q, 0.5).ok());
+  tracer.SetSampleRate(0.0);
+  std::vector<obs::QueryTrace> traces = tracer.Recent();
+  tracer.Clear();
+  return traces;
+}
+
+TEST(ShardedIndexTest, SampledTraceCoversTheWholeFanOut) {
+  // One request is one sampling decision: at rate 1 each query publishes
+  // exactly one trace, holding every shard's stage and the shards' own I3
+  // stages, with each fact annotated once.
+  const auto traces = SampledTraces(1.0, 10);
+  ASSERT_EQ(traces.size(), 10u);
+  for (const obs::QueryTrace& t : traces) {
+    EXPECT_EQ(t.label, "Sharded.Search");
+    for (const char* stage :
+         {"shard0", "shard1", "shard2", "shard3", "signature_filter"}) {
+      EXPECT_TRUE(std::any_of(
+          t.stages.begin(), t.stages.end(),
+          [&](const obs::TraceStage& s) { return s.name == stage; }))
+          << "missing stage " << stage;
+    }
+    std::map<std::string, int> seen;
+    for (const auto& a : t.annotations) ++seen[a.first];
+    for (const auto& [name, n] : seen) EXPECT_EQ(n, 1) << name;
+    for (const char* note : {"docs_scored", "shards", "results"}) {
+      EXPECT_EQ(seen.count(note), 1u) << note;
+    }
+  }
+}
+
+TEST(ShardedIndexTest, SampleRateCountsRequestsNotShards) {
+  EXPECT_EQ(SampledTraces(0.25, 40).size(), 10u);
 }
 
 }  // namespace
