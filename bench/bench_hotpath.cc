@@ -14,6 +14,10 @@
 //   pages/query      -- cold-cache page accesses, the paper's own cost
 //                       model; guards against "faster by reading more".
 //
+// The smoke-tier index build is the write layer's ledger ("smoke_build"):
+// its data-file reads and writes and head-file writes are deterministic
+// and gated exactly; its microseconds per inserted tuple are recorded.
+//
 // Flags (on top of the shared bench flags): --smoke (tiny config for CI),
 // --json=PATH (default BENCH_hotpath.json), --reps=N.
 
@@ -108,6 +112,35 @@ struct SmokeBaseline {
   uint64_t checksum = 0;
 };
 
+/// The write layer's ledger: what building the smoke-tier index cost.
+struct SmokeBuild {
+  size_t docs = 0;
+  uint64_t tuples = 0;
+  uint64_t data_reads = 0;
+  uint64_t data_writes = 0;
+  uint64_t head_writes = 0;
+  double us_per_tuple = 0.0;
+};
+
+/// Builds the index of `ds`, recording the build's charged page I/O and
+/// its time per inserted tuple in `out`.
+std::unique_ptr<I3Index> BuildWithLedger(const Dataset& ds,
+                                         const BenchConfig& cfg,
+                                         SmokeBuild* out) {
+  Timer timer;
+  auto index = BuildI3(ds, cfg);
+  const double us = timer.ElapsedMillis() * 1e3;
+  const IoStats io = index->io_stats();
+  out->docs = ds.docs.size();
+  out->tuples = 0;
+  for (const SpatialDocument& d : ds.docs) out->tuples += d.terms.size();
+  out->data_reads = io.reads(IoCategory::kI3DataFile);
+  out->data_writes = io.writes(IoCategory::kI3DataFile);
+  out->head_writes = io.writes(IoCategory::kI3HeadFile);
+  out->us_per_tuple = out->tuples > 0 ? us / out->tuples : 0.0;
+  return index;
+}
+
 /// \brief Warm repeated-query figures of the smoke workload: the cache
 /// hierarchy's own benchmark. One cold pass fills the buffer pool and the
 /// decoded-cell cache, then `reps` timed passes replay the identical
@@ -174,9 +207,9 @@ WarmSmoke MeasureWarmSmoke(I3Index* index, const std::vector<Query>& queries,
 /// in the JSON stays a pure tier-1 capture.
 std::vector<SmokeBaseline> MeasureSmokeBaseline(
     const BenchConfig& cfg, uint32_t num_queries,
-    std::vector<WarmSmoke>* warm_out) {
+    std::vector<WarmSmoke>* warm_out, SmokeBuild* build) {
   Dataset ds = MakeTwitter(cfg, /*tier=*/0);
-  auto index = BuildI3(ds, cfg);
+  auto index = BuildWithLedger(ds, cfg, build);
   QueryGenerator qgen(ds);
   std::vector<SmokeBaseline> out;
   for (Semantics sem : {Semantics::kAnd, Semantics::kOr}) {
@@ -225,7 +258,8 @@ int Main(int argc, char** argv) {
   std::printf("building %s (scale %.2f)...\n", kTwitterNames[tier],
               cfg.scale);
   Dataset ds = MakeTwitter(cfg, tier);
-  auto index = BuildI3(ds, cfg);
+  SmokeBuild build;  // a smoke run's own build is the smoke-tier build
+  auto index = BuildWithLedger(ds, cfg, &build);
   QueryGenerator qgen(ds);
 
   std::vector<HotpathResult> results;
@@ -297,7 +331,7 @@ int Main(int argc, char** argv) {
   if (!smoke) {
     std::printf("measuring smoke baseline (%s)...\n", kTwitterNames[0]);
     const auto baseline =
-        MeasureSmokeBaseline(cfg, /*num_queries=*/20, &warm);
+        MeasureSmokeBaseline(cfg, /*num_queries=*/20, &warm, &build);
     std::fprintf(f, "  \"smoke_baseline\": [\n");
     for (size_t i = 0; i < baseline.size(); ++i) {
       const SmokeBaseline& b = baseline[i];
@@ -314,6 +348,19 @@ int Main(int argc, char** argv) {
   // full run): the checksum must equal the cold smoke checksum -- caches
   // may only make answers faster, never different -- and pages_per_query
   // bounds device reads once the hierarchy is warm.
+  // The write layer's ledger (smoke-tier build in both kinds of run): the
+  // I/O counts are gated exactly against the committed baseline, the time
+  // per tuple is a recorded trajectory.
+  std::printf("smoke build: %" PRIu64 " tuples, %.2f us/tuple, data r=%"
+              PRIu64 " w=%" PRIu64 ", head w=%" PRIu64 "\n",
+              build.tuples, build.us_per_tuple, build.data_reads,
+              build.data_writes, build.head_writes);
+  std::fprintf(f,
+               "  \"smoke_build\": {\"docs\": %zu, \"tuples\": %" PRIu64
+               ", \"data_reads\": %" PRIu64 ", \"data_writes\": %" PRIu64
+               ", \"head_writes\": %" PRIu64 ", \"us_per_tuple\": %.3f},\n",
+               build.docs, build.tuples, build.data_reads, build.data_writes,
+               build.head_writes, build.us_per_tuple);
   std::fprintf(f, "  \"warm_smoke\": [\n");
   for (size_t i = 0; i < warm.size(); ++i) {
     const WarmSmoke& w = warm[i];

@@ -69,11 +69,12 @@ uint32_t QuantizeQ16(float w, float w_min, float w_step) {
   return static_cast<uint32_t>(q);
 }
 
-// ------------------------------------------------------------ page planning
+// ----------------------------------------------------------- group encoder
 
+/// Layout of one encoded group. It is derived from the group's own rows
+/// alone -- no group's bytes depend on the rest of its page -- which is what
+/// lets a write splice one group and copy every other group unchanged.
 struct GroupPlan {
-  uint32_t source = 0;
-  uint32_t term = 0;
   uint32_t min_doc = 0;
   uint8_t doc_bits = 0;
   uint8_t weight_mode = kWeightRaw;
@@ -82,10 +83,7 @@ struct GroupPlan {
   float w_min = 0.0f;   // q16 minimum / constant value
   float w_step = 0.0f;  // q16 step
   float block_max = 0.0f;
-  double base_x = 0.0;
-  double base_y = 0.0;
   size_t bytes = 0;  // group header + payload (directory entry excluded)
-  std::vector<uint32_t> members;  // slot indexes, in slot order
 };
 
 size_t GroupHeaderBytes(uint8_t weight_mode) {
@@ -93,93 +91,257 @@ size_t GroupHeaderBytes(uint8_t weight_mode) {
          (weight_mode == kWeightConst ? 4 : 0);
 }
 
-struct PagePlan {
-  std::vector<GroupPlan> groups;  // first-appearance order of sources
-  size_t total = 0;
+/// Plans the group of rows `c` (n >= 1); the coordinate bases are row 0.
+GroupPlan PlanGroup(const CellColumns& c) {
+  GroupPlan g;
+  const uint64_t bx = DoubleBits(c.xs[0]);
+  const uint64_t by = DoubleBits(c.ys[0]);
+  uint32_t min_doc = c.docs[0], max_doc = c.docs[0];
+  float w_min = c.weights[0], w_max = c.weights[0];
+  uint32_t xb = 0, yb = 0;
+  for (uint32_t i = 1; i < c.n; ++i) {
+    min_doc = std::min(min_doc, c.docs[i]);
+    max_doc = std::max(max_doc, c.docs[i]);
+    w_min = std::min(w_min, c.weights[i]);
+    w_max = std::max(w_max, c.weights[i]);
+    xb = std::max(xb, SigBytes(DoubleBits(c.xs[i]) ^ bx));
+    yb = std::max(yb, SigBytes(DoubleBits(c.ys[i]) ^ by));
+  }
+  g.min_doc = min_doc;
+  g.doc_bits = static_cast<uint8_t>(BitsFor(max_doc - min_doc));
+  g.x_bytes = static_cast<uint8_t>(xb);
+  g.y_bytes = static_cast<uint8_t>(yb);
+  g.block_max = w_max;
+
+  if (w_min == w_max) {
+    g.weight_mode = kWeightConst;
+    g.w_min = w_min;
+  } else {
+    // Try exact 16-bit quantization; keep it only when every weight
+    // round-trips bit for bit (the search path must replay v1 scores).
+    const float step = (w_max - w_min) / 65535.0f;
+    bool exact = step > 0.0f;
+    for (uint32_t i = 0; i < c.n && exact; ++i) {
+      const uint32_t q = QuantizeQ16(c.weights[i], w_min, step);
+      exact = (w_min + static_cast<float>(q) * step) == c.weights[i];
+    }
+    if (exact) {
+      g.weight_mode = kWeightQ16;
+      g.w_min = w_min;
+      g.w_step = step;
+    } else {
+      g.weight_mode = kWeightRaw;
+    }
+  }
+
+  const size_t count = c.n;
+  g.bytes = GroupHeaderBytes(g.weight_mode) + (count * g.doc_bits + 7) / 8 +
+            (g.weight_mode == kWeightRaw
+                 ? 4 * count
+                 : (g.weight_mode == kWeightQ16 ? 2 * count : 0)) +
+            count * (g.x_bytes + g.y_bytes);
+  return g;
+}
+
+/// Packs `vals[i] - base` as an LSB-first stream of `bits`-wide values.
+void PackOffsets(const uint32_t* vals, uint32_t n, uint32_t base,
+                 uint32_t bits, uint8_t* dst) {
+  if (bits == 0) return;
+  const uint64_t mask = bits == 32 ? 0xFFFFFFFFull : ((1ull << bits) - 1);
+  uint64_t buf = 0;
+  uint32_t have = 0;
+  uint8_t* p = dst;
+  for (uint32_t i = 0; i < n; ++i) {
+    buf |= (static_cast<uint64_t>(vals[i] - base) & mask) << have;
+    have += bits;
+    while (have >= 8) {
+      *p++ = static_cast<uint8_t>(buf & 0xFF);
+      buf >>= 8;
+      have -= 8;
+    }
+  }
+  if (have != 0) *p = static_cast<uint8_t>(buf & 0xFF);
+}
+
+/// Stores the XOR residuals of `v` against `base`, `width` low bytes each,
+/// and returns the end of them. Each residual goes out as one fixed 8-byte
+/// word and the cursor advances by `width`: the bytes past `width` are zero
+/// (the width covers every set bit of every residual of the group), and
+/// the next residual, the next group or the zeroed page tail lands on them,
+/// since a page is always written front to back. Within 8 bytes of `end`
+/// the exact width is copied instead.
+uint8_t* StoreResiduals(const double* v, uint32_t n, uint64_t base,
+                        uint32_t width, uint8_t* p, const uint8_t* end) {
+  if (width == 0) return p;
+  uint32_t i = 0;
+  for (; i < n && end - p >= 8; ++i, p += width) {
+    StoreLe<uint64_t>(p, DoubleBits(v[i]) ^ base);
+  }
+  for (; i < n; ++i, p += width) {
+    const uint64_t r = DoubleBits(v[i]) ^ base;
+    std::memcpy(p, &r, width);  // low bytes, little-endian
+  }
+  return p;
+}
+
+/// Encodes the group of rows `c`, planned as `g`, at `p`; stores never
+/// pass `end`.
+void EncodeGroup(const CellColumns& c, const GroupPlan& g, uint8_t* p,
+                 const uint8_t* end) {
+  uint8_t* const start = p;
+  StoreLe<uint32_t>(p + 0, g.min_doc);
+  p[4] = g.doc_bits;
+  p[5] = g.weight_mode;
+  p[6] = g.x_bytes;
+  p[7] = g.y_bytes;
+  StoreLe<double>(p + 8, c.xs[0]);
+  StoreLe<double>(p + 16, c.ys[0]);
+  p += 24;
+  if (g.weight_mode == kWeightQ16) {
+    StoreLe<float>(p, g.w_min);
+    StoreLe<float>(p + 4, g.w_step);
+    p += 8;
+  } else if (g.weight_mode == kWeightConst) {
+    StoreLe<float>(p, g.w_min);
+    p += 4;
+  }
+
+  PackOffsets(c.docs, c.n, g.min_doc, g.doc_bits, p);
+  p += (static_cast<size_t>(c.n) * g.doc_bits + 7) / 8;
+
+  if (g.weight_mode == kWeightRaw) {
+    for (uint32_t i = 0; i < c.n; ++i, p += 4) {
+      StoreLe<float>(p, c.weights[i]);
+    }
+  } else if (g.weight_mode == kWeightQ16) {
+    for (uint32_t i = 0; i < c.n; ++i, p += 2) {
+      StoreLe<uint16_t>(p, static_cast<uint16_t>(QuantizeQ16(
+                               c.weights[i], g.w_min, g.w_step)));
+    }
+  }
+
+  p = StoreResiduals(c.xs, c.n, DoubleBits(c.xs[0]), g.x_bytes, p, end);
+  p = StoreResiduals(c.ys, c.n, DoubleBits(c.ys[0]), g.y_bytes, p, end);
+  assert(static_cast<size_t>(p - start) == g.bytes);
+  (void)start;
+}
+
+void StoreHeader(uint8_t* out, size_t groups, size_t used) {
+  StoreLe<uint32_t>(out, kV2PageMagic);
+  StoreLe<uint16_t>(out + 4, kV2FormatVersion);
+  StoreLe<uint16_t>(out + 6, static_cast<uint16_t>(groups));
+  StoreLe<uint32_t>(out + 8, static_cast<uint32_t>(used));
+}
+
+uint8_t* DirEntry(uint8_t* page, size_t g) {
+  return page + kV2PageHeaderBytes + g * kV2DirEntryBytes;
+}
+const uint8_t* DirEntry(const uint8_t* page, size_t g) {
+  return page + kV2PageHeaderBytes + g * kV2DirEntryBytes;
+}
+
+void StoreDirEntry(uint8_t* dir, uint32_t source, const CellColumns& c,
+                   const GroupPlan& g, size_t offset) {
+  StoreLe<uint32_t>(dir + 0, source);
+  StoreLe<uint32_t>(dir + 4, c.term);
+  StoreLe<uint32_t>(dir + 8, c.n);
+  StoreLe<uint32_t>(dir + 12, static_cast<uint32_t>(offset));
+  StoreLe<float>(dir + 16, g.block_max);
+}
+
+// ------------------------------------------------------------ page planning
+
+/// A page's slots regrouped by source in first-appearance order: group `g`
+/// owns rows [start[g], start[g + 1]) of the columns, in slot order.
+struct PageGroups {
+  std::vector<uint32_t> sources;
+  std::vector<uint32_t> terms;
+  std::vector<uint32_t> start;
+  std::vector<DocId> docs;
+  std::vector<float> weights;
+  std::vector<double> xs, ys;
+  std::vector<GroupPlan> plans;
+  size_t total = 0;  // encoded page bytes
+
+  CellColumns Group(size_t g) const {
+    const uint32_t r = start[g];
+    CellColumns c;
+    c.term = terms[g];
+    c.n = start[g + 1] - r;
+    c.docs = docs.data() + r;
+    c.weights = weights.data() + r;
+    c.xs = xs.data() + r;
+    c.ys = ys.data() + r;
+    return c;
+  }
 };
 
-PagePlan PlanPage(const StoredTuple* slots, size_t n) {
-  PagePlan plan;
+PageGroups PlanPage(const StoredTuple* slots, size_t n) {
+  PageGroups pg;
+  std::vector<uint32_t> group_of(n);
   for (size_t s = 0; s < n; ++s) {
-    GroupPlan* g = nullptr;
-    for (GroupPlan& cand : plan.groups) {
-      if (cand.source == slots[s].source) {
-        g = &cand;
-        break;
-      }
+    size_t g = 0;
+    while (g < pg.sources.size() && pg.sources[g] != slots[s].source) ++g;
+    if (g == pg.sources.size()) {
+      pg.sources.push_back(slots[s].source);
+      pg.terms.push_back(slots[s].tuple.term);
     }
-    if (g == nullptr) {
-      plan.groups.emplace_back();
-      g = &plan.groups.back();
-      g->source = slots[s].source;
-      g->term = slots[s].tuple.term;
-      g->base_x = slots[s].tuple.location.x;
-      g->base_y = slots[s].tuple.location.y;
-    }
-    g->members.push_back(static_cast<uint32_t>(s));
+    group_of[s] = static_cast<uint32_t>(g);
+  }
+  const size_t groups = pg.sources.size();
+  pg.start.assign(groups + 1, 0);
+  for (size_t s = 0; s < n; ++s) ++pg.start[group_of[s] + 1];
+  for (size_t g = 0; g < groups; ++g) pg.start[g + 1] += pg.start[g];
+  pg.docs.resize(n);
+  pg.weights.resize(n);
+  pg.xs.resize(n);
+  pg.ys.resize(n);
+  std::vector<uint32_t> fill(pg.start.begin(), pg.start.end() - 1);
+  for (size_t s = 0; s < n; ++s) {
+    const uint32_t r = fill[group_of[s]]++;
+    const SpatialTuple& t = slots[s].tuple;
+    pg.docs[r] = t.doc;
+    pg.weights[r] = t.weight;
+    pg.xs[r] = t.location.x;
+    pg.ys[r] = t.location.y;
   }
 
-  plan.total = kV2PageHeaderBytes + plan.groups.size() * kV2DirEntryBytes;
-  for (GroupPlan& g : plan.groups) {
-    uint32_t min_doc = UINT32_MAX, max_doc = 0;
-    float w_min = 0.0f, w_max = 0.0f;
-    uint32_t xb = 0, yb = 0;
-    bool first = true;
-    for (uint32_t s : g.members) {
-      const SpatialTuple& t = slots[s].tuple;
-      min_doc = std::min(min_doc, t.doc);
-      max_doc = std::max(max_doc, t.doc);
-      if (first) {
-        w_min = w_max = t.weight;
-        first = false;
-      } else {
-        w_min = std::min(w_min, t.weight);
-        w_max = std::max(w_max, t.weight);
-      }
-      xb = std::max(xb, SigBytes(DoubleBits(t.location.x) ^
-                                 DoubleBits(g.base_x)));
-      yb = std::max(yb, SigBytes(DoubleBits(t.location.y) ^
-                                 DoubleBits(g.base_y)));
-    }
-    g.min_doc = min_doc;
-    g.doc_bits = static_cast<uint8_t>(BitsFor(max_doc - min_doc));
-    g.x_bytes = static_cast<uint8_t>(xb);
-    g.y_bytes = static_cast<uint8_t>(yb);
-    g.block_max = w_max;
-
-    if (w_min == w_max) {
-      g.weight_mode = kWeightConst;
-      g.w_min = w_min;
-    } else {
-      // Try exact 16-bit quantization; keep it only when every weight
-      // round-trips bit for bit (the search path must replay v1 scores).
-      const float step = (w_max - w_min) / 65535.0f;
-      bool exact = step > 0.0f;
-      for (uint32_t s : g.members) {
-        const float w = slots[s].tuple.weight;
-        if (!exact) break;
-        const uint32_t q = QuantizeQ16(w, w_min, step);
-        exact = (w_min + static_cast<float>(q) * step) == w;
-      }
-      if (exact) {
-        g.weight_mode = kWeightQ16;
-        g.w_min = w_min;
-        g.w_step = step;
-      } else {
-        g.weight_mode = kWeightRaw;
-      }
-    }
-
-    const size_t count = g.members.size();
-    g.bytes = GroupHeaderBytes(g.weight_mode) +
-              (count * g.doc_bits + 7) / 8 +
-              (g.weight_mode == kWeightRaw
-                   ? 4 * count
-                   : (g.weight_mode == kWeightQ16 ? 2 * count : 0)) +
-              count * (g.x_bytes + g.y_bytes);
-    plan.total += g.bytes;
+  pg.total = kV2PageHeaderBytes + groups * kV2DirEntryBytes;
+  pg.plans.reserve(groups);
+  for (size_t g = 0; g < groups; ++g) {
+    pg.plans.push_back(PlanGroup(pg.Group(g)));
+    pg.total += pg.plans.back().bytes;
   }
-  return plan;
+  return pg;
+}
+
+/// Shared body of the CellEnvelopeBytes overloads over `n` rows;
+/// `row(i)` returns row i as a SpatialTuple.
+template <typename Row>
+size_t EnvelopeBytes(size_t n, Row row) {
+  if (n == 0) return kV2PageHeaderBytes;
+  const SpatialTuple first = row(0);
+  uint32_t min_doc = first.doc;
+  uint32_t max_doc = first.doc;
+  const uint64_t bx = DoubleBits(first.location.x);
+  const uint64_t by = DoubleBits(first.location.y);
+  uint32_t xb = 0;
+  uint32_t yb = 0;
+  for (size_t i = 1; i < n; ++i) {
+    const SpatialTuple t = row(i);
+    min_doc = std::min(min_doc, t.doc);
+    max_doc = std::max(max_doc, t.doc);
+    xb = std::max(xb, SigBytes(DoubleBits(t.location.x) ^ bx));
+    yb = std::max(yb, SigBytes(DoubleBits(t.location.y) ^ by));
+  }
+  const uint32_t doc_bits = BitsFor(max_doc - min_doc);
+  // Weight term: the worse of mode 0 (24B header + 4B/tuple) and mode 1
+  // (32B header + 2B/tuple), so whichever mode any subset lands on is
+  // covered; mode 2 is smaller than both.
+  const size_t weight_bytes = std::max<size_t>(4 * n, 8 + 2 * n);
+  return kV2PageHeaderBytes + kV2DirEntryBytes + 24 +
+         (n * static_cast<size_t>(doc_bits) + 7) / 8 + weight_bytes +
+         static_cast<size_t>(xb + yb) * n;
 }
 
 }  // namespace
@@ -194,118 +356,112 @@ size_t EncodedPageSize(const StoredTuple* slots, size_t n) {
   return PlanPage(slots, n).total;
 }
 
+size_t EncodedGroupBytes(const CellColumns& cell) {
+  return kV2DirEntryBytes + PlanGroup(cell).bytes;
+}
+
 size_t CellEnvelopeBytes(const SpatialTuple* tuples, size_t n) {
-  if (n == 0) return kV2PageHeaderBytes;
-  uint32_t min_doc = tuples[0].doc;
-  uint32_t max_doc = tuples[0].doc;
-  const uint64_t bx = DoubleBits(tuples[0].location.x);
-  const uint64_t by = DoubleBits(tuples[0].location.y);
-  uint32_t xb = 0;
-  uint32_t yb = 0;
-  for (size_t i = 0; i < n; ++i) {
-    min_doc = std::min(min_doc, tuples[i].doc);
-    max_doc = std::max(max_doc, tuples[i].doc);
-    xb = std::max(xb, SigBytes(DoubleBits(tuples[i].location.x) ^ bx));
-    yb = std::max(yb, SigBytes(DoubleBits(tuples[i].location.y) ^ by));
-  }
-  const uint32_t doc_bits = BitsFor(max_doc - min_doc);
-  // Weight term: the worse of mode 0 (24B header + 4B/tuple) and mode 1
-  // (32B header + 2B/tuple), so whichever mode any subset lands on is
-  // covered; mode 2 is smaller than both.
-  const size_t weight_bytes = std::max<size_t>(4 * n, 8 + 2 * n);
-  return kV2PageHeaderBytes + kV2DirEntryBytes + 24 +
-         (n * static_cast<size_t>(doc_bits) + 7) / 8 + weight_bytes +
-         static_cast<size_t>(xb + yb) * n;
+  return EnvelopeBytes(n, [tuples](size_t i) { return tuples[i]; });
+}
+
+size_t CellEnvelopeBytes(const CellColumns& cell) {
+  return EnvelopeBytes(cell.n, [&cell](size_t i) { return cell.Tuple(i); });
 }
 
 Result<size_t> EncodePage(const StoredTuple* slots, size_t n, uint8_t* out,
                           size_t page_size) {
-  PagePlan plan = PlanPage(slots, n);
-  if (plan.total > page_size) {
+  const PageGroups pg = PlanPage(slots, n);
+  if (pg.total > page_size) {
     return Status::ResourceExhausted(
-        "v2 page encoding needs " + std::to_string(plan.total) +
+        "v2 page encoding needs " + std::to_string(pg.total) +
         " bytes, page holds " + std::to_string(page_size));
   }
-  if (plan.groups.size() > UINT16_MAX) {
+  const size_t groups = pg.sources.size();
+  if (groups > UINT16_MAX) {
     return Status::ResourceExhausted("too many keyword cells on one page");
   }
 
-  StoreLe<uint32_t>(out, kV2PageMagic);
-  StoreLe<uint16_t>(out + 4, kV2FormatVersion);
-  StoreLe<uint16_t>(out + 6, static_cast<uint16_t>(plan.groups.size()));
-  StoreLe<uint32_t>(out + 8, static_cast<uint32_t>(plan.total));
-
-  std::vector<uint32_t> deltas;
-  size_t off = kV2PageHeaderBytes + plan.groups.size() * kV2DirEntryBytes;
-  for (size_t gi = 0; gi < plan.groups.size(); ++gi) {
-    const GroupPlan& g = plan.groups[gi];
-    const uint32_t count = static_cast<uint32_t>(g.members.size());
-
-    uint8_t* dir = out + kV2PageHeaderBytes + gi * kV2DirEntryBytes;
-    StoreLe<uint32_t>(dir + 0, g.source);
-    StoreLe<uint32_t>(dir + 4, g.term);
-    StoreLe<uint32_t>(dir + 8, count);
-    StoreLe<uint32_t>(dir + 12, static_cast<uint32_t>(off));
-    StoreLe<float>(dir + 16, g.block_max);
-
-    uint8_t* p = out + off;
-    StoreLe<uint32_t>(p + 0, g.min_doc);
-    p[4] = g.doc_bits;
-    p[5] = g.weight_mode;
-    p[6] = g.x_bytes;
-    p[7] = g.y_bytes;
-    StoreLe<double>(p + 8, g.base_x);
-    StoreLe<double>(p + 16, g.base_y);
-    p += 24;
-    if (g.weight_mode == kWeightQ16) {
-      StoreLe<float>(p, g.w_min);
-      StoreLe<float>(p + 4, g.w_step);
-      p += 8;
-    } else if (g.weight_mode == kWeightConst) {
-      StoreLe<float>(p, g.w_min);
-      p += 4;
-    }
-
-    deltas.clear();
-    deltas.reserve(count);
-    for (uint32_t s : g.members) {
-      deltas.push_back(slots[s].tuple.doc - g.min_doc);
-    }
-    internal::PackBits(deltas.data(), count, g.doc_bits, p);
-    p += (static_cast<size_t>(count) * g.doc_bits + 7) / 8;
-
-    if (g.weight_mode == kWeightRaw) {
-      for (uint32_t s : g.members) {
-        StoreLe<float>(p, slots[s].tuple.weight);
-        p += 4;
-      }
-    } else if (g.weight_mode == kWeightQ16) {
-      for (uint32_t s : g.members) {
-        StoreLe<uint16_t>(
-            p, static_cast<uint16_t>(
-                   QuantizeQ16(slots[s].tuple.weight, g.w_min, g.w_step)));
-        p += 2;
-      }
-    }
-
-    const uint64_t bx = DoubleBits(g.base_x);
-    for (uint32_t s : g.members) {
-      const uint64_t r = DoubleBits(slots[s].tuple.location.x) ^ bx;
-      std::memcpy(p, &r, g.x_bytes);  // low bytes, little-endian
-      p += g.x_bytes;
-    }
-    const uint64_t by = DoubleBits(g.base_y);
-    for (uint32_t s : g.members) {
-      const uint64_t r = DoubleBits(slots[s].tuple.location.y) ^ by;
-      std::memcpy(p, &r, g.y_bytes);
-      p += g.y_bytes;
-    }
-
-    assert(static_cast<size_t>(p - out) == off + g.bytes);
-    off += g.bytes;
+  StoreHeader(out, groups, pg.total);
+  size_t off = kV2PageHeaderBytes + groups * kV2DirEntryBytes;
+  for (size_t g = 0; g < groups; ++g) {
+    const CellColumns cell = pg.Group(g);
+    StoreDirEntry(DirEntry(out, g), pg.sources[g], cell, pg.plans[g], off);
+    EncodeGroup(cell, pg.plans[g], out + off, out + page_size);
+    off += pg.plans[g].bytes;
   }
-  assert(off == plan.total);
-  return plan.total;
+  assert(off == pg.total);
+  std::memset(out + pg.total, 0, page_size - pg.total);
+  return pg.total;
+}
+
+Result<size_t> SpliceGroup(const uint8_t* page, size_t page_size,
+                           uint32_t source, const CellColumns& cell,
+                           uint8_t* out) {
+  // Validate the header and every directory offset before trusting any of
+  // them: groups must sit back to back from the end of the directory, in
+  // directory order, inside `used`.
+  if (!IsV2Page(page, page_size)) {
+    return Status::Corruption("splice of a page that is not v2");
+  }
+  const size_t gc = LoadLe<uint16_t>(page + 6);
+  const size_t used = LoadLe<uint32_t>(page + 8);
+  const size_t dir_end = kV2PageHeaderBytes + gc * kV2DirEntryBytes;
+  if (used > page_size || dir_end > used) {
+    return Status::Corruption("v2 page header out of bounds");
+  }
+  auto offset_of = [&](size_t g) -> size_t {
+    return g < gc ? LoadLe<uint32_t>(DirEntry(page, g) + 12) : used;
+  };
+  size_t hit = gc;  // directory index of `source`'s group (gc: none)
+  for (size_t g = 0; g < gc; ++g) {
+    const size_t off = offset_of(g);
+    if ((g == 0 && off != dir_end) || off >= offset_of(g + 1)) {
+      return Status::Corruption("v2 directory offsets out of order");
+    }
+    if (hit == gc && LoadLe<uint32_t>(DirEntry(page, g)) == source) hit = g;
+  }
+
+  const bool keep = cell.n > 0;
+  const GroupPlan plan = keep ? PlanGroup(cell) : GroupPlan{};
+  const size_t hit_bytes = hit < gc ? offset_of(hit + 1) - offset_of(hit) : 0;
+  const size_t new_gc = gc + (hit == gc && keep) - (hit < gc && !keep);
+  const size_t new_dir_end = kV2PageHeaderBytes + new_gc * kV2DirEntryBytes;
+  const size_t total =
+      new_dir_end + (used - dir_end) - hit_bytes + (keep ? plan.bytes : 0);
+  if (total > page_size) {
+    return Status::ResourceExhausted(
+        "v2 page encoding needs " + std::to_string(total) +
+        " bytes, page holds " + std::to_string(page_size));
+  }
+  if (new_gc > UINT16_MAX) {
+    return Status::ResourceExhausted("too many keyword cells on one page");
+  }
+
+  StoreHeader(out, new_gc, total);
+  size_t slot = 0;
+  size_t off = new_dir_end;
+  auto put_cell = [&]() {
+    StoreDirEntry(DirEntry(out, slot++), source, cell, plan, off);
+    EncodeGroup(cell, plan, out + off, out + page_size);
+    off += plan.bytes;
+  };
+  for (size_t g = 0; g < gc; ++g) {
+    if (g == hit) {
+      if (keep) put_cell();
+      continue;
+    }
+    const size_t from = offset_of(g);
+    const size_t len = offset_of(g + 1) - from;
+    uint8_t* dir = DirEntry(out, slot++);
+    std::memcpy(dir, DirEntry(page, g), kV2DirEntryBytes);
+    StoreLe<uint32_t>(dir + 12, static_cast<uint32_t>(off));
+    std::memcpy(out + off, page + from, len);
+    off += len;
+  }
+  if (hit == gc && keep) put_cell();
+  assert(off == total);
+  std::memset(out + total, 0, page_size - total);
+  return total;
 }
 
 // ---------------------------------------------------------------- read path
@@ -491,21 +647,7 @@ Status DecodeGroup(const uint8_t* page, size_t page_size, const GroupRef& g,
 namespace internal {
 
 void PackBits(const uint32_t* vals, uint32_t n, uint32_t bits, uint8_t* dst) {
-  if (bits == 0) return;
-  const uint64_t mask = bits == 32 ? 0xFFFFFFFFull : ((1ull << bits) - 1);
-  uint64_t buf = 0;
-  uint32_t have = 0;
-  uint8_t* p = dst;
-  for (uint32_t i = 0; i < n; ++i) {
-    buf |= (static_cast<uint64_t>(vals[i]) & mask) << have;
-    have += bits;
-    while (have >= 8) {
-      *p++ = static_cast<uint8_t>(buf & 0xFF);
-      buf >>= 8;
-      have -= 8;
-    }
-  }
-  if (have != 0) *p = static_cast<uint8_t>(buf & 0xFF);
+  PackOffsets(vals, n, 0, bits, dst);
 }
 
 void UnpackBitsPortable(const uint8_t* src, uint32_t n, uint32_t bits,

@@ -61,6 +61,7 @@ namespace i3 {
 
 struct StoredTuple;   // i3/data_file.h
 struct SpatialTuple;  // model/document.h
+struct CellColumns;   // i3/cell_cache.h
 
 namespace codec {
 
@@ -102,22 +103,47 @@ constexpr size_t kV2MinPageSize = 512;
 /// itself *and every quadrant piece a split produces* are guaranteed to
 /// fit alone on a fresh page, so maintenance never wedges.
 size_t CellEnvelopeBytes(const SpatialTuple* tuples, size_t n);
+/// Columnar form of the envelope (rows in slot order).
+size_t CellEnvelopeBytes(const CellColumns& cell);
 
 /// True if the page bytes carry the v2 magic + version.
 bool IsV2Page(const uint8_t* page, size_t page_size);
 
 // ------------------------------------------------------------- write path
+//
+// Every group is encoded from its own rows alone, so a page is canonical:
+// it equals EncodePage of its decoded slots, and a write that changes one
+// keyword cell can re-encode that cell's group and copy every other group
+// byte for byte (SpliceGroup).
 
 /// \brief Exact encoded size of `slots[0..n)` as one v2 page.
 size_t EncodedPageSize(const StoredTuple* slots, size_t n);
 
-/// \brief Encodes `slots[0..n)` into `out` (page_size bytes, pre-zeroed by
-/// the caller); groups appear in first-appearance order of their source and
-/// tuples keep their slot order within a group. Returns the bytes used, or
-/// ResourceExhausted when the encoding exceeds `page_size` (nothing is
-/// written then).
+/// \brief Exact bytes the group of rows `cell` (n >= 1) adds to any page:
+/// its directory entry, group header and payload.
+size_t EncodedGroupBytes(const CellColumns& cell);
+
+/// \brief Encodes `slots[0..n)` into `out` (page_size bytes); groups appear
+/// in first-appearance order of their source, tuples keep their slot order
+/// within a group, and the bytes past the encoding are zeroed. Returns the
+/// bytes used, or ResourceExhausted when the encoding exceeds `page_size`
+/// (nothing is written then).
 Result<size_t> EncodePage(const StoredTuple* slots, size_t n, uint8_t* out,
                           size_t page_size);
+
+/// \brief Writes v2 page `page` into `out` (page_size bytes, not aliasing
+/// `page`) with the group of `source` replaced by the rows `cell`, in
+/// place: `cell.n == 0` drops the group, and a source the page lacks is
+/// appended as the last group. Every other group's bytes are copied
+/// unchanged; the header and directory offsets are rewritten and the tail
+/// is zeroed, so the result equals EncodePage of the edited slots byte for
+/// byte. The directory is validated before it is trusted (offsets back to
+/// back from the directory's end, ascending, inside `used`; `used` within
+/// the page): damage returns Corruption. An edit that does not fit returns
+/// ResourceExhausted. On any error nothing is written.
+Result<size_t> SpliceGroup(const uint8_t* page, size_t page_size,
+                           uint32_t source, const CellColumns& cell,
+                           uint8_t* out);
 
 // -------------------------------------------------------------- read path
 

@@ -1,5 +1,6 @@
 #include "i3/data_file.h"
 
+#include <algorithm>
 #include <cassert>
 #include <cstring>
 
@@ -122,20 +123,9 @@ bool DataFile::Fits(const TuplePage& page) const {
          file_->page_size();
 }
 
-bool DataFile::CellMustSplit(const TuplePage& page, SourceId source,
-                             const SpatialTuple& incoming) const {
-  if (!compress_) {
-    // v1: the cell holds P/B tuples, so with `incoming` it can no longer
-    // live on one page.
-    return page.CountSource(source) >= capacity_;
-  }
-  std::vector<SpatialTuple> cell;
-  for (const StoredTuple& st : page.slots) {
-    if (st.source == source) cell.push_back(st.tuple);
-  }
-  cell.push_back(incoming);
-  return codec::CellEnvelopeBytes(cell.data(), cell.size()) >
-         file_->page_size();
+bool DataFile::CellOversized(const CellColumns& cell) const {
+  if (!compress_) return cell.n > capacity_;
+  return codec::CellEnvelopeBytes(cell) > file_->page_size();
 }
 
 bool DataFile::CellOversized(const std::vector<SpatialTuple>& tuples) const {
@@ -144,17 +134,20 @@ bool DataFile::CellOversized(const std::vector<SpatialTuple>& tuples) const {
          file_->page_size();
 }
 
+Result<PageId> DataFile::PageWithFreeBytes(uint32_t want) {
+  PageId id = fsm_.FindPageWithFreeSlots(want);
+  if (id != kInvalidPageId) return id;
+  return AllocatePage();
+}
+
 Result<PageId> DataFile::PageWithFreeSlots(uint32_t want) {
   // v1 pages need `want` slots; a v2 page is guaranteed to accept a *new*
   // cell whose worst-case footprint (directory entry + group header +
   // uncompressed payload) fits its free bytes -- group encodings are
   // independent, so adding one never grows the others.
-  const uint32_t want_bytes =
+  return PageWithFreeBytes(
       compress_ ? static_cast<uint32_t>(codec::NewCellUpperBoundBytes(want))
-                : want * static_cast<uint32_t>(kTupleBytes);
-  PageId id = fsm_.FindPageWithFreeSlots(want_bytes);
-  if (id != kInvalidPageId) return id;
-  return AllocatePage();
+                : want * static_cast<uint32_t>(kTupleBytes));
 }
 
 Result<PageId> DataFile::PageWithRoomForGroup(
@@ -164,14 +157,11 @@ Result<PageId> DataFile::PageWithRoomForGroup(
   // encoded footprint: EncodedPageSize of the group alone is page header +
   // directory entry + group bytes, and dropping the page header leaves
   // exactly what the group adds to any existing page.
-  const uint32_t want_bytes =
+  return PageWithFreeBytes(
       compress_ ? static_cast<uint32_t>(
                       codec::EncodedPageSize(group.data(), group.size()) -
                       codec::kV2PageHeaderBytes)
-                : static_cast<uint32_t>(group.size() * kTupleBytes);
-  PageId id = fsm_.FindPageWithFreeSlots(want_bytes);
-  if (id != kInvalidPageId) return id;
-  return AllocatePage();
+                : static_cast<uint32_t>(group.size() * kTupleBytes));
 }
 
 Result<PageId> DataFile::AllocatePage() {
@@ -210,96 +200,298 @@ Result<PageView> DataFile::View(PageId id) {
   return view;
 }
 
+Status DataFile::ReadSlots(const PageView& view, TuplePage* page) const {
+  page->slots.clear();
+  page->slots.reserve(capacity_);
+  return view.VisitSlots([page](SourceId source, const SpatialTuple& t) {
+    page->slots.push_back({source, t});
+  });
+}
+
 Result<TuplePage> DataFile::Read(PageId id) {
   // Decodes through the view path (one charged read, view-managed scratch;
   // Read runs concurrently from multiple threads, so no shared buffer).
   auto view_res = View(id);
   if (!view_res.ok()) return view_res.status();
-  const PageView& view = view_res.ValueOrDie();
   TuplePage page;
-  page.slots.reserve(capacity_);
-  I3_RETURN_NOT_OK(
-      view.VisitSlots([&page](SourceId source, const SpatialTuple& t) {
-        page.slots.push_back({source, t});
-      }));
+  I3_RETURN_NOT_OK(ReadSlots(view_res.ValueOrDie(), &page));
   return page;
 }
 
+Status DataFile::WriteScratch(PageId id, size_t used) {
+  I3_RETURN_NOT_OK(pool_.WritePage(id, scratch_.data(),
+                                   IoCategory::kI3DataFile));
+  fsm_.SetFree(id, static_cast<uint32_t>(scratch_.size() - used));
+  return Status::OK();
+}
+
 Status DataFile::Write(PageId id, const TuplePage& page) {
-  std::memset(scratch_.data(), 0, scratch_.size());
-  uint32_t free_bytes;
+  size_t used;
   if (compress_) {
-    auto used = codec::EncodePage(page.slots.data(), page.slots.size(),
-                                  scratch_.data(), scratch_.size());
-    if (!used.ok()) {
+    auto encoded = codec::EncodePage(page.slots.data(), page.slots.size(),
+                                     scratch_.data(), scratch_.size());
+    if (!encoded.ok()) {
       return Status::InvalidArgument(
           "page overflow: " + std::to_string(page.slots.size()) +
-          " tuples (" + used.status().message() + ")");
+          " tuples (" + encoded.status().message() + ")");
     }
-    free_bytes = static_cast<uint32_t>(scratch_.size()) -
-                 static_cast<uint32_t>(used.ValueOrDie());
+    used = encoded.ValueOrDie();
   } else {
     if (page.slots.size() > capacity_) {
       return Status::InvalidArgument("page overflow: " +
                                      std::to_string(page.slots.size()) +
                                      " tuples");
     }
+    std::memset(scratch_.data(), 0, scratch_.size());
     for (size_t s = 0; s < page.slots.size(); ++s) {
       EncodeSlot(scratch_.data() + s * kTupleBytes, page.slots[s]);
     }
-    free_bytes = (capacity_ - static_cast<uint32_t>(page.slots.size())) *
-                 static_cast<uint32_t>(kTupleBytes);
+    used = page.slots.size() * kTupleBytes;
   }
-  I3_RETURN_NOT_OK(pool_.WritePage(id, scratch_.data(),
-                                   IoCategory::kI3DataFile));
-  fsm_.SetFree(id, free_bytes);
+  return WriteScratch(id, used);
+}
+
+void DataFile::CellBuffer::Reserve(uint32_t rows) {
+  if (docs.size() >= rows) return;
+  const size_t cap = std::max<size_t>(rows, 2 * docs.size());
+  docs.resize(cap);
+  weights.resize(cap);
+  xs.resize(cap);
+  ys.resize(cap);
+}
+
+void DataFile::CellBuffer::Append(const SpatialTuple& t) {
+  if (n == 0) term = t.term;
+  Reserve(n + 1);
+  docs[n] = t.doc;
+  weights[n] = t.weight;
+  xs[n] = t.location.x;
+  ys[n] = t.location.y;
+  ++n;
+}
+
+void DataFile::CellBuffer::Erase(uint32_t i) {
+  const size_t tail = n - i - 1;
+  std::memmove(docs.data() + i, docs.data() + i + 1, tail * sizeof(DocId));
+  std::memmove(weights.data() + i, weights.data() + i + 1,
+               tail * sizeof(float));
+  std::memmove(xs.data() + i, xs.data() + i + 1, tail * sizeof(double));
+  std::memmove(ys.data() + i, ys.data() + i + 1, tail * sizeof(double));
+  --n;
+}
+
+void DataFile::CellBuffer::Prepend(const CellColumns& front) {
+  if (front.n == 0) return;
+  Reserve(n + front.n);
+  std::memmove(docs.data() + front.n, docs.data(), n * sizeof(DocId));
+  std::memmove(weights.data() + front.n, weights.data(), n * sizeof(float));
+  std::memmove(xs.data() + front.n, xs.data(), n * sizeof(double));
+  std::memmove(ys.data() + front.n, ys.data(), n * sizeof(double));
+  CopyRows(front, {docs.data(), weights.data(), xs.data(), ys.data()});
+  term = front.term;
+  n += front.n;
+}
+
+Status DataFile::LoadCell(const PageView& view, SourceId source) {
+  auto cols = view.CopySource(source, [this](uint32_t n) {
+    cell_.Reserve(n);
+    return CellRows{cell_.docs.data(), cell_.weights.data(), cell_.xs.data(),
+                    cell_.ys.data()};
+  });
+  if (!cols.ok()) return cols.status();
+  cell_.n = cols.ValueOrDie().n;
+  cell_.term = cols.ValueOrDie().term;
   return Status::OK();
 }
 
-Status DataFile::Insert(PageId id, SourceId source,
-                        const SpatialTuple& tuple) {
-  auto page_res = Read(id);
-  if (!page_res.ok()) return page_res.status();
-  TuplePage page = page_res.MoveValue();
-  page.slots.push_back({source, tuple});
+Status DataFile::WriteSplice(PageView* view, PageId id, SourceId source,
+                             const CellColumns& cell) {
+  auto used = codec::SpliceGroup(view->data_, view->page_size_, source, cell,
+                                 scratch_.data());
+  if (!used.ok()) return used.status();
+  *view = PageView();  // never write a page this thread still views
+  return WriteScratch(id, used.ValueOrDie());
+}
+
+template <typename Edit>
+Status DataFile::WriteWholePage(PageView* view, PageId id, Edit&& edit) {
+  TuplePage page;
+  I3_RETURN_NOT_OK(ReadSlots(*view, &page));
+  if (!edit(&page)) return Status::OK();
   if (!Fits(page)) {
     return Status::ResourceExhausted("page " + std::to_string(id) +
                                      " is full");
   }
+  *view = PageView();  // never write a page this thread still views
   return Write(id, page);
 }
 
-Result<bool> DataFile::Remove(PageId id, SourceId source, DocId doc) {
-  auto page_res = Read(id);
-  if (!page_res.ok()) return page_res.status();
-  TuplePage page = page_res.MoveValue();
-  for (auto it = page.slots.begin(); it != page.slots.end(); ++it) {
-    if (it->source == source && it->tuple.doc == doc) {
-      page.slots.erase(it);
-      I3_RETURN_NOT_OK(Write(id, page));
-      return true;
+Status DataFile::AppendCell(PageId id, SourceId source) {
+  auto view_res = View(id);
+  if (!view_res.ok()) return view_res.status();
+  PageView view = view_res.MoveValue();
+  if (Splices(view)) {
+    codec::GroupRef g;
+    auto found = codec::FindGroup(view.data_, view.page_size_, source, &g);
+    if (!found.ok()) return found.status();
+    if (found.ValueOrDie()) {
+      codec::DecodeScratch scratch;
+      codec::DecodedGroup d;
+      I3_RETURN_NOT_OK(
+          codec::DecodeGroup(view.data_, view.page_size_, g, &scratch, &d));
+      cell_.Prepend({g.term, d.n, d.docs, d.weights, d.xs, d.ys});
     }
+    return WriteSplice(&view, id, source, cell_.columns());
   }
-  return false;
+  return WriteWholePage(&view, id, [&](TuplePage* page) {
+    const CellColumns cell = cell_.columns();
+    for (uint32_t i = 0; i < cell.n; ++i) {
+      page->slots.push_back({source, cell.Tuple(i)});
+    }
+    return true;
+  });
 }
 
-Result<std::vector<SpatialTuple>> DataFile::TakeSource(PageId id,
-                                                       SourceId source) {
-  auto page_res = Read(id);
-  if (!page_res.ok()) return page_res.status();
-  TuplePage page = page_res.MoveValue();
-  std::vector<SpatialTuple> taken;
-  std::vector<StoredTuple> kept;
-  for (const StoredTuple& st : page.slots) {
-    if (st.source == source) {
-      taken.push_back(st.tuple);
-    } else {
-      kept.push_back(st);
-    }
+Status DataFile::Insert(PageId id, SourceId source,
+                        const SpatialTuple& tuple) {
+  cell_.n = 0;
+  cell_.Append(tuple);
+  return AppendCell(id, source);
+}
+
+Status DataFile::InsertAll(PageId id, SourceId source,
+                           const std::vector<SpatialTuple>& tuples) {
+  cell_.n = 0;
+  for (const SpatialTuple& t : tuples) cell_.Append(t);
+  return AppendCell(id, source);
+}
+
+Result<bool> DataFile::Remove(PageId id, SourceId source, DocId doc,
+                              uint32_t* remaining) {
+  auto view_res = View(id);
+  if (!view_res.ok()) return view_res.status();
+  PageView view = view_res.MoveValue();
+  if (Splices(view)) {
+    I3_RETURN_NOT_OK(LoadCell(view, source));
+    uint32_t i = 0;
+    while (i < cell_.n && cell_.docs[i] != doc) ++i;
+    if (i == cell_.n) return false;
+    cell_.Erase(i);
+    I3_RETURN_NOT_OK(WriteSplice(&view, id, source, cell_.columns()));
+    if (remaining != nullptr) *remaining = cell_.n;
+    return true;
   }
-  page.slots = std::move(kept);
-  I3_RETURN_NOT_OK(Write(id, page));
-  return taken;
+  bool removed = false;
+  I3_RETURN_NOT_OK(WriteWholePage(&view, id, [&](TuplePage* page) {
+    auto it = std::find_if(page->slots.begin(), page->slots.end(),
+                           [&](const StoredTuple& st) {
+                             return st.source == source &&
+                                    st.tuple.doc == doc;
+                           });
+    if (it == page->slots.end()) return false;
+    page->slots.erase(it);
+    removed = true;
+    if (remaining != nullptr) *remaining = page->CountSource(source);
+    return true;
+  }));
+  return removed;
+}
+
+Result<DataFile::CellAdd> DataFile::AddToCell(PageId* page, SourceId source,
+                                              const SpatialTuple& tuple,
+                                              TuplePage* split_image) {
+  auto view_res = View(*page);
+  if (!view_res.ok()) return view_res.status();
+  PageView view = view_res.MoveValue();
+  I3_RETURN_NOT_OK(LoadCell(view, source));
+  cell_.Append(tuple);
+  if (CellOversized(cell_.columns())) {
+    if (split_image != nullptr) I3_RETURN_NOT_OK(ReadSlots(view, split_image));
+    return CellAdd::kMustSplit;
+  }
+
+  Status st;
+  if (Splices(view)) {
+    st = WriteSplice(&view, *page, source, cell_.columns());
+  } else {
+    st = WriteWholePage(&view, *page, [&](TuplePage* img) {
+      img->slots.push_back({source, tuple});
+      return true;
+    });
+  }
+  if (st.code() != StatusCode::kResourceExhausted) {
+    if (!st.ok()) return st;
+    return CellAdd::kAdded;
+  }
+
+  auto target = MoveCell(&view, *page, source);
+  if (!target.ok()) return target.status();
+  *page = target.ValueOrDie();
+  return CellAdd::kMoved;
+}
+
+Result<PageId> DataFile::MoveCell(PageView* view, PageId from,
+                                  SourceId source) {
+  // The target is chosen while `from`'s free-space entry still describes
+  // the page with the cell on it.
+  const CellColumns cell = cell_.columns();
+  auto target_res = PageWithFreeBytes(
+      compress_ ? static_cast<uint32_t>(codec::EncodedGroupBytes(cell))
+                : cell.n * static_cast<uint32_t>(kTupleBytes));
+  if (!target_res.ok()) return target_res.status();
+  PageId target = target_res.ValueOrDie();
+  if (target == from) {
+    // Unreachable for v1 pages (the source page is slot-full), but a v2
+    // page can show free bytes while the grown cell's exact encoding
+    // overflows it; relocation must leave the page either way.
+    auto fresh = AllocatePage();
+    if (!fresh.ok()) return fresh.status();
+    target = fresh.ValueOrDie();
+  }
+
+  if (Splices(*view)) {
+    I3_RETURN_NOT_OK(WriteSplice(view, from, source, CellColumns{}));
+  } else {
+    I3_RETURN_NOT_OK(WriteWholePage(view, from, [source](TuplePage* img) {
+      auto& slots = img->slots;
+      slots.erase(std::remove_if(slots.begin(), slots.end(),
+                                 [source](const StoredTuple& st) {
+                                   return st.source == source;
+                                 }),
+                  slots.end());
+      return true;
+    }));
+  }
+  I3_RETURN_NOT_OK(AppendCell(target, source));
+  return target;
+}
+
+Status DataFile::CheckPage(PageId id) {
+  auto view_res = View(id);
+  if (!view_res.ok()) return view_res.status();
+  const PageView& view = view_res.ValueOrDie();
+  TuplePage page;
+  I3_RETURN_NOT_OK(ReadSlots(view, &page));
+  size_t used = page.slots.size() * kTupleBytes;
+  if (view.compressed()) {
+    std::vector<uint8_t> canonical(page_size());
+    auto encoded = codec::EncodePage(page.slots.data(), page.slots.size(),
+                                     canonical.data(), canonical.size());
+    if (!encoded.ok() ||
+        std::memcmp(canonical.data(), view.data_, page_size()) != 0) {
+      return Status::Corruption("v2 page " + std::to_string(id) +
+                                " differs from the encoding of its slots");
+    }
+    used = encoded.ValueOrDie();
+  }
+  const uint32_t free_bytes = static_cast<uint32_t>(page_size() - used);
+  if (fsm_.FreeSlots(id) != free_bytes) {
+    return Status::Corruption(
+        "free-space map records " + std::to_string(fsm_.FreeSlots(id)) +
+        " free bytes on page " + std::to_string(id) + ", page has " +
+        std::to_string(free_bytes));
+  }
+  return Status::OK();
 }
 
 Status DataFile::VerifyPage(PageId id) {
@@ -331,21 +523,6 @@ Status DataFile::WritePageBytes(PageId id,
     return Status::InvalidArgument("page bytes must be exactly one page");
   }
   return pool_.WritePage(id, bytes.data(), IoCategory::kI3DataFile);
-}
-
-Status DataFile::InsertAll(PageId id, SourceId source,
-                           const std::vector<SpatialTuple>& tuples) {
-  auto page_res = Read(id);
-  if (!page_res.ok()) return page_res.status();
-  TuplePage page = page_res.MoveValue();
-  for (const SpatialTuple& t : tuples) page.slots.push_back({source, t});
-  if (!Fits(page)) {
-    return Status::ResourceExhausted("page " + std::to_string(id) +
-                                     " lacks room for " +
-                                     std::to_string(tuples.size()) +
-                                     " tuples");
-  }
-  return Write(id, page);
 }
 
 }  // namespace i3

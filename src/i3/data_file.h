@@ -65,10 +65,12 @@ inline SourceId DecodeSlotSource(const uint8_t* src) {
   return s;
 }
 
-/// \brief Decoded image of one data-file page -- the *write-path*
-/// representation (insert, remove, relocation, compaction). Read paths use
-/// DataFile::View, which decodes slots lazily out of the buffer-pool frame
-/// without materializing this object.
+/// \brief Decoded image of one whole data-file page: what DataFile::Read
+/// returns and DataFile::Write encodes. Cell splits, index loads and v1
+/// pages are written through it; cell-level writes to v2 pages (Insert,
+/// Remove, AddToCell) splice one group instead and never build it. Read
+/// paths use DataFile::View, which decodes slots lazily out of the
+/// buffer-pool frame without materializing this object.
 class TuplePage {
  public:
   /// Occupied slots in slot order.
@@ -257,25 +259,22 @@ class DataFile {
       size_t cell_cache_bytes = 0);
 
   /// Tuples per page in the v1 encoding (P/B); the split threshold of
-  /// Algorithms 2-3 under the v1 format (see CellMustSplit for v2).
+  /// Algorithms 2-3 under the v1 format (see CellOversized for v2).
   uint32_t capacity() const { return capacity_; }
 
-  /// \brief The density test of Algorithms 2-3: true when the keyword cell
-  /// `source` on `page`, grown by `incoming`, must split. v1: the cell
-  /// reaches the P/B slot capacity. v2: the cell's one-page *envelope*
-  /// (codec::CellEnvelopeBytes -- an upper bound covering every subset, so
-  /// splits and relocations of an under-threshold cell always land) would
-  /// exceed the page size; cells therefore pack several times more tuples
-  /// before splitting, which is where the compressed format's page-count
-  /// reduction comes from. The quadtree gets a different (shallower) shape
-  /// than under v1, but search is exact under any shape, so query results
-  /// are identical either way.
-  bool CellMustSplit(const TuplePage& page, SourceId source,
-                     const SpatialTuple& incoming) const;
-
-  /// \brief Invariant-checker companion of CellMustSplit: true when a
-  /// stored cell with these tuples is larger than the split threshold ever
-  /// allows (v1: above slot capacity; v2: envelope above the page size).
+  /// \brief The density test of Algorithms 2-3, applied to a cell grown by
+  /// its incoming tuple: true when a keyword cell with these rows must
+  /// split. v1: more rows than the P/B slot capacity. v2: the cell's
+  /// one-page *envelope* (codec::CellEnvelopeBytes -- an upper bound
+  /// covering every subset, so splits and relocations of an
+  /// under-threshold cell always land) exceeds the page size; cells
+  /// therefore pack several times more tuples before splitting, which is
+  /// where the compressed format's page-count reduction comes from. The
+  /// quadtree gets a different (shallower) shape than under v1, but search
+  /// is exact under any shape, so query results are identical either way.
+  /// The invariant checker applies it to stored cells: a stored cell may
+  /// never be oversized unless it cannot split further.
+  bool CellOversized(const CellColumns& cell) const;
   bool CellOversized(const std::vector<SpatialTuple>& tuples) const;
 
   /// Whether written pages use the v2 compressed encoding.
@@ -307,7 +306,7 @@ class DataFile {
   Result<PageId> AllocatePage();
 
   /// \brief Reads and decodes page `id` (one charged data-file read) into a
-  /// write-path TuplePage image. Query paths should prefer View.
+  /// whole-page TuplePage image. Query paths should prefer View.
   Result<TuplePage> Read(PageId id);
 
   /// \brief Zero-copy read window over page `id` (one charged data-file
@@ -398,26 +397,62 @@ class DataFile {
   /// Corruption and no verified read/write-through has cleared it).
   size_t QuarantinedPages() const { return pool_.quarantined_count(); }
 
-  /// \brief Encodes and writes `page` to `id` (one charged write); updates
-  /// the free-space map.
+  /// \brief Encodes and writes the whole page `page` to `id` (one charged
+  /// write); updates the free-space map.
   Status Write(PageId id, const TuplePage& page);
 
-  /// \brief Inserts one tuple into `id`; fails with ResourceExhausted if
-  /// the page cannot hold it (v1: no free slot; v2: encoded overflow).
+  // Cell-level writes. Each views the page it changes once (one charged
+  // read) and writes it at most once (one charged write), after releasing
+  // the view; AddToCell's relocation branch does the same on its target
+  // page too. On a v2 page in a compressing file only the changed cell's
+  // group is decoded and re-encoded; the other groups are copied byte for
+  // byte (codec::SpliceGroup). v1 pages, fresh zero pages and legacy v1
+  // pages in a compressing file are re-encoded whole, as Write does.
+
+  /// \brief Appends one tuple to the cell `source` on `id` (creating the
+  /// cell if the page has none); fails with ResourceExhausted, writing
+  /// nothing, if the page cannot hold it (v1: no free slot; v2: encoded
+  /// overflow).
   Status Insert(PageId id, SourceId source, const SpatialTuple& tuple);
 
-  /// \brief Removes the tuple of `doc` tagged `source`; returns true if one
-  /// was removed.
-  Result<bool> Remove(PageId id, SourceId source, DocId doc);
+  /// \brief Removes the first tuple of `doc` tagged `source`; returns true
+  /// if one was removed (nothing is written otherwise). `remaining`, when
+  /// given, receives the number of tuples of `source` left on the page.
+  Result<bool> Remove(PageId id, SourceId source, DocId doc,
+                      uint32_t* remaining = nullptr);
 
-  /// \brief Removes and returns every tuple tagged `source` (the fetch step
-  /// of the relocation branch in Algorithms 2-3).
-  Result<std::vector<SpatialTuple>> TakeSource(PageId id, SourceId source);
-
-  /// \brief Inserts `tuples` under `source` into `id`; the page must have
-  /// enough room under the active encoding.
+  /// \brief Appends `tuples` under `source` to `id`; ResourceExhausted
+  /// (nothing written) when the page lacks room under the active encoding.
   Status InsertAll(PageId id, SourceId source,
                    const std::vector<SpatialTuple>& tuples);
+
+  /// What AddToCell did with its tuple.
+  enum class CellAdd {
+    kAdded,      ///< appended on the cell's page: one read, one write
+    kMoved,      ///< page full: the cell and the tuple moved to a page with
+                 ///< room, `*page` updated: two reads, two writes
+    kMustSplit,  ///< the grown cell is oversized: nothing written
+  };
+
+  /// \brief One step of Algorithms 2-3 on the existing keyword cell
+  /// `source` whose page is `*page`, in one view of that page: the density
+  /// test (CellOversized on the cell plus `tuple`), then the append, then,
+  /// if the page is full, the relocation branch -- the cell plus `tuple`
+  /// moves to a page with room for its exact encoding. The target is chosen
+  /// before the source page's free-space entry changes, and a target equal
+  /// to the source page is replaced by a fresh one. On kMustSplit,
+  /// `split_image` (when not null) receives the page's slots from the same
+  /// view, for the caller's whole-page split.
+  Result<CellAdd> AddToCell(PageId* page, SourceId source,
+                            const SpatialTuple& tuple,
+                            TuplePage* split_image);
+
+  /// \brief Invariant-checker probe of page `id` (one charged read): the
+  /// free-space map records page size minus the page's used bytes, and a
+  /// v2 page equals EncodePage of its own decoded slots -- the canonical
+  /// form that lets cell-level writes copy untouched groups verbatim.
+  /// Corruption names the first violation.
+  Status CheckPage(PageId id);
 
   /// Free capacity of `id`, expressed in tuple-slot units (free bytes /
   /// kTupleBytes) so existing v1 callers keep their semantics.
@@ -440,6 +475,61 @@ class DataFile {
   const CellCache& cell_cache() const { return cell_cache_; }
 
  private:
+  /// Columnar rows of the keyword cell a write is rewriting. Write path
+  /// only, like scratch_; it grows to the largest cell written and is
+  /// reused, so steady-state writes allocate nothing.
+  struct CellBuffer {
+    std::vector<DocId> docs;
+    std::vector<float> weights;
+    std::vector<double> xs, ys;
+    uint32_t term = 0;
+    uint32_t n = 0;
+
+    /// Room for `rows` rows; the first n are kept.
+    void Reserve(uint32_t rows);
+    void Append(const SpatialTuple& t);
+    void Erase(uint32_t i);
+    /// Shifts the rows back and puts `front`'s rows (and term) first.
+    void Prepend(const CellColumns& front);
+    CellColumns columns() const {
+      return {term, n, docs.data(), weights.data(), xs.data(), ys.data()};
+    }
+  };
+
+  /// True when writes to the viewed page splice (v2 page, v2 file).
+  bool Splices(const PageView& view) const {
+    return compress_ && view.compressed();
+  }
+  /// A page with `want` free bytes, else a fresh page.
+  Result<PageId> PageWithFreeBytes(uint32_t want);
+  /// Decodes every slot of the viewed page into `page` (replacing its
+  /// slots).
+  Status ReadSlots(const PageView& view, TuplePage* page) const;
+  /// Loads the rows of `source` on the viewed page into cell_ (none if
+  /// the page has no such cell); a v2 page decodes only that group.
+  Status LoadCell(const PageView& view, SourceId source);
+  /// Splices `cell` in as the group of `source` on the viewed v2 page `id`,
+  /// releases the view and writes the page. ResourceExhausted (nothing
+  /// written, view kept) when it does not fit.
+  Status WriteSplice(PageView* view, PageId id, SourceId source,
+                     const CellColumns& cell);
+  /// Whole-page form of a cell write (v1 pages, fresh zero pages, legacy
+  /// v1 pages in a compressing file): decodes the viewed page `id`, applies
+  /// `edit(TuplePage*)`, and -- unless `edit` returns false (nothing to
+  /// write) -- releases the view and writes the page. ResourceExhausted
+  /// (nothing written, view kept) when the result does not fit.
+  template <typename Edit>
+  Status WriteWholePage(PageView* view, PageId id, Edit&& edit);
+  /// Writes scratch_, holding `used` encoded bytes, to `id`.
+  Status WriteScratch(PageId id, size_t used);
+  /// Appends cell_'s rows to the cell `source` on `id` (Insert, InsertAll
+  /// and the target half of a move).
+  Status AppendCell(PageId id, SourceId source);
+  /// The relocation branch: moves the cell `source` -- whose rows, grown
+  /// by the incoming tuple, are in cell_ -- off the viewed page `from` to a
+  /// page with room; returns that page.
+  Result<PageId> MoveCell(PageView* view, PageId from, SourceId source);
+
   std::unique_ptr<PageFile> file_;
   BufferPool pool_;
   CellCache cell_cache_;
@@ -449,6 +539,7 @@ class DataFile {
   std::vector<uint8_t> scratch_;  // page-size encode buffer (write path only;
                                   // Read uses a local buffer so concurrent
                                   // readers do not share state)
+  CellBuffer cell_;
 };
 
 }  // namespace i3

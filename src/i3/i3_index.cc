@@ -161,38 +161,27 @@ Status I3Index::InsertNewKeyword(const SpatialTuple& t) {
 // the page: under v1 it is the cell's tuple count against the P/B capacity
 // (equivalent to Algorithm 2's "page full and all tuples ours" -- a cell
 // can only reach capacity alone on its page); under v2 it is the cell's
-// encoded one-page envelope (see DataFile::CellMustSplit), so compressed
-// cells pack several times more tuples before going dense.
+// encoded one-page envelope (see DataFile::CellOversized), so compressed
+// cells pack several times more tuples before going dense. The append, or
+// the relocation of a cell whose page is full, happens inside AddToCell.
 Status I3Index::InsertNonDenseRoot(const SpatialTuple& t,
                                    LookupEntry* entry) {
-  auto page_res = data_->Read(entry->page);
-  if (!page_res.ok()) return page_res.status();
-  TuplePage page = page_res.MoveValue();
-
-  if (data_->CellMustSplit(page, entry->source, t)) {
-    // The keyword becomes dense in the root cell: split and re-insert.
-    auto node_res =
-        SplitCell(options_.space, entry->page, std::move(page),
-                  entry->source);
-    if (!node_res.ok()) return node_res.status();
-    entry->dense = true;
-    entry->node = node_res.ValueOrDie();
-    entry->page = kInvalidPageId;
-    entry->source = kFreeSlot;
-    return InsertDense(t, entry->node, CellId::Root(), options_.space);
+  TuplePage page;
+  auto added = data_->AddToCell(&entry->page, entry->source, t, &page);
+  if (!added.ok()) return added.status();
+  if (added.ValueOrDie() != DataFile::CellAdd::kMustSplit) {
+    return Status::OK();
   }
 
-  page.slots.push_back({entry->source, t});
-  if (data_->Fits(page)) {
-    return data_->Write(entry->page, page);
-  }
-  page.slots.pop_back();
-
-  // Full page: relocate this keyword cell to a roomier page.
-  auto new_page = RelocateCell(entry->page, &page, entry->source, {t});
-  if (!new_page.ok()) return new_page.status();
-  entry->page = new_page.ValueOrDie();
-  return Status::OK();
+  // The keyword becomes dense in the root cell: split and re-insert.
+  auto node_res =
+      SplitCell(options_.space, entry->page, std::move(page), entry->source);
+  if (!node_res.ok()) return node_res.status();
+  entry->dense = true;
+  entry->node = node_res.ValueOrDie();
+  entry->page = kInvalidPageId;
+  entry->source = kFreeSlot;
+  return InsertDense(t, entry->node, CellId::Root(), options_.space);
 }
 
 // Algorithm 3: insertDenseKwd, iteratively along the root-to-leaf path.
@@ -231,15 +220,17 @@ Status I3Index::InsertDense(const SpatialTuple& t, NodeId node_id,
       }
 
       case ChildRef::Kind::kPage: {
-        // Try the primary page first.
-        auto page_res = data_->Read(ref.page);
-        if (!page_res.ok()) return page_res.status();
-        TuplePage page = page_res.MoveValue();
-
         // Density test on the cell (see InsertNonDenseRoot: slot capacity
-        // under v1, the encoded one-page envelope under v2).
-        if (data_->CellMustSplit(page, ref.source, t)) {
-          if (cell.level() >= options_.max_split_level) {
+        // under v1, the encoded one-page envelope under v2), then the
+        // append or, on a full page, the move of the cell (Algorithm 3,
+        // lines 12-16).
+        const bool splittable = cell.level() < options_.max_split_level;
+        TuplePage page;
+        auto added = data_->AddToCell(&ref.page, ref.source, t,
+                                      splittable ? &page : nullptr);
+        if (!added.ok()) return added.status();
+        if (added.ValueOrDie() == DataFile::CellAdd::kMustSplit) {
+          if (!splittable) {
             // Cannot split further: extend the overflow chain. Whether a
             // page has room is encoding-dependent, so each candidate --
             // the primary page first, then the chain -- is simply tried;
@@ -289,17 +280,6 @@ Status I3Index::InsertDense(const SpatialTuple& t, NodeId node_id,
           node_id = child_node.ValueOrDie();
           continue;
         }
-
-        page.slots.push_back({ref.source, t});
-        if (data_->Fits(page)) {
-          return data_->Write(ref.page, page);
-        }
-        page.slots.pop_back();
-
-        // Full page (Algorithm 3, lines 12-16): move the cell.
-        auto new_page = RelocateCell(ref.page, &page, ref.source, {t});
-        if (!new_page.ok()) return new_page.status();
-        ref.page = new_page.ValueOrDie();
         return Status::OK();
       }
     }
@@ -368,39 +348,6 @@ Result<NodeId> I3Index::SplitCell(const Rect& rect, PageId page,
   return node_id;
 }
 
-Result<PageId> I3Index::RelocateCell(PageId page, TuplePage* image,
-                                     SourceId source,
-                                     const std::vector<SpatialTuple>& extra) {
-  std::vector<StoredTuple> kept;
-  std::vector<StoredTuple> moved;
-  for (const StoredTuple& st : image->slots) {
-    (st.source == source ? moved : kept).push_back(st);
-  }
-  for (const SpatialTuple& t : extra) moved.push_back({source, t});
-
-  auto target_res = data_->PageWithRoomForGroup(moved);
-  if (!target_res.ok()) return target_res.status();
-  PageId target = target_res.ValueOrDie();
-  if (target == page) {
-    // Unreachable for v1 pages (the source page is slot-full), but a v2
-    // page can show free bytes while the grown cell's exact encoding
-    // overflows it; relocation must leave the page either way.
-    auto fresh = data_->AllocatePage();
-    if (!fresh.ok()) return fresh.status();
-    target = fresh.ValueOrDie();
-  }
-
-  image->slots = std::move(kept);
-  I3_RETURN_NOT_OK(data_->Write(page, *image));
-
-  auto target_img_res = data_->Read(target);
-  if (!target_img_res.ok()) return target_img_res.status();
-  TuplePage target_img = target_img_res.MoveValue();
-  for (StoredTuple& st : moved) target_img.slots.push_back(st);
-  I3_RETURN_NOT_OK(data_->Write(target, target_img));
-  return target;
-}
-
 // ------------------------------------------------------------------ delete
 
 Status I3Index::Delete(const SpatialDocument& doc) {
@@ -422,25 +369,12 @@ Status I3Index::DeleteTuple(const SpatialTuple& t) {
   LookupEntry& entry = it->second;
 
   if (!entry.dense) {
-    auto page_res = data_->Read(entry.page);
-    if (!page_res.ok()) return page_res.status();
-    TuplePage page = page_res.MoveValue();
-    bool removed = false;
     uint32_t remaining = 0;
-    std::vector<StoredTuple> kept;
-    for (const StoredTuple& st : page.slots) {
-      if (!removed && st.source == entry.source && st.tuple.doc == t.doc) {
-        removed = true;
-        continue;
-      }
-      if (st.source == entry.source) ++remaining;
-      kept.push_back(st);
-    }
-    if (!removed) {
+    auto removed = data_->Remove(entry.page, entry.source, t.doc, &remaining);
+    if (!removed.ok()) return removed.status();
+    if (!removed.ValueOrDie()) {
       return Status::NotFound("tuple not found for deletion");
     }
-    page.slots = std::move(kept);
-    I3_RETURN_NOT_OK(data_->Write(entry.page, page));
     if (remaining == 0) {
       lookup_.erase(it);  // last tuple of the keyword (Section 4.5)
     }
@@ -566,6 +500,12 @@ void I3Index::ResetIoStats() {
 Result<uint64_t> I3Index::CheckInvariants() {
   uint64_t tuple_count = 0;
   std::unordered_set<SourceId> seen_sources;
+
+  // Every page: its free-space entry matches it, and a v2 page is in the
+  // canonical form cell-level writes splice against.
+  for (PageId p = 0; p < data_->PageCount(); ++p) {
+    I3_RETURN_NOT_OK(data_->CheckPage(p));
+  }
 
   // Walk every keyword's cell tree.
   for (const auto& [term, entry] : lookup_) {

@@ -182,15 +182,11 @@ class I3Index final : public SpatialKeywordIndex {
   Status InsertDense(const SpatialTuple& t, NodeId node_id, CellId cell,
                      Rect rect);
   /// Splits the dense keyword cell whose tuples (tagged `source`) fill
-  /// `page`: allocates a summary node, partitions tuples by quadrant with
-  /// fresh source ids (retagged in place), and returns the new node.
+  /// `page` (whole-page image `page_img`): allocates a summary node,
+  /// partitions tuples by quadrant with fresh source ids (retagged in
+  /// place), and returns the new node.
   Result<NodeId> SplitCell(const Rect& rect, PageId page, TuplePage page_img,
                            SourceId source);
-  /// Moves the keyword cell `source` out of full page `page` (image given)
-  /// to a page with room for the cell plus `extra` tuples; returns the new
-  /// page. `*image` is updated for the old page and both pages are written.
-  Result<PageId> RelocateCell(PageId page, TuplePage* image, SourceId source,
-                              const std::vector<SpatialTuple>& extra);
 
   // --- delete path (Section 4.5) ---
   Status DeleteTuple(const SpatialTuple& t);

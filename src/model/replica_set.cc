@@ -1,5 +1,7 @@
 #include "model/replica_set.h"
 
+#include <unistd.h>
+
 #include <chrono>
 #include <filesystem>
 #include <sstream>
@@ -354,10 +356,15 @@ std::string ReplicaSet::SnapshotPath(uint32_t r) {
   } else {
     std::filesystem::create_directories(dir, ec);
   }
+  // Shard, replica and counter are only unique within this object, and
+  // `this` only within this process: processes started alike (ctest -j, or
+  // any sanitizer runtime with a fixed heap layout) reuse the same heap
+  // addresses. The process id separates them.
   std::ostringstream name;
   name << dir << "/i3_snap_shard" << options_.shard << "_r" << r << "_"
        << snapshot_seq_.fetch_add(1, std::memory_order_relaxed) << "_"
-       << std::hex << reinterpret_cast<uintptr_t>(this) << ".i3";
+       << ::getpid() << "_" << std::hex
+       << reinterpret_cast<uintptr_t>(this) << ".i3";
   return name.str();
 }
 

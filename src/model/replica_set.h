@@ -318,7 +318,8 @@ class ReplicaSet final : public SpatialKeywordIndex {
   /// Heals one corrupt page of replica `r` from any healthy peer.
   Status HealPage(uint32_t r, uint64_t page);
 
-  /// Unique payload path for one snapshot attempt of replica `r`.
+  /// Payload path for one snapshot attempt of replica `r`, unique across
+  /// processes sharing the snapshot directory.
   std::string SnapshotPath(uint32_t r);
 
   /// Refreshes the healthy-count and per-replica lag gauges.

@@ -1,13 +1,17 @@
 // Unit tests of the v2 compressed cell-page codec (i3/cell_codec.h):
 // lossless round-trips across all three weight modes, directory block-max
 // semantics, SIMD-vs-portable bit-unpacker parity, the subset-stable cell
-// envelope that drives the v2 split rule, and -- because compression can
-// run with page checksums disabled -- the promise that truncated or
-// bit-flipped pages surface as clean Status::Corruption, never as
-// out-of-bounds reads or garbage accepted silently at the structural layer.
+// envelope that drives the v2 split rule, the one-group splice that
+// cell-level writes use (byte-identical to a whole-page encode), and --
+// because compression can run with page checksums disabled -- the promise
+// that truncated or bit-flipped pages surface as clean Status::Corruption,
+// never as out-of-bounds reads or garbage accepted silently at the
+// structural layer.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdlib>
 #include <cstring>
 #include <map>
 #include <vector>
@@ -411,6 +415,276 @@ TEST(CellCodecTest, V1PagesStayReadableWithCompressionOn) {
   auto reread = v2.Read(fresh.ValueOrDie());
   ASSERT_TRUE(reread.ok());
   EXPECT_EQ(reread.ValueOrDie().slots.size(), original.slots.size());
+}
+
+// Seeds swept by the randomized splice test: 3 by default, more under
+// I3_CHAOS_SEEDS (the chaos job's setting).
+uint64_t SpliceSeeds() {
+  const char* env = std::getenv("I3_CHAOS_SEEDS");
+  if (env == nullptr) return 3;
+  const uint64_t n = std::strtoull(env, nullptr, 10);
+  return n > 0 ? n : 3;
+}
+
+/// Columnar rows of one cell, the input of SpliceGroup.
+struct Rows {
+  uint32_t term = 0;
+  std::vector<DocId> docs;
+  std::vector<float> weights;
+  std::vector<double> xs, ys;
+
+  void Add(const SpatialTuple& t) {
+    if (docs.empty()) term = t.term;
+    docs.push_back(t.doc);
+    weights.push_back(t.weight);
+    xs.push_back(t.location.x);
+    ys.push_back(t.location.y);
+  }
+  CellColumns columns() const {
+    CellColumns c;
+    c.term = term;
+    c.n = static_cast<uint32_t>(docs.size());
+    c.docs = docs.data();
+    c.weights = weights.data();
+    c.xs = xs.data();
+    c.ys = ys.data();
+    return c;
+  }
+};
+
+/// The whole-page edit a splice must reproduce: the tuples of `source`
+/// are replaced by `rows` at the position of the source's first tuple
+/// (appended when the page has none), so EncodePage keeps every group's
+/// first-appearance position.
+std::vector<StoredTuple> ReplaceSource(const std::vector<StoredTuple>& slots,
+                                       SourceId source, const Rows& rows) {
+  std::vector<StoredTuple> out;
+  bool placed = false;
+  auto place = [&]() {
+    const CellColumns c = rows.columns();
+    for (uint32_t i = 0; i < c.n; ++i) out.push_back({source, c.Tuple(i)});
+    placed = true;
+  };
+  for (const StoredTuple& st : slots) {
+    if (st.source != source) {
+      out.push_back(st);
+    } else if (!placed) {
+      place();
+    }
+  }
+  if (!placed) place();
+  return out;
+}
+
+SpatialTuple RandomTuple(Rng* rng, TermId term, double cx, double cy) {
+  SpatialTuple t;
+  t.term = term;
+  t.doc = static_cast<DocId>(rng->UniformInt(0, 1 << 20));
+  if (rng->Chance(0.1)) {
+    // An outlier widens the group's coordinate residuals.
+    t.location = {rng->UniformDouble(-170.0, 170.0),
+                  rng->UniformDouble(-80.0, 80.0)};
+  } else {
+    t.location = {cx + rng->UniformDouble(-0.01, 0.01),
+                  cy + rng->UniformDouble(-0.01, 0.01)};
+  }
+  t.weight = 0.5f;
+  if (rng->Chance(0.7)) {
+    t.weight = static_cast<float>(rng->UniformDouble(0.05, 1.0));
+  }
+  return t;
+}
+
+// Seeded sequences of replace / append / drop edits on a v2 page: after
+// every step the spliced page must equal EncodePage of the edited slots,
+// byte for byte, and an edit that does not fit must fail exactly when the
+// whole-page encode does, leaving the output untouched.
+TEST(CellCodecTest, SpliceMatchesEncodePageOverSeededEdits) {
+  const uint64_t seeds = SpliceSeeds();
+  for (uint64_t seed = 1; seed <= seeds; ++seed) {
+    Rng rng(seed * 7919 + 13);
+    // The model keeps a page's slots in its decoded order: group by group.
+    std::vector<StoredTuple> model = MakeSlots(4, 6, seed);
+    std::stable_sort(model.begin(), model.end(),
+                     [](const StoredTuple& a, const StoredTuple& b) {
+                       return a.source < b.source;
+                     });
+    // A 1KB page fills up within a few dozen appends.
+    std::vector<uint8_t> page(1024, 0);
+    ASSERT_TRUE(
+        EncodePage(model.data(), model.size(), page.data(), page.size()).ok());
+    SourceId next_source = 5;
+    int rejected = 0;
+
+    for (int step = 0; step < 300; ++step) {
+      std::vector<SourceId> present;
+      for (const StoredTuple& st : model) {
+        if (present.empty() || present.back() != st.source) {
+          present.push_back(st.source);
+        }
+      }
+      const bool fresh = present.empty() || rng.Chance(0.15);
+      SourceId source = next_source;
+      if (fresh) {
+        ++next_source;
+      } else {
+        source = present[rng.UniformInt(0, present.size() - 1)];
+      }
+      Rows rows;
+      for (const StoredTuple& st : model) {
+        if (st.source == source) rows.Add(st.tuple);
+      }
+      // New tuples cluster around the group's first one (its bases).
+      double cx = rng.UniformDouble(0.0, 100.0);
+      double cy = rng.UniformDouble(0.0, 100.0);
+      TermId term = source + 100;
+      if (!rows.docs.empty()) {
+        cx = rows.xs[0];
+        cy = rows.ys[0];
+        term = rows.term;
+      }
+      // Appends dominate, so the page keeps filling up and the overflow
+      // branch is exercised as well.
+      const double pick = rng.UniformDouble(0.0, 1.0);
+      int op = 3;
+      if (fresh || pick < 0.55) {
+        op = 0;
+      } else if (pick < 0.75) {
+        op = 1;
+      } else if (pick < 0.8) {
+        op = 2;
+      }
+      if (op == 0) {  // append a tuple (or start a new group)
+        rows.Add(RandomTuple(&rng, term, cx, cy));
+      } else if (op == 1) {  // drop one tuple (the first moves the bases)
+        Rows kept;
+        const size_t drop = rng.UniformInt(0, rows.docs.size() - 1);
+        for (size_t i = 0; i < rows.docs.size(); ++i) {
+          if (i != drop) {
+            kept.Add({term, rows.docs[i], {rows.xs[i], rows.ys[i]},
+                      rows.weights[i]});
+          }
+        }
+        rows = kept;
+      } else if (op == 2) {  // drop the group
+        rows = Rows();
+      } else {  // replace every row
+        rows = Rows();
+        const int n = static_cast<int>(rng.UniformInt(1, 20));
+        for (int i = 0; i < n; ++i) {
+          rows.Add(RandomTuple(&rng, term, cx, cy));
+        }
+      }
+
+      const std::vector<StoredTuple> edited =
+          ReplaceSource(model, source, rows);
+      std::vector<uint8_t> want(page.size(), 0);
+      auto want_used =
+          EncodePage(edited.data(), edited.size(), want.data(), want.size());
+      std::vector<uint8_t> out(page.size(), 0xCD);
+      auto got = SpliceGroup(page.data(), page.size(), source,
+                             rows.columns(), out.data());
+      if (!want_used.ok()) {
+        ASSERT_FALSE(got.ok()) << "seed " << seed << " step " << step;
+        EXPECT_EQ(got.status().code(), StatusCode::kResourceExhausted);
+        for (uint8_t b : out) ASSERT_EQ(b, 0xCD) << "rejected splice wrote";
+        ++rejected;
+        continue;
+      }
+      ASSERT_TRUE(got.ok()) << "seed " << seed << " step " << step << ": "
+                            << got.status().message();
+      EXPECT_EQ(got.ValueOrDie(), want_used.ValueOrDie());
+      ASSERT_EQ(out, want) << "seed " << seed << " step " << step
+                           << " source " << source << " op " << op;
+      page = out;
+      model = edited;
+    }
+    // The page must have filled up at least once, or the overflow branch
+    // went untested.
+    EXPECT_GT(rejected, 0) << "seed " << seed;
+  }
+}
+
+// A damaged directory is rejected before any byte of it is trusted: the
+// splice returns Corruption and leaves the output buffer untouched.
+// Exact-size buffers, so an overread trips ASan.
+TEST(CellCodecTest, SpliceRejectsDamagedDirectoryAndWritesNothing) {
+  const std::vector<StoredTuple> slots = MakeSlots(3, 10, 61);
+  std::vector<uint8_t> page(1024, 0);
+  auto used_res =
+      EncodePage(slots.data(), slots.size(), page.data(), page.size());
+  ASSERT_TRUE(used_res.ok());
+  const uint32_t used = static_cast<uint32_t>(used_res.ValueOrDie());
+  Rows cell;
+  cell.Add({101, 7, {1.0, 2.0}, 0.5f});
+
+  // Byte offset of directory entry g's payload offset field.
+  auto offset_field = [](uint32_t g) {
+    return kV2PageHeaderBytes + g * kV2DirEntryBytes + 12;
+  };
+  auto get32 = [](const std::vector<uint8_t>& p, size_t at) {
+    uint32_t v;
+    std::memcpy(&v, p.data() + at, 4);
+    return v;
+  };
+  auto put32 = [](std::vector<uint8_t>* p, size_t at, uint32_t v) {
+    std::memcpy(p->data() + at, &v, 4);
+  };
+  const char* const damages[] = {
+      "offsets out of order",
+      "offsets not strictly ascending",
+      "first offset past the directory end",
+      "offset past used",
+      "used larger than the page",
+      "group count past the directory",
+      "not a v2 page",
+  };
+  for (int d = 0; d < 7; ++d) {
+    std::vector<uint8_t> bad = page;
+    const uint32_t off0 = get32(bad, offset_field(0));
+    const uint32_t off1 = get32(bad, offset_field(1));
+    const uint32_t off2 = get32(bad, offset_field(2));
+    switch (d) {
+      case 0:
+        put32(&bad, offset_field(1), off2);
+        put32(&bad, offset_field(2), off1);
+        break;
+      case 1:
+        put32(&bad, offset_field(2), off1);
+        break;
+      case 2:
+        put32(&bad, offset_field(0), off0 + 4);
+        break;
+      case 3:
+        put32(&bad, offset_field(2), used);
+        break;
+      case 4:
+        put32(&bad, 8, 1024 + 1);
+        break;
+      case 5: {
+        const uint16_t gc = static_cast<uint16_t>(
+            (used - kV2PageHeaderBytes) / kV2DirEntryBytes + 1);
+        std::memcpy(bad.data() + 6, &gc, 2);
+        break;
+      }
+      default:
+        bad[0] ^= 0xFF;
+    }
+    for (SourceId source : {2u, 99u}) {  // replace a group / append one
+      std::vector<uint8_t> out(bad.size(), 0xCD);
+      auto got = SpliceGroup(bad.data(), bad.size(), source, cell.columns(),
+                             out.data());
+      ASSERT_FALSE(got.ok()) << damages[d];
+      EXPECT_TRUE(got.status().IsCorruption())
+          << damages[d] << ": " << got.status().message();
+      for (uint8_t b : out) ASSERT_EQ(b, 0xCD) << damages[d] << " wrote";
+    }
+  }
+  // The undamaged page splices cleanly.
+  std::vector<uint8_t> out(page.size());
+  EXPECT_TRUE(
+      SpliceGroup(page.data(), page.size(), 2, cell.columns(), out.data())
+          .ok());
 }
 
 }  // namespace

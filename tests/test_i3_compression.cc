@@ -16,6 +16,7 @@
 #include <cstdio>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "i3/i3_index.h"
@@ -302,6 +303,63 @@ struct TempFile {
       : path(testing::TempDir() + "/" + name) {}
   ~TempFile() { std::remove(path.c_str()); }
 };
+
+// Data-file charges of each index write with an uncached pool (every
+// access charged), under both formats: one read and one write for a new
+// keyword, an append and a non-dense delete; a dense delete also reads the
+// leaf again to rebuild its summary.
+TEST(I3CompressionTest, UncachedWriteChargesPerOperation) {
+  for (bool compress : {false, true}) {
+    I3Options opt = Options(compress);
+    opt.buffer_pool.capacity_pages = 0;
+    I3Index index(opt);
+    auto doc = [](DocId id, TermId term, double x, double y) {
+      SpatialDocument d;
+      d.id = id;
+      d.location = {x, y};
+      d.terms = {{term, 0.5f}};
+      return d;
+    };
+    // Data-file (reads, writes) charged since the previous call.
+    IoStats last = index.io_stats();
+    auto charged = [&]() {
+      const IoStats now = index.io_stats();
+      const std::pair<uint64_t, uint64_t> delta{
+          now.reads(IoCategory::kI3DataFile) -
+              last.reads(IoCategory::kI3DataFile),
+          now.writes(IoCategory::kI3DataFile) -
+              last.writes(IoCategory::kI3DataFile)};
+      last = now;
+      return delta;
+    };
+    const std::pair<uint64_t, uint64_t> one_each{1, 1};
+    const std::string format = compress ? " (v2)" : " (v1)";
+
+    ASSERT_TRUE(index.Insert(doc(1, 1, 10.0, 10.0)).ok());
+    EXPECT_EQ(charged(), one_each) << "new keyword" << format;
+    ASSERT_TRUE(index.Insert(doc(2, 1, 10.5, 10.5)).ok());
+    EXPECT_EQ(charged(), one_each) << "append to a non-dense cell" << format;
+    ASSERT_TRUE(index.Delete(doc(2, 1, 10.5, 10.5)).ok());
+    EXPECT_EQ(charged(), one_each) << "non-dense delete" << format;
+
+    // Grow keyword 2 until it is dense.
+    Rng rng(17);
+    std::vector<SpatialDocument> dense;
+    for (DocId id = 100; index.SummaryNodeCount() == 0; ++id) {
+      dense.push_back(doc(id, 2, rng.UniformDouble(0.0, 100.0),
+                          rng.UniformDouble(0.0, 100.0)));
+      ASSERT_TRUE(index.Insert(dense.back()).ok());
+    }
+    charged();
+    const SpatialDocument& victim = dense[dense.size() / 2];
+    ASSERT_TRUE(index.Delete(victim).ok());
+    EXPECT_EQ(charged(), std::make_pair(uint64_t{2}, uint64_t{1}))
+        << "dense delete" << format;
+    ASSERT_TRUE(index.Insert(victim).ok());
+    EXPECT_EQ(charged(), one_each) << "append to a dense leaf cell" << format;
+    EXPECT_TRUE(index.CheckInvariants().ok());
+  }
+}
 
 TEST(I3CompressionTest, PersistRoundTripsAcrossFormatGenerations) {
   CorpusOptions copt = DenseCorpus();

@@ -3,6 +3,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <map>
+#include <string>
+#include <utility>
+
+#include "common/rng.h"
 #include "i3/data_file.h"
 #include "i3/head_file.h"
 #include "i3/signature.h"
@@ -113,23 +119,36 @@ TEST(DataFileTest, FullPageRejectsInsert) {
   EXPECT_NE(other.ValueOrDie(), p);
 }
 
-TEST(DataFileTest, TakeSourceMovesCell) {
-  DataFile df(256);
-  const PageId p = df.PageWithFreeSlots(4).ValueOrDie();
-  for (uint32_t i = 0; i < 3; ++i) {
+TEST(DataFileTest, FullPageMovesCell) {
+  DataFile df(256);  // capacity 8
+  const PageId p = df.PageWithFreeSlots(8).ValueOrDie();
+  for (uint32_t i = 0; i < 5; ++i) {
     ASSERT_TRUE(df.Insert(p, 7, {1, i, {double(i), 0.0}, 0.5f}).ok());
   }
-  ASSERT_TRUE(df.Insert(p, 8, {2, 50, {9, 9}, 0.9f}).ok());
-  auto taken = df.TakeSource(p, 7);
-  ASSERT_TRUE(taken.ok());
-  EXPECT_EQ(taken.ValueOrDie().size(), 3u);
-  EXPECT_EQ(df.FreeSlots(p), 7u);
-  // Move the cell to another page.
-  const PageId p2 = df.PageWithFreeSlots(4).ValueOrDie();
-  ASSERT_TRUE(df.InsertAll(p2, 7, taken.ValueOrDie()).ok());
-  auto read = df.Read(p2);
-  ASSERT_TRUE(read.ok());
-  EXPECT_EQ(read.ValueOrDie().CountSource(7), 3u);
+  for (uint32_t i = 0; i < 3; ++i) {
+    ASSERT_TRUE(df.Insert(p, 8, {2, 50 + i, {9, 9}, 0.9f}).ok());
+  }
+  EXPECT_EQ(df.FreeSlots(p), 0u);
+  // The grown cell no longer fits its page: it moves, with the new tuple.
+  PageId cell_page = p;
+  const SpatialTuple extra{1, 99, {5.0, 0.0}, 0.5f};
+  auto added = df.AddToCell(&cell_page, 7, extra, nullptr);
+  ASSERT_TRUE(added.ok()) << added.status().message();
+  EXPECT_EQ(added.ValueOrDie(), DataFile::CellAdd::kMoved);
+  ASSERT_NE(cell_page, p);
+  EXPECT_EQ(df.FreeSlots(p), 5u);
+  EXPECT_EQ(df.FreeSlots(cell_page), 2u);
+
+  auto old_page = df.Read(p);
+  ASSERT_TRUE(old_page.ok());
+  EXPECT_EQ(old_page.ValueOrDie().CountSource(7), 0u);
+  EXPECT_EQ(old_page.ValueOrDie().CountSource(8), 3u);
+  auto new_page = df.Read(cell_page);
+  ASSERT_TRUE(new_page.ok());
+  const std::vector<SpatialTuple> moved = new_page.ValueOrDie().OfSource(7);
+  ASSERT_EQ(moved.size(), 6u);
+  for (uint32_t i = 0; i < 5; ++i) EXPECT_EQ(moved[i].doc, i);
+  EXPECT_EQ(moved[5], extra);
 }
 
 TEST(DataFileTest, RoundTripPreservesTupleBytes) {
@@ -143,6 +162,265 @@ TEST(DataFileTest, RoundTripPreservesTupleBytes) {
   EXPECT_EQ(read.ValueOrDie().slots[0].source, 42u);
   EXPECT_EQ(read.ValueOrDie().slots[0].tuple, t);
 }
+
+// The cell-level writes (Insert, Remove, AddToCell) must leave exactly the
+// pages, free-space entries and placement of the whole-page cycle they
+// replaced -- Read, edit the TuplePage, check Fits, Write -- on v1 (256B)
+// and v2 (4KB) files alike. A reference file runs that cycle for the same
+// seeded operations and every page is compared byte for byte after each.
+class DataFileCellOpsTest : public ::testing::TestWithParam<size_t> {};
+
+/// The whole-page relocation branch of Algorithms 2-3: move the cell plus
+/// `t` to a page with room for its exact encoding, asked for before the
+/// source page is rewritten.
+Result<PageId> WholePageMove(DataFile* ref, PageId p, TuplePage page,
+                             SourceId source, const SpatialTuple& t) {
+  std::vector<StoredTuple> kept, moved;
+  for (const StoredTuple& st : page.slots) {
+    (st.source == source ? moved : kept).push_back(st);
+  }
+  moved.push_back({source, t});
+  auto target_res = ref->PageWithRoomForGroup(moved);
+  if (!target_res.ok()) return target_res.status();
+  PageId target = target_res.ValueOrDie();
+  if (target == p) target = ref->AllocatePage().ValueOrDie();
+  page.slots = std::move(kept);
+  I3_RETURN_NOT_OK(ref->Write(p, page));
+  auto timg = ref->Read(target);
+  if (!timg.ok()) return timg.status();
+  TuplePage target_page = timg.MoveValue();
+  for (const StoredTuple& st : moved) target_page.slots.push_back(st);
+  I3_RETURN_NOT_OK(ref->Write(target, target_page));
+  return target;
+}
+
+TEST_P(DataFileCellOpsTest, MatchWholePageRewrites) {
+  const size_t page_size = GetParam();
+  DataFile df(page_size, {}, /*compress=*/true);
+  DataFile ref(page_size, {}, /*compress=*/true);
+  ASSERT_EQ(df.compress(), page_size >= codec::kV2MinPageSize);
+
+  Rng rng(page_size);
+  struct Cell {
+    PageId page;
+    double cx, cy;
+    std::vector<DocId> docs;
+    bool full = false;  // reached the split threshold
+  };
+  std::map<SourceId, Cell> cells;
+  SourceId next_source = 1;
+  DocId next_doc = 1;
+  auto tuple_of = [&](SourceId source, const Cell& c) {
+    SpatialTuple t;
+    t.term = source + 1000;
+    t.doc = next_doc++ * 7 % 100003;  // distinct: 7 is invertible mod p
+    t.location = {c.cx + rng.UniformDouble(-0.01, 0.01),
+                  c.cy + rng.UniformDouble(-0.01, 0.01)};
+    if (rng.Chance(0.1)) {  // an outlier widens the cell's residuals
+      t.location = {rng.UniformDouble(0.0, 100.0),
+                    rng.UniformDouble(0.0, 100.0)};
+    }
+    t.weight = 0.5f;
+    if (rng.Chance(0.5)) {
+      t.weight = static_cast<float>(rng.UniformDouble(0.05, 1.0));
+    }
+    return t;
+  };
+
+  int moves = 0, splits = 0, removes = 0;
+  for (int step = 0; step < 1500; ++step) {
+    const double pick = rng.UniformDouble(0.0, 1.0);
+    std::vector<SourceId> open;
+    for (const auto& [source, c] : cells) {
+      if (!c.full) open.push_back(source);
+    }
+    if (cells.empty() || pick < 0.1) {
+      // A new cell on a page with room for one.
+      auto p = df.PageWithFreeSlots(1);
+      auto rp = ref.PageWithFreeSlots(1);
+      ASSERT_TRUE(p.ok() && rp.ok());
+      ASSERT_EQ(p.ValueOrDie(), rp.ValueOrDie()) << "step " << step;
+      const SourceId source = next_source++;
+      Cell c{p.ValueOrDie(), rng.UniformDouble(0.0, 100.0),
+             rng.UniformDouble(0.0, 100.0), {}};
+      const SpatialTuple t = tuple_of(source, c);
+      const Status st = df.Insert(c.page, source, t);
+      auto page = ref.Read(c.page);
+      ASSERT_TRUE(page.ok());
+      page.ValueOrDie().slots.push_back({source, t});
+      Status want = Status::ResourceExhausted("full");
+      if (ref.Fits(page.ValueOrDie())) {
+        want = ref.Write(c.page, page.ValueOrDie());
+      }
+      ASSERT_EQ(st.code(), want.code()) << "step " << step;
+      if (st.ok()) {
+        c.docs.push_back(t.doc);
+        cells[source] = c;
+      }
+    } else if (pick < 0.75 && !open.empty()) {
+      // Algorithms 2-3 on an existing cell; half the appends go to the
+      // oldest open cell, so cells also grow to the split threshold.
+      SourceId source = open.front();
+      if (rng.Chance(0.5)) source = open[rng.UniformInt(0, open.size() - 1)];
+      Cell& c = cells[source];
+      const SpatialTuple t = tuple_of(source, c);
+      auto page = ref.Read(c.page);
+      ASSERT_TRUE(page.ok());
+      std::vector<SpatialTuple> grown = page.ValueOrDie().OfSource(source);
+      grown.push_back(t);
+      DataFile::CellAdd want;
+      PageId want_page = c.page;
+      if (ref.CellOversized(grown)) {
+        want = DataFile::CellAdd::kMustSplit;
+      } else {
+        TuplePage img = page.ValueOrDie();
+        img.slots.push_back({source, t});
+        if (ref.Fits(img)) {
+          ASSERT_TRUE(ref.Write(c.page, img).ok());
+          want = DataFile::CellAdd::kAdded;
+        } else {
+          auto target = WholePageMove(&ref, c.page, page.ValueOrDie(),
+                                      source, t);
+          ASSERT_TRUE(target.ok()) << target.status().message();
+          want_page = target.ValueOrDie();
+          want = DataFile::CellAdd::kMoved;
+        }
+      }
+      TuplePage split_image;
+      auto got = df.AddToCell(&c.page, source, t, &split_image);
+      ASSERT_TRUE(got.ok()) << got.status().message();
+      ASSERT_EQ(got.ValueOrDie(), want) << "step " << step;
+      ASSERT_EQ(c.page, want_page) << "step " << step;
+      if (want == DataFile::CellAdd::kMustSplit) {
+        // The split image is the whole page, from the same view.
+        ASSERT_EQ(split_image.slots.size(), page.ValueOrDie().slots.size());
+        for (size_t i = 0; i < split_image.slots.size(); ++i) {
+          EXPECT_EQ(split_image.slots[i].source,
+                    page.ValueOrDie().slots[i].source);
+          EXPECT_EQ(split_image.slots[i].tuple,
+                    page.ValueOrDie().slots[i].tuple);
+        }
+        c.full = true;
+        ++splits;
+      } else {
+        c.docs.push_back(t.doc);
+        moves += want == DataFile::CellAdd::kMoved;
+      }
+    } else {
+      // Delete one tuple (sometimes one the cell does not hold).
+      auto it = cells.begin();
+      std::advance(it, rng.UniformInt(0, cells.size() - 1));
+      const SourceId source = it->first;
+      Cell& c = it->second;
+      const bool absent = rng.Chance(0.1);
+      const size_t idx = rng.UniformInt(0, c.docs.size() - 1);
+      const DocId doc = absent ? 999999 : c.docs[idx];
+      uint32_t remaining = 0;
+      auto got = df.Remove(c.page, source, doc, &remaining);
+      ASSERT_TRUE(got.ok());
+      auto page = ref.Read(c.page);
+      ASSERT_TRUE(page.ok());
+      auto& slots = page.ValueOrDie().slots;
+      auto hit = std::find_if(slots.begin(), slots.end(),
+                              [&](const StoredTuple& st) {
+                                return st.source == source &&
+                                       st.tuple.doc == doc;
+                              });
+      ASSERT_EQ(got.ValueOrDie(), hit != slots.end()) << "step " << step;
+      if (hit == slots.end()) continue;
+      slots.erase(hit);
+      ASSERT_TRUE(ref.Write(c.page, page.ValueOrDie()).ok());
+      EXPECT_EQ(remaining, page.ValueOrDie().CountSource(source));
+      c.docs.erase(c.docs.begin() + idx);
+      c.full = false;
+      ++removes;
+      if (c.docs.empty()) cells.erase(it);
+    }
+
+    ASSERT_EQ(df.PageCount(), ref.PageCount()) << "step " << step;
+    for (PageId p = 0; p < df.PageCount(); ++p) {
+      auto got = df.ReadPageBytes(p);
+      auto want = ref.ReadPageBytes(p);
+      ASSERT_TRUE(got.ok() && want.ok());
+      ASSERT_EQ(got.ValueOrDie(), want.ValueOrDie())
+          << "page " << p << " after step " << step;
+      ASSERT_EQ(df.FreeSlots(p), ref.FreeSlots(p)) << "page " << p;
+    }
+  }
+  for (PageId p = 0; p < df.PageCount(); ++p) {
+    EXPECT_TRUE(df.CheckPage(p).ok()) << df.CheckPage(p).message();
+  }
+  // Every branch ran.
+  EXPECT_GT(moves, 0);
+  EXPECT_GT(splits, 0);
+  EXPECT_GT(removes, 0);
+}
+
+// Each cell-level write charges what the whole-page cycle charged: one
+// read of the page, and one write when it changes. The relocation branch
+// reads and writes both pages.
+TEST_P(DataFileCellOpsTest, UncachedChargesPerOperation) {
+  const size_t page_size = GetParam();
+  BufferPoolOptions uncached;
+  uncached.capacity_pages = 0;
+  DataFile df(page_size, uncached, /*compress=*/true);
+  using Charge = std::pair<uint64_t, uint64_t>;  // data-file reads, writes
+  Charge last{0, 0};
+  // What was charged since the previous call.
+  auto charged = [&]() {
+    const Charge now{df.io_stats().reads(IoCategory::kI3DataFile),
+                     df.io_stats().writes(IoCategory::kI3DataFile)};
+    const Charge delta{now.first - last.first, now.second - last.second};
+    last = now;
+    return delta;
+  };
+
+  PageId p = df.PageWithFreeSlots(1).ValueOrDie();
+  charged();
+  ASSERT_TRUE(df.Insert(p, 1, {1, 10, {1.0, 1.0}, 0.5f}).ok());
+  EXPECT_EQ(charged(), Charge(1, 1)) << "new cell";
+  PageId cell_page = p;
+  auto added = df.AddToCell(&cell_page, 1, {1, 11, {1.0, 1.0}, 0.5f},
+                            nullptr);
+  ASSERT_TRUE(added.ok());
+  ASSERT_EQ(added.ValueOrDie(), DataFile::CellAdd::kAdded);
+  EXPECT_EQ(charged(), Charge(1, 1)) << "append into an existing cell";
+  auto removed = df.Remove(p, 1, 11);
+  ASSERT_TRUE(removed.ok() && removed.ValueOrDie());
+  EXPECT_EQ(charged(), Charge(1, 1)) << "delete";
+  removed = df.Remove(p, 1, 12345);
+  ASSERT_TRUE(removed.ok() && !removed.ValueOrDie());
+  EXPECT_EQ(charged(), Charge(1, 0)) << "delete of an absent tuple";
+
+  // Fill the page with another cell until an append is refused.
+  Rng rng(5);
+  Status st;
+  for (DocId d = 100; st.ok(); ++d) {
+    st = df.Insert(p, 2, {2, d * 131, {rng.UniformDouble(0.0, 90.0),
+                                       rng.UniformDouble(0.0, 90.0)},
+                          static_cast<float>(rng.UniformDouble(0.1, 1.0))});
+    if (st.ok()) charged();
+  }
+  ASSERT_EQ(st.code(), StatusCode::kResourceExhausted);
+  EXPECT_EQ(charged(), Charge(1, 0)) << "refused insert";
+  // Cell 1 grows by a distant tuple with a distant doc id and weight: too
+  // big for what is left, so it moves.
+  added = df.AddToCell(&cell_page, 1, {1, 1 << 20, {95.0, 95.0}, 0.75f},
+                       nullptr);
+  ASSERT_TRUE(added.ok());
+  ASSERT_EQ(added.ValueOrDie(), DataFile::CellAdd::kMoved);
+  EXPECT_NE(cell_page, p);
+  EXPECT_EQ(charged(), Charge(2, 2)) << "relocation";
+}
+
+INSTANTIATE_TEST_SUITE_P(V1AndV2, DataFileCellOpsTest,
+                         ::testing::Values(size_t{256},
+                                           size_t{kDefaultPageSize}),
+                         [](const ::testing::TestParamInfo<size_t>& info) {
+                           return info.param < codec::kV2MinPageSize
+                                      ? std::string("V1Page256")
+                                      : std::string("V2Page4096");
+                         });
 
 TEST(HeadFileTest, AllocateAndUpdate) {
   HeadFile head(64);

@@ -22,7 +22,13 @@ embedded in the committed ``BENCH_hotpath.json`` and fails when:
     cold smoke checksum (a cache changed an answer), or warm
     ``pages_per_query`` regresses against the committed warm baseline --
     device reads with the hierarchy warm are the figure the cache
-    tentpole exists to eliminate.
+    tentpole exists to eliminate;
+  * the "smoke_build" section (the write layer's ledger: building the
+    smoke-tier index) is missing, or its data-file reads, data-file
+    writes or head-file writes differ from the committed baseline at all
+    -- the build is deterministic, so any change in what it charges is a
+    change in the write path's I/O. Its ``us_per_tuple`` is recorded, not
+    gated.
 
 The serving stack has its own gate: ``--serving-candidate`` takes a
 ``bench_serving --smoke`` JSON and fails when:
@@ -192,6 +198,38 @@ def check_warm_smoke(candidate, baseline, max_regress):
             f"  warm {sem}: checksum {r['checksum']} OK, pages/query "
             f"{r['pages_per_query']:.3f} vs warm baseline {bp:.3f}"
         )
+
+
+# The write layer's deterministic counts, gated exactly.
+BUILD_COUNTS = ("docs", "tuples", "data_reads", "data_writes", "head_writes")
+
+
+def check_smoke_build(candidate, baseline):
+    """Gates the smoke-tier build's page I/O: equal to the baseline, or fail."""
+    build = candidate.get("smoke_build")
+    if build is None:
+        raise GateFailure(
+            "candidate JSON has no 'smoke_build' section; bench_hotpath "
+            "must record the smoke-tier build's I/O"
+        )
+    base = baseline.get("smoke_build")
+    if base is None:
+        raise GateFailure(
+            "baseline has no 'smoke_build' section; regenerate "
+            "BENCH_hotpath.json with a full bench_hotpath run"
+        )
+    for key in BUILD_COUNTS:
+        if build.get(key) != base.get(key):
+            raise GateFailure(
+                f"smoke build: {key} {build.get(key)} != baseline "
+                f"{base.get(key)} -- the write path's I/O changed"
+            )
+    print(
+        f"  smoke build: data r={build['data_reads']} "
+        f"w={build['data_writes']}, head w={build['head_writes']} OK; "
+        f"{build.get('us_per_tuple', 0.0):.2f} us/tuple (baseline "
+        f"{base.get('us_per_tuple', 0.0):.2f}, not gated)"
+    )
 
 
 def check_metrics(candidate):
@@ -530,6 +568,7 @@ def check_replica_phase(serving, by_name):
 def run_gate(candidate, baseline, max_regress):
     check_results(candidate, baseline, max_regress)
     check_warm_smoke(candidate, baseline, max_regress)
+    check_smoke_build(candidate, baseline)
     check_metrics(candidate)
 
 
@@ -565,6 +604,14 @@ def self_test():
                 "checksum": 111,
             }
         ],
+        "smoke_build": {
+            "docs": 100,
+            "tuples": 650,
+            "data_reads": 3,
+            "data_writes": 700,
+            "head_writes": 90,
+            "us_per_tuple": 4.0,
+        },
         "obs": {
             "metrics": [
                 {
@@ -625,6 +672,14 @@ def self_test():
         "warm_smoke": [
             {"semantics": "AND", "pages_per_query": 0.0, "checksum": 111}
         ],
+        "smoke_build": {
+            "docs": 100,
+            "tuples": 650,
+            "data_reads": 3,
+            "data_writes": 700,
+            "head_writes": 90,
+            "us_per_tuple": 9.0,
+        },
     }
 
     print("self-test: clean input passes")
@@ -678,7 +733,16 @@ def self_test():
             m["value"] = 0
     expect_failure("zero buffer-pool stripe gauge", doctored, baseline)
 
-    # Within-budget drift must NOT fail.
+    doctored = copy.deepcopy(good)
+    del doctored["smoke_build"]
+    expect_failure("missing smoke_build section", doctored, baseline)
+
+    for key in ("data_reads", "data_writes", "head_writes"):
+        doctored = copy.deepcopy(good)
+        doctored["smoke_build"][key] -= 1  # fewer is a change too
+        expect_failure(f"doctored build {key}", doctored, baseline)
+
+    # Within-budget drift must NOT fail; build time is recorded, not gated.
     tolerable = copy.deepcopy(good)
     tolerable["results"][0]["pages_per_query"] = 21.5  # +7.5%
     run_gate(tolerable, baseline, 0.10)
