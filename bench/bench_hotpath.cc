@@ -16,7 +16,11 @@
 //
 // The smoke-tier index build is the write layer's ledger ("smoke_build"):
 // its data-file reads and writes and head-file writes are deterministic
-// and gated exactly; its microseconds per inserted tuple are recorded.
+// and gated exactly; its microseconds per inserted tuple and its counts of
+// rows appended to encoded groups in place and of groups re-encoded from
+// rows are recorded. A --smoke run ends with the index's invariant check
+// (canonical pages, exact free-space map) and exits nonzero on a
+// violation.
 //
 // Flags (on top of the shared bench flags): --smoke (tiny config for CI),
 // --json=PATH (default BENCH_hotpath.json), --reps=N.
@@ -120,16 +124,31 @@ struct SmokeBuild {
   uint64_t data_writes = 0;
   uint64_t head_writes = 0;
   double us_per_tuple = 0.0;
+  uint64_t appends_in_place = 0;  // rows appended to an encoded group
+  uint64_t groups_reencoded = 0;  // groups encoded from rows by a splice
 };
 
-/// Builds the index of `ds`, recording the build's charged page I/O and
-/// its time per inserted tuple in `out`.
+/// Current value of the process-wide counter `name` (0 until registered).
+uint64_t CounterValue(const char* name) {
+  const obs::MetricsSnapshot snap = obs::MetricsRegistry::Global().Snapshot();
+  const obs::MetricSample* s = snap.Find(name);
+  return s == nullptr ? 0 : static_cast<uint64_t>(s->value);
+}
+
+/// Builds the index of `ds`, recording the build's charged page I/O, its
+/// time per inserted tuple and its write-path counters in `out`.
 std::unique_ptr<I3Index> BuildWithLedger(const Dataset& ds,
                                          const BenchConfig& cfg,
                                          SmokeBuild* out) {
+  const uint64_t in_place0 = CounterValue("i3_cell_appends_in_place_total");
+  const uint64_t reencoded0 = CounterValue("i3_cell_groups_reencoded_total");
   Timer timer;
   auto index = BuildI3(ds, cfg);
   const double us = timer.ElapsedMillis() * 1e3;
+  out->appends_in_place =
+      CounterValue("i3_cell_appends_in_place_total") - in_place0;
+  out->groups_reencoded =
+      CounterValue("i3_cell_groups_reencoded_total") - reencoded0;
   const IoStats io = index->io_stats();
   out->docs = ds.docs.size();
   out->tuples = 0;
@@ -349,18 +368,23 @@ int Main(int argc, char** argv) {
   // may only make answers faster, never different -- and pages_per_query
   // bounds device reads once the hierarchy is warm.
   // The write layer's ledger (smoke-tier build in both kinds of run): the
-  // I/O counts are gated exactly against the committed baseline, the time
-  // per tuple is a recorded trajectory.
+  // I/O counts are gated exactly against the committed baseline; the time
+  // per tuple and the write-path counters are a recorded trajectory.
   std::printf("smoke build: %" PRIu64 " tuples, %.2f us/tuple, data r=%"
-              PRIu64 " w=%" PRIu64 ", head w=%" PRIu64 "\n",
+              PRIu64 " w=%" PRIu64 ", head w=%" PRIu64 ", %" PRIu64
+              " appends in place, %" PRIu64 " groups re-encoded\n",
               build.tuples, build.us_per_tuple, build.data_reads,
-              build.data_writes, build.head_writes);
+              build.data_writes, build.head_writes, build.appends_in_place,
+              build.groups_reencoded);
   std::fprintf(f,
                "  \"smoke_build\": {\"docs\": %zu, \"tuples\": %" PRIu64
                ", \"data_reads\": %" PRIu64 ", \"data_writes\": %" PRIu64
-               ", \"head_writes\": %" PRIu64 ", \"us_per_tuple\": %.3f},\n",
+               ", \"head_writes\": %" PRIu64 ", \"us_per_tuple\": %.3f"
+               ", \"appends_in_place\": %" PRIu64
+               ", \"groups_reencoded\": %" PRIu64 "},\n",
                build.docs, build.tuples, build.data_reads, build.data_writes,
-               build.head_writes, build.us_per_tuple);
+               build.head_writes, build.us_per_tuple, build.appends_in_place,
+               build.groups_reencoded);
   std::fprintf(f, "  \"warm_smoke\": [\n");
   for (size_t i = 0; i < warm.size(); ++i) {
     const WarmSmoke& w = warm[i];
@@ -379,6 +403,17 @@ int Main(int argc, char** argv) {
   DumpMetricsIfRequested(cfg);
   std::fclose(f);
   std::printf("wrote %s\n", json_path.c_str());
+  if (smoke) {
+    // After the measurements, so its page reads stay out of them.
+    auto checked = index->CheckInvariants();
+    if (!checked.ok()) {
+      std::fprintf(stderr, "invariant violation: %s\n",
+                   checked.status().ToString().c_str());
+      return 1;
+    }
+    std::printf("invariants: ok (%" PRIu64 " tuples)\n",
+                checked.ValueOrDie());
+  }
   return 0;
 }
 

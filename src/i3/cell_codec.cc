@@ -69,6 +69,13 @@ uint32_t QuantizeQ16(float w, float w_min, float w_step) {
   return static_cast<uint32_t>(q);
 }
 
+/// True when `w` survives the 16-bit round trip bit for bit (the search
+/// path must replay v1 scores).
+bool Q16Exact(float w, float w_min, float w_step) {
+  const float q = static_cast<float>(QuantizeQ16(w, w_min, w_step));
+  return w_min + q * w_step == w;
+}
+
 // ----------------------------------------------------------- group encoder
 
 /// Layout of one encoded group. It is derived from the group's own rows
@@ -89,6 +96,22 @@ struct GroupPlan {
 size_t GroupHeaderBytes(uint8_t weight_mode) {
   return 24 + (weight_mode == kWeightQ16 ? 8 : 0) +
          (weight_mode == kWeightConst ? 4 : 0);
+}
+
+size_t WeightBytes(uint8_t weight_mode, size_t n) {
+  return weight_mode == kWeightRaw ? 4 * n
+                                   : (weight_mode == kWeightQ16 ? 2 * n : 0);
+}
+
+size_t DeltaBytes(size_t n, uint32_t doc_bits) {
+  return (n * doc_bits + 7) / 8;
+}
+
+/// Group header plus payload of `n` rows under these header fields.
+size_t GroupBytes(size_t n, uint32_t doc_bits, uint8_t weight_mode,
+                  uint32_t x_bytes, uint32_t y_bytes) {
+  return GroupHeaderBytes(weight_mode) + DeltaBytes(n, doc_bits) +
+         WeightBytes(weight_mode, n) + n * (x_bytes + y_bytes);
 }
 
 /// Plans the group of rows `c` (n >= 1); the coordinate bases are row 0.
@@ -118,12 +141,11 @@ GroupPlan PlanGroup(const CellColumns& c) {
     g.w_min = w_min;
   } else {
     // Try exact 16-bit quantization; keep it only when every weight
-    // round-trips bit for bit (the search path must replay v1 scores).
+    // round-trips bit for bit.
     const float step = (w_max - w_min) / 65535.0f;
     bool exact = step > 0.0f;
     for (uint32_t i = 0; i < c.n && exact; ++i) {
-      const uint32_t q = QuantizeQ16(c.weights[i], w_min, step);
-      exact = (w_min + static_cast<float>(q) * step) == c.weights[i];
+      exact = Q16Exact(c.weights[i], w_min, step);
     }
     if (exact) {
       g.weight_mode = kWeightQ16;
@@ -134,12 +156,7 @@ GroupPlan PlanGroup(const CellColumns& c) {
     }
   }
 
-  const size_t count = c.n;
-  g.bytes = GroupHeaderBytes(g.weight_mode) + (count * g.doc_bits + 7) / 8 +
-            (g.weight_mode == kWeightRaw
-                 ? 4 * count
-                 : (g.weight_mode == kWeightQ16 ? 2 * count : 0)) +
-            count * (g.x_bytes + g.y_bytes);
+  g.bytes = GroupBytes(c.n, g.doc_bits, g.weight_mode, g.x_bytes, g.y_bytes);
   return g;
 }
 
@@ -207,7 +224,7 @@ void EncodeGroup(const CellColumns& c, const GroupPlan& g, uint8_t* p,
   }
 
   PackOffsets(c.docs, c.n, g.min_doc, g.doc_bits, p);
-  p += (static_cast<size_t>(c.n) * g.doc_bits + 7) / 8;
+  p += DeltaBytes(c.n, g.doc_bits);
 
   if (g.weight_mode == kWeightRaw) {
     for (uint32_t i = 0; i < c.n; ++i, p += 4) {
@@ -315,6 +332,20 @@ PageGroups PlanPage(const StoredTuple* slots, size_t n) {
   return pg;
 }
 
+/// The envelope of a cell of `n` >= 1 rows whose doc offsets span
+/// `doc_bits` bits and whose widest residuals are `xb`/`yb` bytes: the
+/// group plan's own widths, so a plan-preserving append can answer the
+/// density test from the group header.
+size_t EnvelopeOf(size_t n, uint32_t doc_bits, uint32_t xb, uint32_t yb) {
+  // Weight term: the worse of mode 0 (24B header + 4B/tuple) and mode 1
+  // (32B header + 2B/tuple), so whichever mode any subset lands on is
+  // covered; mode 2 is smaller than both.
+  const size_t weight_bytes = std::max<size_t>(4 * n, 8 + 2 * n);
+  return kV2PageHeaderBytes + kV2DirEntryBytes + 24 +
+         DeltaBytes(n, doc_bits) + weight_bytes +
+         static_cast<size_t>(xb + yb) * n;
+}
+
 /// Shared body of the CellEnvelopeBytes overloads over `n` rows;
 /// `row(i)` returns row i as a SpatialTuple.
 template <typename Row>
@@ -334,14 +365,151 @@ size_t EnvelopeBytes(size_t n, Row row) {
     xb = std::max(xb, SigBytes(DoubleBits(t.location.x) ^ bx));
     yb = std::max(yb, SigBytes(DoubleBits(t.location.y) ^ by));
   }
-  const uint32_t doc_bits = BitsFor(max_doc - min_doc);
-  // Weight term: the worse of mode 0 (24B header + 4B/tuple) and mode 1
-  // (32B header + 2B/tuple), so whichever mode any subset lands on is
-  // covered; mode 2 is smaller than both.
-  const size_t weight_bytes = std::max<size_t>(4 * n, 8 + 2 * n);
-  return kV2PageHeaderBytes + kV2DirEntryBytes + 24 +
-         (n * static_cast<size_t>(doc_bits) + 7) / 8 + weight_bytes +
-         static_cast<size_t>(xb + yb) * n;
+  return EnvelopeOf(n, BitsFor(max_doc - min_doc), xb, yb);
+}
+
+// ---------------------------------------------------------------- splicing
+
+/// A v2 page's directory, validated by ReadDirectory, and the group of one
+/// source in it. The default value is an empty page, which a splice turns
+/// into a one-group page.
+struct Directory {
+  const uint8_t* page = nullptr;
+  size_t gc = 0;
+  size_t used = kV2PageHeaderBytes;
+  size_t dir_end = kV2PageHeaderBytes;
+  size_t hit = 0;  // directory index of the source's group (gc: none)
+
+  bool found() const { return hit < gc; }
+  size_t OffsetOf(size_t g) const {
+    return g < gc ? LoadLe<uint32_t>(DirEntry(page, g) + 12) : used;
+  }
+};
+
+/// Validates the header and every directory offset of `page` before any of
+/// them is trusted -- groups must sit back to back from the end of the
+/// directory to `used`, in directory order, and `used` within the page --
+/// and locates the group of `source`. Damage returns Corruption.
+Status ReadDirectory(const uint8_t* page, size_t page_size, uint32_t source,
+                     Directory* d) {
+  if (!IsV2Page(page, page_size)) {
+    return Status::Corruption("splice of a page that is not v2");
+  }
+  d->page = page;
+  d->gc = LoadLe<uint16_t>(page + 6);
+  d->used = LoadLe<uint32_t>(page + 8);
+  d->dir_end = kV2PageHeaderBytes + d->gc * kV2DirEntryBytes;
+  if (d->used > page_size || d->dir_end > d->used ||
+      (d->gc == 0 && d->used != d->dir_end)) {
+    return Status::Corruption("v2 page header out of bounds");
+  }
+  d->hit = d->gc;
+  for (size_t g = 0; g < d->gc; ++g) {
+    const size_t off = d->OffsetOf(g);
+    if ((g == 0 && off != d->dir_end) || off >= d->OffsetOf(g + 1)) {
+      return Status::Corruption("v2 directory offsets out of order");
+    }
+    if (!d->found() && LoadLe<uint32_t>(DirEntry(page, g)) == source) {
+      d->hit = g;
+    }
+  }
+  return Status::OK();
+}
+
+/// Writes the page of `d` into `out` (page_size bytes) with the group
+/// `d.hit` replaced by a group of `bytes` bytes -- dropped when `bytes` is
+/// 0, appended last when the page has none -- that `put(dir, off)` writes:
+/// its directory entry at `dir`, its bytes at `out + off`. Every other
+/// group is copied unchanged; the header and directory offsets are
+/// rewritten and the tail is zeroed. ResourceExhausted, writing nothing,
+/// when the result does not fit.
+template <typename Put>
+Result<size_t> Splice(const Directory& d, size_t page_size, size_t bytes,
+                      Put&& put, uint8_t* out) {
+  const bool keep = bytes > 0;
+  const size_t hit_bytes =
+      d.found() ? d.OffsetOf(d.hit + 1) - d.OffsetOf(d.hit) : 0;
+  const size_t new_gc = d.gc + (!d.found() && keep) - (d.found() && !keep);
+  const size_t new_dir_end = kV2PageHeaderBytes + new_gc * kV2DirEntryBytes;
+  const size_t total = new_dir_end + (d.used - d.dir_end) - hit_bytes + bytes;
+  if (total > page_size) {
+    return Status::ResourceExhausted(
+        "v2 page encoding needs " + std::to_string(total) +
+        " bytes, page holds " + std::to_string(page_size));
+  }
+  if (new_gc > UINT16_MAX) {
+    return Status::ResourceExhausted("too many keyword cells on one page");
+  }
+
+  StoreHeader(out, new_gc, total);
+  size_t slot = 0;
+  size_t off = new_dir_end;
+  auto put_group = [&]() {
+    put(DirEntry(out, slot++), off);
+    off += bytes;
+  };
+  for (size_t g = 0; g < d.gc; ++g) {
+    if (g == d.hit) {
+      if (keep) put_group();
+      continue;
+    }
+    const size_t from = d.OffsetOf(g);
+    const size_t len = d.OffsetOf(g + 1) - from;
+    uint8_t* dir = DirEntry(out, slot++);
+    std::memcpy(dir, DirEntry(d.page, g), kV2DirEntryBytes);
+    StoreLe<uint32_t>(dir + 12, static_cast<uint32_t>(off));
+    std::memcpy(out + off, d.page + from, len);
+    off += len;
+  }
+  if (!d.found() && keep) put_group();
+  assert(off == total);
+  std::memset(out + total, 0, page_size - total);
+  return total;
+}
+
+/// Splice of the group of rows `cell` (n >= 1), planned and encoded.
+Result<size_t> SpliceCell(const Directory& d, size_t page_size,
+                          uint32_t source, const CellColumns& cell,
+                          uint8_t* out) {
+  const GroupPlan plan = PlanGroup(cell);
+  return Splice(
+      d, page_size, plan.bytes,
+      [&](uint8_t* dir, size_t off) {
+        StoreDirEntry(dir, source, cell, plan, off);
+        EncodeGroup(cell, plan, out + off, out + page_size);
+      },
+      out);
+}
+
+/// True when a group of `n` rows in weight mode `mode` -- header at `g`,
+/// weight column at `col`, maximum `w_max` -- keeps its mode and weight
+/// parameters with `w` appended: re-planning the grown rows would find
+/// the same minimum, maximum and step, and `w` encodes exactly under them.
+bool WeightFitsPlan(uint8_t mode, const uint8_t* g, const uint8_t* col,
+                    uint32_t n, float w_max, float w) {
+  if (mode == kWeightConst) return w == LoadLe<float>(g + 24);
+  if (mode == kWeightQ16) {
+    const float w_min = LoadLe<float>(g + 24);
+    return w >= w_min && w <= w_max &&
+           Q16Exact(w, w_min, LoadLe<float>(g + 28));
+  }
+  // Raw: inside the column's range the minimum, maximum and step stay
+  // put, so the rows that ruled out q16 still rule it out.
+  float w_min = LoadLe<float>(col);
+  for (uint32_t i = 1; i < n; ++i) {
+    w_min = std::min(w_min, LoadLe<float>(col + 4 * i));
+  }
+  return w >= w_min && w <= w_max;
+}
+
+/// ORs `v` (`bits` wide) into an LSB-first bit stream at bit `pos`; the
+/// stream's bits from `pos` on must be zero.
+void PutBitsAt(uint8_t* stream, size_t pos, uint32_t bits, uint32_t v) {
+  uint8_t* p = stream + pos / 8;
+  const uint64_t w = static_cast<uint64_t>(v) << (pos % 8);
+  for (size_t k = 0; k < (pos % 8 + bits + 7) / 8; ++k) {
+    p[k] |= static_cast<uint8_t>(w >> (8 * k));
+  }
 }
 
 }  // namespace
@@ -354,10 +522,6 @@ bool IsV2Page(const uint8_t* page, size_t page_size) {
 
 size_t EncodedPageSize(const StoredTuple* slots, size_t n) {
   return PlanPage(slots, n).total;
-}
-
-size_t EncodedGroupBytes(const CellColumns& cell) {
-  return kV2DirEntryBytes + PlanGroup(cell).bytes;
 }
 
 size_t CellEnvelopeBytes(const SpatialTuple* tuples, size_t n) {
@@ -397,71 +561,136 @@ Result<size_t> EncodePage(const StoredTuple* slots, size_t n, uint8_t* out,
 Result<size_t> SpliceGroup(const uint8_t* page, size_t page_size,
                            uint32_t source, const CellColumns& cell,
                            uint8_t* out) {
-  // Validate the header and every directory offset before trusting any of
-  // them: groups must sit back to back from the end of the directory, in
-  // directory order, inside `used`.
-  if (!IsV2Page(page, page_size)) {
-    return Status::Corruption("splice of a page that is not v2");
+  Directory d;
+  I3_RETURN_NOT_OK(ReadDirectory(page, page_size, source, &d));
+  if (cell.n == 0) {
+    return Splice(d, page_size, 0, [](uint8_t*, size_t) {}, out);
   }
-  const size_t gc = LoadLe<uint16_t>(page + 6);
-  const size_t used = LoadLe<uint32_t>(page + 8);
-  const size_t dir_end = kV2PageHeaderBytes + gc * kV2DirEntryBytes;
-  if (used > page_size || dir_end > used) {
-    return Status::Corruption("v2 page header out of bounds");
+  return SpliceCell(d, page_size, source, cell, out);
+}
+
+Result<size_t> EncodeGroupPage(uint32_t source, const CellColumns& cell,
+                               uint8_t* out, size_t page_size) {
+  return SpliceCell(Directory{}, page_size, source, cell, out);
+}
+
+Result<AppendResult> AppendRow(const uint8_t* page, size_t page_size,
+                               uint32_t source, const SpatialTuple& row,
+                               uint8_t* out) {
+  Directory d;
+  I3_RETURN_NOT_OK(ReadDirectory(page, page_size, source, &d));
+  AppendResult r;
+  if (!d.found()) return r;
+
+  // The group's header must describe exactly its directory extent before
+  // any of its sections is copied.
+  const uint8_t* entry = DirEntry(page, d.hit);
+  const size_t n = LoadLe<uint32_t>(entry + 8);
+  const size_t extent = d.OffsetOf(d.hit + 1) - d.OffsetOf(d.hit);
+  const uint8_t* g = page + d.OffsetOf(d.hit);
+  if (extent < 24 || n == 0 || n > page_size * 8 || g[4] > 32 ||
+      g[5] > kWeightConst || g[6] > 8 || g[7] > 8 ||
+      GroupBytes(n, g[4], g[5], g[6], g[7]) != extent) {
+    return Status::Corruption(
+        "v2 group header disagrees with its directory extent");
   }
-  auto offset_of = [&](size_t g) -> size_t {
-    return g < gc ? LoadLe<uint32_t>(DirEntry(page, g) + 12) : used;
-  };
-  size_t hit = gc;  // directory index of `source`'s group (gc: none)
-  for (size_t g = 0; g < gc; ++g) {
-    const size_t off = offset_of(g);
-    if ((g == 0 && off != dir_end) || off >= offset_of(g + 1)) {
-      return Status::Corruption("v2 directory offsets out of order");
-    }
-    if (hit == gc && LoadLe<uint32_t>(DirEntry(page, g)) == source) hit = g;
+  const uint32_t min_doc = LoadLe<uint32_t>(g);
+  const uint32_t doc_bits = g[4];
+  const uint8_t mode = g[5];
+  const uint32_t xb = g[6];
+  const uint32_t yb = g[7];
+  const uint64_t rx = DoubleBits(row.location.x) ^ LoadLe<uint64_t>(g + 8);
+  const uint64_t ry = DoubleBits(row.location.y) ^ LoadLe<uint64_t>(g + 16);
+  const size_t header = GroupHeaderBytes(mode);
+  const size_t deltas = DeltaBytes(n, doc_bits);
+  const size_t weights = WeightBytes(mode, n);
+  const uint8_t* col = g + header + deltas;  // weight column
+  if (row.doc < min_doc || BitsFor(row.doc - min_doc) > doc_bits ||
+      SigBytes(rx) > xb || SigBytes(ry) > yb ||
+      !WeightFitsPlan(mode, g, col, static_cast<uint32_t>(n),
+                      LoadLe<float>(entry + 16), row.weight)) {
+    return r;
   }
 
-  const bool keep = cell.n > 0;
-  const GroupPlan plan = keep ? PlanGroup(cell) : GroupPlan{};
-  const size_t hit_bytes = hit < gc ? offset_of(hit + 1) - offset_of(hit) : 0;
-  const size_t new_gc = gc + (hit == gc && keep) - (hit < gc && !keep);
-  const size_t new_dir_end = kV2PageHeaderBytes + new_gc * kV2DirEntryBytes;
-  const size_t total =
-      new_dir_end + (used - dir_end) - hit_bytes + (keep ? plan.bytes : 0);
-  if (total > page_size) {
-    return Status::ResourceExhausted(
-        "v2 page encoding needs " + std::to_string(total) +
-        " bytes, page holds " + std::to_string(page_size));
+  // The plan holds, so its widths are the grown cell's own.
+  r.envelope = EnvelopeOf(n + 1, doc_bits, xb, yb);
+  if (r.envelope > page_size) {
+    r.outcome = RowAppend::kOversized;
+    return r;
   }
-  if (new_gc > UINT16_MAX) {
-    return Status::ResourceExhausted("too many keyword cells on one page");
-  }
-
-  StoreHeader(out, new_gc, total);
-  size_t slot = 0;
-  size_t off = new_dir_end;
-  auto put_cell = [&]() {
-    StoreDirEntry(DirEntry(out, slot++), source, cell, plan, off);
-    EncodeGroup(cell, plan, out + off, out + page_size);
-    off += plan.bytes;
-  };
-  for (size_t g = 0; g < gc; ++g) {
-    if (g == hit) {
-      if (keep) put_cell();
-      continue;
-    }
-    const size_t from = offset_of(g);
-    const size_t len = offset_of(g + 1) - from;
-    uint8_t* dir = DirEntry(out, slot++);
-    std::memcpy(dir, DirEntry(page, g), kV2DirEntryBytes);
+  const size_t grown_deltas = DeltaBytes(n + 1, doc_bits);
+  const size_t grown = extent + (grown_deltas - deltas) +
+                       WeightBytes(mode, 1) + xb + yb;
+  auto put = [&](uint8_t* dir, size_t off) {
+    std::memcpy(dir, entry, kV2DirEntryBytes);
+    StoreLe<uint32_t>(dir + 8, static_cast<uint32_t>(n + 1));
     StoreLe<uint32_t>(dir + 12, static_cast<uint32_t>(off));
-    std::memcpy(out + off, page + from, len);
-    off += len;
+    uint8_t* p = out + off;
+    std::memcpy(p, g, header + deltas);
+    p += header;
+    // The new offset starts at bit n * doc_bits: clear the old stream's
+    // padding bits past it and the bytes it grows by, then OR it in.
+    const size_t bit = n * doc_bits;
+    if (bit % 8 != 0) {
+      p[deltas - 1] &= static_cast<uint8_t>((1u << (bit % 8)) - 1);
+    }
+    std::memset(p + deltas, 0, grown_deltas - deltas);
+    PutBitsAt(p, bit, doc_bits, row.doc - min_doc);
+    p += grown_deltas;
+    std::memcpy(p, col, weights);
+    p += weights;
+    if (mode == kWeightRaw) {
+      StoreLe<float>(p, row.weight);
+    } else if (mode == kWeightQ16) {
+      const uint32_t q = QuantizeQ16(row.weight, LoadLe<float>(g + 24),
+                                     LoadLe<float>(g + 28));
+      StoreLe<uint16_t>(p, static_cast<uint16_t>(q));
+    }
+    p += WeightBytes(mode, 1);
+    const uint8_t* xs = col + weights;
+    std::memcpy(p, xs, n * xb);
+    std::memcpy(p + n * xb, &rx, xb);  // low bytes, little-endian
+    p += (n + 1) * xb;
+    std::memcpy(p, xs + n * xb, n * yb);
+    std::memcpy(p + n * yb, &ry, yb);
+  };
+  auto in_place = Splice(d, page_size, grown, put, out);
+  if (in_place.ok()) {
+    r.outcome = RowAppend::kAppended;
+    r.used = in_place.ValueOrDie();
+    return r;
   }
-  if (hit == gc && keep) put_cell();
-  assert(off == total);
-  std::memset(out + total, 0, page_size - total);
-  return total;
+  if (in_place.status().code() != StatusCode::kResourceExhausted) {
+    return in_place.status();
+  }
+  // The envelope bounds the grown group alone on a page, so this fits.
+  auto alone = Splice(Directory{}, page_size, grown, put, out);
+  if (!alone.ok()) return alone.status();
+  r.outcome = RowAppend::kOverflow;
+  r.used = alone.ValueOrDie();
+  return r;
+}
+
+Result<size_t> AddGroup(const uint8_t* page, size_t page_size,
+                        const uint8_t* group, uint8_t* out) {
+  Directory from;
+  I3_RETURN_NOT_OK(ReadDirectory(group, page_size, 0, &from));
+  if (from.gc != 1) {
+    return Status::Corruption("moved group is not a one-group page");
+  }
+  const uint8_t* entry = DirEntry(group, 0);
+  Directory d;
+  I3_RETURN_NOT_OK(
+      ReadDirectory(page, page_size, LoadLe<uint32_t>(entry), &d));
+  const size_t bytes = from.used - from.dir_end;
+  return Splice(
+      d, page_size, bytes,
+      [&](uint8_t* dir, size_t off) {
+        std::memcpy(dir, entry, kV2DirEntryBytes);
+        StoreLe<uint32_t>(dir + 12, static_cast<uint32_t>(off));
+        std::memcpy(out + off, group + from.dir_end, bytes);
+      },
+      out);
 }
 
 // ---------------------------------------------------------------- read path
@@ -582,13 +811,11 @@ Status DecodeGroup(const uint8_t* page, size_t page_size, const GroupRef& g,
 
   const size_t n = g.count;
   const size_t header = GroupHeaderBytes(weight_mode);
-  const size_t delta_bytes = (n * doc_bits + 7) / 8;
-  const size_t weight_bytes =
-      weight_mode == kWeightRaw ? 4 * n : (weight_mode == kWeightQ16 ? 2 * n
-                                                                     : 0);
-  const size_t total =
-      header + delta_bytes + weight_bytes + n * (x_bytes + y_bytes);
-  if (static_cast<size_t>(g.offset) + total > used) {
+  const size_t delta_bytes = DeltaBytes(n, doc_bits);
+  const size_t weight_bytes = WeightBytes(weight_mode, n);
+  if (static_cast<size_t>(g.offset) +
+          GroupBytes(n, doc_bits, weight_mode, x_bytes, y_bytes) >
+      used) {
     return Status::Corruption("v2 group payload out of bounds");
   }
 

@@ -114,14 +114,15 @@ bool IsV2Page(const uint8_t* page, size_t page_size);
 // Every group is encoded from its own rows alone, so a page is canonical:
 // it equals EncodePage of its decoded slots, and a write that changes one
 // keyword cell can re-encode that cell's group and copy every other group
-// byte for byte (SpliceGroup).
+// byte for byte (SpliceGroup). An append whose row fits the group's plan
+// does not even re-encode that group: the row's offset, weight and
+// residuals join the end of their column sections, and the grown group --
+// still what EncodePage makes of its rows -- is written in place or, when
+// its page is full, alone as a one-group page that relocation copies to
+// the target page as bytes (AppendRow, AddGroup).
 
 /// \brief Exact encoded size of `slots[0..n)` as one v2 page.
 size_t EncodedPageSize(const StoredTuple* slots, size_t n);
-
-/// \brief Exact bytes the group of rows `cell` (n >= 1) adds to any page:
-/// its directory entry, group header and payload.
-size_t EncodedGroupBytes(const CellColumns& cell);
 
 /// \brief Encodes `slots[0..n)` into `out` (page_size bytes); groups appear
 /// in first-appearance order of their source, tuples keep their slot order
@@ -144,6 +145,56 @@ Result<size_t> EncodePage(const StoredTuple* slots, size_t n, uint8_t* out,
 Result<size_t> SpliceGroup(const uint8_t* page, size_t page_size,
                            uint32_t source, const CellColumns& cell,
                            uint8_t* out);
+
+/// \brief Writes the group of rows `cell` (n >= 1) under `source` alone
+/// as a one-group page into `out` (page_size bytes): EncodePage of its
+/// rows. Returns the bytes used.
+Result<size_t> EncodeGroupPage(uint32_t source, const CellColumns& cell,
+                               uint8_t* out, size_t page_size);
+
+/// What AppendRow did with its row.
+enum class RowAppend {
+  kReplan,     ///< the page has no group of the source, or the row changes
+               ///< its plan: nothing written (decode and splice instead)
+  kOversized,  ///< the grown cell fails the density test -- its envelope
+               ///< exceeds the page -- so it must split: nothing written
+  kAppended,   ///< `out` holds the page with the row appended
+  kOverflow,   ///< the grown group does not fit its page: `out` holds it
+               ///< alone as a one-group page, for AddGroup on another page
+};
+
+struct AppendResult {
+  RowAppend outcome = RowAppend::kReplan;
+  size_t used = 0;      ///< bytes used in `out` (kAppended, kOverflow)
+  size_t envelope = 0;  ///< CellEnvelopeBytes of the grown cell (not kReplan)
+};
+
+/// \brief Appends `row` to the group of `source` on v2 page `page` without
+/// decoding the group, when the row fits the group's plan: its doc id is
+/// at least `min_doc` and its offset fits `doc_bits`, its coordinate
+/// residuals fit `x_bytes`/`y_bytes`, and its weight equals the constant
+/// (constant mode), lies in [w_min, block_max] and survives the 16-bit
+/// round trip exactly (q16 mode), or lies in the raw column's range (raw
+/// mode). The row's term is the group's. The directory is validated as
+/// SpliceGroup validates it, and the group's header must describe exactly
+/// its directory extent: damage returns Corruption. On a fit the density
+/// test is answered from the header, and the grown group -- EncodePage of
+/// the grown rows, byte for byte -- is written as section copies plus one
+/// entry per column (see RowAppend). `out` is page_size bytes and does not
+/// alias `page`; it is untouched unless the outcome says it is written.
+Result<AppendResult> AppendRow(const uint8_t* page, size_t page_size,
+                               uint32_t source, const SpatialTuple& row,
+                               uint8_t* out);
+
+/// \brief Writes v2 page `page` into `out` (page_size bytes, not aliasing
+/// `page`) with the group of the one-group page `group` -- as AppendRow's
+/// overflow or EncodeGroupPage leaves it -- in place of the page's group of
+/// the same source, or appended as the last group. Both pages are
+/// validated as SpliceGroup validates its page; the group's bytes are
+/// copied unchanged, so the result equals EncodePage of the edited slots.
+/// ResourceExhausted (nothing written) when it does not fit.
+Result<size_t> AddGroup(const uint8_t* page, size_t page_size,
+                        const uint8_t* group, uint8_t* out);
 
 // -------------------------------------------------------------- read path
 

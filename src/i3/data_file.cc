@@ -105,7 +105,18 @@ DataFile::DataFile(std::unique_ptr<PageFile> file,
            static_cast<uint32_t>(kTupleBytes)),
       capacity_(static_cast<uint32_t>(file_->page_size() / kTupleBytes)),
       compress_(compress && file_->page_size() >= codec::kV2MinPageSize),
-      scratch_(file_->page_size(), 0) {}
+      scratch_(file_->page_size(), 0),
+      cell_page_(compress_ ? file_->page_size() : 0, 0) {
+  obs::MetricsRegistry& reg = obs::MetricsRegistry::Global();
+  appends_in_place_ = reg.GetCounter(
+      "i3_cell_appends_in_place_total",
+      "Rows appended to a v2 keyword-cell group in its encoded form, "
+      "without decoding it: on its page or relocated as bytes.");
+  groups_reencoded_ = reg.GetCounter(
+      "i3_cell_groups_reencoded_total",
+      "v2 keyword-cell groups a cell-level write planned and encoded from "
+      "rows: inserts, deletes, and appends whose row changed the plan.");
+}
 
 Result<std::unique_ptr<DataFile>> DataFile::CreateOnDisk(
     const std::string& path, size_t page_size, BufferPoolOptions pool_options,
@@ -218,10 +229,10 @@ Result<TuplePage> DataFile::Read(PageId id) {
   return page;
 }
 
-Status DataFile::WriteScratch(PageId id, size_t used) {
-  I3_RETURN_NOT_OK(pool_.WritePage(id, scratch_.data(),
-                                   IoCategory::kI3DataFile));
-  fsm_.SetFree(id, static_cast<uint32_t>(scratch_.size() - used));
+Status DataFile::WriteEncoded(PageId id, const std::vector<uint8_t>& page,
+                              size_t used) {
+  I3_RETURN_NOT_OK(pool_.WritePage(id, page.data(), IoCategory::kI3DataFile));
+  fsm_.SetFree(id, static_cast<uint32_t>(page.size() - used));
   return Status::OK();
 }
 
@@ -248,7 +259,7 @@ Status DataFile::Write(PageId id, const TuplePage& page) {
     }
     used = page.slots.size() * kTupleBytes;
   }
-  return WriteScratch(id, used);
+  return WriteEncoded(id, scratch_, used);
 }
 
 void DataFile::CellBuffer::Reserve(uint32_t rows) {
@@ -309,8 +320,9 @@ Status DataFile::WriteSplice(PageView* view, PageId id, SourceId source,
   auto used = codec::SpliceGroup(view->data_, view->page_size_, source, cell,
                                  scratch_.data());
   if (!used.ok()) return used.status();
+  if (cell.n > 0) groups_reencoded_->Increment();
   *view = PageView();  // never write a page this thread still views
-  return WriteScratch(id, used.ValueOrDie());
+  return WriteEncoded(id, scratch_, used.ValueOrDie());
 }
 
 template <typename Edit>
@@ -403,12 +415,41 @@ Result<DataFile::CellAdd> DataFile::AddToCell(PageId* page, SourceId source,
   auto view_res = View(*page);
   if (!view_res.ok()) return view_res.status();
   PageView view = view_res.MoveValue();
-  I3_RETURN_NOT_OK(LoadCell(view, source));
-  cell_.Append(tuple);
-  if (CellOversized(cell_.columns())) {
+  auto must_split = [&]() -> Result<CellAdd> {
     if (split_image != nullptr) I3_RETURN_NOT_OK(ReadSlots(view, split_image));
     return CellAdd::kMustSplit;
+  };
+
+  if (Splices(view)) {
+    // A row that fits its group's plan grows the group in its encoded form.
+    auto grown = codec::AppendRow(view.data_, view.page_size_, source, tuple,
+                                  cell_page_.data());
+    if (!grown.ok()) return grown.status();
+    const codec::AppendResult& g = grown.ValueOrDie();
+    switch (g.outcome) {
+      case codec::RowAppend::kOversized:
+        return must_split();
+      case codec::RowAppend::kAppended:
+        appends_in_place_->Increment();
+        view = PageView();  // never write a page this thread still views
+        I3_RETURN_NOT_OK(WriteEncoded(*page, cell_page_, g.used));
+        return CellAdd::kAdded;
+      case codec::RowAppend::kOverflow: {
+        appends_in_place_->Increment();
+        auto target = MoveCell(&view, *page, source, g.used);
+        if (!target.ok()) return target.status();
+        *page = target.ValueOrDie();
+        return CellAdd::kMoved;
+      }
+      case codec::RowAppend::kReplan:
+        break;
+    }
   }
+
+  // The row changes its group's plan, or the page is v1: decode the cell.
+  I3_RETURN_NOT_OK(LoadCell(view, source));
+  cell_.Append(tuple);
+  if (CellOversized(cell_.columns())) return must_split();
 
   Status st;
   if (Splices(view)) {
@@ -424,20 +465,28 @@ Result<DataFile::CellAdd> DataFile::AddToCell(PageId* page, SourceId source,
     return CellAdd::kAdded;
   }
 
-  auto target = MoveCell(&view, *page, source);
+  size_t used = 0;
+  if (compress_) {
+    auto encoded = codec::EncodeGroupPage(
+        source, cell_.columns(), cell_page_.data(), cell_page_.size());
+    if (!encoded.ok()) return encoded.status();
+    groups_reencoded_->Increment();
+    used = encoded.ValueOrDie();
+  }
+  auto target = MoveCell(&view, *page, source, used);
   if (!target.ok()) return target.status();
   *page = target.ValueOrDie();
   return CellAdd::kMoved;
 }
 
 Result<PageId> DataFile::MoveCell(PageView* view, PageId from,
-                                  SourceId source) {
+                                  SourceId source, size_t used) {
   // The target is chosen while `from`'s free-space entry still describes
-  // the page with the cell on it.
-  const CellColumns cell = cell_.columns();
+  // the page with the cell on it. The moved group adds its one-group
+  // page's bytes, less the page header, to any v2 page.
   auto target_res = PageWithFreeBytes(
-      compress_ ? static_cast<uint32_t>(codec::EncodedGroupBytes(cell))
-                : cell.n * static_cast<uint32_t>(kTupleBytes));
+      compress_ ? static_cast<uint32_t>(used - codec::kV2PageHeaderBytes)
+                : cell_.n * static_cast<uint32_t>(kTupleBytes));
   if (!target_res.ok()) return target_res.status();
   PageId target = target_res.ValueOrDie();
   if (target == from) {
@@ -462,8 +511,32 @@ Result<PageId> DataFile::MoveCell(PageView* view, PageId from,
       return true;
     }));
   }
-  I3_RETURN_NOT_OK(AppendCell(target, source));
+  I3_RETURN_NOT_OK(compress_ ? PlaceGroup(target, used)
+                             : AppendCell(target, source));
   return target;
+}
+
+Status DataFile::PlaceGroup(PageId target, size_t used) {
+  auto view_res = View(target);
+  if (!view_res.ok()) return view_res.status();
+  PageView view = view_res.MoveValue();
+  if (Splices(view)) {
+    auto added = codec::AddGroup(view.data_, view.page_size_,
+                                 cell_page_.data(), scratch_.data());
+    if (!added.ok()) return added.status();
+    view = PageView();  // never write a page this thread still views
+    return WriteEncoded(target, scratch_, added.ValueOrDie());
+  }
+  // Otherwise a fresh zero page, the only other kind the free-space map
+  // of a compressing file offers: it takes the one-group page as it is.
+  bool fresh = true;
+  view.ForEachSlot([&fresh](SourceId, const SpatialTuple&) { fresh = false; });
+  if (!fresh) {
+    return Status::Corruption("relocation target page " +
+                              std::to_string(target) + " holds v1 tuples");
+  }
+  view = PageView();
+  return WriteEncoded(target, cell_page_, used);
 }
 
 Status DataFile::CheckPage(PageId id) {

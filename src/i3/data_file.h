@@ -68,7 +68,7 @@ inline SourceId DecodeSlotSource(const uint8_t* src) {
 /// \brief Decoded image of one whole data-file page: what DataFile::Read
 /// returns and DataFile::Write encodes. Cell splits, index loads and v1
 /// pages are written through it; cell-level writes to v2 pages (Insert,
-/// Remove, AddToCell) splice one group instead and never build it. Read
+/// Remove, AddToCell) rewrite one group instead and never build it. Read
 /// paths use DataFile::View, which decodes slots lazily out of the
 /// buffer-pool frame without materializing this object.
 class TuplePage {
@@ -405,8 +405,10 @@ class DataFile {
   // read) and writes it at most once (one charged write), after releasing
   // the view; AddToCell's relocation branch does the same on its target
   // page too. On a v2 page in a compressing file only the changed cell's
-  // group is decoded and re-encoded; the other groups are copied byte for
-  // byte (codec::SpliceGroup). v1 pages, fresh zero pages and legacy v1
+  // group is rewritten; the other groups are copied byte for byte. An
+  // append whose row fits its group's plan grows the group in its encoded
+  // form (codec::AppendRow); any other edit decodes the group and
+  // re-encodes it from rows (codec::SpliceGroup). v1 pages and legacy v1
   // pages in a compressing file are re-encoded whole, as Write does.
 
   /// \brief Appends one tuple to the cell `source` on `id` (creating the
@@ -438,11 +440,16 @@ class DataFile {
   /// `source` whose page is `*page`, in one view of that page: the density
   /// test (CellOversized on the cell plus `tuple`), then the append, then,
   /// if the page is full, the relocation branch -- the cell plus `tuple`
-  /// moves to a page with room for its exact encoding. The target is chosen
-  /// before the source page's free-space entry changes, and a target equal
-  /// to the source page is replaced by a fresh one. On kMustSplit,
-  /// `split_image` (when not null) receives the page's slots from the same
-  /// view, for the caller's whole-page split.
+  /// moves to a page with room for its exact encoding. On a v2 page the
+  /// row decides the path: one that fits its group's plan is appended
+  /// without decoding the group (codec::AppendRow answers the density test
+  /// from the group header), and a relocation copies the grown group's
+  /// bytes to the target page; a row that changes the plan decodes the
+  /// cell and re-encodes it. The target is chosen before the source page's
+  /// free-space entry changes, and a target equal to the source page is
+  /// replaced by a fresh one. On kMustSplit, `split_image` (when not null)
+  /// receives the page's slots from the same view, for the caller's
+  /// whole-page split.
   Result<CellAdd> AddToCell(PageId* page, SourceId source,
                             const SpatialTuple& tuple,
                             TuplePage* split_image);
@@ -520,15 +527,24 @@ class DataFile {
   /// (nothing written, view kept) when the result does not fit.
   template <typename Edit>
   Status WriteWholePage(PageView* view, PageId id, Edit&& edit);
-  /// Writes scratch_, holding `used` encoded bytes, to `id`.
-  Status WriteScratch(PageId id, size_t used);
+  /// Writes the page-size buffer `page`, holding `used` encoded bytes, to
+  /// `id`.
+  Status WriteEncoded(PageId id, const std::vector<uint8_t>& page,
+                      size_t used);
   /// Appends cell_'s rows to the cell `source` on `id` (Insert, InsertAll
-  /// and the target half of a move).
+  /// and, in a v1 file, the target half of a move).
   Status AppendCell(PageId id, SourceId source);
-  /// The relocation branch: moves the cell `source` -- whose rows, grown
-  /// by the incoming tuple, are in cell_ -- off the viewed page `from` to a
-  /// page with room; returns that page.
-  Result<PageId> MoveCell(PageView* view, PageId from, SourceId source);
+  /// The relocation branch: moves the cell `source`, grown by the incoming
+  /// tuple, off the viewed page `from` to a page with room; returns that
+  /// page. A compressing file moves it as the one-group page in
+  /// cell_page_ (`used` bytes), a v1 file as the rows in cell_.
+  Result<PageId> MoveCell(PageView* view, PageId from, SourceId source,
+                          size_t used);
+  /// Puts the one-group page in cell_page_ (`used` bytes) on `target`:
+  /// its group's bytes are added to a v2 page, and a fresh zero page takes
+  /// the one-group page as it is. Corruption for a v1 page with tuples,
+  /// which no relocation in a compressing file can pick.
+  Status PlaceGroup(PageId target, size_t used);
 
   std::unique_ptr<PageFile> file_;
   BufferPool pool_;
@@ -539,7 +555,13 @@ class DataFile {
   std::vector<uint8_t> scratch_;  // page-size encode buffer (write path only;
                                   // Read uses a local buffer so concurrent
                                   // readers do not share state)
+  // What AddToCell writes for the cell it grows: its page with the row
+  // appended or, when the cell must relocate, the grown cell alone as a
+  // one-group page (page-size; write path only).
+  std::vector<uint8_t> cell_page_;
   CellBuffer cell_;
+  obs::Counter* appends_in_place_;  // rows appended to an encoded group
+  obs::Counter* groups_reencoded_;  // groups a cell write encoded from rows
 };
 
 }  // namespace i3

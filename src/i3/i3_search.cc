@@ -548,9 +548,9 @@ Result<std::vector<ScoredDoc>> I3Index::Search(const Query& q_in,
       obs::Tracer::Global().StartTrace("I3.Search", &sampled);
   if (owns_trace) trace = &sampled;
   I3SearchStats stats;
-  const uint64_t backoff_before = internal::t_retry_backoff_ns;
+  const uint64_t backoff_before = internal::RetryBackoffNanos();
   auto result = SearchImpl(q_in, alpha, &stats, trace);
-  const uint64_t backoff_ns = internal::t_retry_backoff_ns - backoff_before;
+  const uint64_t backoff_ns = internal::RetryBackoffNanos() - backoff_before;
   search_latency_us_[q_in.semantics == Semantics::kAnd ? 0 : 1]->Record(
       (obs::NowNanos() - start_ns) / 1000);
   const SearchStatsView view = View(stats);

@@ -9,11 +9,9 @@
 
 namespace i3 {
 
-namespace internal {
-thread_local uint64_t t_retry_backoff_ns = 0;
-}  // namespace internal
-
 namespace {
+
+thread_local uint64_t t_retry_backoff_ns = 0;
 
 /// Auto stripe count: roughly one stripe per 32 frames, power of two,
 /// capped at 16. Tiny pools (unit tests, head pools under ~64 pages) get a
@@ -26,6 +24,10 @@ size_t AutoStripes(size_t capacity_pages) {
 }
 
 }  // namespace
+
+namespace internal {
+uint64_t RetryBackoffNanos() { return t_retry_backoff_ns; }
+}  // namespace internal
 
 BufferPool::BufferPool(PageFile* file, BufferPoolOptions options)
     : file_(file), options_(options) {
@@ -90,7 +92,7 @@ Status BufferPool::ReadWithRetry(PageId id, void* buf, IoCategory category) {
     retries_metric_->Increment(1);
     const uint64_t wait_start = obs::NowNanos();
     DeadlineTimer::SleepFor(backoff_us);
-    internal::t_retry_backoff_ns += obs::NowNanos() - wait_start;
+    t_retry_backoff_ns += obs::NowNanos() - wait_start;
     backoff_us *= 2;
   }
 }

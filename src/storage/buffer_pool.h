@@ -40,7 +40,10 @@ namespace internal {
 /// Nanoseconds this thread has spent waiting in read-retry backoff. Search
 /// wrappers diff it around a query to attribute a `retry_backoff` trace
 /// stage without threading a context object through every storage call.
-extern thread_local uint64_t t_retry_backoff_ns;
+/// (An accessor rather than an `extern thread_local`: the counter stays
+/// file-local to buffer_pool.cc, so no other library reads a thread-local
+/// across a library boundary.)
+uint64_t RetryBackoffNanos();
 }  // namespace internal
 
 /// \brief Options controlling BufferPool behaviour.
