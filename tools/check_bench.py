@@ -11,6 +11,11 @@ embedded in the committed ``BENCH_hotpath.json`` and fails when:
   * ``pages_per_query`` regresses more than the budget (default 10%)
     against the baseline -- the paper's own cost metric, and the figure
     the compressed-cell + block-max tentpole exists to shrink;
+  * a search work count per query (``candidates_popped``,
+    ``rows_joined``, ``docs_scored``, summed from each query's
+    QueryStats) differs from the baseline at all -- the search is
+    deterministic, so any change is a change in the work it does. The
+    per-stage times recorded next to them are not gated;
   * a required metric series is missing from the run's "obs" snapshot:
     the query-latency histogram, buffer-pool and per-category I/O
     counters, the pruning counters ``i3_cells_skipped_total`` /
@@ -118,6 +123,20 @@ def baseline_entries(baseline):
     return {e["semantics"]: e for e in entries}
 
 
+# The search layer's deterministic work counts per query, gated exactly.
+WORK_COUNTS = ("candidates_popped", "rows_joined", "docs_scored")
+
+
+def require_equal(what, got, want, keys, meaning):
+    """Fails unless `got` and `want` hold equal values under every key."""
+    for key in keys:
+        if got.get(key) != want.get(key):
+            raise GateFailure(
+                f"{what}: {key} {got.get(key)} != baseline {want.get(key)} "
+                f"-- {meaning}"
+            )
+
+
 def check_results(candidate, baseline, max_regress):
     if not candidate.get("config", {}).get("smoke"):
         raise GateFailure("candidate JSON is not a --smoke run")
@@ -142,11 +161,12 @@ def check_results(candidate, baseline, max_regress):
                 f"exceeds baseline {b['pages_per_query']:.2f} "
                 f"+{max_regress:.0%} budget ({budget:.2f})"
             )
+        require_equal(sem, r, b, WORK_COUNTS, "the search's work changed")
         delta = r["pages_per_query"] - b["pages_per_query"]
         print(
             f"  {sem}: checksum {r['checksum']} OK, pages/query "
             f"{r['pages_per_query']:.2f} vs baseline "
-            f"{b['pages_per_query']:.2f} ({delta:+.2f})"
+            f"{b['pages_per_query']:.2f} ({delta:+.2f}), work counts OK"
         )
 
 
@@ -218,12 +238,13 @@ def check_smoke_build(candidate, baseline):
             "baseline has no 'smoke_build' section; regenerate "
             "BENCH_hotpath.json with a full bench_hotpath run"
         )
-    for key in BUILD_COUNTS:
-        if build.get(key) != base.get(key):
-            raise GateFailure(
-                f"smoke build: {key} {build.get(key)} != baseline "
-                f"{base.get(key)} -- the write path's I/O changed"
-            )
+    require_equal(
+        "smoke build",
+        build,
+        base,
+        BUILD_COUNTS,
+        "the write path's I/O changed",
+    )
     print(
         f"  smoke build: data r={build['data_reads']} "
         f"w={build['data_writes']}, head w={build['head_writes']} OK; "
@@ -590,6 +611,9 @@ def self_test():
                 "semantics": "AND",
                 "pages_per_query": 20.0,
                 "checksum": 111,
+                "candidates_popped": 26.05,
+                "rows_joined": 1234.5,
+                "docs_scored": 40.1,
                 "p50_us": 1,
                 "p90_us": 1,
                 "p99_us": 1,
@@ -667,7 +691,14 @@ def self_test():
     }
     baseline = {
         "smoke_baseline": [
-            {"semantics": "AND", "pages_per_query": 20.0, "checksum": 111}
+            {
+                "semantics": "AND",
+                "pages_per_query": 20.0,
+                "checksum": 111,
+                "candidates_popped": 26.05,
+                "rows_joined": 1234.5,
+                "docs_scored": 40.1,
+            }
         ],
         "warm_smoke": [
             {"semantics": "AND", "pages_per_query": 0.0, "checksum": 111}
@@ -692,6 +723,10 @@ def self_test():
     doctored = copy.deepcopy(good)
     doctored["results"][0]["pages_per_query"] = 22.5  # +12.5% > 10% budget
     expect_failure("pages/query regression", doctored, baseline)
+
+    doctored = copy.deepcopy(good)
+    doctored["results"][0]["docs_scored"] = 40.05  # fewer is a change too
+    expect_failure("search work count drift", doctored, baseline)
 
     doctored = copy.deepcopy(good)
     doctored["obs"]["metrics"] = [
