@@ -179,8 +179,6 @@ QuerySetCost RunQuerySet(SpatialKeywordIndex* index,
     if (run.deadline_us > 0) {
       q.control = QueryControl::AfterMicros(run.deadline_us);
     }
-    QueryStats stats;
-    q.control.stats = &stats;
     const uint64_t q0 = obs::NowNanos();
     auto res = index->Search(q, alpha);
     latencies_us.Record((obs::NowNanos() - q0) / 1000);
@@ -191,9 +189,7 @@ QuerySetCost RunQuerySet(SpatialKeywordIndex* index,
         std::abort();
       }
       ++cost.failed_queries;
-      continue;
     }
-    if (stats.fanout.degraded) ++cost.degraded_queries;
   }
   cost.avg_ms = timer.ElapsedMillis() / queries.size();
   cost.p50_ms = static_cast<double>(latencies_us.Quantile(0.50)) / 1000.0;

@@ -122,8 +122,6 @@ struct QuerySetCost {
   /// Queries that returned an error (only nonzero under
   /// QueryRunOptions::allow_errors -- fault / deadline runs).
   uint64_t failed_queries = 0;
-  /// Queries answered degraded (partial top-k; sharded indexes only).
-  uint64_t degraded_queries = 0;
 };
 
 /// \brief Fault-tolerance knobs for RunQuerySet; the default is the strict

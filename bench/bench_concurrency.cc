@@ -1,13 +1,11 @@
-// Multi-threaded search throughput of ShardedIndex.
+// Multi-threaded search throughput of the serving wrapper.
 //
-// Compares, at 1/2/4/8 client threads over the same Twitter-tier corpus:
-//   1 shard  : ShardedIndex over one I3 -- the plain thread-safe wrapper;
-//              readers share the shard lock and run in parallel;
-//   8 shards : ShardedIndex(I3 x 8), each client thread visiting the
-//              shards in turn.
-// Every search runs on its caller's thread, so the client threads are the
-// only parallelism; each cell also shows the speedup over the same index
-// at one client thread.
+// Measures, at 1/2/4/8 client threads over one Twitter-tier corpus, one
+// I3 index in ShardedIndex, the thread-safe serving wrapper: readers share
+// its lock and run in parallel. Every search runs on its caller's thread,
+// so the client threads are the only parallelism; each cell also shows the
+// speedup over one client thread. DESIGN.md §7 compares this with the
+// 8-shard index the wrapper no longer builds.
 //
 // Simulated per-page IO latency is armed during measurement, so the figures
 // reflect the paper's disk-resident setting where concurrent queries
@@ -28,7 +26,6 @@ using namespace i3::bench;
 namespace {
 
 constexpr int kThreadCounts[] = {1, 2, 4, 8};
-constexpr uint32_t kNumShards = 8;
 constexpr int kQueriesPerThread = 50;
 
 /// Per-page device latency for this harness. Unlike the figure harnesses'
@@ -94,57 +91,24 @@ int main(int argc, char** argv) {
 
   std::vector<std::unique_ptr<SpatialKeywordIndex>> one;
   one.push_back(BuildI3(ds, cfg.eta));
-  ShardedIndex single(std::move(one));
+  ShardedIndex index(std::move(one));
 
-  I3Options shard_opt;
-  shard_opt.space = ds.space;
-  shard_opt.signature_bits = cfg.eta;
-  auto sharded_res = ShardedIndex::Create(
-      [&](uint32_t) { return std::make_unique<I3Index>(shard_opt); },
-      {.num_shards = kNumShards});
-  if (!sharded_res.ok()) {
-    std::fprintf(stderr, "sharded build failed\n");
-    return 1;
-  }
-  auto& sharded = *sharded_res.ValueOrDie();
-  for (const auto& d : ds.docs) {
-    if (!sharded.Insert(d).ok()) {
-      std::fprintf(stderr, "sharded insert failed\n");
-      return 1;
-    }
-  }
-
-  // Warm each index's caches once so both are measured steady-state.
-  for (const Query& q : queries) {
-    single.Search(q, cfg.default_alpha).ok();
-    sharded.Search(q, cfg.default_alpha).ok();
-  }
+  // Warm the caches once so the index is measured steady-state.
+  for (const Query& q : queries) index.Search(q, cfg.default_alpha).ok();
 
   ScopedIoLatency latency(iolat);
 
-  std::printf("\n-- OR FREQ_%u throughput (queries/s; speedup vs the same "
-              "index at 1 thread) --\n", cfg.default_qn);
-  PrintRow({"Threads", "1 shard", "sharded x8"});
-  PrintRule(3);
-  double single_1t = 0.0, sharded_1t = 0.0;
-  double single_at_max = 0.0, sharded_at_max = 0.0;
+  std::printf("\n-- OR FREQ_%u throughput (queries/s; speedup vs 1 "
+              "thread) --\n", cfg.default_qn);
+  PrintRow({"Threads", "I3"});
+  PrintRule(2);
+  double qps_1t = 0.0;
   for (int threads : kThreadCounts) {
-    const double qps_one =
-        MeasureQps(&single, queries, cfg.default_alpha, threads);
-    const double qps_sha =
-        MeasureQps(&sharded, queries, cfg.default_alpha, threads);
-    if (threads == 1) {
-      single_1t = qps_one;
-      sharded_1t = qps_sha;
-    }
-    single_at_max = qps_one;
-    sharded_at_max = qps_sha;
+    const double qps =
+        MeasureQps(&index, queries, cfg.default_alpha, threads);
+    if (threads == 1) qps_1t = qps;
     PrintRow({std::to_string(threads),
-              Fmt(qps_one, 0) + " (" + Fmt(qps_one / single_1t, 2) + "x)",
-              Fmt(qps_sha, 0) + " (" + Fmt(qps_sha / sharded_1t, 2) + "x)"});
+              Fmt(qps, 0) + " (" + Fmt(qps / qps_1t, 2) + "x)"});
   }
-  std::printf("\nsharded x8 @ %d threads vs 1 shard @ %d threads: %sx\n",
-              kThreadCounts[3], kThreadCounts[3],
-              Fmt(sharded_at_max / single_at_max, 2).c_str());
   return 0;
 }

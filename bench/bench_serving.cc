@@ -22,7 +22,7 @@
 // log, and the i3_slow_queries_total / i3_net_traced_requests_total /
 // i3_slo_window_* series to exist and move in the "obs" snapshot.
 //
-// Replication phase: the same workload against a server whose one shard
+// Replication phase: the same workload against a server whose index
 // is a 2-replica ReplicaSet, with the corpus inserted through the
 // replicated write path. Four wire checksums must all be equal --
 // all-healthy cold, warm (result cache), primary-killed cold (every
@@ -321,11 +321,8 @@ uint64_t ColdWirePass(net::Client* client, const std::vector<Query>& queries,
     auto wire = client->Call(req);
     us.Record((obs::NowNanos() - q0) / 1000);
     if (!wire.ok() ||
-        wire.ValueOrDie().outcome != net::ResponseOutcome::kOk ||
-        wire.ValueOrDie().degraded) {
-      std::fprintf(stderr, "replica-phase wire search failed%s\n",
-                   wire.ok() && wire.ValueOrDie().degraded ? " (degraded)"
-                                                           : "");
+        wire.ValueOrDie().outcome != net::ResponseOutcome::kOk) {
+      std::fprintf(stderr, "replica-phase wire search failed\n");
       std::abort();
     }
     FoldChecksum(&fold, net::ResultChecksum(wire.ValueOrDie().results));
@@ -340,7 +337,7 @@ uint64_t ColdWirePass(net::Client* client, const std::vector<Query>& queries,
   return fold;
 }
 
-/// Replication phase: 2-replica shard, corpus inserted through the
+/// Replication phase: 2-replica index, corpus inserted through the
 /// replicated write path; checksum equality across healthy / warm /
 /// failed-over / recovered serving, plus scrub overhead.
 ReplicaPhaseResult MeasureReplication(const Dataset& ds,
@@ -375,7 +372,7 @@ ReplicaPhaseResult MeasureReplication(const Dataset& ds,
       std::abort();
     }
   }
-  ReplicaSet* rset = index.replica_set(0);
+  ReplicaSet* rset = index.replica_set();
 
   net::ServerOptions sopts;
   sopts.worker_threads = 2;

@@ -406,12 +406,10 @@ int CmdServe(int argc, char** argv) {
   }
   if (replicas < 1) return Fail("--replicas must be >= 1");
 
-  // The server runs over the sharded fan-out layer; a loaded single index
-  // is a one-shard instance of it (same results, same degradation
-  // contract).
+  // The server runs over the serving wrapper of the loaded index.
   std::vector<std::unique_ptr<SpatialKeywordIndex>> shards;
   if (replicas > 1 || scrub_interval_ms > 0) {
-    // Replicated serve: the one shard is a ReplicaSet of N independent
+    // Replicated serve: the index is a ReplicaSet of N independent
     // loads of the same persisted index (each re-homed onto its own
     // backing by LoadFrom, so replicas share no storage).
     ReplicaSetOptions ropt;

@@ -122,7 +122,7 @@ class I3Index final : public SpatialKeywordIndex {
 
   /// \brief Statistics of the calling thread's most recent completed I3
   /// search, on any I3Index. Per-request callers read
-  /// QueryControl::stats instead, which also sums a fan-out's shards.
+  /// QueryControl::stats instead.
   static I3SearchStats last_search_stats();
 
   /// Number of summary nodes in the head file.

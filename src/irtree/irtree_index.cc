@@ -543,7 +543,9 @@ Result<std::vector<ScoredDoc>> IrTreeIndex::SearchImpl(
     const Item item = pq.top();
     pq.pop();
     ++stats->nodes_popped;
-    if (item.upper <= heap.Threshold()) break;
+    // Strict: a node whose bound equals the k-th score may hold a tie
+    // that wins on the smaller doc id.
+    if (item.upper < heap.Threshold()) break;
     const Node& n = nodes_[item.node];
 
     if (n.leaf) {
@@ -588,7 +590,7 @@ Result<std::vector<ScoredDoc>> IrTreeIndex::SearchImpl(
       }
       const double upper = scorer.Combine(
           scorer.SpatialProximityUpper(q.location, cn.mbr), tu);
-      if (upper <= heap.Threshold()) {
+      if (upper < heap.Threshold()) {
         ++stats->nodes_pruned;
         continue;
       }

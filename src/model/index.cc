@@ -4,30 +4,6 @@
 
 namespace i3 {
 
-void IndexSizeInfo::MergeFrom(const IndexSizeInfo& other) {
-  for (const auto& [name, bytes] : other.components) {
-    bool found = false;
-    for (auto& mine : components) {
-      if (mine.first == name) {
-        mine.second += bytes;
-        found = true;
-        break;
-      }
-    }
-    if (!found) components.emplace_back(name, bytes);
-  }
-}
-
-std::string ComposeIndexName(const std::string& base, const std::string& tag) {
-  // A name already carrying a decorator group ends in ")"; extend that
-  // group instead of nesting parentheses.
-  if (!base.empty() && base.back() == ')' &&
-      base.rfind(" (") != std::string::npos) {
-    return base.substr(0, base.size() - 1) + ", " + tag + ")";
-  }
-  return base + " (" + tag + ")";
-}
-
 std::string IndexSizeInfo::ToString() const {
   std::ostringstream os;
   os << "SizeInfo{";

@@ -33,25 +33,15 @@ struct IndexSizeInfo {
     return t;
   }
 
-  /// \brief Sums `other` into this breakdown, matching components by name
-  /// (used by ShardedIndex so "head file" stays one row across shards;
-  /// components unique to `other` are appended).
-  void MergeFrom(const IndexSizeInfo& other);
-
   std::string ToString() const;
 };
-
-/// \brief Composes a decorator tag into an index name so stacked wrappers
-/// stay readable: ("I3", "sharded x8") -> "I3 (sharded x8)", but
-/// ("I3 (replicated x2)", "sharded x8") -> "I3 (replicated x2, sharded x8)".
-std::string ComposeIndexName(const std::string& base, const std::string& tag);
 
 /// \brief Abstract top-k spatial keyword index.
 ///
 /// Concurrency contract: one writer and any number of concurrent readers.
 /// Search may run on many threads at once as long as no Insert / Delete /
-/// Update / ClearCache runs beside it (ShardedIndex supplies that
-/// exclusion with per-shard reader-writer locks). Every implementation
+/// Update / ClearCache runs beside it (ShardedIndex, the serving wrapper,
+/// supplies that exclusion with one reader-writer lock). Every implementation
 /// keeps per-query state on the searching thread's stack, reports
 /// per-query facts only through the caller's QueryControl::stats, and
 /// charges I/O to atomic counters. All fallible operations return Status;
@@ -103,8 +93,8 @@ class SpatialKeywordIndex {
 
   /// \brief Checked downcast for replication-aware wrappers: a ReplicaSet
   /// (model/replica_set.h) returns itself, everything else returns null.
-  /// Lets ShardedIndex discover failover/scrub capabilities behind the
-  /// common interface without RTTI on the query path.
+  /// Lets ShardedIndex discover failover behind the common interface
+  /// without RTTI on the query path.
   virtual ReplicaSet* AsReplicaSet() { return nullptr; }
 };
 

@@ -4,7 +4,6 @@
 #define I3_MODEL_QUERY_H_
 
 #include <algorithm>
-#include <array>
 #include <atomic>
 #include <cstdint>
 #include <vector>
@@ -34,40 +33,21 @@ inline const char* SemanticsName(Semantics s) {
   return s == Semantics::kAnd ? "AND" : "OR";
 }
 
-/// \brief How one query's shard fan-out went (filled by ShardedIndex; all
-/// zero for an unsharded index). See the degradation contract in
-/// model/sharded_index.h.
-struct FanOutStats {
-  /// Shards tracked individually in failed_shard_mask and served_replica.
-  static constexpr size_t kMaxTrackedShards = 64;
-
-  uint32_t shards = 0;
-  uint32_t failed_shards = 0;
-  /// Bit i set = shard i failed, for the first kMaxTrackedShards shards.
-  uint64_t failed_shard_mask = 0;
-  /// Shards answered by a non-primary replica after the primary failed.
-  uint32_t failovers = 0;
-  /// Replica that answered shard i (0 = primary, or an unreplicated
-  /// shard), for the first kMaxTrackedShards shards.
-  std::array<uint32_t, kMaxTrackedShards> served_replica{};
-  /// Some -- but not all -- shards failed: the top-k is a correct top-k of
-  /// the surviving shards only.
-  bool degraded = false;
-  /// Error of the lowest-indexed failing shard (OK when none failed).
-  Status first_error;
-};
-
 /// \brief The facts one query's layers report about it: what a caller
 /// reads after Search returns to explain that request (and nothing
 /// else -- concurrent queries each fill their own).
 struct QueryStats {
-  /// The index's work counters, summed across shards.
+  /// The index's work counters (summed over the replicas a failover
+  /// tried).
   SearchStatsView work;
-  FanOutStats fanout;
+  /// Replica that answered (0 = the primary, or an unreplicated index);
+  /// filled by ShardedIndex.
+  uint32_t served_replica = 0;
+  /// A follower answered because the primary failed.
+  bool failed_over = false;
 
-  /// \brief Annotates `trace` with the work counters and, for a fan-out,
-  /// shards / failed_shards (plus failed_shard_mask, failovers and
-  /// degraded when set) -- once per request, by whoever owns the trace.
+  /// \brief Annotates `trace` with the work counters, plus `failovers`
+  /// after a failover -- once per request, by whoever owns the trace.
   void AnnotateTrace(obs::QueryTrace* trace) const;
 };
 
@@ -78,9 +58,7 @@ struct QueryStats {
 /// one predictable branch on the search hot path.
 ///
 /// A query that trips the deadline or cancel flag returns
-/// Status::DeadlineExceeded from a single index; ShardedIndex instead
-/// degrades -- shards that finished in time still contribute to a partial
-/// top-k (see model/sharded_index.h).
+/// Status::DeadlineExceeded.
 struct QueryControl {
   /// Absolute steady-clock deadline in nanoseconds (obs::NowNanos scale);
   /// 0 means no deadline.
@@ -99,11 +77,11 @@ struct QueryControl {
   /// the query; single writer (the executing thread).
   obs::QueryTrace* trace = nullptr;
   /// Caller-owned per-query facts: when non-null, each layer adds what it
-  /// learned -- the index its work counters, ShardedIndex its fan-out
-  /// outcome. Pass a fresh QueryStats per request; the pointee must
+  /// learned -- the index its work counters, ShardedIndex the replica
+  /// that answered. Pass a fresh QueryStats per request; the pointee must
   /// outlive the query.
   QueryStats* stats = nullptr;
-  /// Set by ShardedIndex on the control it hands its shards. Only the
+  /// Set by ShardedIndex on the control it hands its index. Only the
   /// outermost search samples the global tracer and annotates and
   /// publishes the trace it sampled; a nested one just adds its stages to
   /// `trace` and its counters to `stats`.

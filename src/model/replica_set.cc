@@ -122,9 +122,8 @@ ReplicaSet::~ReplicaSet() {
 
 std::string ReplicaSet::Name() const {
   std::shared_lock<std::shared_mutex> lock(replicas_[0]->mutex);
-  return ComposeIndexName(
-      replicas_[0]->index->Name(),
-      "replicated x" + std::to_string(replicas_.size()));
+  return replicas_[0]->index->Name() + " (replicated x" +
+         std::to_string(replicas_.size()) + ")";
 }
 
 bool ReplicaSet::IsStorageFailure(const Status& st) {

@@ -1,9 +1,9 @@
 // Intra-process shard replication with automatic failover, snapshot-based
 // online recovery, and background scrub/heal (DESIGN.md §15).
 //
-// A ReplicaSet keeps R byte-identical copies of one logical shard behind
-// the SpatialKeywordIndex interface, so ShardedIndex (and any other
-// wrapper) can treat a replicated shard exactly like a plain one:
+// A ReplicaSet keeps R byte-identical copies of one index behind the
+// SpatialKeywordIndex interface, so the serving wrapper (ShardedIndex)
+// can treat a replicated index exactly like a plain one:
 //
 //   - Writes are primary-first: every mutation is assigned a sequence
 //     number under the set's op mutex, appended to a bounded replication
@@ -39,8 +39,8 @@
 // threads (scrub, auto-recovery) take replica locks only, so they
 // interleave with queries and writers without deadlock. The set is fully
 // internally synchronized -- searches run concurrently, and the
-// scrub/recovery machinery runs correctly even while an outer wrapper
-// (ShardedIndex) holds its own per-shard locks.
+// scrub/recovery machinery runs correctly even while the serving wrapper
+// (ShardedIndex) holds its own lock.
 //
 // The set is index-agnostic: everything type-specific (serialize to a
 // snapshot, re-home a snapshot onto a replica's storage stack, raw page
@@ -175,7 +175,7 @@ struct ReplicaSearchReport {
   bool failed_over = false;
 };
 
-/// \brief R byte-identical replicas of one logical shard behind one
+/// \brief R byte-identical replicas of one index behind one
 /// SpatialKeywordIndex. See the file comment for the protocol.
 class ReplicaSet final : public SpatialKeywordIndex {
  public:

@@ -46,9 +46,9 @@ struct SearchStatsView {
   }
 
   /// \brief Adds `other`'s values into this view, matching stats by name
-  /// and appending the ones this view lacks (a fan-out sums its shards'
-  /// views this way). Views of one index share names and order, so the
-  /// name at the same position is tried first.
+  /// and appending the ones this view lacks (a failover sums the views of
+  /// the replicas it tried this way). Views of one index share names and
+  /// order, so the name at the same position is tried first.
   void Add(const SearchStatsView& other) {
     if (count == 0) {
       *this = other;

@@ -54,7 +54,8 @@ class TopKHeap {
   }
 
   /// \brief delta: the k-th best score, or -infinity while fewer than k
-  /// results are held. Cells/nodes with upper bound <= delta are prunable.
+  /// results are held. Cells/nodes with upper bound < delta are prunable;
+  /// one whose bound equals delta may hold a tie that wins on doc id.
   double Threshold() const {
     if (heap_.size() < k_) return -std::numeric_limits<double>::infinity();
     return heap_.front().score;

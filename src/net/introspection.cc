@@ -65,8 +65,7 @@ std::string StatuszJson(const ServerStatus& s) {
   os << "\", \"mode\": \"" << s.build_mode
      << "\", \"protocol_version\": " << s.protocol_version << "},\n"
      << "  \"uptime_s\": " << s.uptime_s << ",\n"
-     << "  \"config\": {\"shards\": " << s.shards
-     << ", \"worker_threads\": " << s.worker_threads
+     << "  \"config\": {\"worker_threads\": " << s.worker_threads
      << ", \"max_queue\": " << s.max_queue
      << ", \"max_connections\": " << s.max_connections
      << ", \"result_cache_entries\": " << s.result_cache_entries

@@ -40,7 +40,6 @@ struct ServerStatus {
   std::string build_mode;      ///< "release" / "debug"
   uint32_t protocol_version = 0;
 
-  uint32_t shards = 0;
   uint32_t worker_threads = 0;
   uint64_t max_queue = 0;
   uint64_t max_connections = 0;
@@ -57,8 +56,8 @@ struct ServerStatus {
   /// Per event loop; "open_connections" renders their sum.
   std::vector<LoopStatus> loops;
 
-  /// Replication summary (all zero when no shard is replicated); the
-  /// per-replica detail lives on /healthz.
+  /// Replication summary (all zero when the index is not replicated);
+  /// the per-replica detail lives on /healthz.
   uint32_t replicated_shards = 0;
   uint64_t failovers = 0;
   uint64_t recoveries = 0;
@@ -81,11 +80,11 @@ std::string TracezJson(double sample_rate,
 std::string CachezJson(const obs::MetricsSnapshot& snapshot,
                        const std::vector<size_t>& result_cache_stripes);
 
-/// \brief /healthz. Beyond ok/stopping, renders per-shard replica health
-/// for every replicated shard (ShardedIndex::ShardReplicaStatuses):
-/// replica states and watermarks/lag, quarantined-page counts, scrub
-/// progress, and failover/recovery totals -- strict JSON, so probes can
-/// alert on "any replica not healthy" without scraping /metrics.
+/// \brief /healthz. Beyond ok/stopping, renders replica health for a
+/// replicated index (one "shards" entry, ReplicaSet::GetStatus): replica
+/// states and watermarks/lag, quarantined-page counts, scrub progress,
+/// and failover/recovery totals -- strict JSON, so probes can alert on
+/// "any replica not healthy" without scraping /metrics.
 std::string HealthzJson(bool ok, uint64_t uptime_s,
                         const std::vector<ReplicaSetStatus>& shards);
 

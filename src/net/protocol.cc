@@ -140,12 +140,10 @@ void EncodeRequest(const Request& req, std::string* out) {
   PutU32(&payload, req.k);
   PutU8(&payload, req.semantics == Semantics::kAnd ? 0 : 1);
   // Flags byte: bit 0 = no_cache (result-cache opt-out), bit 1 = trace
-  // ("trace me": the response carries a span timeline), bit 2 =
-  // require_complete (refuse degraded responses with a typed error).
-  // Bits 3..7 stay reserved and must be zero.
+  // ("trace me": the response carries a span timeline). Bits 2..7 are
+  // reserved and must be zero.
   PutU8(&payload, static_cast<uint8_t>((req.no_cache ? 1 : 0) |
-                                       (req.trace ? 2 : 0) |
-                                       (req.require_complete ? 4 : 0)));
+                                       (req.trace ? 2 : 0)));
   PutU32(&payload, req.deadline_ms);
   PutF64(&payload, req.x);
   PutF64(&payload, req.y);
@@ -216,10 +214,9 @@ void EncodeResponse(const Response& resp, std::string* out) {
   PutU8(&payload, kProtocolVersion);
   PutU8(&payload, static_cast<uint8_t>(resp.outcome));
   PutU64(&payload, resp.request_id);
-  // Flags byte: bit 0 = degraded partial top-k, bit 1 = trace section
-  // present after the result list. Bits 2..7 reserved, must be zero.
-  PutU8(&payload, static_cast<uint8_t>((resp.degraded ? 1 : 0) |
-                                       (resp.has_trace ? 2 : 0)));
+  // Flags byte: bit 1 = trace section present after the result list.
+  // Bit 0 and bits 2..7 are reserved and must be zero.
+  PutU8(&payload, static_cast<uint8_t>(resp.has_trace ? 2 : 0));
   PutU8(&payload, static_cast<uint8_t>(resp.code));
   PutU16(&payload, static_cast<uint16_t>(msg_len));
   payload.append(resp.message, 0, msg_len);
@@ -264,15 +261,13 @@ Result<Request> DecodeRequest(const uint8_t* payload, size_t len) {
     return Malformed("truncated request");
   }
   if (semantics > 1) return Malformed("bad semantics");
-  // Flags byte: bit 0 (no_cache), bit 1 (trace), and bit 2
-  // (require_complete) are the only defined flags; any other bit is
-  // damage, not a feature. Rejecting the rest keeps decode(payload)
-  // canonical: whatever decodes re-encodes byte-identically (asserted by
-  // the protocol fuzz tests).
-  if ((reserved & ~uint8_t{7}) != 0) return Malformed("reserved flags set");
+  // Flags byte: bit 0 (no_cache) and bit 1 (trace) are the only defined
+  // flags; any other bit is damage, not a feature. Rejecting the rest
+  // keeps decode(payload) canonical: whatever decodes re-encodes
+  // byte-identically (asserted by the protocol fuzz tests).
+  if ((reserved & ~uint8_t{3}) != 0) return Malformed("reserved flags set");
   req.no_cache = (reserved & 1) != 0;
   req.trace = (reserved & 2) != 0;
-  req.require_complete = (reserved & 4) != 0;
   req.semantics = semantics == 0 ? Semantics::kAnd : Semantics::kOr;
   if (req.type == MessageType::kSearch) {
     if (req.k == 0 || req.k > kMaxK) return Malformed("k out of range");
@@ -302,7 +297,7 @@ Result<Response> DecodeResponse(const uint8_t* payload, size_t len) {
   if (len > kMaxFramePayload) return Malformed("oversized payload");
   Cursor c(payload, len);
   uint16_t magic = 0;
-  uint8_t version = 0, outcome = 0, degraded = 0, code = 0;
+  uint8_t version = 0, outcome = 0, flags = 0, code = 0;
   Response resp;
   if (!c.GetU16(&magic)) return Malformed("short header");
   if (magic != kResponseMagic) return Malformed("bad response magic");
@@ -317,15 +312,14 @@ Result<Response> DecodeResponse(const uint8_t* payload, size_t len) {
   }
   resp.outcome = static_cast<ResponseOutcome>(outcome);
   uint16_t msg_len = 0;
-  if (!c.GetU64(&resp.request_id) || !c.GetU8(&degraded) ||
+  if (!c.GetU64(&resp.request_id) || !c.GetU8(&flags) ||
       !c.GetU8(&code) || !c.GetU16(&msg_len)) {
     return Malformed("truncated response");
   }
-  // Response flags byte: bit 0 = degraded, bit 1 = trace section follows
-  // the result list. Any other bit is damage.
-  if ((degraded & ~uint8_t{3}) != 0) return Malformed("bad response flags");
-  resp.degraded = (degraded & 1) != 0;
-  resp.has_trace = (degraded & 2) != 0;
+  // Response flags byte: bit 1 = trace section follows the result list.
+  // Any other bit is damage.
+  if ((flags & ~uint8_t{2}) != 0) return Malformed("bad response flags");
+  resp.has_trace = (flags & 2) != 0;
   if (code > static_cast<uint8_t>(StatusCode::kDeadlineExceeded)) {
     return Malformed("unknown status code");
   }

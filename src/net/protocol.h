@@ -72,7 +72,7 @@ enum class MessageType : uint8_t {
 
 /// \brief How the server disposed of a request.
 enum class ResponseOutcome : uint8_t {
-  /// Served; results valid (possibly degraded, see Response::degraded).
+  /// Served; results valid.
   kOk = 0,
   /// Load-shed by admission control before reaching the index. The client
   /// should back off and retry; the request was never executed.
@@ -109,13 +109,6 @@ struct Request {
   /// byte-identical to the untraced request (tracing never changes the
   /// answer, only appends the timeline).
   bool trace = false;
-  /// All-or-nothing (wire flags bit 2): a response that would come back
-  /// degraded (some shards failed with every replica down) is refused
-  /// with the failing shard's typed error instead of a partial top-k.
-  /// For clients that must not silently miss documents -- a partial
-  /// answer is correct for the surviving shards but incomplete, and this
-  /// flag says incomplete is worse than failing.
-  bool require_complete = false;
   std::vector<TermId> terms;
 
   /// \brief The library query this request describes. Deadline/cancel
@@ -149,9 +142,9 @@ struct WireTraceAnnotation {
 
 /// \brief The span timeline a traced response carries back: the server's
 /// 64-bit trace id, its end-to-end wall time, and the per-stage
-/// breakdown (admission, queue wait, cache probes, per-shard search,
-/// encode). Clients subtract `total_ns` from their own observed latency
-/// to attribute the remainder to the network and client stack.
+/// breakdown (admission, queue wait, cache probes, search, encode).
+/// Clients subtract `total_ns` from their own observed latency to
+/// attribute the remainder to the network and client stack.
 struct WireTrace {
   uint64_t trace_id = 0;
   uint64_t total_ns = 0;
@@ -163,8 +156,9 @@ struct WireTrace {
 struct Response {
   ResponseOutcome outcome = ResponseOutcome::kOk;
   uint64_t request_id = 0;
-  /// Partial top-k after shard failures (outcome == kOk only); the scores
-  /// present are exact but documents of failed shards are absent.
+  /// Always false: never encoded (response flags bit 0 is reserved and
+  /// rejected on decode). Kept only because the end-to-end benchmark
+  /// (e2ebench/) still reads it.
   bool degraded = false;
   /// StatusCode of the failure (outcome == kError only).
   StatusCode code = StatusCode::kOk;

@@ -41,20 +41,17 @@ ResultCache::ResultCache(ResultCacheOptions options) : options_(options) {
 std::string ResultCache::KeyOf(const Request& req) {
   // Canonical re-encode with the fields that do not affect the result
   // zeroed. request_id/tenant are pure identity; deadline_ms is sound to
-  // drop because only complete responses are cached (a complete top-k is
-  // the same under any deadline that lets it finish); no_cache is always
+  // drop because only ok responses are cached (a complete top-k is the
+  // same under any deadline that lets it finish); no_cache is always
   // zero here by construction (bypassing requests never reach KeyOf).
   // trace is observability, not identity: a traced request shares the
   // cache line of its untraced twin (the hit shows up in its timeline).
-  // require_complete is a refusal policy, not identity: only complete
-  // responses are cached, so a cached answer satisfies both settings.
   Request canon = req;
   canon.request_id = 0;
   canon.tenant = 0;
   canon.deadline_ms = 0;
   canon.no_cache = false;
   canon.trace = false;
-  canon.require_complete = false;
   std::string key;
   EncodeRequest(canon, &key);
   return key;
@@ -71,7 +68,6 @@ bool ResultCache::Lookup(const std::string& key, uint64_t generation,
     if (e.generation == generation) {
       e.visited.store(1, std::memory_order_relaxed);
       out->outcome = ResponseOutcome::kOk;
-      out->degraded = false;
       out->code = StatusCode::kOk;
       out->message.clear();
       out->results = e.results;

@@ -5,9 +5,9 @@
 // byte-identically -- so the frame IS the key: a request's canonical
 // re-encoding with the identity fields (request_id, tenant, deadline_ms,
 // no_cache) zeroed names exactly the search it performs (terms, k, alpha,
-// semantics, location). Zeroing the deadline is sound because only
-// complete, non-degraded responses are ever cached, and a complete top-k
-// is deadline-independent.
+// semantics, location). Zeroing the deadline is sound because only ok
+// responses are ever cached, and a complete top-k is
+// deadline-independent.
 //
 // Invalidation is by index generation: ShardedIndex bumps a monotonic
 // counter after every Insert/Delete/Update, entries are tagged with the
@@ -58,15 +58,15 @@ class ResultCache {
   /// search-irrelevant identity fields zeroed (see file comment).
   static std::string KeyOf(const Request& req);
 
-  /// \brief Serves the entry at `key` into `out` (outcome kOk, results,
-  /// degraded=false; request_id is the caller's to fill) iff it is
+  /// \brief Serves the entry at `key` into `out` (outcome kOk, results;
+  /// request_id is the caller's to fill) iff it is
   /// resident and tagged with `generation`. A stale entry is dropped on
   /// the spot. Returns hit/miss; counts the corresponding metric.
   bool Lookup(const std::string& key, uint64_t generation, Response* out);
 
   /// \brief Caches `results` under (`key`, `generation`), evicting SIEVE
-  /// victims to stay within the entry bound. Only complete (non-degraded,
-  /// ok) results may be inserted -- the caller enforces that.
+  /// victims to stay within the entry bound. Only ok results may be
+  /// inserted -- the caller enforces that.
   void Insert(const std::string& key, uint64_t generation,
               const std::vector<ScoredDoc>& results);
 

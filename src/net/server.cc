@@ -179,10 +179,6 @@ Server::Server(ShardedIndex* index, ServerOptions options)
   protocol_errors_metric_ = reg.GetCounter(
       "i3_net_protocol_errors_total",
       "Frames rejected as malformed, oversized, or desynchronized.");
-  degraded_metric_ = reg.GetCounter(
-      "i3_net_degraded_responses_total",
-      "OK responses flagged degraded (partial top-k after shard "
-      "failures).");
   const char* outcomes[3] = {"ok", "shed", "error"};
   for (int i = 0; i < 3; ++i) {
     requests_metric_[i] =
@@ -568,8 +564,8 @@ void Server::DispatchRequest(Loop* loop, Connection* conn, Request req,
     now.trace = BuildWireTrace(trace_id, trace.total_ns, trace);
   }
   EncodeResponse(now, &conn->write_buf);
-  RecordOutcome(loop, now.outcome, /*degraded=*/false,
-                /*deadline_miss=*/false, req.tenant, arrival_ns);
+  RecordOutcome(loop, now.outcome, /*deadline_miss=*/false, req.tenant,
+                arrival_ns);
   MaybeLogSlow(req, now.outcome, trace_id, arrival_ns, done_ns,
                /*search_ns=*/0, done_ns, traced ? &trace : nullptr,
                /*stats=*/nullptr);
@@ -608,7 +604,6 @@ bool Server::ConsumeHttp(Connection* conn) {
     s.build_mode = "debug";
 #endif
     s.protocol_version = kProtocolVersion;
-    s.shards = index_->num_shards();
     s.worker_threads = options_.worker_threads;
     s.max_queue = options_.max_queue;
     s.max_connections = options_.max_connections;
@@ -622,11 +617,12 @@ bool Server::ConsumeHttp(Connection* conn) {
     s.requests_ok = requests_ok();
     s.requests_shed = requests_shed();
     s.requests_error = requests_error();
-    for (const auto& rs : index_->ShardReplicaStatuses()) {
-      s.replicated_shards += 1;
-      s.failovers += rs.failovers;
-      s.recoveries += rs.recoveries;
-      s.scrub_pages_healed += rs.scrub_pages_healed;
+    if (ReplicaSet* rs = index_->replica_set()) {
+      const ReplicaSetStatus st = rs->GetStatus();
+      s.replicated_shards = 1;
+      s.failovers = st.failovers;
+      s.recoveries = st.recoveries;
+      s.scrub_pages_healed = st.scrub_pages_healed;
     }
     s.slo_json = slo_.ToJson(now_ns);
     http = HttpOk("application/json", StatuszJson(s));
@@ -641,9 +637,12 @@ bool Server::ConsumeHttp(Connection* conn) {
   } else if (path == "/healthz") {
     const bool healthy = running_.load(std::memory_order_acquire) &&
                          !stopping_.load(std::memory_order_acquire);
+    std::vector<ReplicaSetStatus> replicas;
+    if (ReplicaSet* rs = index_->replica_set()) {
+      replicas.push_back(rs->GetStatus());
+    }
     http = HttpOk("application/json",
-                  HealthzJson(healthy, uptime_s,
-                              index_->ShardReplicaStatuses()));
+                  HealthzJson(healthy, uptime_s, replicas));
   } else {
     http = HttpNotFound();
   }
@@ -706,8 +705,8 @@ void Server::CloseConnection(Loop* loop, Connection* conn) {
 }
 
 void Server::RecordOutcome(Loop* loop, ResponseOutcome outcome,
-                           bool degraded, bool deadline_miss,
-                           uint32_t tenant, uint64_t arrival_ns) {
+                           bool deadline_miss, uint32_t tenant,
+                           uint64_t arrival_ns) {
   const uint64_t now_ns = obs::NowNanos();
   const uint64_t latency_us = (now_ns - arrival_ns) / 1000;
   const int idx = static_cast<int>(outcome);
@@ -718,7 +717,6 @@ void Server::RecordOutcome(Loop* loop, ResponseOutcome outcome,
   switch (outcome) {
     case ResponseOutcome::kOk:
       ok_count_.fetch_add(1, std::memory_order_relaxed);
-      if (degraded) degraded_metric_->Increment();
       break;
     case ResponseOutcome::kShed:
       shed_count_.fetch_add(1, std::memory_order_relaxed);
@@ -786,8 +784,8 @@ void Server::MaybeLogSlow(const Request& req, ResponseOutcome outcome,
       rec.trace.AddStage("queue_and_dispatch",
                          rec.trace.total_ns - accounted);
     }
-    // What the search did -- which prune devices fired, which shards
-    // failed -- from the request's own context.
+    // What the search did -- which prune devices fired, whether a
+    // replica failed over -- from the request's own context.
     if (stats != nullptr) stats->AnnotateTrace(&rec.trace);
   }
   slow_log_.Record(std::move(rec));
@@ -809,8 +807,8 @@ void Server::RunBatch(Loop* loop) {
       trace.AddStage("admission", p.admitted_ns - p.arrival_ns);
       trace.AddStage("queue_wait", dequeue_ns - p.admitted_ns);
       trace.Annotate("batch_size", batch.size());
-      // Request-scoped trace: the index layers add their stages (shard
-      // sweeps, descent, cell-cache hits) to this object.
+      // Request-scoped trace: the index layers add their stages (the
+      // wrapper's search, descent, cell-cache hits) to this object.
       p.query.control.trace = &trace;
       p.query.control.trace_id = p.trace_id;
     }
@@ -822,24 +820,12 @@ void Server::RunBatch(Loop* loop) {
     const uint64_t search_start_ns = obs::NowNanos();
     auto res = index_->Search(p.query, p.request.alpha);
     const uint64_t search_ns = obs::NowNanos() - search_start_ns;
-    const FanOutStats& fanout = stats.fanout;
     Response resp;
     resp.request_id = p.request.request_id;
-    if (res.ok() && fanout.degraded && p.request.require_complete) {
-      // All-or-nothing: the client said a partial top-k is worse than
-      // failing, so surface the failing shard's own error instead.
-      Status refusal(fanout.first_error.code(),
-                     "incomplete result (require_complete): " +
-                         fanout.first_error.message());
-      resp = ErrorResponse(p.request.request_id, refusal);
-    } else if (res.ok()) {
+    if (res.ok()) {
       resp.outcome = ResponseOutcome::kOk;
-      resp.degraded = fanout.degraded;
       resp.results = res.MoveValue();
-      // Only complete answers are cacheable: a degraded top-k is
-      // missing failed shards' documents and must not outlive the
-      // failure.
-      if (!resp.degraded && !p.cache_key.empty()) {
+      if (!p.cache_key.empty()) {
         result_cache_.Insert(p.cache_key, generation, resp.results);
       }
     } else {
@@ -864,8 +850,8 @@ void Server::RunBatch(Loop* loop) {
       resp.trace = BuildWireTrace(p.trace_id, trace.total_ns, trace);
     }
     const uint64_t done_ns = obs::NowNanos();
-    RecordOutcome(loop, resp.outcome, resp.degraded, deadline_miss,
-                  p.request.tenant, p.arrival_ns);
+    RecordOutcome(loop, resp.outcome, deadline_miss, p.request.tenant,
+                  p.arrival_ns);
     MaybeLogSlow(p.request, resp.outcome, p.trace_id, p.arrival_ns,
                  p.admitted_ns, search_ns, done_ns,
                  p.request.trace ? &trace : nullptr, &stats);

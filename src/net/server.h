@@ -1,6 +1,6 @@
 // The async network serving front end: `worker_threads` epoll event loops
-// answering the length-prefixed query protocol (net/protocol.h) over a
-// ShardedIndex.
+// answering the length-prefixed query protocol (net/protocol.h) over one
+// index in its serving wrapper (model/sharded_index.h).
 //
 // Architecture (DESIGN.md §12), one loop turn:
 //
@@ -35,7 +35,7 @@
 //    (net/introspection.h); anything else 404.
 //  - Observability rides the same paths without taxing them: a request
 //    with the wire trace flag gets a server-stamped trace id and a span
-//    timeline (admission, queue wait, per-shard search, encode) returned
+//    timeline (admission, queue wait, search, encode) returned
 //    in-band; every request's latency feeds per-tenant rolling SLO
 //    windows (obs/slo.h); and requests over a threshold land in the
 //    slow-query log (obs/slow_log.h) with replayable request bytes --
@@ -179,9 +179,8 @@ class Server {
   /// Registers (EPOLL_CTL_ADD) or re-arms (EPOLL_CTL_MOD) conn's interest.
   void UpdateEpoll(Loop* loop, Connection* conn, int op);
 
-  void RecordOutcome(Loop* loop, ResponseOutcome outcome, bool degraded,
-                     bool deadline_miss, uint32_t tenant,
-                     uint64_t arrival_ns);
+  void RecordOutcome(Loop* loop, ResponseOutcome outcome, bool deadline_miss,
+                     uint32_t tenant, uint64_t arrival_ns);
 
   /// \brief Files a slow-query record when (done - arrival) qualifies;
   /// below the bar this is two relaxed loads and a return (the zero-
@@ -230,7 +229,6 @@ class Server {
   obs::Gauge* queue_depth_gauge_;
   obs::Counter* shed_metric_;
   obs::Counter* protocol_errors_metric_;
-  obs::Counter* degraded_metric_;
   obs::Counter* requests_metric_[3];   ///< by ResponseOutcome
   obs::Histogram* latency_us_[3];      ///< by ResponseOutcome
   obs::Histogram* batch_size_;

@@ -51,7 +51,7 @@ struct SlowQueryRecord {
   std::string outcome;
   /// Canonical request frame bytes, hex-encoded (replayable).
   std::string request_hex;
-  /// Span timeline (server stages; shard/index stages when traced).
+  /// Span timeline (server stages; wrapper/index stages when traced).
   QueryTrace trace;
 };
 

@@ -302,7 +302,9 @@ Result<std::vector<ScoredDoc>> S2IIndex::SearchTa(
     if (q.semantics == Semantics::kAnd && and_dead) break;
     const double tau = std::min(
         head_sum, head_max + (1.0 - alpha) * (wmax_sum - wmax_min));
-    if (heap.Full() && heap.Threshold() >= tau) break;
+    // Strict: an unseen doc whose bound equals the k-th score may tie it
+    // and win on the smaller doc id.
+    if (heap.Full() && heap.Threshold() > tau) break;
 
     Source* best = nullptr;
     for (const auto& s : sources) {
@@ -462,7 +464,7 @@ Result<std::vector<ScoredDoc>> S2IIndex::SearchNra(
     if (since_check++ >= kCheckEvery) {
       since_check = 0;
       const double delta = kth_lower();
-      if (delta > -kInf && delta >= tau) {
+      if (delta > -kInf && delta > tau) {  // strict, as in SearchTa
         bool open = false;
         for (const auto& [doc, c] : cands) {
           if (cand_lower(c) < delta && cand_upper(c) > delta) {
@@ -485,13 +487,14 @@ Result<std::vector<ScoredDoc>> S2IIndex::SearchNra(
 
   // --- Phase 2: resolve the surviving candidates exactly. ---
   //
-  // Only candidates whose upper bound can still beat the k-th lower bound
+  // Only candidates whose upper bound can still reach the k-th lower bound
   // need random accesses (the paper's "considerable random access cost to
-  // aggregate the final score" applies here, but to a bounded set).
+  // aggregate the final score" applies here, but to a bounded set). One
+  // whose bound equals it may tie and win on the smaller doc id.
   const double delta = kth_lower();
   TopKHeap heap(q.k);
   for (auto& [doc, c] : cands) {
-    if (cand_upper(c) <= delta && cand_lower(c) < delta) continue;
+    if (cand_upper(c) < delta) continue;
     if (q.semantics == Semantics::kAnd && c.seen_mask == all_mask) {
       heap.Offer(doc, cand_lower(c), c.loc);  // already exact
       ++stats->docs_resolved;

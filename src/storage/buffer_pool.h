@@ -10,7 +10,7 @@
 //
 // Concurrency: pages hash to independently locked stripes (stripe =
 // id % stripes; ids are dense, so modulo striping is also perfectly
-// balanced), so concurrent shard readers no longer serialize on one global
+// balanced), so concurrent readers no longer serialize on one global
 // mutex. Eviction within a stripe is SIEVE/CLOCK rather than strict LRU: a
 // hit sets an atomic reference bit, and the clock hand evicts the first
 // unreferenced unpinned frame, clearing bits as it sweeps. New frames enter

@@ -6,8 +6,9 @@
 // Without verification a torn write or bit-flip silently corrupts tuples
 // and surfaces as a *wrong top-k list* -- the worst possible failure mode
 // for a search system. With it, damage surfaces as Status::Corruption at
-// the first read, which the buffer pool quarantines and the sharded search
-// path degrades around (see DESIGN.md section 10).
+// the first read, which the buffer pool quarantines and the query returns
+// as a clean error, or a replicated index fails over around (see DESIGN.md
+// section 10).
 //
 // Layout: physical page = [PageHeader | logical payload]. The wrapper
 // exposes the *logical* page size, so capacity math above it (P/B tuple

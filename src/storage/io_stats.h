@@ -65,7 +65,7 @@ const char* IoCategoryName(IoCategory c);
 
 /// \brief Mutable counters of page reads and writes, by category.
 ///
-/// Counters are relaxed atomics so that concurrent shard searches (see
+/// Counters are relaxed atomics so that concurrent searches (see
 /// model/sharded_index.h) can charge I/O to a shared instance without
 /// racing. Relaxed ordering is sufficient: the counters are independent
 /// tallies, and every reader that needs a consistent cross-counter view

@@ -14,6 +14,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cstdlib>
 #include <memory>
 #include <thread>
@@ -116,7 +117,7 @@ TEST(CacheHierarchyTest, CacheOnOffByteIdenticalSweep) {
   }
 }
 
-// Concurrent churn over a sharded index with tight cache budgets:
+// Concurrent churn over the serving wrapper with tight cache budgets:
 // writers insert fresh documents and delete seeded ones while readers
 // query nonstop. TSan owns the race hunt; afterwards the settled index
 // must agree byte-for-byte with a cache-free oracle built from the final
@@ -126,13 +127,9 @@ TEST(CacheHierarchyTest, ConcurrentChurnStaysCoherent) {
   const CorpusOptions copt = HierarchyCorpus();
   const auto seed_docs = MakeCorpus(copt, /*seed=*/502);
 
-  auto res = ShardedIndex::Create(
-      [](uint32_t) {
-        return std::make_unique<I3Index>(CachedOptions());
-      },
-      {.num_shards = 4});
-  ASSERT_TRUE(res.ok()) << res.status().ToString();
-  auto index = res.MoveValue();
+  std::vector<std::unique_ptr<SpatialKeywordIndex>> one;
+  one.push_back(std::make_unique<I3Index>(CachedOptions()));
+  auto index = std::make_unique<ShardedIndex>(std::move(one));
   for (const auto& d : seed_docs) {
     ASSERT_TRUE(index->Insert(d).ok());
   }
@@ -176,6 +173,10 @@ TEST(CacheHierarchyTest, ConcurrentChurnStaysCoherent) {
             index->Search(reader_queries[i % reader_queries.size()], 0.5);
         ASSERT_TRUE(got.ok()) << got.status().ToString();
         ++i;
+        // Paced: the wrapper's one shared_mutex prefers readers, so three
+        // readers re-acquiring it back to back can starve the writers
+        // for minutes on a loaded host.
+        std::this_thread::sleep_for(std::chrono::microseconds(50));
       }
     });
   }
@@ -201,9 +202,7 @@ TEST(CacheHierarchyTest, ConcurrentChurnStaysCoherent) {
       ASSERT_TRUE(want.ok()) << want.status().ToString();
       ASSERT_EQ(got.ValueOrDie().size(), want.ValueOrDie().size());
       for (size_t i = 0; i < got.ValueOrDie().size(); ++i) {
-        // Shard merge order can differ from the single-index oracle on
-        // exact score ties, so compare the ranked score sequence exactly
-        // and the member set by id.
+        // Compare the ranked score sequence exactly.
         EXPECT_EQ(got.ValueOrDie()[i].score, want.ValueOrDie()[i].score)
             << "rank " << i;
       }

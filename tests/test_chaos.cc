@@ -1,10 +1,11 @@
-// Chaos tests of the full fault-tolerant serving stack: a ShardedIndex of
-// checksummed, fault-injected I3 shards under probabilistic fault profiles,
-// concurrent readers, hard shard failures, and per-query deadlines.
+// Chaos tests of the full fault-tolerant serving stack: the serving
+// wrapper (ShardedIndex) over a checksummed, fault-injected I3 index under
+// probabilistic fault profiles, concurrent readers, a hard storage
+// failure, and per-query deadlines.
 //
-// The contract under chaos: every query either succeeds (complete or
-// degraded partial top-k), or returns a clean Status -- never a crash, a
-// hang, or silently wrong results. After Heal() the index must answer
+// The contract under chaos: every query either succeeds with the complete
+// top-k, or returns a clean Status -- never a crash, a hang, or silently
+// wrong results. After Heal() the index must answer
 // byte-identically to a no-fault baseline (injected damage is read-side
 // only). Seed count is 3 by default; CI's chaos job raises it via the
 // I3_CHAOS_SEEDS environment variable.
@@ -38,46 +39,35 @@ uint64_t ChaosSeeds() {
 }
 
 struct ChaosRig {
-  static constexpr uint32_t kShards = 4;
-  /// Per-shard physical backings, owned by the shard indexes.
-  std::vector<FaultInjectionPageFile*> injectors;
+  /// The index's physical backing, owned by the index.
+  FaultInjectionPageFile* injector = nullptr;
   std::unique_ptr<ShardedIndex> index;
 
-  void HealAll() {
-    for (auto* f : injectors) f->Heal();
-  }
-  void ArmAll(const FaultProfile& base, uint64_t seed) {
-    for (size_t s = 0; s < injectors.size(); ++s) {
-      FaultProfile p = base;
-      p.seed = seed * kShards + s + 1;
-      injectors[s]->injector()->SetProfile(p);
-    }
+  void Arm(const FaultProfile& base, uint64_t seed) {
+    FaultProfile p = base;
+    p.seed = seed + 1;
+    injector->injector()->SetProfile(p);
   }
 };
 
-/// Each shard is an I3 index over Checksummed(FaultInjection(InMemory)) --
+/// The index is I3 over Checksummed(FaultInjection(InMemory)) --
 /// checksum_pages defaults on, and I3 stacks the checksum layer above the
 /// factory's file, so injected corruption is detected, never served.
 void InitRig(ChaosRig* rig) {
-  rig->injectors.assign(ChaosRig::kShards, nullptr);
-  auto res = ShardedIndex::Create(
-      [rig](uint32_t shard) {
-        I3Options opt;
-        opt.space = {0.0, 0.0, 100.0, 100.0};
-        opt.page_size = 128;
-        opt.signature_bits = 64;
-        opt.page_file_factory = [rig, shard](size_t page_size) {
-          auto file = std::make_unique<FaultInjectionPageFile>(
-              std::make_unique<InMemoryPageFile>(page_size));
-          rig->injectors[shard] = file.get();
-          return file;
-        };
-        return std::make_unique<I3Index>(opt);
-      },
-      {.num_shards = ChaosRig::kShards});
-  ASSERT_TRUE(res.ok()) << res.status().ToString();
-  rig->index = res.MoveValue();
-  for (auto* f : rig->injectors) ASSERT_NE(f, nullptr);
+  I3Options opt;
+  opt.space = {0.0, 0.0, 100.0, 100.0};
+  opt.page_size = 128;
+  opt.signature_bits = 64;
+  opt.page_file_factory = [rig](size_t page_size) {
+    auto file = std::make_unique<FaultInjectionPageFile>(
+        std::make_unique<InMemoryPageFile>(page_size));
+    rig->injector = file.get();
+    return file;
+  };
+  std::vector<std::unique_ptr<SpatialKeywordIndex>> one;
+  one.push_back(std::make_unique<I3Index>(opt));
+  rig->index = std::make_unique<ShardedIndex>(std::move(one));
+  ASSERT_NE(rig->injector, nullptr);
 }
 
 CorpusOptions ChaosCorpus() {
@@ -125,7 +115,7 @@ TEST(ChaosTest, EveryQuerySucceedsDegradesOrFailsCleanly) {
 
   const uint64_t seeds = ChaosSeeds();
   for (uint64_t seed = 0; seed < seeds; ++seed) {
-    rig.ArmAll(profile, seed);
+    rig.Arm(profile, seed);
     rig.index->ClearCache();
 
     // Concurrent readers under fire: each thread sweeps a slice of the
@@ -158,7 +148,7 @@ TEST(ChaosTest, EveryQuerySucceedsDegradesOrFailsCleanly) {
         << "seed " << seed;
 
     // Healed: byte-identical to the baseline.
-    rig.HealAll();
+    rig.injector->Heal();
     rig.index->ClearCache();
     for (size_t i = 0; i < queries.size(); ++i) {
       auto res = rig.index->Search(queries[i], 0.5);
@@ -168,64 +158,6 @@ TEST(ChaosTest, EveryQuerySucceedsDegradesOrFailsCleanly) {
                           std::to_string(i));
     }
   }
-}
-
-TEST(ChaosTest, FailedShardDegradesToPartialTopK) {
-  ChaosRig rig;
-  InitRig(&rig);
-  const CorpusOptions copt = ChaosCorpus();
-  const auto docs = MakeCorpus(copt, 21);
-  for (const auto& d : docs) ASSERT_TRUE(rig.index->Insert(d).ok());
-
-  // A query whose term has matches on every shard (term 0 is the Zipf
-  // head, 300 docs over 4 shards), so the failing shard genuinely loses
-  // result candidates.
-  Query q;
-  q.location = {50, 50};
-  q.terms = {0};
-  q.k = static_cast<uint32_t>(docs.size());
-  q.semantics = Semantics::kOr;
-  rig.index->ClearCache();
-  QueryStats full_stats;
-  q.control.stats = &full_stats;
-  auto full = rig.index->Search(q, 0.5);
-  ASSERT_TRUE(full.ok());
-  ASSERT_GT(full.ValueOrDie().size(), 4u);
-  EXPECT_FALSE(full_stats.fanout.degraded);
-  EXPECT_EQ(rig.index->degraded_queries(), 0u);
-
-  // Hard-fail shard 1 and force device reads: the fan-out isolates the
-  // failure and serves the surviving shards' merge, tagged degraded.
-  rig.injectors[1]->set_fail_all(true);
-  rig.index->ClearCache();
-  QueryStats stats;
-  q.control.stats = &stats;
-  auto partial = rig.index->Search(q, 0.5);
-  ASSERT_TRUE(partial.ok()) << partial.status().ToString();
-  EXPECT_LT(partial.ValueOrDie().size(), full.ValueOrDie().size());
-  EXPECT_GT(partial.ValueOrDie().size(), 0u);
-  EXPECT_TRUE(stats.fanout.degraded);
-  EXPECT_EQ(stats.fanout.shards, ChaosRig::kShards);
-  EXPECT_EQ(stats.fanout.failed_shards, 1u);
-  EXPECT_EQ(stats.fanout.failed_shard_mask, uint64_t{1} << 1);
-  EXPECT_TRUE(stats.fanout.first_error.IsIOError())
-      << stats.fanout.first_error.ToString();
-  EXPECT_EQ(rig.index->degraded_queries(), 1u);
-
-  // Every surviving document is from a healthy shard, and matches the
-  // full result's score for that document.
-  for (const auto& sd : partial.ValueOrDie()) {
-    EXPECT_NE(rig.index->ShardOf(sd.doc), 1u) << "doc " << sd.doc;
-  }
-
-  rig.injectors[1]->Heal();
-  rig.index->ClearCache();
-  QueryStats healed_stats;
-  q.control.stats = &healed_stats;
-  auto healed = rig.index->Search(q, 0.5);
-  ASSERT_TRUE(healed.ok());
-  ExpectIdentical(healed.ValueOrDie(), full.ValueOrDie(), "healed");
-  EXPECT_FALSE(healed_stats.fanout.degraded);
 }
 
 TEST(ChaosTest, AllShardsFailingIsAnErrorNotAnEmptyResult) {
@@ -240,52 +172,31 @@ TEST(ChaosTest, AllShardsFailingIsAnErrorNotAnEmptyResult) {
   q.terms = {0};
   q.k = 20;
   q.semantics = Semantics::kOr;
-  for (auto* f : rig.injectors) f->set_fail_all(true);
+  rig.injector->set_fail_all(true);
   rig.index->ClearCache();
   auto res = rig.index->Search(q, 0.5);
   ASSERT_FALSE(res.ok());
   EXPECT_TRUE(res.status().IsIOError()) << res.status().ToString();
-  // Total failure is not "degraded" -- there is no partial answer to serve.
-  EXPECT_EQ(rig.index->degraded_queries(), 0u);
-}
 
-TEST(ChaosTest, ParallelFanOutDegradesToo) {
-  // Same shard-failure contract with four callers fanning out at once:
-  // each caller's own context reports the degraded answer it got.
-  ChaosRig rig;
-  InitRig(&rig);
-  const CorpusOptions copt = ChaosCorpus();
-  for (const auto& d : MakeCorpus(copt, 41)) {
-    ASSERT_TRUE(rig.index->Insert(d).ok());
-  }
-  Query q;
-  q.location = {50, 50};
-  q.terms = {0};
-  q.k = 50;
-  q.semantics = Semantics::kOr;
-  rig.injectors[2]->set_fail_all(true);
-  rig.index->ClearCache();
-
+  // Four callers at once: each gets the error, none an empty success.
   constexpr int kThreads = 4;
-  std::vector<QueryStats> stats(kThreads);
-  bool ok[kThreads] = {};
+  std::vector<Status> got(kThreads);
   std::vector<std::thread> threads;
   for (int t = 0; t < kThreads; ++t) {
-    threads.emplace_back([&, t] {
-      Query mine = q;
-      mine.control.stats = &stats[t];
-      ok[t] = rig.index->Search(mine, 0.5).ok();
-    });
+    threads.emplace_back(
+        [&, t] { got[t] = rig.index->Search(q, 0.5).status(); });
   }
   for (auto& th : threads) th.join();
   for (int t = 0; t < kThreads; ++t) {
-    ASSERT_TRUE(ok[t]) << "caller " << t;
-    EXPECT_TRUE(stats[t].fanout.degraded) << "caller " << t;
-    EXPECT_EQ(stats[t].fanout.failed_shards, 1u) << "caller " << t;
-    EXPECT_EQ(stats[t].fanout.failed_shard_mask, uint64_t{1} << 2)
-        << "caller " << t;
+    EXPECT_TRUE(got[t].IsIOError()) << got[t].ToString();
   }
-  EXPECT_EQ(rig.index->degraded_queries(), static_cast<uint64_t>(kThreads));
+
+  // Healed: the complete answer returns.
+  rig.injector->Heal();
+  rig.index->ClearCache();
+  auto healed = rig.index->Search(q, 0.5);
+  ASSERT_TRUE(healed.ok()) << healed.status().ToString();
+  EXPECT_FALSE(healed.ValueOrDie().empty());
 }
 
 TEST(ChaosTest, ExpiredDeadlineFailsCleanlyOnI3) {
@@ -356,8 +267,8 @@ TEST(ChaosTest, ExpiredDeadlineOnShardedIndexIsAnError) {
   q.terms = {0};
   q.k = 10;
   q.semantics = Semantics::kOr;
-  // Already expired before the fan-out starts: every shard is skipped, so
-  // this is total failure (an error), not a degraded empty success.
+  // Already expired before the search starts: the wrapper fails it before
+  // calling the index (an error, not an empty success).
   q.control.deadline_ns = 1;
   auto res = rig.index->Search(q, 0.5);
   ASSERT_FALSE(res.ok());

@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "i3/i3_index.h"
@@ -273,12 +274,15 @@ std::vector<SpatialDocument> TiedScoreCorpus() {
   return docs;
 }
 
-TEST(EquivalenceTies, TiedScoreGoesToSmallerDocId) {
-  const Rect space{0.0, 0.0, 4.0, 4.0};
-  const auto docs = TiedScoreCorpus();
+/// Runs `q` on I3 (raw and compressed cells), IR-tree and S2I (TA and
+/// NRA) at page sizes 128, 256 and 4096 over `docs`, and requires each
+/// ranking to equal BruteForce's doc for doc and score for score, with
+/// doc 5 last.
+void ExpectOracleRanking(const Rect& space,
+                         const std::vector<SpatialDocument>& docs,
+                         const Query& q, const std::string& where) {
   BruteForceIndex oracle(space);
   for (const auto& d : docs) ASSERT_TRUE(oracle.Insert(d).ok());
-
   std::vector<std::unique_ptr<SpatialKeywordIndex>> indexes;
   for (size_t page_size : {128, 256, 4096}) {
     for (bool compress : {false, true}) {
@@ -288,35 +292,113 @@ TEST(EquivalenceTies, TiedScoreGoesToSmallerDocId) {
       opt.compress_pages = compress;
       indexes.push_back(std::make_unique<I3Index>(opt));
     }
+    IrTreeOptions iropt;
+    iropt.space = space;
+    iropt.page_size = page_size;
+    indexes.push_back(std::make_unique<IrTreeIndex>(iropt));
+    for (S2IStrategy strategy :
+         {S2IStrategy::kTaRandomAccess, S2IStrategy::kNra}) {
+      S2IOptions s2opt;
+      s2opt.space = space;
+      s2opt.page_size = page_size;
+      s2opt.strategy = strategy;
+      indexes.push_back(std::make_unique<S2IIndex>(s2opt));
+    }
   }
-  IrTreeOptions iropt;
-  iropt.space = space;
-  iropt.page_size = 256;
-  indexes.push_back(std::make_unique<IrTreeIndex>(iropt));
-  for (auto& idx : indexes) {
-    for (const auto& d : docs) ASSERT_TRUE(idx->Insert(d).ok());
+  auto want = oracle.Search(q, 0.5);
+  ASSERT_TRUE(want.ok());
+  ASSERT_EQ(want.ValueOrDie().size(), q.k) << where;
+  EXPECT_EQ(want.ValueOrDie().back().doc, 5u) << where;
+  for (size_t i = 0; i < indexes.size(); ++i) {
+    for (const auto& d : docs) ASSERT_TRUE(indexes[i]->Insert(d).ok());
+    auto got = indexes[i]->Search(q, 0.5);
+    ASSERT_TRUE(got.ok()) << got.status().ToString();
+    const std::string ctx =
+        indexes[i]->Name() + " #" + std::to_string(i) + " " + where;
+    ASSERT_EQ(got.ValueOrDie().size(), q.k) << ctx;
+    for (size_t r = 0; r < q.k; ++r) {
+      EXPECT_EQ(got.ValueOrDie()[r].doc, want.ValueOrDie()[r].doc)
+          << ctx << " rank " << r;
+      EXPECT_EQ(got.ValueOrDie()[r].score, want.ValueOrDie()[r].score)
+          << ctx << " rank " << r;
+    }
   }
+}
 
+/// Appends a document to `docs`.
+void AddDoc(std::vector<SpatialDocument>* docs, DocId id, double x, double y,
+            std::vector<WeightedTerm> terms) {
+  SpatialDocument d;
+  d.id = id;
+  d.location = {x, y};
+  d.terms = std::move(terms);
+  docs->push_back(std::move(d));
+}
+
+TEST(EquivalenceTies, TiedScoreGoesToSmallerDocId) {
+  const auto docs = TiedScoreCorpus();
   for (Semantics sem : {Semantics::kAnd, Semantics::kOr}) {
     Query q;
     q.location = {1.5, 1.5};
     q.terms = {1};
     q.k = 1;
     q.semantics = sem;
-    auto want = oracle.Search(q, 0.5);
-    ASSERT_TRUE(want.ok());
-    ASSERT_EQ(want.ValueOrDie().size(), 1u);
-    EXPECT_EQ(want.ValueOrDie()[0].doc, 5u);
-    for (size_t i = 0; i < indexes.size(); ++i) {
-      auto got = indexes[i]->Search(q, 0.5);
-      ASSERT_TRUE(got.ok()) << got.status().ToString();
-      ASSERT_EQ(got.ValueOrDie().size(), 1u);
-      EXPECT_EQ(got.ValueOrDie()[0].doc, 5u)
-          << indexes[i]->Name() << " #" << i << " " << SemanticsName(sem);
-      EXPECT_EQ(got.ValueOrDie()[0].score, want.ValueOrDie()[0].score)
-          << indexes[i]->Name() << " #" << i << " " << SemanticsName(sem);
+    ExpectOracleRanking({0.0, 0.0, 4.0, 4.0}, docs, q, SemanticsName(sem));
+  }
+}
+
+// The same tie at rank k = 256, placed for the prunes the fixture above
+// cannot reach. S2I's NRA tests its stop every 256 source pops, so 255
+// fillers that outscore the pair make the 256th pop the first tied doc.
+// Each tied doc sits at the near end of its own row of low-weight docs,
+// so the IR-tree holds them in different nodes whose bounds equal the
+// tied score. `swap` trades the two ids, so whichever doc an index
+// reaches first, one of the two layouts has it reach doc 10 first.
+TEST(EquivalenceTies, TiedScoreAtRankKGoesToSmallerDocId) {
+  for (bool swap : {false, true}) {
+    std::vector<SpatialDocument> docs;
+    for (DocId i = 0; i < 255; ++i) {
+      AddDoc(&docs, 1000 + i, 1.5, 1.5 + 0.0001 * i, {{1, 1.0f}});
+    }
+    AddDoc(&docs, swap ? 5 : 10, 1.0, 1.5, {{1, 1.0f}});
+    AddDoc(&docs, swap ? 10 : 5, 2.0, 1.5, {{1, 1.0f}});
+    for (DocId j = 1; j <= 40; ++j) {
+      AddDoc(&docs, 2000 + j, 1.0 - 0.01 * j, 1.5, {{1, 0.01f}});
+      AddDoc(&docs, 3000 + j, 2.0 + 0.01 * j, 1.5, {{1, 0.01f}});
+    }
+    for (Semantics sem : {Semantics::kAnd, Semantics::kOr}) {
+      Query q;
+      q.location = {1.5, 1.5};
+      q.terms = {1};
+      q.k = 256;
+      q.semantics = sem;
+      ExpectOracleRanking({0.0, 0.0, 4.0, 4.0}, docs, q,
+                          std::string(SemanticsName(sem)) +
+                              (swap ? " swapped" : ""));
     }
   }
+}
+
+// The tie reached through a partly seen OR candidate, for NRA's phase-2
+// skip. Term 1 holds 254 fillers, doc 10 (weight 0.75) and doc 5 (weight
+// 0.5), exactly 256 entries that all outrank doc 5's term-2 entry (weight
+// 0.25, the largest in its list), so NRA's check after 256 pops finds
+// doc 5 seen in term 1 only: its bound, 0.5 * 0.75 + 0.5 * (0.5 + 0.25),
+// equals doc 10's score at rank k = 255 exactly (both sit 1.25 from the
+// query in a space whose diagonal is 5, so proximity is exactly 0.75).
+TEST(EquivalenceTies, TiedPartlySeenCandidateGoesToSmallerDocId) {
+  std::vector<SpatialDocument> docs;
+  for (DocId i = 0; i < 254; ++i) {
+    AddDoc(&docs, 1000 + i, 1.5, 2.0 + 0.001 * i, {{1, 1.0f}});
+  }
+  AddDoc(&docs, 10, 1.5, 0.75, {{1, 0.75f}});
+  AddDoc(&docs, 5, 1.5, 0.75, {{1, 0.5f}, {2, 0.25f}});
+  Query q;
+  q.location = {1.5, 2.0};
+  q.terms = {1, 2};
+  q.k = 255;
+  q.semantics = Semantics::kOr;
+  ExpectOracleRanking({0.0, 0.0, 3.0, 4.0}, docs, q, "OR");
 }
 
 TEST(EquivalenceQueryLimits, MoreThan32KeywordsRejected) {

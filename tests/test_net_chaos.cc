@@ -3,9 +3,9 @@
 // concurrent wire clients in flight while fault profiles fire.
 //
 // The serving contract under chaos: every in-flight request ends in a
-// well-formed response -- ok (complete or flagged degraded) or a clean
-// error frame -- never a crash, a hang, or a torn connection caused by
-// index faults. After Heal() the server answers byte-identically (by
+// well-formed response -- ok with the complete top-k, or a clean error
+// frame -- never a crash, a hang, or a torn connection caused by index
+// faults. After Heal() the server answers byte-identically (by
 // result checksum) to its own pre-fault baseline. Seed count follows
 // I3_CHAOS_SEEDS like the library-level chaos suite.
 
@@ -42,20 +42,15 @@ uint64_t ChaosSeeds() {
 }
 
 struct ServingChaosRig {
-  static constexpr uint32_t kShards = 4;
-  std::vector<FaultInjectionPageFile*> injectors;
+  /// The index's physical backing, owned by the index.
+  FaultInjectionPageFile* injector = nullptr;
   std::unique_ptr<ShardedIndex> index;
   std::unique_ptr<Server> server;
 
-  void HealAll() {
-    for (auto* f : injectors) f->Heal();
-  }
-  void ArmAll(const FaultProfile& base, uint64_t seed) {
-    for (size_t s = 0; s < injectors.size(); ++s) {
-      FaultProfile p = base;
-      p.seed = seed * kShards + s + 1;
-      injectors[s]->injector()->SetProfile(p);
-    }
+  void Arm(const FaultProfile& base, uint64_t seed) {
+    FaultProfile p = base;
+    p.seed = seed + 1;
+    injector->injector()->SetProfile(p);
   }
 };
 
@@ -68,25 +63,20 @@ CorpusOptions ChaosCorpus() {
 
 void InitRig(ServingChaosRig* rig, uint64_t corpus_seed,
              ServerOptions opts = {}) {
-  rig->injectors.assign(ServingChaosRig::kShards, nullptr);
-  auto res = ShardedIndex::Create(
-      [rig](uint32_t shard) {
-        I3Options opt;
-        opt.space = {0.0, 0.0, 100.0, 100.0};
-        opt.page_size = 128;
-        opt.signature_bits = 64;
-        opt.page_file_factory = [rig, shard](size_t page_size) {
-          auto file = std::make_unique<FaultInjectionPageFile>(
-              std::make_unique<InMemoryPageFile>(page_size));
-          rig->injectors[shard] = file.get();
-          return file;
-        };
-        return std::make_unique<I3Index>(opt);
-      },
-      {.num_shards = ServingChaosRig::kShards});
-  ASSERT_TRUE(res.ok()) << res.status().ToString();
-  rig->index = res.MoveValue();
-  for (auto* f : rig->injectors) ASSERT_NE(f, nullptr);
+  I3Options opt;
+  opt.space = {0.0, 0.0, 100.0, 100.0};
+  opt.page_size = 128;
+  opt.signature_bits = 64;
+  opt.page_file_factory = [rig](size_t page_size) {
+    auto file = std::make_unique<FaultInjectionPageFile>(
+        std::make_unique<InMemoryPageFile>(page_size));
+    rig->injector = file.get();
+    return file;
+  };
+  std::vector<std::unique_ptr<SpatialKeywordIndex>> one;
+  one.push_back(std::make_unique<I3Index>(opt));
+  rig->index = std::make_unique<ShardedIndex>(std::move(one));
+  ASSERT_NE(rig->injector, nullptr);
   for (const auto& d : MakeCorpus(ChaosCorpus(), corpus_seed)) {
     ASSERT_TRUE(rig->index->Insert(d).ok());
   }
@@ -114,9 +104,9 @@ Result<std::unique_ptr<Client>> Connect(const Server& server) {
   return Client::Connect(copts);
 }
 
-// Fault profiles firing on every shard while concurrent clients keep
-// requests in flight: each one ends ok / degraded / clean error, the
-// connections stay whole, and healing restores the pre-fault baseline.
+// Fault profiles firing on the storage while concurrent clients keep
+// requests in flight: each one ends ok / clean error, the connections
+// stay whole, and healing restores the pre-fault baseline.
 TEST(NetChaosTest, ServingUnderFaultsEndsEveryRequestCleanly) {
   ServingChaosRig rig;
   ServerOptions sopts;
@@ -137,7 +127,6 @@ TEST(NetChaosTest, ServingUnderFaultsEndsEveryRequestCleanly) {
       ASSERT_TRUE(resp.ok()) << resp.status().ToString();
       ASSERT_EQ(resp.ValueOrDie().outcome, ResponseOutcome::kOk)
           << resp.ValueOrDie().message;
-      ASSERT_FALSE(resp.ValueOrDie().degraded);
       baseline.push_back(ResultChecksum(resp.ValueOrDie().results));
     }
   }
@@ -150,12 +139,11 @@ TEST(NetChaosTest, ServingUnderFaultsEndsEveryRequestCleanly) {
 
   const uint64_t seeds = ChaosSeeds();
   for (uint64_t seed = 0; seed < seeds; ++seed) {
-    rig.ArmAll(profile, seed);
+    rig.Arm(profile, seed);
     rig.index->ClearCache();
 
     constexpr int kClients = 4;
     std::atomic<uint64_t> ok_count{0};
-    std::atomic<uint64_t> degraded_count{0};
     std::atomic<uint64_t> error_count{0};
     std::atomic<bool> contract_broken{false};
     std::vector<std::thread> threads;
@@ -179,7 +167,6 @@ TEST(NetChaosTest, ServingUnderFaultsEndsEveryRequestCleanly) {
           switch (r.outcome) {
             case ResponseOutcome::kOk:
               ok_count.fetch_add(1);
-              if (r.degraded) degraded_count.fetch_add(1);
               break;
             case ResponseOutcome::kError:
               // Clean index failure: IOError/Corruption from the fault
@@ -203,7 +190,7 @@ TEST(NetChaosTest, ServingUnderFaultsEndsEveryRequestCleanly) {
         << "seed " << seed;
 
     // Healed: the wire serves the pre-fault baseline byte-identically.
-    rig.HealAll();
+    rig.injector->Heal();
     rig.index->ClearCache();
     auto client = Connect(*rig.server);
     ASSERT_TRUE(client.ok());
@@ -211,7 +198,6 @@ TEST(NetChaosTest, ServingUnderFaultsEndsEveryRequestCleanly) {
       auto resp = client.ValueOrDie()->Call(SearchRequest(queries[i], i));
       ASSERT_TRUE(resp.ok()) << resp.status().ToString();
       ASSERT_EQ(resp.ValueOrDie().outcome, ResponseOutcome::kOk);
-      EXPECT_FALSE(resp.ValueOrDie().degraded) << "seed " << seed;
       EXPECT_EQ(ResultChecksum(resp.ValueOrDie().results), baseline[i])
           << "seed " << seed << " query " << i;
     }
@@ -219,118 +205,9 @@ TEST(NetChaosTest, ServingUnderFaultsEndsEveryRequestCleanly) {
   EXPECT_EQ(rig.server->requests_shed(), 0u);
 }
 
-// A hard shard failure surfaces on the wire as ok + degraded: a partial
-// top-k of the surviving shards, never a torn response or a total error.
-TEST(NetChaosTest, HardShardFailureSetsDegradedFlagOnWire) {
-  ServingChaosRig rig;
-  InitRig(&rig, /*corpus_seed=*/21);
-  // Zipf head term: matches on every shard, so losing one shard visibly
-  // shrinks the result set.
-  Query q;
-  q.location = {50, 50};
-  q.terms = {0};
-  q.k = 300;
-  q.semantics = Semantics::kOr;
-  q.Normalize();
-
-  auto client = Connect(*rig.server);
-  ASSERT_TRUE(client.ok()) << client.status().ToString();
-  rig.index->ClearCache();
-  auto full = client.ValueOrDie()->Call(SearchRequest(q, 1));
-  ASSERT_TRUE(full.ok()) << full.status().ToString();
-  ASSERT_EQ(full.ValueOrDie().outcome, ResponseOutcome::kOk);
-  ASSERT_FALSE(full.ValueOrDie().degraded);
-  ASSERT_GT(full.ValueOrDie().results.size(), 4u);
-
-  rig.injectors[1]->set_fail_all(true);
-  rig.index->ClearCache();
-  auto partial = client.ValueOrDie()->Call(SearchRequest(q, 2));
-  ASSERT_TRUE(partial.ok()) << partial.status().ToString();
-  ASSERT_EQ(partial.ValueOrDie().outcome, ResponseOutcome::kOk)
-      << partial.ValueOrDie().message;
-  EXPECT_TRUE(partial.ValueOrDie().degraded);
-  EXPECT_GT(partial.ValueOrDie().results.size(), 0u);
-  EXPECT_LT(partial.ValueOrDie().results.size(),
-            full.ValueOrDie().results.size());
-  // Only healthy shards' documents are present.
-  for (const auto& sd : partial.ValueOrDie().results) {
-    EXPECT_NE(rig.index->ShardOf(sd.doc), 1u) << "doc " << sd.doc;
-  }
-
-  rig.injectors[1]->Heal();
-  rig.index->ClearCache();
-  auto healed = client.ValueOrDie()->Call(SearchRequest(q, 3));
-  ASSERT_TRUE(healed.ok());
-  ASSERT_EQ(healed.ValueOrDie().outcome, ResponseOutcome::kOk);
-  EXPECT_FALSE(healed.ValueOrDie().degraded);
-  EXPECT_EQ(ResultChecksum(healed.ValueOrDie().results),
-            ResultChecksum(full.ValueOrDie().results));
-}
-
-// Wire flag bit 2 (require_complete): a client that cannot tolerate a
-// silently-partial top-k gets the failing shard's typed error instead of
-// a degraded response. Complete answers are unaffected by the flag.
-TEST(NetChaosTest, RequireCompleteRefusesDegradedWithTypedError) {
-  ServingChaosRig rig;
-  InitRig(&rig, /*corpus_seed=*/25);
-  Query q;
-  q.location = {50, 50};
-  q.terms = {0};
-  q.k = 300;
-  q.semantics = Semantics::kOr;
-  q.Normalize();
-  auto client = Connect(*rig.server);
-  ASSERT_TRUE(client.ok()) << client.status().ToString();
-
-  // no_cache everywhere: this test is about what the *index* answers (a
-  // cached complete response legitimately satisfies require_complete and
-  // would short-circuit the refusal under test).
-  Request strict = SearchRequest(q, 1);
-  strict.require_complete = true;
-  strict.no_cache = true;
-  rig.index->ClearCache();
-  auto full = client.ValueOrDie()->Call(strict);
-  ASSERT_TRUE(full.ok()) << full.status().ToString();
-  ASSERT_EQ(full.ValueOrDie().outcome, ResponseOutcome::kOk);
-  EXPECT_FALSE(full.ValueOrDie().degraded);
-
-  rig.injectors[1]->set_fail_all(true);
-  rig.index->ClearCache();
-
-  // Without the flag: ok + degraded partial, as ever.
-  Request lax = SearchRequest(q, 2);
-  lax.no_cache = true;
-  auto partial = client.ValueOrDie()->Call(lax);
-  ASSERT_TRUE(partial.ok()) << partial.status().ToString();
-  ASSERT_EQ(partial.ValueOrDie().outcome, ResponseOutcome::kOk);
-  EXPECT_TRUE(partial.ValueOrDie().degraded);
-
-  // With the flag: a clean typed error carrying the shard's own failure
-  // code, not a partial result and not a torn connection.
-  strict.request_id = 3;
-  auto refused = client.ValueOrDie()->Call(strict);
-  ASSERT_TRUE(refused.ok()) << refused.status().ToString();
-  EXPECT_EQ(refused.ValueOrDie().outcome, ResponseOutcome::kError);
-  EXPECT_EQ(refused.ValueOrDie().code, StatusCode::kIOError);
-  EXPECT_NE(refused.ValueOrDie().message.find("incomplete result"),
-            std::string::npos)
-      << refused.ValueOrDie().message;
-  EXPECT_TRUE(refused.ValueOrDie().results.empty());
-
-  // Healed: the strict request serves the full answer again.
-  rig.injectors[1]->Heal();
-  rig.index->ClearCache();
-  strict.request_id = 4;
-  auto healed = client.ValueOrDie()->Call(strict);
-  ASSERT_TRUE(healed.ok());
-  ASSERT_EQ(healed.ValueOrDie().outcome, ResponseOutcome::kOk);
-  EXPECT_FALSE(healed.ValueOrDie().degraded);
-  EXPECT_EQ(ResultChecksum(healed.ValueOrDie().results),
-            ResultChecksum(full.ValueOrDie().results));
-}
-
-// Every shard failing hard is a clean error frame (there is no partial
-// answer to serve) -- and the connection still serves after healing.
+// A hard storage failure is a clean error frame (there is no partial
+// answer to serve), never a torn response or an empty success -- and the
+// connection still serves the complete answer after healing.
 TEST(NetChaosTest, TotalShardFailureIsACleanErrorFrame) {
   ServingChaosRig rig;
   InitRig(&rig, /*corpus_seed=*/31);
@@ -343,7 +220,11 @@ TEST(NetChaosTest, TotalShardFailureIsACleanErrorFrame) {
 
   auto client = Connect(*rig.server);
   ASSERT_TRUE(client.ok());
-  for (auto* f : rig.injectors) f->set_fail_all(true);
+  rig.index->ClearCache();
+  auto full = client.ValueOrDie()->Call(SearchRequest(q, 0));
+  ASSERT_TRUE(full.ok()) << full.status().ToString();
+  ASSERT_EQ(full.ValueOrDie().outcome, ResponseOutcome::kOk);
+  rig.injector->set_fail_all(true);
   rig.index->ClearCache();
   auto resp = client.ValueOrDie()->Call(SearchRequest(q, 1));
   ASSERT_TRUE(resp.ok()) << resp.status().ToString();
@@ -352,17 +233,18 @@ TEST(NetChaosTest, TotalShardFailureIsACleanErrorFrame) {
   EXPECT_FALSE(resp.ValueOrDie().message.empty());
   EXPECT_TRUE(resp.ValueOrDie().results.empty());
 
-  rig.HealAll();
+  rig.injector->Heal();
   rig.index->ClearCache();
   auto after = client.ValueOrDie()->Call(SearchRequest(q, 2));
   ASSERT_TRUE(after.ok());
   EXPECT_EQ(after.ValueOrDie().outcome, ResponseOutcome::kOk);
-  EXPECT_FALSE(after.ValueOrDie().degraded);
+  EXPECT_EQ(ResultChecksum(after.ValueOrDie().results),
+            ResultChecksum(full.ValueOrDie().results));
 }
 
 // Wire deadlines propagate into the query plan: a budget that cannot
-// cover the slowed-down shard sweep ends in a degraded partial result or
-// a clean DeadlineExceeded error -- and a generous budget still serves.
+// cover the slowed-down search ends in a clean DeadlineExceeded error --
+// and a generous budget still serves.
 TEST(NetChaosTest, WireDeadlinePropagatesUnderLatencyFaults) {
   ServingChaosRig rig;
   InitRig(&rig, /*corpus_seed=*/41);
@@ -371,11 +253,11 @@ TEST(NetChaosTest, WireDeadlinePropagatesUnderLatencyFaults) {
                                    /*k=*/10, Semantics::kOr, /*seed=*/42);
 
   // Every storage op eats a 5ms latency spike; a 1ms budget cannot cover
-  // a cold-cache sweep of 4 shards.
+  // a cold-cache search.
   FaultProfile slow;
   slow.latency_spike_rate = 1.0;
   slow.latency_spike_us = 5000;
-  rig.ArmAll(slow, /*seed=*/1);
+  rig.Arm(slow, /*seed=*/1);
 
   auto client = Connect(*rig.server);
   ASSERT_TRUE(client.ok());
@@ -391,8 +273,6 @@ TEST(NetChaosTest, WireDeadlinePropagatesUnderLatencyFaults) {
       ++expired;
     } else {
       ASSERT_EQ(r.outcome, ResponseOutcome::kOk);
-      // The budget died mid-sweep: partial results must say so.
-      if (r.degraded) ++expired;
     }
   }
   EXPECT_GT(expired, 0) << "1ms budgets against 5ms-per-op storage "
@@ -404,7 +284,6 @@ TEST(NetChaosTest, WireDeadlinePropagatesUnderLatencyFaults) {
       SearchRequest(queries[0], 100, /*deadline_ms=*/30000));
   ASSERT_TRUE(resp.ok()) << resp.status().ToString();
   EXPECT_EQ(resp.ValueOrDie().outcome, ResponseOutcome::kOk);
-  EXPECT_FALSE(resp.ValueOrDie().degraded);
 }
 
 }  // namespace

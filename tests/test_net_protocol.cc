@@ -42,7 +42,6 @@ Request MakeSearchRequest() {
   req.alpha = 0.75;
   req.no_cache = true;
   req.trace = true;
-  req.require_complete = true;
   req.terms = {3, 1, 4, 15, 92};
   return req;
 }
@@ -51,7 +50,6 @@ Response MakeOkResponse() {
   Response resp;
   resp.outcome = ResponseOutcome::kOk;
   resp.request_id = 0xfeedface12345678ull;
-  resp.degraded = true;
   resp.results = {{10, 0.875, {1.0, 2.0}},
                   {42, 0.5, {-3.5, 7.0}},
                   {7, 0.25, {0.0, 0.0}}};
@@ -72,7 +70,6 @@ Request RandomRequest(Rng* rng) {
   req.deadline_ms = static_cast<uint32_t>(rng->UniformInt(0, 100000));
   req.no_cache = rng->Chance(0.25);
   req.trace = rng->Chance(0.25);
-  req.require_complete = rng->Chance(0.25);
   if (req.type == MessageType::kSearch) {
     req.k = static_cast<uint32_t>(rng->UniformInt(1, kMaxK));
     req.semantics = rng->Chance(0.5) ? Semantics::kAnd : Semantics::kOr;
@@ -91,7 +88,6 @@ Response RandomResponse(Rng* rng) {
   Response resp;
   resp.outcome = static_cast<ResponseOutcome>(rng->UniformInt(0, 2));
   resp.request_id = static_cast<uint64_t>(rng->UniformInt(0, 1 << 30));
-  resp.degraded = resp.outcome == ResponseOutcome::kOk && rng->Chance(0.3);
   if (resp.outcome == ResponseOutcome::kError) {
     resp.code = static_cast<StatusCode>(
         rng->UniformInt(1, static_cast<int>(StatusCode::kDeadlineExceeded)));
@@ -137,7 +133,6 @@ void ExpectRequestEq(const Request& a, const Request& b) {
   EXPECT_EQ(a.deadline_ms, b.deadline_ms);
   EXPECT_EQ(a.no_cache, b.no_cache);
   EXPECT_EQ(a.trace, b.trace);
-  EXPECT_EQ(a.require_complete, b.require_complete);
   if (a.type == MessageType::kSearch) {
     EXPECT_EQ(a.k, b.k);
     EXPECT_EQ(a.semantics, b.semantics);
@@ -154,7 +149,6 @@ void ExpectRequestEq(const Request& a, const Request& b) {
 void ExpectResponseEq(const Response& a, const Response& b) {
   EXPECT_EQ(a.outcome, b.outcome);
   EXPECT_EQ(a.request_id, b.request_id);
-  EXPECT_EQ(a.degraded, b.degraded);
   EXPECT_EQ(a.code, b.code);
   EXPECT_EQ(a.message, b.message);
   EXPECT_EQ(ResultChecksum(a.results), ResultChecksum(b.results));
@@ -396,6 +390,7 @@ TEST(NetProtocolTest, FieldRangeViolationsReject) {
       {16, {0, 0, 0, 0}, "k == 0"},
       {16, {0xff, 0xff, 0, 0}, "k > kMaxK"},
       {20, {2}, "semantics out of range"},
+      {21, {4}, "retired flag bit 2 set"},
       {21, {8}, "reserved flag bit 3 set"},
       {21, {0xf8}, "all reserved flag bits set"},
       {26, nan_bytes, "NaN x"},
@@ -422,6 +417,31 @@ TEST(NetProtocolTest, FieldRangeViolationsReject) {
   ping_payload += std::string(4, '\0');
   const auto buf = Exact(ping_payload);
   EXPECT_FALSE(DecodeRequest(buf.data(), buf.size()).ok());
+
+  // The retired wire bits are reserved-must-be-zero: request flags 0x04
+  // and response flags 0x01 are malformed.
+  std::string flagged = payload;
+  flagged[21] = 0x04;
+  const auto req_buf = Exact(flagged);
+  auto req_got = DecodeRequest(req_buf.data(), req_buf.size());
+  ASSERT_FALSE(req_got.ok());
+  EXPECT_TRUE(req_got.status().IsCorruption());
+  EXPECT_EQ(req_got.status().message(), "malformed frame: reserved flags set");
+
+  // Response layout: magic(2) version(1) outcome(1) id(8) flags(1) ...
+  Response untraced = MakeOkResponse();
+  untraced.has_trace = false;
+  std::string resp_frame;
+  EncodeResponse(untraced, &resp_frame);
+  std::string resp_payload = resp_frame.substr(kFrameHeaderBytes);
+  ASSERT_EQ(resp_payload[12], 0);
+  resp_payload[12] = 0x01;
+  const auto resp_buf = Exact(resp_payload);
+  auto resp_got = DecodeResponse(resp_buf.data(), resp_buf.size());
+  ASSERT_FALSE(resp_got.ok());
+  EXPECT_TRUE(resp_got.status().IsCorruption());
+  EXPECT_EQ(resp_got.status().message(),
+            "malformed frame: bad response flags");
 }
 
 // The encoder canonicalizes hostile trace input (overlong names clamp,

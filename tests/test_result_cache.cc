@@ -3,7 +3,7 @@
 // the SIEVE entry bound, and the server-level contract -- repeated
 // requests are served byte-identically from cache, any index mutation
 // makes the very next identical request see fresh results, no_cache
-// bypasses, and degraded responses are never cached.
+// bypasses, and error responses are never cached.
 
 #include <gtest/gtest.h>
 
@@ -84,7 +84,6 @@ TEST(ResultCacheTest, LookupServesOnlyMatchingGeneration) {
   Response out;
   ASSERT_TRUE(cache.Lookup(key, /*generation=*/5, &out));
   EXPECT_EQ(out.outcome, ResponseOutcome::kOk);
-  EXPECT_FALSE(out.degraded);
   EXPECT_EQ(ResultChecksum(out.results), ResultChecksum(SomeResults()));
 
   // One generation later the entry is stale: the lookup misses AND drops
@@ -140,23 +139,19 @@ CorpusOptions CacheCorpus() {
 class ResultCacheServerTest : public ::testing::Test {
  protected:
   void StartServer(ServerOptions opts = {}) {
-    auto res = ShardedIndex::Create(
-        [this](uint32_t shard) {
-          I3Options opt;
-          opt.space = {0.0, 0.0, 100.0, 100.0};
-          opt.page_size = 128;
-          opt.signature_bits = 64;
-          opt.page_file_factory = [this, shard](size_t page_size) {
-            auto file = std::make_unique<FaultInjectionPageFile>(
-                std::make_unique<InMemoryPageFile>(page_size));
-            injectors_[shard] = file.get();
-            return file;
-          };
-          return std::make_unique<I3Index>(opt);
-        },
-        {.num_shards = 4});
-    ASSERT_TRUE(res.ok()) << res.status().ToString();
-    index_ = res.MoveValue();
+    I3Options opt;
+    opt.space = {0.0, 0.0, 100.0, 100.0};
+    opt.page_size = 128;
+    opt.signature_bits = 64;
+    opt.page_file_factory = [this](size_t page_size) {
+      auto file = std::make_unique<FaultInjectionPageFile>(
+          std::make_unique<InMemoryPageFile>(page_size));
+      injector_ = file.get();
+      return file;
+    };
+    std::vector<std::unique_ptr<SpatialKeywordIndex>> one;
+    one.push_back(std::make_unique<I3Index>(opt));
+    index_ = std::make_unique<ShardedIndex>(std::move(one));
     for (const auto& d : MakeCorpus(CacheCorpus(), /*seed=*/77)) {
       ASSERT_TRUE(index_->Insert(d).ok());
     }
@@ -183,8 +178,7 @@ class ResultCacheServerTest : public ::testing::Test {
     return req;
   }
 
-  FaultInjectionPageFile* injectors_[4] = {nullptr, nullptr, nullptr,
-                                           nullptr};
+  FaultInjectionPageFile* injector_ = nullptr;
   std::unique_ptr<ShardedIndex> index_;
   std::unique_ptr<Server> server_;
 };
@@ -216,7 +210,6 @@ TEST_F(ResultCacheServerTest, RepeatedRequestsServeIdenticalBytes) {
       const Response& r = resp.ValueOrDie();
       ASSERT_EQ(r.outcome, ResponseOutcome::kOk);
       EXPECT_EQ(r.request_id, id);
-      EXPECT_FALSE(r.degraded);
       EXPECT_EQ(ResultChecksum(r.results), first_pass[i])
           << "rep " << rep << " query " << i;
     }
@@ -302,9 +295,10 @@ TEST_F(ResultCacheServerTest, NoCacheFlagBypasses) {
   EXPECT_GE(MetricValue("i3_result_cache_bypass_total") - bypass0, 4.0);
 }
 
-// Degraded responses are never cached: under a hard shard failure every
-// repeat is served by the index (and stays degraded); after healing, the
-// complete answer returns -- never a cached degraded one.
+// Error responses are never cached, and a complete answer cached before a
+// failure is not served past it: under a hard storage failure every
+// repeat reaches the index and errors; after healing, the complete answer
+// returns -- never a cached error.
 TEST_F(ResultCacheServerTest, DegradedResponsesAreNotCached) {
   StartServer();
   auto client = Connect();
@@ -324,28 +318,27 @@ TEST_F(ResultCacheServerTest, DegradedResponsesAreNotCached) {
   }
   index_->ClearCache();
 
-  injectors_[1]->injector()->set_fail_all(true);
+  injector_->injector()->set_fail_all(true);
   for (int rep = 0; rep < 2; ++rep) {
     for (size_t i = 0; i < queries.size(); ++i) {
       auto resp = client.ValueOrDie()->Call(
           SearchRequest(queries[i], 100 + rep * 10 + i));
       ASSERT_TRUE(resp.ok()) << resp.status().ToString();
       const Response& r = resp.ValueOrDie();
-      ASSERT_EQ(r.outcome, ResponseOutcome::kOk) << r.message;
-      EXPECT_TRUE(r.degraded)
+      EXPECT_EQ(r.outcome, ResponseOutcome::kError)
           << "rep " << rep << " query " << i
           << ": a complete pre-fault response leaked from the cache";
+      EXPECT_EQ(r.code, StatusCode::kIOError) << r.message;
     }
   }
 
-  injectors_[1]->Heal();
+  injector_->Heal();
   index_->ClearCache();
   for (size_t i = 0; i < queries.size(); ++i) {
     auto resp = client.ValueOrDie()->Call(SearchRequest(queries[i], 200 + i));
     ASSERT_TRUE(resp.ok());
     const Response& r = resp.ValueOrDie();
-    ASSERT_EQ(r.outcome, ResponseOutcome::kOk);
-    EXPECT_FALSE(r.degraded);
+    ASSERT_EQ(r.outcome, ResponseOutcome::kOk) << r.message;
     EXPECT_EQ(ResultChecksum(r.results), baseline[i]) << "query " << i;
   }
 }

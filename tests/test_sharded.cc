@@ -1,8 +1,8 @@
-// Tests of ShardedIndex: the merge contract (a ShardedIndex over I3 must
-// return byte-identical results -- order, ties, AND/OR, extreme alpha,
-// k > matching docs -- to an unsharded I3Index on the same corpus, also
-// after deletes and updates), routing, aggregation of DocumentCount /
-// SizeInfo / IoStats, name composition, error propagation, and one sampled
+// Tests of ShardedIndex, the serving wrapper of one index: it must return
+// byte-identical results -- order, ties, AND/OR, extreme alpha, k >
+// matching docs -- to the bare I3Index on the same corpus, also after
+// deletes and updates; pass through the index's name, DocumentCount,
+// SizeInfo and IoStats; propagate its errors; and publish one sampled
 // trace per request.
 
 #include <gtest/gtest.h>
@@ -31,29 +31,36 @@ using testutil::MakeQueries;
 I3Options SmallI3Options() {
   I3Options opt;
   opt.space = {0.0, 0.0, 100.0, 100.0};
-  opt.page_size = 256;  // capacity 8: forces deep cell trees in the shards
+  opt.page_size = 256;  // capacity 8: forces deep cell trees
   opt.signature_bits = 128;
   return opt;
 }
 
-ShardedIndex::ShardFactory I3Factory() {
-  return [](uint32_t) { return std::make_unique<I3Index>(SmallI3Options()); };
+/// The serving wrapper of `index`.
+std::unique_ptr<ShardedIndex> Wrap(
+    std::unique_ptr<SpatialKeywordIndex> index) {
+  std::vector<std::unique_ptr<SpatialKeywordIndex>> one;
+  one.push_back(std::move(index));
+  return std::make_unique<ShardedIndex>(std::move(one));
+}
+
+std::unique_ptr<ShardedIndex> WrappedI3(
+    const I3Options& opt = SmallI3Options()) {
+  return Wrap(std::make_unique<I3Index>(opt));
 }
 
 /// Byte-identical comparison: same length, same docs in the same order,
 /// bitwise-equal scores. This is stricter than testutil::SameScores (which
-/// tolerates epsilon and tie reordering) on purpose: sharded and unsharded
-/// I3 run the identical floating-point computation per document, so any
-/// difference is a merge bug.
-void ExpectIdenticalResults(const std::vector<ScoredDoc>& sharded,
-                            const std::vector<ScoredDoc>& unsharded,
+/// tolerates epsilon and tie reordering) on purpose: the wrapper must
+/// return exactly what the bare index computes.
+void ExpectIdenticalResults(const std::vector<ScoredDoc>& got,
+                            const std::vector<ScoredDoc>& expected,
                             const std::string& context) {
-  ASSERT_EQ(sharded.size(), unsharded.size()) << context;
-  for (size_t i = 0; i < sharded.size(); ++i) {
-    EXPECT_EQ(sharded[i].doc, unsharded[i].doc)
-        << context << " rank " << i;
-    EXPECT_EQ(sharded[i].score, unsharded[i].score)
-        << context << " rank " << i << " doc " << sharded[i].doc;
+  ASSERT_EQ(got.size(), expected.size()) << context;
+  for (size_t i = 0; i < got.size(); ++i) {
+    EXPECT_EQ(got[i].doc, expected[i].doc) << context << " rank " << i;
+    EXPECT_EQ(got[i].score, expected[i].score)
+        << context << " rank " << i << " doc " << got[i].doc;
   }
 }
 
@@ -69,81 +76,18 @@ SpatialDocument Shifted(const SpatialDocument& d) {
 }
 
 TEST(ShardedIndexTest, NameComposesAcrossDecorators) {
-  auto direct = ShardedIndex::Create(I3Factory(), {.num_shards = 4});
-  ASSERT_TRUE(direct.ok());
-  EXPECT_EQ(direct.ValueOrDie()->Name(), "I3 (sharded x4)");
+  // The wrapper adds no tag of its own; a ReplicaSet underneath still
+  // shows in the name.
+  EXPECT_EQ(WrappedI3()->Name(), "I3");
 
-  auto over_replicas = ShardedIndex::Create(
-      [](uint32_t) -> std::unique_ptr<SpatialKeywordIndex> {
-        return ReplicaSet::Create(
-                   [](uint32_t) {
-                     return std::make_unique<I3Index>(SmallI3Options());
-                   },
-                   ReplicaOps{}, {.replication_factor = 2})
-            .MoveValue();
-      },
-      {.num_shards = 2});
-  ASSERT_TRUE(over_replicas.ok());
-  EXPECT_EQ(over_replicas.ValueOrDie()->Name(),
-            "I3 (replicated x2, sharded x2)");
-}
-
-TEST(ShardedIndexTest, CreateValidatesArguments) {
-  auto zero = ShardedIndex::Create(I3Factory(), {.num_shards = 0});
-  EXPECT_FALSE(zero.ok());
-  EXPECT_TRUE(zero.status().IsInvalidArgument());
-
-  auto null_factory = ShardedIndex::Create(
-      [](uint32_t i) -> std::unique_ptr<SpatialKeywordIndex> {
-        if (i == 2) return nullptr;
-        return std::make_unique<I3Index>(SmallI3Options());
-      },
-      {.num_shards = 4});
-  EXPECT_FALSE(null_factory.ok());
-  EXPECT_TRUE(null_factory.status().IsInvalidArgument());
-}
-
-TEST(ShardedIndexTest, RoutesDocumentsAndAggregatesCounts) {
-  CorpusOptions copt;
-  copt.num_docs = 400;
-  copt.vocab_size = 30;
-  const auto docs = MakeCorpus(copt, 91);
-
-  auto res = ShardedIndex::Create(I3Factory(), {.num_shards = 4});
-  ASSERT_TRUE(res.ok());
-  auto& index = *res.ValueOrDie();
-  for (const auto& d : docs) ASSERT_TRUE(index.Insert(d).ok());
-
-  EXPECT_EQ(index.DocumentCount(), docs.size());
-  uint64_t by_shard = 0;
-  for (uint32_t s = 0; s < index.num_shards(); ++s) {
-    const uint64_t n = index.shard(s)->DocumentCount();
-    // The mixer should spread sequential ids roughly evenly; any empty
-    // shard on 400 docs over 4 shards means the hash is broken.
-    EXPECT_GT(n, 0u) << "shard " << s;
-    by_shard += n;
-  }
-  EXPECT_EQ(by_shard, docs.size());
-
-  // A document is findable in exactly the shard ShardOf names.
-  for (size_t i = 0; i < docs.size(); i += 37) {
-    Query q;
-    q.location = docs[i].location;
-    q.terms = {docs[i].terms[0].term};
-    q.k = docs.size();
-    q.semantics = Semantics::kAnd;
-    auto hit = index.shard(index.ShardOf(docs[i].id))->Search(q, 0.5);
-    ASSERT_TRUE(hit.ok());
-    const auto& results = hit.ValueOrDie();
-    EXPECT_TRUE(std::any_of(results.begin(), results.end(),
-                            [&](const ScoredDoc& r) {
-                              return r.doc == docs[i].id;
-                            }))
-        << "doc " << docs[i].id;
-  }
-
-  for (const auto& d : docs) ASSERT_TRUE(index.Delete(d).ok());
-  EXPECT_EQ(index.DocumentCount(), 0u);
+  auto set = ReplicaSet::Create(
+      [](uint32_t) { return std::make_unique<I3Index>(SmallI3Options()); },
+      ReplicaOps{}, {.replication_factor = 2});
+  ASSERT_TRUE(set.ok()) << set.status().ToString();
+  auto over_replicas = Wrap(set.MoveValue());
+  EXPECT_EQ(over_replicas->Name(), "I3 (replicated x2)");
+  EXPECT_NE(over_replicas->replica_set(), nullptr);
+  EXPECT_EQ(WrappedI3()->replica_set(), nullptr);
 }
 
 TEST(ShardedIndexTest, SizeInfoMergesComponentsByName) {
@@ -151,19 +95,15 @@ TEST(ShardedIndexTest, SizeInfoMergesComponentsByName) {
   copt.num_docs = 300;
   const auto docs = MakeCorpus(copt, 17);
 
-  auto res = ShardedIndex::Create(I3Factory(), {.num_shards = 3});
-  ASSERT_TRUE(res.ok());
-  auto& index = *res.ValueOrDie();
+  auto wrapped = WrappedI3();
+  auto& index = *wrapped;
   for (const auto& d : docs) ASSERT_TRUE(index.Insert(d).ok());
+  EXPECT_EQ(index.DocumentCount(), docs.size());
 
+  // One row per I3 component, named as the index names it.
   const IndexSizeInfo merged = index.SizeInfo();
-  // One row per I3 component, not one per shard x component.
   ASSERT_EQ(merged.components.size(), 3u) << merged.ToString();
-  uint64_t expected_total = 0;
-  for (uint32_t s = 0; s < index.num_shards(); ++s) {
-    expected_total += index.shard(s)->SizeInfo().TotalBytes();
-  }
-  EXPECT_EQ(merged.TotalBytes(), expected_total);
+  EXPECT_EQ(merged.TotalBytes(), index.shard()->SizeInfo().TotalBytes());
   EXPECT_NE(merged.ToString().find("head file"), std::string::npos);
 }
 
@@ -173,25 +113,22 @@ TEST(ShardedIndexTest, IoStatsMergeOnRead) {
   const auto docs = MakeCorpus(copt, 23);
   const auto queries = MakeQueries(copt, 10, 2, 10, Semantics::kOr, 24);
 
-  auto res = ShardedIndex::Create(I3Factory(), {.num_shards = 4});
-  ASSERT_TRUE(res.ok());
-  auto& index = *res.ValueOrDie();
+  auto wrapped = WrappedI3();
+  auto& index = *wrapped;
   for (const auto& d : docs) ASSERT_TRUE(index.Insert(d).ok());
 
   index.ResetIoStats();
   EXPECT_EQ(index.io_stats().Total(), 0u);
   for (const Query& q : queries) ASSERT_TRUE(index.Search(q, 0.5).ok());
 
-  uint64_t per_shard_reads = 0;
-  for (uint32_t s = 0; s < index.num_shards(); ++s) {
-    per_shard_reads += index.shard(s)->io_stats().TotalReads();
-  }
+  // I3 merges its head- and data-file counters on read; the wrapper's
+  // snapshot is the index's.
   const IoStats merged = index.io_stats();  // copy = durable snapshot
   EXPECT_GT(merged.TotalReads(), 0u);
-  EXPECT_EQ(merged.TotalReads(), per_shard_reads);
+  EXPECT_EQ(merged.TotalReads(), index.shard()->io_stats().TotalReads());
 }
 
-// --- the randomized differential suite (merge-contract satellite) ---
+// --- the randomized differential suite ---
 
 struct DiffCase {
   Semantics semantics;
@@ -214,22 +151,16 @@ class ShardedDifferentialTest : public ::testing::Test {
     copt_.max_terms = 4;
     docs_ = MakeCorpus(copt_, 777);
 
-    unsharded_ = std::make_unique<I3Index>(SmallI3Options());
-    auto seq = ShardedIndex::Create(I3Factory(), {.num_shards = 5});
-    ASSERT_TRUE(seq.ok());
-    sharded_ = seq.MoveValue();
-    auto one = ShardedIndex::Create(I3Factory(), {.num_shards = 1});
-    ASSERT_TRUE(one.ok());
-    one_shard_ = one.MoveValue();
+    bare_ = std::make_unique<I3Index>(SmallI3Options());
+    wrapped_ = WrappedI3();
 
     for (const auto& d : docs_) {
-      ASSERT_TRUE(unsharded_->Insert(d).ok());
-      ASSERT_TRUE(sharded_->Insert(d).ok());
-      ASSERT_TRUE(one_shard_->Insert(d).ok());
+      ASSERT_TRUE(bare_->Insert(d).ok());
+      ASSERT_TRUE(wrapped_->Insert(d).ok());
     }
   }
 
-  /// Runs every case workload against all three indexes and compares.
+  /// Runs every case workload against both indexes and compares.
   void RunDifferential(const std::string& phase) {
     const DiffCase cases[] = {
         // alpha 0 (pure text, maximal score ties), 1 (pure space), 0.5;
@@ -245,27 +176,21 @@ class ShardedDifferentialTest : public ::testing::Test {
       const auto queries =
           MakeQueries(copt_, 25, c.qn, c.k, c.semantics, ++seed);
       for (size_t qi = 0; qi < queries.size(); ++qi) {
-        auto expected = unsharded_->Search(queries[qi], c.alpha);
-        auto got_five = sharded_->Search(queries[qi], c.alpha);
-        auto got_one = one_shard_->Search(queries[qi], c.alpha);
+        auto expected = bare_->Search(queries[qi], c.alpha);
+        auto got = wrapped_->Search(queries[qi], c.alpha);
         ASSERT_TRUE(expected.ok());
-        ASSERT_TRUE(got_five.ok());
-        ASSERT_TRUE(got_one.ok());
-        const std::string ctx =
-            phase + " " + CaseName(c) + " query " + std::to_string(qi);
-        ExpectIdenticalResults(got_five.ValueOrDie(), expected.ValueOrDie(),
-                               ctx + " (5 shards)");
-        ExpectIdenticalResults(got_one.ValueOrDie(), expected.ValueOrDie(),
-                               ctx + " (1 shard)");
+        ASSERT_TRUE(got.ok());
+        ExpectIdenticalResults(got.ValueOrDie(), expected.ValueOrDie(),
+                               phase + " " + CaseName(c) + " query " +
+                                   std::to_string(qi));
       }
     }
   }
 
   CorpusOptions copt_;
   std::vector<SpatialDocument> docs_;
-  std::unique_ptr<I3Index> unsharded_;
-  std::unique_ptr<ShardedIndex> sharded_;
-  std::unique_ptr<ShardedIndex> one_shard_;
+  std::unique_ptr<I3Index> bare_;
+  std::unique_ptr<ShardedIndex> wrapped_;
 };
 
 TEST_F(ShardedDifferentialTest, IdenticalOnStaticCorpus) {
@@ -275,18 +200,16 @@ TEST_F(ShardedDifferentialTest, IdenticalOnStaticCorpus) {
 TEST_F(ShardedDifferentialTest, IdenticalAfterDeletesAndUpdates) {
   // Delete every 3rd document; update every 7th survivor in place.
   for (size_t i = 0; i < docs_.size(); i += 3) {
-    ASSERT_TRUE(unsharded_->Delete(docs_[i]).ok());
-    ASSERT_TRUE(sharded_->Delete(docs_[i]).ok());
-    ASSERT_TRUE(one_shard_->Delete(docs_[i]).ok());
+    ASSERT_TRUE(bare_->Delete(docs_[i]).ok());
+    ASSERT_TRUE(wrapped_->Delete(docs_[i]).ok());
   }
   for (size_t i = 0; i < docs_.size(); ++i) {
     if (i % 3 == 0 || i % 7 != 0) continue;
     const SpatialDocument updated = Shifted(docs_[i]);
-    ASSERT_TRUE(unsharded_->Update(docs_[i], updated).ok());
-    ASSERT_TRUE(sharded_->Update(docs_[i], updated).ok());
-    ASSERT_TRUE(one_shard_->Update(docs_[i], updated).ok());
+    ASSERT_TRUE(bare_->Update(docs_[i], updated).ok());
+    ASSERT_TRUE(wrapped_->Update(docs_[i], updated).ok());
   }
-  ASSERT_EQ(sharded_->DocumentCount(), unsharded_->DocumentCount());
+  ASSERT_EQ(wrapped_->DocumentCount(), bare_->DocumentCount());
   RunDifferential("after-maintenance");
 }
 
@@ -294,59 +217,27 @@ TEST_F(ShardedDifferentialTest, ErrorsMatchUnsharded) {
   Query empty;
   empty.location = {50, 50};
   empty.k = 10;
-  auto expected = unsharded_->Search(empty, 0.5);
-  auto got = sharded_->Search(empty, 0.5);
-  auto got_one = one_shard_->Search(empty, 0.5);
+  auto expected = bare_->Search(empty, 0.5);
+  auto got = wrapped_->Search(empty, 0.5);
   ASSERT_FALSE(expected.ok());
   ASSERT_FALSE(got.ok());
-  ASSERT_FALSE(got_one.ok());
   EXPECT_EQ(got.status().code(), expected.status().code());
-  EXPECT_EQ(got_one.status().code(), expected.status().code());
 
-  // Invalid alpha propagates from every shard count too.
+  // Invalid alpha propagates too.
   Query q = MakeQueries(copt_, 1, 2, 5, Semantics::kOr, 9)[0];
-  EXPECT_FALSE(sharded_->Search(q, 1.5).ok());
-  EXPECT_FALSE(one_shard_->Search(q, -0.1).ok());
-}
-
-TEST(ShardedIndexTest, CrossShardUpdateMovesDocument) {
-  auto res = ShardedIndex::Create(I3Factory(), {.num_shards = 4});
-  ASSERT_TRUE(res.ok());
-  auto& index = *res.ValueOrDie();
-
-  // Find two ids hashing to different shards (ids are arbitrary, so scan).
-  const DocId a = 1;
-  DocId b = 2;
-  while (index.ShardOf(b) == index.ShardOf(a)) ++b;
-
-  SpatialDocument old_doc{a, {10, 10}, {{1, 0.5f}}};
-  SpatialDocument new_doc{b, {20, 20}, {{1, 0.9f}}};
-  ASSERT_TRUE(index.Insert(old_doc).ok());
-  ASSERT_TRUE(index.Update(old_doc, new_doc).ok());
-  EXPECT_EQ(index.DocumentCount(), 1u);
-
-  Query q;
-  q.location = {20, 20};
-  q.terms = {1};
-  q.k = 10;
-  q.semantics = Semantics::kAnd;
-  auto hits = index.Search(q, 0.5);
-  ASSERT_TRUE(hits.ok());
-  ASSERT_EQ(hits.ValueOrDie().size(), 1u);
-  EXPECT_EQ(hits.ValueOrDie()[0].doc, b);
+  EXPECT_FALSE(wrapped_->Search(q, 1.5).ok());
+  EXPECT_FALSE(wrapped_->Search(q, -0.1).ok());
 }
 
 TEST(ShardedIndexTest, IrTreeShardsAreReaderSafe) {
   // The IR-tree keeps all per-query state on the searching thread's stack,
-  // so concurrent readers of its shards see exactly the sequential answers.
+  // so concurrent readers of the wrapped tree see exactly the sequential
+  // answers.
   IrTreeOptions iropt;
   iropt.space = {0.0, 0.0, 100.0, 100.0};
   iropt.page_size = 256;
-  auto res = ShardedIndex::Create(
-      [&](uint32_t) { return std::make_unique<IrTreeIndex>(iropt); },
-      {.num_shards = 2});
-  ASSERT_TRUE(res.ok());
-  auto& index = *res.ValueOrDie();
+  auto wrapped = Wrap(std::make_unique<IrTreeIndex>(iropt));
+  auto& index = *wrapped;
   CorpusOptions copt;
   copt.num_docs = 400;
   for (const auto& d : MakeCorpus(copt, 55)) {
@@ -380,11 +271,8 @@ TEST(ShardedIndexTest, IoStatsNeverGoBackwardsUnderConcurrentReads) {
   // searcher (and beside each other) only ever see the totals grow.
   I3Options opt = SmallI3Options();
   opt.buffer_pool.capacity_pages = 0;  // every page view is a device read
-  auto res = ShardedIndex::Create(
-      [&](uint32_t) { return std::make_unique<I3Index>(opt); },
-      {.num_shards = 4});
-  ASSERT_TRUE(res.ok());
-  auto& index = *res.ValueOrDie();
+  auto wrapped = WrappedI3(opt);
+  auto& index = *wrapped;
   CorpusOptions copt;
   copt.num_docs = 500;
   for (const auto& d : MakeCorpus(copt, 71)) {
@@ -416,12 +304,11 @@ TEST(ShardedIndexTest, IoStatsNeverGoBackwardsUnderConcurrentReads) {
   EXPECT_GT(index.io_stats().TotalReads(), 0u);
 }
 
-/// Runs `queries` through a fresh 4-shard index at trace sample `rate` and
+/// Runs `queries` through a fresh wrapped index at trace sample `rate` and
 /// returns what the global tracer published.
 std::vector<obs::QueryTrace> SampledTraces(double rate, size_t num_queries) {
-  auto res = ShardedIndex::Create(I3Factory(), {.num_shards = 4});
-  EXPECT_TRUE(res.ok());
-  auto& index = *res.ValueOrDie();
+  auto wrapped = WrappedI3();
+  auto& index = *wrapped;
   CorpusOptions copt;
   copt.num_docs = 400;
   for (const auto& d : MakeCorpus(copt, 81)) {
@@ -441,14 +328,13 @@ std::vector<obs::QueryTrace> SampledTraces(double rate, size_t num_queries) {
 
 TEST(ShardedIndexTest, SampledTraceCoversTheWholeFanOut) {
   // One request is one sampling decision: at rate 1 each query publishes
-  // exactly one trace, holding every shard's stage and the shards' own I3
+  // exactly one trace, holding the wrapper's stage and the index's own I3
   // stages, with each fact annotated once.
   const auto traces = SampledTraces(1.0, 10);
   ASSERT_EQ(traces.size(), 10u);
   for (const obs::QueryTrace& t : traces) {
     EXPECT_EQ(t.label, "Sharded.Search");
-    for (const char* stage :
-         {"shard0", "shard1", "shard2", "shard3", "signature_filter"}) {
+    for (const char* stage : {"search", "signature_filter"}) {
       EXPECT_TRUE(std::any_of(
           t.stages.begin(), t.stages.end(),
           [&](const obs::TraceStage& s) { return s.name == stage; }))
@@ -457,7 +343,7 @@ TEST(ShardedIndexTest, SampledTraceCoversTheWholeFanOut) {
     std::map<std::string, int> seen;
     for (const auto& a : t.annotations) ++seen[a.first];
     for (const auto& [name, n] : seen) EXPECT_EQ(n, 1) << name;
-    for (const char* note : {"docs_scored", "shards", "results"}) {
+    for (const char* note : {"docs_scored", "results"}) {
       EXPECT_EQ(seen.count(note), 1u) << note;
     }
   }

@@ -14,7 +14,6 @@
 //           [--tenant-base=0] [--distinct=0]
 //           [--deadline-ms=0] [--space=minx,miny,maxx,maxy]
 //           [--connect-retries=20] [--json] [--trace]
-//           [--require-complete]
 //
 // `--requests` is per connection; `--seconds=S` instead keeps every
 // connection sending for S seconds. Terms are uniform ids in
@@ -27,12 +26,6 @@
 // that the server's result cache answers). Every response must be a
 // well-formed ok/shed/error frame; anything else (transport error, id
 // mismatch) is a hard failure and a nonzero exit.
-//
-// `--require-complete` sets wire flag bit 2 on every request: the server
-// refuses to serve a silently-partial (degraded) top-k and returns the
-// failing shard's typed error instead. loadgen then treats any degraded
-// ok-response as a hard failure (nonzero exit) -- with the flag set the
-// server should never produce one, so seeing it means the contract broke.
 //
 // `--trace` sets the wire trace flag on every request and reports the
 // aggregated server-side span timeline next to the client-observed
@@ -81,12 +74,10 @@ struct Options {
   uint32_t connect_retries = 20;
   bool json = false;
   bool trace = false;
-  bool require_complete = false;
 };
 
 struct WorkerStats {
   uint64_t ok = 0;
-  uint64_t degraded = 0;
   uint64_t shed = 0;
   uint64_t error = 0;
   uint64_t mismatched = 0;  ///< id mismatches: always a bug somewhere
@@ -106,7 +97,6 @@ struct WorkerStats {
 
   void MergeFrom(const WorkerStats& o) {
     ok += o.ok;
-    degraded += o.degraded;
     shed += o.shed;
     error += o.error;
     mismatched += o.mismatched;
@@ -173,8 +163,6 @@ bool ParseOptions(int argc, char** argv, Options* opt) {
       opt->json = true;
     } else if (std::strcmp(argv[i], "--trace") == 0) {
       opt->trace = true;
-    } else if (std::strcmp(argv[i], "--require-complete") == 0) {
-      opt->require_complete = true;
     } else {
       std::fprintf(stderr, "unknown flag: %s\n", argv[i]);
       return false;
@@ -203,7 +191,6 @@ net::Request RandomRequest(const Options& opt, Rng* rng, uint64_t id) {
                                                 : Semantics::kOr;
   req.deadline_ms = opt.deadline_ms;
   req.trace = opt.trace;
-  req.require_complete = opt.require_complete;
   req.x = rng->UniformDouble(opt.space[0], opt.space[2]);
   req.y = rng->UniformDouble(opt.space[1], opt.space[3]);
   req.alpha = opt.alpha;
@@ -282,7 +269,6 @@ void RunWorker(const Options& opt, const RequestPool& pool,
     switch (r.outcome) {
       case net::ResponseOutcome::kOk:
         ++stats->ok;
-        if (r.degraded) ++stats->degraded;
         stats->ok_latency_us.Record(us);
         if (r.has_trace) {
           (hit ? stats->hit_latency_us : stats->miss_latency_us).Record(us);
@@ -315,9 +301,8 @@ void PrintHuman(const Options& opt, const WorkerStats& total,
               static_cast<unsigned long long>(total.ok + total.shed +
                                               total.error),
               elapsed_s, qps);
-  std::printf("  ok       %llu (%llu degraded)\n",
-              static_cast<unsigned long long>(total.ok),
-              static_cast<unsigned long long>(total.degraded));
+  std::printf("  ok       %llu\n",
+              static_cast<unsigned long long>(total.ok));
   std::printf("  shed     %llu\n",
               static_cast<unsigned long long>(total.shed));
   std::printf("  error    %llu\n",
@@ -366,13 +351,12 @@ void PrintJson(const Options& opt, const WorkerStats& total,
   std::printf(
       "{\"connections\": %u, \"requests_per_connection\": %u, "
       "\"seed\": %llu, \"elapsed_s\": %.4f, \"qps\": %.1f, "
-      "\"ok\": %llu, \"degraded\": %llu, \"shed\": %llu, "
+      "\"ok\": %llu, \"shed\": %llu, "
       "\"error\": %llu, \"mismatched\": %llu, "
       "\"ok_latency_us\": %s, \"shed_latency_us\": %s",
       opt.connections, opt.requests,
       static_cast<unsigned long long>(opt.seed), elapsed_s, qps,
       static_cast<unsigned long long>(total.ok),
-      static_cast<unsigned long long>(total.degraded),
       static_cast<unsigned long long>(total.shed),
       static_cast<unsigned long long>(total.error),
       static_cast<unsigned long long>(total.mismatched),
@@ -442,12 +426,5 @@ int main(int argc, char** argv) {
   }
   if (hard_failure.load()) return 1;
   if (total.mismatched > 0) return 1;
-  if (opt.require_complete && total.degraded > 0) {
-    std::fprintf(stderr,
-                 "loadgen: %llu degraded response(s) despite "
-                 "--require-complete\n",
-                 static_cast<unsigned long long>(total.degraded));
-    return 1;
-  }
   return 0;
 }
