@@ -110,6 +110,7 @@ class I3Index final : public SpatialKeywordIndex {
   static Result<std::unique_ptr<I3Index>> LoadFrom(const std::string& path,
                                                    I3Options base);
 
+  Rect space() const override { return options_.space; }
   uint64_t DocumentCount() const override { return doc_count_; }
   IndexSizeInfo SizeInfo() const override;
 

@@ -90,6 +90,7 @@ class IrTreeIndex final : public SpatialKeywordIndex {
   Result<std::vector<ScoredDoc>> Search(const Query& q,
                                         double alpha) override;
 
+  Rect space() const override { return options_.space; }
   uint64_t DocumentCount() const override { return docs_.size(); }
   IndexSizeInfo SizeInfo() const override;
   IoStats io_stats() const override { return io_stats_; }

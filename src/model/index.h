@@ -76,6 +76,10 @@ class SpatialKeywordIndex {
   virtual Result<std::vector<ScoredDoc>> Search(const Query& q,
                                                 double alpha) = 0;
 
+  /// \brief The data space: the rectangle whose diagonal normalizes the
+  /// spatial proximity of every score this index returns (model/scorer.h).
+  virtual Rect space() const = 0;
+
   /// \brief Number of indexed documents.
   virtual uint64_t DocumentCount() const = 0;
 

@@ -60,7 +60,9 @@ Result<std::unique_ptr<ReplicaSet>> ReplicaSet::Create(
 ReplicaSet::ReplicaSet(
     std::vector<std::unique_ptr<SpatialKeywordIndex>> replicas,
     ReplicaOps ops, ReplicaSetOptions options)
-    : ops_(std::move(ops)), options_(std::move(options)) {
+    : ops_(std::move(ops)),
+      options_(std::move(options)),
+      space_(replicas[0]->space()) {
   replicas_.reserve(replicas.size());
   for (auto& index : replicas) {
     auto rep = std::make_unique<Replica>();

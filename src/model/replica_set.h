@@ -209,6 +209,9 @@ class ReplicaSet final : public SpatialKeywordIndex {
   Result<std::vector<ScoredDoc>> SearchFailover(const Query& q, double alpha,
                                                 ReplicaSearchReport* report);
 
+  /// Replica 0's data space, read at construction (every replica is
+  /// configured with the same one, and recovery never changes it).
+  Rect space() const override { return space_; }
   uint64_t DocumentCount() const override;
   IndexSizeInfo SizeInfo() const override;
   IoStats io_stats() const override;
@@ -330,6 +333,7 @@ class ReplicaSet final : public SpatialKeywordIndex {
   std::vector<std::unique_ptr<Replica>> replicas_;
   ReplicaOps ops_;
   ReplicaSetOptions options_;
+  Rect space_;
 
   /// Serializes write ordering, the log, and recovery commit points.
   mutable std::mutex op_mutex_;

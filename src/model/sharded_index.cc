@@ -1,6 +1,8 @@
 #include "model/sharded_index.h"
 
 #include <cassert>
+#include <mutex>
+#include <shared_mutex>
 #include <utility>
 
 #include "common/deadline.h"
@@ -8,11 +10,21 @@
 
 namespace i3 {
 
-ShardedIndex::ShardedIndex(
+namespace {
+
+std::unique_ptr<SpatialKeywordIndex> OnlyIndex(
     std::vector<std::unique_ptr<SpatialKeywordIndex>> shards) {
   assert(shards.size() == 1);
-  index_ = std::move(shards[0]);
-  replica_set_ = index_->AsReplicaSet();
+  return std::move(shards[0]);
+}
+
+}  // namespace
+
+ShardedIndex::ShardedIndex(
+    std::vector<std::unique_ptr<SpatialKeywordIndex>> shards)
+    : index_(OnlyIndex(std::move(shards))),
+      replica_set_(index_->AsReplicaSet()),
+      write_log_(index_->space()) {
   // The primary keeps the bare "search", so unreplicated traces and
   // traces where the primary answered look alike.
   const uint32_t replicas =
@@ -25,25 +37,30 @@ ShardedIndex::ShardedIndex(
 
 std::string ShardedIndex::Name() const { return index_->Name(); }
 
+// Every write is logged under the exclusive lock, after the index applied
+// it: a search that reads generation g before it takes the shared lock
+// then sees writes 1..g, so a result tagged g is exact as of a state that
+// includes them (write_log.h). A failed write may have touched pages
+// before it erred, so it logs "anything may have changed".
 Status ShardedIndex::Insert(const SpatialDocument& doc) {
   std::unique_lock lock(mutex_);
   const Status st = index_->Insert(doc);
-  lock.unlock();
-  // Bumped *after* the mutation: a result cached under a generation
-  // captured before its search began is then stale the moment any write
-  // that could have raced that search completes. (Bumping before the
-  // write would let a search started in between carry the new generation
-  // while reading pre-mutation pages.) Failed writes bump too -- they may
-  // have touched pages before erroring.
-  Bump();
+  if (st.ok()) {
+    write_log_.RecordInsert(doc);
+  } else {
+    write_log_.RecordEverything();
+  }
   return st;
 }
 
 Status ShardedIndex::Delete(const SpatialDocument& doc) {
   std::unique_lock lock(mutex_);
   const Status st = index_->Delete(doc);
-  lock.unlock();
-  Bump();  // see Insert
+  if (st.ok()) {
+    write_log_.RecordDelete(doc);
+  } else {
+    write_log_.RecordEverything();
+  }
   return st;
 }
 
@@ -51,9 +68,15 @@ Status ShardedIndex::Update(const SpatialDocument& old_doc,
                             const SpatialDocument& new_doc) {
   std::unique_lock lock(mutex_);
   Status st = index_->Delete(old_doc);
-  if (st.ok()) st = index_->Insert(new_doc);
-  lock.unlock();
-  Bump();  // see Insert
+  if (st.ok()) {
+    write_log_.RecordDelete(old_doc);
+    st = index_->Insert(new_doc);
+  }
+  if (st.ok()) {
+    write_log_.RecordInsert(new_doc);
+  } else {
+    write_log_.RecordEverything();
+  }
   return st;
 }
 
@@ -131,14 +154,12 @@ void ShardedIndex::ResetIoStats() {
 }
 
 void ShardedIndex::ClearCache() {
-  {
-    std::unique_lock lock(mutex_);
-    index_->ClearCache();
-  }
-  // ClearCache is a request for cold behavior: bump the generation so
-  // result caches keyed on it (net/result_cache.h) stop serving answers
-  // computed before the clear as well.
-  Bump();
+  // ClearCache is a request for cold behavior: logged as "anything may
+  // have changed", so result caches stop serving answers computed before
+  // the clear as well.
+  std::unique_lock lock(mutex_);
+  index_->ClearCache();
+  write_log_.RecordEverything();
 }
 
 }  // namespace i3

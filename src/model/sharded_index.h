@@ -3,18 +3,20 @@
 // Serving (net::Server, `spatialkw_cli serve`, bench_serving, e2ebench)
 // needs three things the index interface does not give: a reader-writer
 // lock, so any number of threads may Search while writers take turns; a
-// write generation the result cache keys on; and ReplicaSet failover
-// underneath when the index is replicated. This class is those three
-// things over exactly one index, and nothing else: a search calls the
-// wrapped index and returns its result, and an error from it (every
-// replica down, for a ReplicaSet) is the whole query's error. The paper
-// scales I3 inside one index, by splitting each keyword's postings into
-// quadtree keyword cells (Section 4), so the wrapper partitions nothing.
+// write log (model/write_log.h) whose generation names each write and
+// which the result cache replays to keep answers no write has changed;
+// and ReplicaSet failover underneath when the index is replicated. This
+// class is those three things over exactly one index, and nothing else:
+// a search calls the wrapped index and returns its result, and an error
+// from it (every replica down, for a ReplicaSet) is the whole query's
+// error. The paper scales I3 inside one index, by splitting each
+// keyword's postings into quadtree keyword cells (Section 4), so the
+// wrapper partitions nothing.
 //
-// Locking: one shared_mutex (writers exclusive, searches shared).
-// glibc's shared_mutex prefers readers, so a reader pool that re-acquires
-// it in a tight loop can starve writers; pace readers in write-heavy
-// deployments.
+// Locking: one writer-preferring RwLock (common/rw_lock.h; writers
+// exclusive, searches and stats shared). No path takes its shared side
+// twice: the wrapped index never calls back into the wrapper. Each write
+// is logged under the exclusive lock, after it is applied.
 //
 // Per-request context: Search hands the caller's QueryControl (model/
 // query.h) to the index -- its stats get the index's work counters and
@@ -30,14 +32,14 @@
 #ifndef I3_MODEL_SHARDED_INDEX_H_
 #define I3_MODEL_SHARDED_INDEX_H_
 
-#include <atomic>
 #include <memory>
-#include <shared_mutex>
 #include <string>
 #include <vector>
 
+#include "common/rw_lock.h"
 #include "model/index.h"
 #include "model/replica_set.h"
+#include "model/write_log.h"
 
 namespace i3 {
 
@@ -65,6 +67,7 @@ class ShardedIndex final : public SpatialKeywordIndex {
   Result<std::vector<ScoredDoc>> Search(const Query& q,
                                         double alpha) override;
 
+  Rect space() const override { return index_->space(); }
   uint64_t DocumentCount() const override;
   IndexSizeInfo SizeInfo() const override;
 
@@ -72,16 +75,13 @@ class ShardedIndex final : public SpatialKeywordIndex {
   void ResetIoStats() override;
   void ClearCache() override;
 
-  /// \brief Monotonic index-generation counter: bumped by every Insert,
-  /// Delete, Update and ClearCache (attempted mutations count -- a failed
-  /// write may still have changed pages, so invalidation stays
-  /// conservative). Result caches (net/result_cache.h) tag entries with
-  /// the generation current when their search *started* and serve them
-  /// only while it still matches, so a cached response can never outlive
-  /// a mutation.
-  uint64_t generation() const {
-    return generation_.load(std::memory_order_acquire);
-  }
+  /// \brief The log of every write: its generation() names the latest
+  /// (Insert and Delete produce one, Update two -- its delete, then its
+  /// insert -- and a failed write or ClearCache one that means "anything
+  /// may have changed"). Result caches (net/result_cache.h) tag entries
+  /// with the generation read before their search began and replay the
+  /// log against an entry that is behind.
+  const WriteLog& write_log() const { return write_log_; }
 
   /// The wrapped index (tests/diagnostics); synchronization is the
   /// caller's problem for anything but stats reads.
@@ -91,18 +91,14 @@ class ShardedIndex final : public SpatialKeywordIndex {
   ReplicaSet* replica_set() { return replica_set_; }
 
  private:
-  /// Bumps the generation *after* a write (see Insert).
-  void Bump() { generation_.fetch_add(1, std::memory_order_release); }
-
   std::unique_ptr<SpatialKeywordIndex> index_;
   /// `index_->AsReplicaSet()`, cached at construction so the query path
   /// routes through SearchFailover without a per-query virtual probe.
   ReplicaSet* replica_set_ = nullptr;
   /// Writers exclusive, searches/stats shared.
-  mutable std::shared_mutex mutex_;
-  /// See generation(). fetch_add with release so a reader that observes
-  /// the new generation also observes the mutation's writes.
-  std::atomic<uint64_t> generation_{0};
+  mutable RwLock mutex_;
+  /// Written under mutex_ held exclusively, after each write is applied.
+  WriteLog write_log_;
   /// Trace stage per serving replica: "search" when the primary (or an
   /// unreplicated index) answered, "search.rR" after a failover to R.
   std::vector<std::string> stage_names_;

@@ -42,6 +42,7 @@ double MetricValue(const obs::MetricsSnapshot& snapshot,
   return s == nullptr ? 0.0 : s->value;
 }
 
+/// Leaves the level's object open for the caller to close.
 void AppendCacheLevel(std::ostringstream* os, const char* level,
                       double hits, double misses, double evictions,
                       const char* occupancy_key, double occupancy) {
@@ -51,7 +52,7 @@ void AppendCacheLevel(std::ostringstream* os, const char* level,
       << ", \"misses\": " << static_cast<uint64_t>(misses)
       << ", \"hit_ratio\": " << (lookups > 0 ? hits / lookups : 0.0)
       << ", \"evictions\": " << static_cast<uint64_t>(evictions) << ", \""
-      << occupancy_key << "\": " << static_cast<uint64_t>(occupancy) << "}";
+      << occupancy_key << "\": " << static_cast<uint64_t>(occupancy);
 }
 
 }  // namespace
@@ -114,21 +115,25 @@ std::string CachezJson(const obs::MetricsSnapshot& snapshot,
                    MetricValue(snapshot, "i3_buffer_pool_evictions_total"),
                    "stripes",
                    MetricValue(snapshot, "i3_buffer_pool_stripes"));
-  os << ",\n    ";
+  os << "},\n    ";
   AppendCacheLevel(&os, "cell_cache",
                    MetricValue(snapshot, "i3_cell_cache_hits_total"),
                    MetricValue(snapshot, "i3_cell_cache_misses_total"),
                    MetricValue(snapshot, "i3_cell_cache_evictions_total"),
                    "resident_bytes",
                    MetricValue(snapshot, "i3_cell_cache_bytes"));
-  os << ",\n    ";
+  os << "},\n    ";
   AppendCacheLevel(&os, "result_cache",
                    MetricValue(snapshot, "i3_result_cache_hits_total"),
                    MetricValue(snapshot, "i3_result_cache_misses_total"),
                    MetricValue(snapshot, "i3_result_cache_evictions_total"),
                    "entries",
                    MetricValue(snapshot, "i3_result_cache_entries"));
-  os << "\n  ],\n  \"result_cache_bypass\": "
+  // Hits served after replaying the writes since their entry was cached.
+  os << ", \"replayed_hits\": "
+     << static_cast<uint64_t>(
+            MetricValue(snapshot, "i3_result_cache_replayed_hits_total"))
+     << "}\n  ],\n  \"result_cache_bypass\": "
      << static_cast<uint64_t>(
             MetricValue(snapshot, "i3_result_cache_bypass_total"))
      << ",\n  \"result_cache_stripe_entries\": [";

@@ -19,6 +19,10 @@ ResultCache::ResultCache(ResultCacheOptions options) : options_(options) {
   hits_metric_ =
       reg.GetCounter("i3_result_cache_hits_total",
                      "Search requests answered from cached responses.");
+  replayed_hits_metric_ = reg.GetCounter(
+      "i3_result_cache_replayed_hits_total",
+      "Result-cache hits served after replaying the writes since the "
+      "entry was cached (a subset of i3_result_cache_hits_total).");
   misses_metric_ =
       reg.GetCounter("i3_result_cache_misses_total",
                      "Cacheable search requests that reached the index.");
@@ -57,29 +61,50 @@ std::string ResultCache::KeyOf(const Request& req) {
   return key;
 }
 
-bool ResultCache::Lookup(const std::string& key, uint64_t generation,
-                         Response* out) {
+bool ResultCache::Lookup(const std::string& key, const WriteLog& log,
+                         Response* out, uint64_t* replayed_writes) {
   if (!enabled()) return false;
   Stripe& s = StripeOf(key);
   std::lock_guard<std::mutex> lock(s.mutex);
   auto it = s.index.find(key);
   if (it != s.index.end()) {
     Entry& e = s.entries[it->second];
-    if (e.generation == generation) {
+    uint64_t replayed = 0;
+    if (e.generation == log.generation() || Replay(key, log, &e, &replayed)) {
       e.visited.store(1, std::memory_order_relaxed);
       out->outcome = ResponseOutcome::kOk;
       out->code = StatusCode::kOk;
       out->message.clear();
       out->results = e.results;
       hits_metric_->Increment(1);
+      if (replayed != 0) replayed_hits_metric_->Increment(1);
+      if (replayed_writes != nullptr) *replayed_writes = replayed;
       return true;
     }
-    // Stale: some write completed since this entry's search began.
+    // Stale: a write since this entry's search began can change it.
     EraseEntry(s, it->second);
     evictions_metric_->Increment(1);
   }
   misses_metric_->Increment(1);
   return false;
+}
+
+bool ResultCache::Replay(const std::string& key, const WriteLog& log,
+                         Entry* e, uint64_t* replayed) {
+  // The key is a canonical request frame: its payload decodes back to
+  // the query the entry answers.
+  auto req = DecodeRequest(
+      reinterpret_cast<const uint8_t*>(key.data()) + kFrameHeaderBytes,
+      key.size() - kFrameHeaderBytes);
+  if (!req.ok()) return false;
+  const Request& r = req.ValueOrDie();
+  uint64_t through = 0;
+  if (!log.Replay(r.ToQuery(), r.alpha, e->results, e->generation, &through,
+                  replayed)) {
+    return false;
+  }
+  e->generation = through;
+  return true;
 }
 
 void ResultCache::Insert(const std::string& key, uint64_t generation,

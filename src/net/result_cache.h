@@ -9,13 +9,13 @@
 // responses are ever cached, and a complete top-k is
 // deadline-independent.
 //
-// Invalidation is by index generation: ShardedIndex bumps a monotonic
-// counter after every Insert/Delete/Update, entries are tagged with the
-// generation current when their search *started*, and a lookup serves an
-// entry only while its tag equals the index's current generation -- one
-// write anywhere invalidates everything, which is deliberately coarse
-// (cheap, race-free, and writes are rare next to the repeated-query read
-// traffic this cache exists for).
+// Validation is by write generation (model/write_log.h): entries are
+// tagged with the index generation read before their search *started*.
+// A lookup serves an entry whose tag is current as it is; one whose tag
+// is behind has the writes since replayed against it -- the entry's
+// query is decoded from its key -- and is served, its tag advanced, when
+// none of them can change its top-k. Otherwise it is dropped and the
+// request misses. write_log.h states why a replayed entry is exact.
 //
 // Bounded by entry count with the same striped SIEVE/CLOCK policy as the
 // other levels; requests carrying the wire no_cache flag bypass it.
@@ -32,6 +32,7 @@
 #include <unordered_map>
 #include <vector>
 
+#include "model/write_log.h"
 #include "net/protocol.h"
 #include "obs/metrics.h"
 
@@ -46,7 +47,7 @@ struct ResultCacheOptions {
   size_t stripes = 0;
 };
 
-/// \brief Striped, generation-validated cache of complete search
+/// \brief Striped, write-log-validated cache of complete search
 /// responses, keyed by canonical request bytes. Thread-safe.
 class ResultCache {
  public:
@@ -59,10 +60,13 @@ class ResultCache {
   static std::string KeyOf(const Request& req);
 
   /// \brief Serves the entry at `key` into `out` (outcome kOk, results;
-  /// request_id is the caller's to fill) iff it is
-  /// resident and tagged with `generation`. A stale entry is dropped on
-  /// the spot. Returns hit/miss; counts the corresponding metric.
-  bool Lookup(const std::string& key, uint64_t generation, Response* out);
+  /// request_id is the caller's to fill) iff it is resident and no write
+  /// `log` holds since its tag can change its answer. A stale entry is
+  /// dropped on the spot. Returns hit/miss and counts the corresponding
+  /// metric; on a hit, `*replayed_writes` (optional) receives the number
+  /// of writes replayed (0 for an entry that was current).
+  bool Lookup(const std::string& key, const WriteLog& log, Response* out,
+              uint64_t* replayed_writes = nullptr);
 
   /// \brief Caches `results` under (`key`, `generation`), evicting SIEVE
   /// victims to stay within the entry bound. Only ok results may be
@@ -103,6 +107,12 @@ class ResultCache {
     return *stripes_[std::hash<std::string>{}(key) % stripes_.size()];
   }
 
+  /// Replays `log` from `e`'s tag against its results; on success
+  /// advances the tag to the generation replayed to and counts the writes
+  /// in `*replayed`. Guarded by the entry's stripe mutex.
+  static bool Replay(const std::string& key, const WriteLog& log, Entry* e,
+                     uint64_t* replayed);
+
   /// Evicts one SIEVE victim; false when the stripe is empty. Guarded by
   /// s.mutex.
   bool EvictOne(Stripe& s);
@@ -112,6 +122,7 @@ class ResultCache {
   std::vector<std::unique_ptr<Stripe>> stripes_;
 
   obs::Counter* hits_metric_;
+  obs::Counter* replayed_hits_metric_;
   obs::Counter* misses_metric_;
   obs::Counter* bypass_metric_;
   obs::Counter* evictions_metric_;

@@ -503,6 +503,7 @@ void Server::DispatchRequest(Loop* loop, Connection* conn, Request req,
   now.request_id = req.request_id;
   now.outcome = ResponseOutcome::kShed;
   uint64_t admit_done_ns = 0;
+  uint64_t replayed_writes = 0;
   if (!limiter_.Admit(req.tenant, arrival_ns)) {
     now.message = "tenant rate limit exceeded";
   } else {
@@ -520,7 +521,8 @@ void Server::DispatchRequest(Loop* loop, Connection* conn, Request req,
       }
     }
     if (!cache_key.empty() &&
-        result_cache_.Lookup(cache_key, index_->generation(), &now)) {
+        result_cache_.Lookup(cache_key, index_->write_log(), &now,
+                             &replayed_writes)) {
       // `now` holds the cached answer.
     } else if (loop->pending.size() >= options_.max_queue) {
       now.message = "server overloaded (queue full)";
@@ -559,6 +561,9 @@ void Server::DispatchRequest(Loop* loop, Connection* conn, Request req,
       trace.AddStage("admission", admit_done_ns - arrival_ns);
       trace.AddStage("result_cache", done_ns - admit_done_ns);
       trace.Annotate("result_cache_hit", 1);
+      // How many writes the hit was revalidated across (0: its entry was
+      // current).
+      trace.Annotate("replayed_writes", replayed_writes);
     }
     now.has_trace = true;
     now.trace = BuildWireTrace(trace_id, trace.total_ns, trace);
@@ -812,11 +817,10 @@ void Server::RunBatch(Loop* loop) {
       p.query.control.trace = &trace;
       p.query.control.trace_id = p.trace_id;
     }
-    // Capture the generation BEFORE the search: a mutation completing
-    // mid-search bumps the counter past this value, so the entry we tag
-    // with it can never be served after that mutation (Lookup requires
-    // an exact match against the current generation).
-    const uint64_t generation = index_->generation();
+    // Read the generation BEFORE the search: the answer then reflects
+    // every write up to it, and a lookup replays the writes after it
+    // (model/write_log.h).
+    const uint64_t generation = index_->write_log().generation();
     const uint64_t search_start_ns = obs::NowNanos();
     auto res = index_->Search(p.query, p.request.alpha);
     const uint64_t search_ns = obs::NowNanos() - search_start_ns;

@@ -87,6 +87,7 @@ class S2IIndex final : public SpatialKeywordIndex {
   Result<std::vector<ScoredDoc>> Search(const Query& q,
                                         double alpha) override;
 
+  Rect space() const override { return options_.space; }
   uint64_t DocumentCount() const override { return doc_count_; }
   IndexSizeInfo SizeInfo() const override;
   IoStats io_stats() const override { return io_stats_; }

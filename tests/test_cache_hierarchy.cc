@@ -14,7 +14,6 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <chrono>
 #include <cstdlib>
 #include <memory>
 #include <thread>
@@ -173,10 +172,6 @@ TEST(CacheHierarchyTest, ConcurrentChurnStaysCoherent) {
             index->Search(reader_queries[i % reader_queries.size()], 0.5);
         ASSERT_TRUE(got.ok()) << got.status().ToString();
         ++i;
-        // Paced: the wrapper's one shared_mutex prefers readers, so three
-        // readers re-acquiring it back to back can starve the writers
-        // for minutes on a loaded host.
-        std::this_thread::sleep_for(std::chrono::microseconds(50));
       }
     });
   }

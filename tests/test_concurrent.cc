@@ -287,6 +287,7 @@ class PoisonTermIndex final : public SpatialKeywordIndex {
     }
     return base_->Search(q, alpha);
   }
+  Rect space() const override { return base_->space(); }
   uint64_t DocumentCount() const override { return base_->DocumentCount(); }
   IndexSizeInfo SizeInfo() const override { return base_->SizeInfo(); }
   IoStats io_stats() const override { return base_->io_stats(); }

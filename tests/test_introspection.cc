@@ -735,7 +735,7 @@ TEST_F(IntrospectionTest, EndpointsServeValidJsonUnderTraffic) {
   const HttpResponse cachez = ParseHttp(Get("/cachez"));
   for (const char* key :
        {"\"levels\"", "\"result_cache\"", "\"cell_cache\"",
-        "\"buffer_pool\"", "\"hit_ratio\"",
+        "\"buffer_pool\"", "\"hit_ratio\"", "\"replayed_hits\"",
         "\"result_cache_stripe_entries\""}) {
     EXPECT_NE(cachez.body.find(key), std::string::npos) << key;
   }
