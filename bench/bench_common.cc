@@ -231,6 +231,36 @@ std::string MetricsSnapshotJson(const std::string& indent) {
   return obs::ToJson(obs::MetricsRegistry::Global().Snapshot(), indent);
 }
 
+void GateList::Metric(const char* kind, const std::string& family,
+                      const obs::Labels& labels) {
+  const obs::MetricsSnapshot snap = obs::MetricsRegistry::Global().Snapshot();
+  const obs::MetricSample* s = snap.Find(family, labels);
+  if (s == nullptr) return;
+  std::string name = family;
+  for (size_t i = 0; i < labels.size(); ++i) {
+    name += (i == 0 ? "{" : ",") + labels[i].first + "=" + labels[i].second;
+  }
+  if (!labels.empty()) name += "}";
+  const double value = s->type == obs::MetricType::kHistogram
+                           ? static_cast<double>(s->histogram.count())
+                           : s->value;
+  Add(name, kind, std::to_string(value), "");
+}
+
+std::string GateList::Json() const {
+  std::string out = "[\n";
+  for (size_t i = 0; i < entries_.size(); ++i) {
+    out += "    " + entries_[i] + (i + 1 < entries_.size() ? ",\n" : "\n");
+  }
+  return out + "  ]";
+}
+
+void GateList::Add(const std::string& name, const char* kind,
+                   const std::string& value, const std::string& extra) {
+  entries_.push_back("{\"name\": \"" + prefix_ + name + "\", \"value\": " +
+                     value + ", \"kind\": \"" + kind + "\"" + extra + "}");
+}
+
 void PrintRow(const std::vector<std::string>& cells, int width) {
   for (const auto& c : cells) std::printf("%-*s", width, c.c_str());
   std::printf("\n");

@@ -14,6 +14,7 @@
 #include <cstdint>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/timer.h"
@@ -159,6 +160,52 @@ void DumpMetricsIfRequested(const BenchConfig& cfg);
 /// \brief The global metrics registry as an embeddable JSON object (see
 /// obs::ToJson); `indent` prefixes every line. For BENCH_*.json artifacts.
 std::string MetricsSnapshotJson(const std::string& indent = "");
+
+/// \brief The flat list of gate entries a bench writes under "gates".
+/// tools/check_bench.py compares each with the committed baseline's entry
+/// of the same name, as the baseline's kind says (DESIGN.md section 11):
+/// "exact" must equal the baseline -- or, with a `ref`, this run's entry
+/// named `ref` (a full name) --, "budget" may exceed the baseline by the
+/// checker's regression budget or by `slack`, whichever is larger,
+/// "nonzero" must be above zero, and "record" is printed, never gated.
+/// Every name is prefixed with the list's `prefix`.
+class GateList {
+ public:
+  explicit GateList(std::string prefix) : prefix_(std::move(prefix)) {}
+
+  template <typename T>
+  void Exact(const std::string& name, T value, const std::string& ref = "") {
+    Add(name, "exact", std::to_string(value),
+        ref.empty() ? "" : ", \"ref\": \"" + ref + "\"");
+  }
+  void Budget(const std::string& name, double value, double slack = 0.0) {
+    Add(name, "budget", std::to_string(value),
+        slack > 0 ? ", \"slack\": " + std::to_string(slack) : "");
+  }
+  template <typename T>
+  void Nonzero(const std::string& name, T value) {
+    Add(name, "nonzero", std::to_string(value), "");
+  }
+  template <typename T>
+  void Record(const std::string& name, T value) {
+    Add(name, "record", std::to_string(value), "");
+  }
+  /// A `kind` entry named `family{label=value,...}` holding that metric
+  /// series' value (a histogram's sample count). A series that is not
+  /// registered gets no entry, which the checker reports as missing.
+  void Metric(const char* kind, const std::string& family,
+              const obs::Labels& labels = {});
+
+  /// The entries as a JSON array.
+  std::string Json() const;
+
+ private:
+  void Add(const std::string& name, const char* kind,
+           const std::string& value, const std::string& extra);
+
+  std::string prefix_;
+  std::vector<std::string> entries_;
+};
 
 /// \brief Fixed-width table printing.
 void PrintRow(const std::vector<std::string>& cells, int width = 14);

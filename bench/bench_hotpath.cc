@@ -16,17 +16,17 @@
 //
 // Each results row also carries the search layer's ledger: the work counts
 // candidates_popped, rows_joined and docs_scored per query, summed from
-// each query's QueryStats (deterministic, so tools/check_bench.py gates
-// them exactly on the smoke tier), and "stages", the per-query time and
-// call count of each traced search stage, the minimum over a few traced
-// passes (recorded, not gated).
+// each query's QueryStats, and "stages", the per-query time and call count
+// of each traced search stage, the minimum over a few traced passes.
 //
-// The smoke-tier index build is the write layer's ledger ("smoke_build"):
-// its data-file reads and writes and head-file writes are deterministic
-// and gated exactly; its microseconds per inserted tuple and its counts of
-// rows appended to encoded groups in place and of groups re-encoded from
-// rows are recorded. A --smoke run ends with the index's invariant check
-// (canonical pages, exact free-space map) and exits nonzero on a
+// "gates" is the smoke tier's list of gate entries (GateList), which
+// tools/check_bench.py compares with the committed BENCH_hotpath.json:
+// checksums, work counts and the build's page I/O exact, cold and warm
+// pages per query within budget, the metric series that must have moved
+// nonzero, timings and the build's write-path counters recorded. A full
+// run measures the smoke tier once more for them, so a full run's file is
+// the gate's baseline. The run ends with the smoke index's invariant
+// check (canonical pages, exact free-space map) and exits nonzero on a
 // violation.
 //
 // Flags (on top of the shared bench flags): --smoke (tiny config for CI),
@@ -150,8 +150,9 @@ struct HotpathResult {
 
 /// Traced passes per query set; each stage keeps its fastest pass.
 constexpr int kTracedPasses = 5;
-/// Queries per semantics of the smoke workload.
+/// Queries per semantics and timed passes of the smoke workload.
 constexpr uint32_t kSmokeQueries = 20;
+constexpr uint32_t kSmokeReps = 3;
 
 HotpathResult MeasureSemantics(I3Index* index,
                                const std::vector<Query>& queries,
@@ -208,15 +209,8 @@ HotpathResult MeasureSemantics(I3Index* index,
   return r;
 }
 
-struct SmokeBaseline {
-  const char* semantics;
-  double pages_per_query = 0.0;
-  uint64_t checksum = 0;
-  WorkCounts work;
-};
-
-/// The write layer's ledger: what building the smoke-tier index cost.
-struct SmokeBuild {
+/// The write layer's ledger: what building the index cost.
+struct BuildLedger {
   size_t docs = 0;
   uint64_t tuples = 0;
   uint64_t data_reads = 0;
@@ -238,7 +232,7 @@ uint64_t CounterValue(const char* name) {
 /// time per inserted tuple and its write-path counters in `out`.
 std::unique_ptr<I3Index> BuildWithLedger(const Dataset& ds,
                                          const BenchConfig& cfg,
-                                         SmokeBuild* out) {
+                                         BuildLedger* out) {
   const uint64_t in_place0 = CounterValue("i3_cell_appends_in_place_total");
   const uint64_t reencoded0 = CounterValue("i3_cell_groups_reencoded_total");
   Timer timer;
@@ -259,29 +253,29 @@ std::unique_ptr<I3Index> BuildWithLedger(const Dataset& ds,
   return index;
 }
 
-/// \brief Warm repeated-query figures of the smoke workload: the cache
+/// \brief Warm repeated-query figures of a query set: the cache
 /// hierarchy's own benchmark. One cold pass fills the buffer pool and the
 /// decoded-cell cache, then `reps` timed passes replay the identical
 /// query set. The checksum is folded on every pass and must not move --
 /// a warm cache that changes an answer is a correctness bug, not a perf
 /// win -- and pages_per_query counts device reads during the warm passes
 /// (near zero when the hierarchy holds the working set).
-struct WarmSmoke {
+struct WarmResult {
   const char* semantics;
   double qps = 0.0;
   double pages_per_query = 0.0;
   uint64_t checksum = 0;
 };
 
-WarmSmoke MeasureWarmSmoke(I3Index* index, const std::vector<Query>& queries,
-                           double alpha, uint32_t reps) {
-  WarmSmoke w;
+WarmResult MeasureWarm(I3Index* index, const std::vector<Query>& queries,
+                       double alpha, uint32_t reps) {
+  WarmResult w;
   w.semantics = SemanticsName(queries.front().semantics);
   auto run_set = [&](uint64_t* fold) {
     for (const Query& q : queries) {
       auto res = index->Search(q, alpha);
       if (!res.ok()) {
-        std::fprintf(stderr, "warm smoke search failed: %s\n",
+        std::fprintf(stderr, "warm search failed: %s\n",
                      res.status().ToString().c_str());
         std::abort();
       }
@@ -301,7 +295,7 @@ WarmSmoke MeasureWarmSmoke(I3Index* index, const std::vector<Query>& queries,
       w.checksum = sum;
     } else if (sum != w.checksum) {
       std::fprintf(stderr,
-                   "warm smoke checksum drifted between passes "
+                   "warm checksum drifted between passes "
                    "(%" PRIu64 " != %" PRIu64 "): the cache hierarchy "
                    "changed an answer\n",
                    sum, w.checksum);
@@ -316,42 +310,86 @@ WarmSmoke MeasureWarmSmoke(I3Index* index, const std::vector<Query>& queries,
   return w;
 }
 
-/// \brief Cold-pass figures of the exact workload `--smoke` runs (tier-0
-/// dataset, 20 queries, seed 42). A full run embeds these in its JSON as
-/// "smoke_baseline", which is what tools/check_bench.py compares a CI
-/// smoke run's results against: same tier, same queries, so checksums
-/// must match bit for bit and pages/query may only drift within the
-/// regression budget. Deliberately metrics-silent -- the "obs" snapshot
-/// in the JSON stays a pure tier-1 capture.
-std::vector<SmokeBaseline> MeasureSmokeBaseline(
-    const BenchConfig& cfg, uint32_t num_queries,
-    std::vector<WarmSmoke>* warm_out, SmokeBuild* build) {
-  Dataset ds = MakeTwitter(cfg, /*tier=*/0);
-  auto index = BuildWithLedger(ds, cfg, build);
+/// Everything measured on one dataset tier.
+struct TierRun {
+  std::string dataset;
+  BuildLedger build;
+  std::unique_ptr<I3Index> index;
+  std::vector<HotpathResult> results;
+  std::vector<WarmResult> warm;
+};
+
+/// Builds tier `tier`'s index with its ledger, then measures the hot path
+/// and the warm repeated-query figures of `num_queries` FREQ queries (seed
+/// 42) per semantics.
+TierRun RunTier(const BenchConfig& cfg, int tier, uint32_t num_queries,
+                uint32_t reps) {
+  std::printf("building %s (scale %.2f)...\n", kTwitterNames[tier],
+              cfg.scale);
+  const Dataset ds = MakeTwitter(cfg, tier);
+  TierRun run;
+  run.dataset = ds.name;
+  run.index = BuildWithLedger(ds, cfg, &run.build);
   QueryGenerator qgen(ds);
-  std::vector<SmokeBaseline> out;
   for (Semantics sem : {Semantics::kAnd, Semantics::kOr}) {
     auto queries = qgen.Freq(cfg.default_qn, num_queries, /*k=*/10, sem,
                              /*seed=*/42);
-    SmokeBaseline b;
-    b.semantics = SemanticsName(sem);
-    index->ClearCache();
-    index->ResetIoStats();
-    for (const Query& q : queries) {
-      for (const ScoredDoc& d :
-           SearchCounted(index.get(), q, cfg.default_alpha, &b.work)) {
-        b.checksum += d.doc;
-      }
-    }
-    b.pages_per_query =
-        static_cast<double>(index->io_stats().TotalReads()) / queries.size();
-    out.push_back(b);
-    if (warm_out != nullptr) {
-      warm_out->push_back(MeasureWarmSmoke(index.get(), queries,
-                                           cfg.default_alpha, /*reps=*/5));
-    }
+    run.results.push_back(MeasureSemantics(run.index.get(), queries,
+                                           cfg.default_alpha, reps));
+    run.warm.push_back(MeasureWarm(run.index.get(), queries,
+                                        cfg.default_alpha, /*reps=*/5));
   }
-  return out;
+  return run;
+}
+
+/// The smoke tier's gate entries (see the file comment).
+std::string SmokeGates(const TierRun& run) {
+  GateList g("hotpath.");
+  const double n = kSmokeQueries;
+  for (size_t i = 0; i < run.results.size(); ++i) {
+    const HotpathResult& r = run.results[i];
+    const std::string sem = std::string(r.semantics) + ".";
+    g.Exact(sem + "checksum", r.checksum);
+    g.Budget(sem + "pages_per_query", r.pages_per_query);
+    g.Exact(sem + "candidates_popped", r.work.candidates_popped / n);
+    g.Exact(sem + "rows_joined", r.work.rows_joined / n);
+    g.Exact(sem + "docs_scored", r.work.docs_scored / n);
+    g.Record(sem + "qps", r.qps);
+    g.Record(sem + "p50_us", r.p50_us);
+    g.Record(sem + "p90_us", r.p90_us);
+    g.Record(sem + "p99_us", r.p99_us);
+    g.Record(sem + "max_us", r.max_us);
+    g.Record(sem + "alloc_count_per_query", r.alloc_count_per_query);
+    // Caches may make answers faster, never different; warm pages sit
+    // near zero, so their budget has a half-page absolute slack.
+    const WarmResult& w = run.warm[i];
+    g.Exact("warm." + sem + "checksum", w.checksum,
+            "hotpath." + sem + "checksum");
+    g.Budget("warm." + sem + "pages_per_query", w.pages_per_query, 0.5);
+    g.Record("warm." + sem + "qps", w.qps);
+  }
+  const BuildLedger& b = run.build;
+  g.Exact("build.docs", b.docs);
+  g.Exact("build.tuples", b.tuples);
+  g.Exact("build.data_reads", b.data_reads);
+  g.Exact("build.data_writes", b.data_writes);
+  g.Exact("build.head_writes", b.head_writes);
+  g.Record("build.us_per_tuple", b.us_per_tuple);
+  g.Record("build.appends_in_place", b.appends_in_place);
+  g.Record("build.groups_reencoded", b.groups_reencoded);
+  g.Metric("nonzero", "i3_query_latency_us",
+           {{"index", "I3"}, {"semantics", "and"}});
+  g.Metric("nonzero", "i3_buffer_pool_hits_total");
+  g.Metric("record", "i3_buffer_pool_misses_total");
+  g.Metric("nonzero", "i3_io_pages_total",
+           {{"category", "i3.data"}, {"op", "read"}});
+  g.Metric("nonzero", "i3_search_stat_total",
+           {{"index", "I3"}, {"stat", "cells_skipped"}});
+  g.Metric("nonzero", "i3_search_stat_total",
+           {{"index", "I3"}, {"stat", "blockmax_prunes"}});
+  g.Metric("nonzero", "i3_cell_cache_hits_total");
+  g.Metric("nonzero", "i3_buffer_pool_stripes");
+  return g.Json();
 }
 
 int Main(int argc, char** argv) {
@@ -366,39 +404,17 @@ int Main(int argc, char** argv) {
       reps = static_cast<uint32_t>(std::atoi(argv[i] + 7));
     }
   }
-  const int tier = smoke ? 0 : 1;  // 20K docs (smoke) / 100K docs at scale 1
   const uint32_t num_queries = smoke ? kSmokeQueries : 100;
-  if (reps == 0) reps = smoke ? 3 : 20;
+  if (reps == 0) reps = smoke ? kSmokeReps : 20;
 
-  std::printf("building %s (scale %.2f)...\n", kTwitterNames[tier],
-              cfg.scale);
-  Dataset ds = MakeTwitter(cfg, tier);
-  SmokeBuild build;  // a smoke run's own build is the smoke-tier build
-  auto index = BuildWithLedger(ds, cfg, &build);
-  QueryGenerator qgen(ds);
-
-  std::vector<HotpathResult> results;
-  std::vector<WarmSmoke> warm;
-  for (Semantics sem : {Semantics::kAnd, Semantics::kOr}) {
-    auto queries = qgen.Freq(cfg.default_qn, num_queries, /*k=*/10, sem,
-                             /*seed=*/42);
-    results.push_back(MeasureSemantics(index.get(), queries,
-                                       cfg.default_alpha, reps));
-    // Smoke runs measure the warm repeated-query figures on the smoke
-    // index itself (it IS the smoke-tier workload); full runs measure
-    // them on the separately built smoke-tier index below.
-    if (smoke) {
-      warm.push_back(MeasureWarmSmoke(index.get(), queries,
-                                      cfg.default_alpha, /*reps=*/5));
-    }
-  }
-
+  // 20K docs (smoke) / 100K docs at scale 1.
+  const TierRun run = RunTier(cfg, smoke ? 0 : 1, num_queries, reps);
   PrintRule(9, 11);
   PrintRow({"semantics", "qps", "us/query", "p50us", "p90us", "p99us",
             "B alloc/q", "allocs/q", "pages/q"},
            11);
   PrintRule(9, 11);
-  for (const HotpathResult& r : results) {
+  for (const HotpathResult& r : run.results) {
     PrintRow({r.semantics, Fmt(r.qps, 0), Fmt(r.us_per_query, 1),
               Fmt(r.p50_us, 0), Fmt(r.p90_us, 0), Fmt(r.p99_us, 0),
               Fmt(r.alloc_bytes_per_query, 0),
@@ -406,7 +422,7 @@ int Main(int argc, char** argv) {
              11);
   }
   PrintRule(9, 11);
-  for (const HotpathResult& r : results) {
+  for (const HotpathResult& r : run.results) {
     const double n = num_queries;
     std::printf("%s per query: %.2f candidates popped, %.2f rows joined, "
                 "%.2f docs scored; stage us/calls, min of %d traced passes:",
@@ -417,6 +433,23 @@ int Main(int argc, char** argv) {
                   st.calls / n);
     }
     std::printf("\n");
+  }
+  // The metrics snapshot is the run's own tier, taken before a full run
+  // measures the smoke tier for the gates.
+  const std::string obs_json = MetricsSnapshotJson("  ");
+  TierRun smoke_run;
+  if (!smoke) smoke_run = RunTier(cfg, 0, kSmokeQueries, kSmokeReps);
+  const TierRun& gated = smoke ? run : smoke_run;
+  const BuildLedger& build = gated.build;
+  std::printf("smoke build: %" PRIu64 " tuples, %.2f us/tuple, data r=%"
+              PRIu64 " w=%" PRIu64 ", head w=%" PRIu64 ", %" PRIu64
+              " appends in place, %" PRIu64 " groups re-encoded\n",
+              build.tuples, build.us_per_tuple, build.data_reads,
+              build.data_writes, build.head_writes, build.appends_in_place,
+              build.groups_reencoded);
+  for (const WarmResult& w : gated.warm) {
+    std::printf("warm smoke %s: %.0f qps, %.3f pages/query\n", w.semantics,
+                w.qps, w.pages_per_query);
   }
 
   std::FILE* f = std::fopen(json_path.c_str(), "w");
@@ -432,10 +465,10 @@ int Main(int argc, char** argv) {
                "\"alpha\": %.2f, \"queries\": %u, \"reps\": %u, "
                "\"smoke\": %s},\n"
                "  \"results\": [\n",
-               ds.name.c_str(), ds.docs.size(), cfg.default_qn, cfg.eta,
+               run.dataset.c_str(), run.build.docs, cfg.default_qn, cfg.eta,
                cfg.default_alpha, num_queries, reps, smoke ? "true" : "false");
-  for (size_t i = 0; i < results.size(); ++i) {
-    const HotpathResult& r = results[i];
+  for (size_t i = 0; i < run.results.size(); ++i) {
+    const HotpathResult& r = run.results[i];
     std::fprintf(f,
                  "    {\"semantics\": \"%s\", \"qps\": %.1f, "
                  "\"us_per_query\": %.2f, \"p50_us\": %.0f, "
@@ -454,83 +487,23 @@ int Main(int argc, char** argv) {
                    st.total_ns / 1e3 / num_queries,
                    static_cast<double>(st.calls) / num_queries);
     }
-    std::fprintf(f, "}}%s\n", i + 1 < results.size() ? "," : "");
+    std::fprintf(f, "}}%s\n", i + 1 < run.results.size() ? "," : "");
   }
-  std::fprintf(f, "  ],\n");
-  // Full runs additionally record the smoke-tier workload's cold-pass
-  // figures so the committed BENCH_hotpath.json doubles as the baseline
-  // the CI bench-regression gate (tools/check_bench.py) checks smoke runs
-  // against. The obs snapshot is captured first, so it stays a pure
-  // tier-1 measurement.
-  const std::string obs_json = MetricsSnapshotJson("  ");
-  if (!smoke) {
-    std::printf("measuring smoke baseline (%s)...\n", kTwitterNames[0]);
-    const auto baseline =
-        MeasureSmokeBaseline(cfg, kSmokeQueries, &warm, &build);
-    std::fprintf(f, "  \"smoke_baseline\": [\n");
-    for (size_t i = 0; i < baseline.size(); ++i) {
-      const SmokeBaseline& b = baseline[i];
-      std::fprintf(f,
-                   "    {\"semantics\": \"%s\", \"pages_per_query\": %.2f, "
-                   "\"checksum\": %" PRIu64 ", %s}%s\n",
-                   b.semantics, b.pages_per_query, b.checksum,
-                   WorkJson(b.work, kSmokeQueries).c_str(),
-                   i + 1 < baseline.size() ? "," : "");
-    }
-    std::fprintf(f, "  ],\n");
-  }
-  // Warm repeated-query figures of the smoke workload (same entries in
-  // smoke and full runs, so a smoke candidate gates against a committed
-  // full run): the checksum must equal the cold smoke checksum -- caches
-  // may only make answers faster, never different -- and pages_per_query
-  // bounds device reads once the hierarchy is warm.
-  // The write layer's ledger (smoke-tier build in both kinds of run): the
-  // I/O counts are gated exactly against the committed baseline; the time
-  // per tuple and the write-path counters are a recorded trajectory.
-  std::printf("smoke build: %" PRIu64 " tuples, %.2f us/tuple, data r=%"
-              PRIu64 " w=%" PRIu64 ", head w=%" PRIu64 ", %" PRIu64
-              " appends in place, %" PRIu64 " groups re-encoded\n",
-              build.tuples, build.us_per_tuple, build.data_reads,
-              build.data_writes, build.head_writes, build.appends_in_place,
-              build.groups_reencoded);
-  std::fprintf(f,
-               "  \"smoke_build\": {\"docs\": %zu, \"tuples\": %" PRIu64
-               ", \"data_reads\": %" PRIu64 ", \"data_writes\": %" PRIu64
-               ", \"head_writes\": %" PRIu64 ", \"us_per_tuple\": %.3f"
-               ", \"appends_in_place\": %" PRIu64
-               ", \"groups_reencoded\": %" PRIu64 "},\n",
-               build.docs, build.tuples, build.data_reads, build.data_writes,
-               build.head_writes, build.us_per_tuple, build.appends_in_place,
-               build.groups_reencoded);
-  std::fprintf(f, "  \"warm_smoke\": [\n");
-  for (size_t i = 0; i < warm.size(); ++i) {
-    const WarmSmoke& w = warm[i];
-    std::printf("warm smoke %s: %.0f qps, %.3f pages/query\n", w.semantics,
-                w.qps, w.pages_per_query);
-    std::fprintf(f,
-                 "    {\"semantics\": \"%s\", \"qps\": %.1f, "
-                 "\"pages_per_query\": %.3f, \"checksum\": %" PRIu64 "}%s\n",
-                 w.semantics, w.qps, w.pages_per_query, w.checksum,
-                 i + 1 < warm.size() ? "," : "");
-  }
-  std::fprintf(f, "  ],\n");
   // Process-wide metrics snapshot (query/update histograms, buffer pool,
-  // per-category I/O, search-stat counters) for scrapers and the CI gate.
-  std::fprintf(f, "  \"obs\":\n%s\n}\n", obs_json.c_str());
+  // per-category I/O, search-stat counters) for scrapers.
+  std::fprintf(f, "  ],\n  \"gates\": %s,\n  \"obs\":\n%s\n}\n",
+               SmokeGates(gated).c_str(), obs_json.c_str());
   DumpMetricsIfRequested(cfg);
   std::fclose(f);
   std::printf("wrote %s\n", json_path.c_str());
-  if (smoke) {
-    // After the measurements, so its page reads stay out of them.
-    auto checked = index->CheckInvariants();
-    if (!checked.ok()) {
-      std::fprintf(stderr, "invariant violation: %s\n",
-                   checked.status().ToString().c_str());
-      return 1;
-    }
-    std::printf("invariants: ok (%" PRIu64 " tuples)\n",
-                checked.ValueOrDie());
+  // After the measurements, so its page reads stay out of them.
+  auto checked = gated.index->CheckInvariants();
+  if (!checked.ok()) {
+    std::fprintf(stderr, "invariant violation: %s\n",
+                 checked.status().ToString().c_str());
+    return 1;
   }
+  std::printf("invariants: ok (%" PRIu64 " tuples)\n", checked.ValueOrDie());
   return 0;
 }
 

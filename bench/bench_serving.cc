@@ -5,32 +5,32 @@
 // Differential anchor: the query workload is EXACTLY the hot-path smoke
 // workload (tier-0 Twitter stand-in, 20 queries per semantics, seed 42,
 // k=10), and the doc-id-sum checksum is folded exactly like
-// bench_hotpath's smoke baseline -- so tools/check_bench.py can assert
-// that answers served over the wire are the very answers the committed
-// BENCH_hotpath.json baseline records, across the whole serving stack.
-// Within the run, a second (order- and score-sensitive) checksum proves
-// wire results byte-identical to direct ShardedIndex::Search calls.
+// bench_hotpath's -- so tools/check_bench.py can assert that answers
+// served over the wire are the very answers the hot-path smoke run
+// records, across the whole serving stack. Within the run, a second
+// (order- and score-sensitive) checksum proves wire results
+// byte-identical to direct ShardedIndex::Search calls.
 //
 // Shed phase: a fresh server with a starvation-level default tenant
-// budget takes a burst; the gate requires shed > 0 with zero errors.
-// Throughput/latency figures are recorded for trend-watching but NOT
-// gated (CI timing noise); checksums and outcome counts are noise-free.
+// budget takes a burst, which must shed with zero errors.
 //
 // Observability phase: a fresh server with the slow-query threshold on
-// the floor serves traced requests; the gate requires every response to
-// carry a consistent span timeline, every request to land in the slow
-// log, and the i3_slow_queries_total / i3_net_traced_requests_total /
-// i3_slo_window_* series to exist and move in the "obs" snapshot.
+// the floor serves traced requests; every response must carry a
+// consistent span timeline and every request must land in the slow log.
 //
 // Replication phase: the same workload against a server whose index
 // is a 2-replica ReplicaSet, with the corpus inserted through the
-// replicated write path. Four wire checksums must all be equal --
-// all-healthy cold, warm (result cache), primary-killed cold (every
-// query fails over), and post-recovery cold -- proving failover and
-// online recovery are invisible at the byte level. A full scrub sweep
-// runs with queries in flight to measure scrub overhead (recorded, not
-// gated) and to move the i3_scrub_* / i3_failover_total /
-// i3_replica_recoveries_total series the CI gate requires.
+// replicated write path. Four wire checksums must all equal the
+// unreplicated one -- all-healthy cold, warm (result cache),
+// primary-killed cold (every query fails over), and post-recovery cold --
+// proving failover and online recovery are invisible at the byte level.
+// A full scrub sweep runs with queries in flight to measure scrub
+// overhead and to move the i3_scrub_* series.
+//
+// The JSON's "gates" list (GateList) declares each of these properties as
+// an entry for tools/check_bench.py, with the metric series that must
+// have moved; throughput and latency figures are recorded, never gated
+// (CI timing noise). A --smoke run's file is the gate's serving baseline.
 //
 // Flags (on top of the shared bench flags): --smoke (tiny config for CI),
 // --json=PATH (default BENCH_serving.json), --reps=N.
@@ -68,8 +68,8 @@ struct ServingResult {
   /// byte-identical results.
   uint64_t wire_checksum = 0;
   uint64_t direct_checksum = 0;
-  /// Doc-id sum folded like bench_hotpath's smoke baseline -- comparable
-  /// against the committed BENCH_hotpath.json "smoke_baseline" entry.
+  /// Doc-id sum folded like bench_hotpath's checksum -- comparable with its
+  /// smoke run's.
   uint64_t docsum_checksum = 0;
   /// The wire fold repeated over the timed warm passes, which are served
   /// almost entirely by the server's result cache -- equal to
@@ -287,8 +287,8 @@ ObsPhaseResult MeasureObservability(ShardedIndex* index,
 }
 
 struct ReplicaPhaseResult {
-  /// Wire checksums (order+score-sensitive fold); the gate requires all
-  /// four equal.
+  /// Wire checksums (order+score-sensitive fold), all four equal to the
+  /// unreplicated OR direct checksum.
   uint64_t baseline_checksum = 0;   ///< all replicas healthy, cache off
   uint64_t warm_checksum = 0;       ///< all healthy, result-cache hits
   uint64_t failover_checksum = 0;   ///< primary killed, cache off
@@ -298,8 +298,7 @@ struct ReplicaPhaseResult {
   uint64_t scrub_pages_verified = 0;
   /// Wall time of the online snapshot + catch-up recovery.
   double recover_ms = 0.0;
-  /// p99 of the cold pass with all replicas healthy vs failed-over
-  /// (recorded, not gated -- CI timing noise).
+  /// p99 of the cold pass with all replicas healthy vs failed-over.
   double baseline_p99_us = 0.0;
   double failover_p99_us = 0.0;
   /// Cold-pass qps without / with a concurrent full scrub sweep.
@@ -481,9 +480,8 @@ int Main(int argc, char** argv) {
     }
   }
   const int tier = smoke ? 0 : 1;
-  // The smoke workload mirrors bench_hotpath's smoke baseline exactly
-  // (tier 0, 20 queries, seed 42, k=10) so the docsum checksum is
-  // comparable against the committed BENCH_hotpath.json.
+  // The smoke workload mirrors bench_hotpath's exactly (tier 0, 20
+  // queries, seed 42, k=10), so the docsum checksums are comparable.
   const uint32_t num_queries = smoke ? 20 : 100;
   if (reps == 0) reps = smoke ? 3 : 20;
 
@@ -571,6 +569,68 @@ int Main(int argc, char** argv) {
               replica_phase.recover_ms, replica_phase.scrub_pages_verified,
               replica_phase.qps_quiet, replica_phase.qps_scrubbing);
 
+  // Gate entries (tools/check_bench.py): the wire must serve what the
+  // in-process search returns, and -- the workload being the hot-path
+  // smoke workload -- the answers of the committed hot-path baseline.
+  GateList g("serving.");
+  for (const ServingResult& r : results) {
+    const std::string sem = std::string(r.semantics) + ".";
+    const std::string direct = "serving." + sem + "direct_checksum";
+    g.Record(sem + "direct_checksum", r.direct_checksum);
+    g.Exact(sem + "wire_checksum", r.wire_checksum, direct);
+    g.Exact(sem + "warm_wire_checksum", r.warm_wire_checksum, direct);
+    g.Exact(sem + "docsum_checksum", r.docsum_checksum,
+            "hotpath." + sem + "checksum");
+    g.Record(sem + "qps", r.qps);
+    g.Record(sem + "p50_us", r.p50_us);
+    g.Record(sem + "p99_us", r.p99_us);
+  }
+  g.Exact("shed.sent", shed.sent);
+  g.Exact("shed.answered", shed.ok + shed.shed, "serving.shed.sent");
+  g.Nonzero("shed.shed", shed.shed);
+  g.Exact("shed.error", shed.error);
+  g.Record("shed.ok", shed.ok);
+  g.Record("shed.shed_p50_us", shed.shed_p50_us);
+  g.Record("shed.shed_p99_us", shed.shed_p99_us);
+  const std::string sent = "serving.obs.sent";
+  g.Exact("obs.sent", obs_phase.sent);
+  g.Exact("obs.traced_responses", obs_phase.traced_responses, sent);
+  g.Exact("obs.timeline_consistent", obs_phase.timeline_consistent, sent);
+  g.Exact("obs.slow_recorded", obs_phase.slow_recorded, sent);
+  // The replicated index serves the unreplicated OR answers, bytes and all,
+  // whether healthy, cached, failed over or recovered.
+  const ReplicaPhaseResult& rp = replica_phase;
+  const std::string or_direct = "serving.OR.direct_checksum";
+  g.Exact("replica.baseline_checksum", rp.baseline_checksum, or_direct);
+  g.Exact("replica.warm_checksum", rp.warm_checksum, or_direct);
+  g.Exact("replica.failover_checksum", rp.failover_checksum, or_direct);
+  g.Exact("replica.recovered_checksum", rp.recovered_checksum, or_direct);
+  g.Nonzero("replica.failovers", rp.failovers);
+  g.Nonzero("replica.recoveries", rp.recoveries);
+  g.Nonzero("replica.scrub_pages_verified", rp.scrub_pages_verified);
+  g.Record("replica.recover_ms", rp.recover_ms);
+  g.Record("replica.baseline_p99_us", rp.baseline_p99_us);
+  g.Record("replica.failover_p99_us", rp.failover_p99_us);
+  g.Record("replica.qps_quiet", rp.qps_quiet);
+  g.Record("replica.qps_scrubbing", rp.qps_scrubbing);
+  for (const char* counter :
+       {"i3_requests_shed_total", "i3_result_cache_hits_total",
+        "i3_net_traced_requests_total", "i3_slow_queries_total"}) {
+    g.Metric("nonzero", counter);
+  }
+  g.Metric("nonzero", "i3_net_requests_total", {{"outcome", "ok"}});
+  g.Metric("nonzero", "i3_request_latency_us", {{"outcome", "ok"}});
+  g.Metric("nonzero", "i3_slo_window_requests", {{"tenant", "0"}});
+  g.Metric("record", "i3_net_connections");
+  for (const char* family :
+       {"i3_failover_total", "i3_replica_recoveries_total",
+        "i3_scrub_pages_total", "i3_replica_healthy"}) {
+    g.Metric("nonzero", family, {{"shard", "0"}});
+  }
+  // The bench plants no corruption, so these need only exist.
+  g.Metric("record", "i3_scrub_corrupt_total", {{"shard", "0"}});
+  g.Metric("record", "i3_scrub_healed_total", {{"shard", "0"}});
+
   std::FILE* f = std::fopen(json_path.c_str(), "w");
   if (f == nullptr) {
     std::fprintf(stderr, "cannot open %s\n", json_path.c_str());
@@ -583,58 +643,11 @@ int Main(int argc, char** argv) {
                "  \"config\": {\"k\": 10, \"qn\": %u, \"eta\": %u, "
                "\"alpha\": %.2f, \"queries\": %u, \"reps\": %u, "
                "\"smoke\": %s},\n"
-               "  \"results\": [\n",
+               "  \"gates\": %s,\n"
+               "  \"obs\":\n%s\n}\n",
                ds.name.c_str(), ds.docs.size(), cfg.default_qn, cfg.eta,
                cfg.default_alpha, num_queries, reps,
-               smoke ? "true" : "false");
-  for (size_t i = 0; i < results.size(); ++i) {
-    const ServingResult& r = results[i];
-    std::fprintf(f,
-                 "    {\"semantics\": \"%s\", \"qps\": %.1f, "
-                 "\"p50_us\": %.0f, \"p99_us\": %.0f, "
-                 "\"wire_checksum\": %" PRIu64 ", "
-                 "\"direct_checksum\": %" PRIu64 ", "
-                 "\"docsum_checksum\": %" PRIu64 ", "
-                 "\"warm_wire_checksum\": %" PRIu64 "}%s\n",
-                 r.semantics, r.qps, r.p50_us, r.p99_us, r.wire_checksum,
-                 r.direct_checksum, r.docsum_checksum,
-                 r.warm_wire_checksum, i + 1 < results.size() ? "," : "");
-  }
-  std::fprintf(f,
-               "  ],\n"
-               "  \"shed\": {\"sent\": %" PRIu64 ", \"ok\": %" PRIu64 ", "
-               "\"shed\": %" PRIu64 ", \"error\": %" PRIu64 ", "
-               "\"shed_p50_us\": %.0f, \"shed_p99_us\": %.0f},\n",
-               shed.sent, shed.ok, shed.shed, shed.error, shed.shed_p50_us,
-               shed.shed_p99_us);
-  std::fprintf(f,
-               "  \"obs_phase\": {\"sent\": %" PRIu64
-               ", \"traced_responses\": %" PRIu64
-               ", \"timeline_consistent\": %" PRIu64
-               ", \"slow_recorded\": %" PRIu64 "},\n",
-               obs_phase.sent, obs_phase.traced_responses,
-               obs_phase.timeline_consistent, obs_phase.slow_recorded);
-  std::fprintf(f,
-               "  \"replica_phase\": {\"baseline_checksum\": %" PRIu64
-               ", \"warm_checksum\": %" PRIu64
-               ", \"failover_checksum\": %" PRIu64
-               ", \"recovered_checksum\": %" PRIu64
-               ", \"failovers\": %" PRIu64 ", \"recoveries\": %" PRIu64
-               ", \"scrub_pages_verified\": %" PRIu64
-               ", \"recover_ms\": %.1f, \"baseline_p99_us\": %.0f, "
-               "\"failover_p99_us\": %.0f, \"qps_quiet\": %.0f, "
-               "\"qps_scrubbing\": %.0f},\n",
-               replica_phase.baseline_checksum, replica_phase.warm_checksum,
-               replica_phase.failover_checksum,
-               replica_phase.recovered_checksum, replica_phase.failovers,
-               replica_phase.recoveries, replica_phase.scrub_pages_verified,
-               replica_phase.recover_ms, replica_phase.baseline_p99_us,
-               replica_phase.failover_p99_us, replica_phase.qps_quiet,
-               replica_phase.qps_scrubbing);
-  // Process-wide metrics snapshot: includes the serving families
-  // (i3_net_requests_total, i3_requests_shed_total, i3_request_latency_us,
-  // ...) the CI gate requires to exist and move.
-  std::fprintf(f, "  \"obs\":\n%s\n}\n",
+               smoke ? "true" : "false", g.Json().c_str(),
                MetricsSnapshotJson("  ").c_str());
   DumpMetricsIfRequested(cfg);
   std::fclose(f);

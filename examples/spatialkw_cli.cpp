@@ -415,7 +415,6 @@ int CmdServe(int argc, char** argv) {
     ReplicaSetOptions ropt;
     ropt.replication_factor = replicas;
     ropt.maintenance_interval_ms = scrub_interval_ms;
-    ropt.auto_recover = scrub_interval_ms > 0;
     std::string load_error;
     auto set = ReplicaSet::Create(
         [&prefix, &load_error](uint32_t) -> std::unique_ptr<I3Index> {

@@ -65,16 +65,6 @@ I3Index::I3Index(I3Options options)
   delete_latency_us_ =
       reg.GetHistogram("i3_update_latency_us", "Insert/Delete latency.",
                        {{"index", "I3"}, {"op", "delete"}});
-  cells_skipped_total_ = reg.GetCounter(
-      "i3_cells_skipped_total",
-      "Keyword cells whose deferred page fetch never happened: the "
-      "candidate carrying them died (or the search terminated) first.",
-      {{"index", "I3"}});
-  blockmax_prunes_total_ = reg.GetCounter(
-      "i3_blockmax_prunes_total",
-      "Deferred candidates discarded at pop time because the exact "
-      "re-derived upper bound no longer beats the k-th heap score.",
-      {{"index", "I3"}});
 }
 
 Result<std::unique_ptr<I3Index>> I3Index::Create(I3Options options) {

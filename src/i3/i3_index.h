@@ -247,11 +247,6 @@ class I3Index final : public SpatialKeywordIndex {
   obs::Histogram* search_latency_us_[2];
   obs::Histogram* insert_latency_us_;
   obs::Histogram* delete_latency_us_;
-  // Dedicated series for the block-max pruning counters (the per-stat
-  // i3_search_stat_total family carries them too; these are the names the
-  // bench-regression gate asserts on).
-  obs::Counter* cells_skipped_total_;
-  obs::Counter* blockmax_prunes_total_;
   SearchStatsEmitter stats_emitter_;
 };
 

@@ -632,12 +632,6 @@ Result<std::vector<ScoredDoc>> I3Index::Search(const Query& q_in,
       (obs::NowNanos() - start_ns) / 1000);
   const SearchStatsView view = View(stats);
   stats_emitter_.Emit(view);
-  if (stats.cells_skipped != 0) {
-    cells_skipped_total_->Increment(stats.cells_skipped);
-  }
-  if (stats.blockmax_prunes != 0) {
-    blockmax_prunes_total_->Increment(stats.blockmax_prunes);
-  }
   if (q_in.control.stats != nullptr) q_in.control.stats->work.Add(view);
   // Time this query lost to transient-read retry backoff (buffer pool).
   if (trace != nullptr && backoff_ns != 0) {

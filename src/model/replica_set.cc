@@ -13,10 +13,12 @@ namespace i3 {
 
 namespace {
 
-/// Fixed label order for all replica metric families.
-obs::Labels ShardLabels(uint32_t shard) {
-  return {{"shard", std::to_string(shard)}};
-}
+/// The set's shard number, in its metric labels, /healthz and snapshot
+/// file names: the serving wrapper holds one index, so it is shard 0.
+constexpr uint32_t kShard = 0;
+/// Snapshot-recovery attempts (each from the then-healthiest source)
+/// before RecoverReplica gives up.
+constexpr uint32_t kMaxSnapshotAttempts = 3;
 
 }  // namespace
 
@@ -72,7 +74,7 @@ ReplicaSet::ReplicaSet(
   }
 
   obs::MetricsRegistry& reg = obs::MetricsRegistry::Global();
-  const obs::Labels shard_labels = ShardLabels(options_.shard);
+  const obs::Labels shard_labels = {{"shard", std::to_string(kShard)}};
   failover_metric_ = reg.GetCounter(
       "i3_failover_total",
       "Reads served by a non-primary replica after the primary failed.",
@@ -173,14 +175,19 @@ Status ReplicaSet::Replicate(Op op) {
     Replica& rep = *replicas_[r];
     if (replica_state(r) != ReplicaState::kHealthy) continue;
     Status st;
+    bool applied = false;
     {
       std::unique_lock<std::shared_mutex> lock(rep.mutex);
       st = ApplyOp(*rep.index, op);
-    }
-    if (st.ok() || !IsStorageFailure(st)) {
       // A logical failure still advances the watermark: replaying this op
       // during catch-up reproduces the same (non-)effect deterministically.
-      rep.watermark.store(op.seq, std::memory_order_release);
+      // The store stays inside the exclusive section: a snapshot reading
+      // the watermark under the shared side must never see this op in the
+      // image but not in the watermark, or catch-up applies it twice.
+      applied = st.ok() || !IsStorageFailure(st);
+      if (applied) rep.watermark.store(op.seq, std::memory_order_release);
+    }
+    if (applied) {
       if (!applied_anywhere) {
         applied_anywhere = true;
         first_outcome = st;
@@ -224,44 +231,42 @@ Status ReplicaSet::Update(const SpatialDocument& old_doc,
 
 Result<std::vector<ScoredDoc>> ReplicaSet::Search(const Query& q,
                                                   double alpha) {
-  return SearchFailover(q, alpha, nullptr);
-}
-
-Result<std::vector<ScoredDoc>> ReplicaSet::SearchFailover(
-    const Query& q, double alpha, ReplicaSearchReport* report) {
   Status first_error;
-  uint32_t attempts = 0;
-  for (uint32_t r = 0; r < replicas_.size(); ++r) {
-    Replica& rep = *replicas_[r];
-    if (replica_state(r) != ReplicaState::kHealthy) continue;
-    ++attempts;
-    Result<std::vector<ScoredDoc>> res = [&]() {
-      std::shared_lock<std::shared_mutex> lock(rep.mutex);
-      return rep.index->Search(q, alpha);
-    }();
-    if (res.ok()) {
-      const bool failed_over = (r != 0);
-      if (failed_over) {
-        failovers_.fetch_add(1, std::memory_order_relaxed);
-        failover_metric_->Increment();
+  bool tried = false;
+  // The first pass reads replica states without a lock, so it can race a
+  // handover -- a recovery flipping replica A healthy, then a kill of
+  // replica B -- and see A before and B after: no healthy replica, though
+  // one was healthy throughout (KillReplica refuses the last). Both
+  // transitions run under op_mutex_; a second pass holding it cannot race.
+  for (int pass = 0; pass < 2 && !tried; ++pass) {
+    std::unique_lock<std::mutex> op_lock(op_mutex_, std::defer_lock);
+    if (pass == 1) op_lock.lock();
+    for (uint32_t r = 0; r < replicas_.size(); ++r) {
+      Replica& rep = *replicas_[r];
+      if (replica_state(r) != ReplicaState::kHealthy) continue;
+      tried = true;
+      Result<std::vector<ScoredDoc>> res = [&]() {
+        std::shared_lock<std::shared_mutex> lock(rep.mutex);
+        return rep.index->Search(q, alpha);
+      }();
+      if (res.ok()) {
+        const bool failed_over = (r != 0);
+        if (failed_over) {
+          failovers_.fetch_add(1, std::memory_order_relaxed);
+          failover_metric_->Increment();
+        }
+        if (q.control.stats != nullptr) {
+          q.control.stats->served_replica = r;
+          q.control.stats->failed_over = failed_over;
+        }
+        return res;
       }
-      if (report != nullptr) {
-        report->served_replica = r;
-        report->attempts = attempts;
-        report->failed_over = failed_over;
-      }
-      return res;
+      // Any per-replica failure -- storage error, deadline blown mid-read
+      // -- is re-issued to the next healthy replica; the first failure is
+      // kept in case all of them fall over.
+      rep.read_failures.fetch_add(1, std::memory_order_relaxed);
+      if (first_error.ok()) first_error = res.status();
     }
-    // Any per-replica failure -- storage error, deadline blown mid-read --
-    // is re-issued to the next healthy replica; the first failure is kept
-    // in case all of them fall over.
-    rep.read_failures.fetch_add(1, std::memory_order_relaxed);
-    if (first_error.ok()) first_error = res.status();
-  }
-  if (report != nullptr) {
-    report->served_replica = 0;
-    report->attempts = attempts;
-    report->failed_over = false;
   }
   if (!first_error.ok()) return first_error;
   return Status::ResourceExhausted(
@@ -350,19 +355,14 @@ uint32_t ReplicaSet::PickHealthySource(uint32_t exclude) const {
 
 std::string ReplicaSet::SnapshotPath(uint32_t r) {
   std::error_code ec;
-  std::string dir = options_.snapshot_dir;
-  if (dir.empty()) {
-    dir = std::filesystem::temp_directory_path(ec).string();
-    if (ec) dir = ".";
-  } else {
-    std::filesystem::create_directories(dir, ec);
-  }
+  std::string dir = std::filesystem::temp_directory_path(ec).string();
+  if (ec) dir = ".";
   // Shard, replica and counter are only unique within this object, and
   // `this` only within this process: processes started alike (ctest -j, or
   // any sanitizer runtime with a fixed heap layout) reuse the same heap
   // addresses. The process id separates them.
   std::ostringstream name;
-  name << dir << "/i3_snap_shard" << options_.shard << "_r" << r << "_"
+  name << dir << "/i3_snap_shard" << kShard << "_r" << r << "_"
        << snapshot_seq_.fetch_add(1, std::memory_order_relaxed) << "_"
        << ::getpid() << "_" << std::hex
        << reinterpret_cast<uintptr_t>(this) << ".i3";
@@ -461,8 +461,7 @@ Status ReplicaSet::RecoverReplica(uint32_t r) {
   rep.state.store(static_cast<int>(ReplicaState::kRecovering),
                   std::memory_order_release);
   Status last_error;
-  for (uint32_t attempt = 0; attempt < options_.max_snapshot_attempts;
-       ++attempt) {
+  for (uint32_t attempt = 0; attempt < kMaxSnapshotAttempts; ++attempt) {
     const uint32_t source = PickHealthySource(r);
     if (source == UINT32_MAX) {
       MarkFailed(r, "no healthy snapshot source");
@@ -571,7 +570,7 @@ Status ReplicaSet::ScrubTick() {
 
 ReplicaSetStatus ReplicaSet::GetStatus() const {
   ReplicaSetStatus status;
-  status.shard = options_.shard;
+  status.shard = kShard;
   status.replicated = replicas_.size() > 1;
   status.log_head = log_head_.load(std::memory_order_acquire);
   status.scrub_pages_verified =
@@ -621,11 +620,9 @@ void ReplicaSet::MaintenanceLoop() {
     maintenance_cv_.wait_for(lk, interval, [this] { return stopping_; });
     if (stopping_) break;
     lk.unlock();
-    if (options_.auto_recover) {
-      // Best effort: a failed recovery leaves the replica failed and the
-      // next tick tries again (the chaos suites assert convergence).
-      (void)RecoverAll();
-    }
+    // Best effort: a failed recovery leaves the replica failed and the
+    // next tick tries again (the chaos suites assert convergence).
+    (void)RecoverAll();
     (void)ScrubTick();
     lk.lock();
   }

@@ -34,8 +34,10 @@
 //     before a query ever trips over it.
 //
 // Locking: per-replica shared_mutex (searches shared; writes, heals, and
-// index swaps exclusive) plus one op mutex serializing write ordering and
-// the log. Lock order is always op mutex -> replica mutex; background
+// index swaps exclusive) plus one op mutex serializing write ordering,
+// the log, kills and recovery's commit (a search that finds no healthy
+// replica rescans under it). Lock order is always op mutex -> replica
+// mutex; background
 // threads (scrub, auto-recovery) take replica locks only, so they
 // interleave with queries and writers without deadlock. The set is fully
 // internally synchronized -- searches run concurrently, and the
@@ -121,21 +123,13 @@ struct ReplicaSetOptions {
   /// Replication-log bound: ops a recovering replica may lag before
   /// catch-up falls back to a fresh snapshot.
   size_t max_log_ops = 4096;
-  /// Snapshot-recovery attempts (each from the then-healthiest source)
-  /// before RecoverReplica gives up.
-  uint32_t max_snapshot_attempts = 3;
-  /// Directory for snapshot payloads; empty uses the system temp dir.
-  std::string snapshot_dir;
   /// Pages each replica verifies per ScrubTick.
   uint32_t scrub_pages_per_tick = 8;
   /// Background maintenance cadence: every `maintenance_interval_ms` the
-  /// set runs one ScrubTick and (with auto_recover) retries recovery of
-  /// failed replicas. 0 disables the thread -- callers drive ScrubTick /
-  /// RecoverReplica explicitly (the deterministic mode tests use).
+  /// set retries recovery of failed replicas and runs one ScrubTick. 0
+  /// disables the thread -- callers drive ScrubTick / RecoverReplica
+  /// explicitly (the deterministic mode tests use).
   uint32_t maintenance_interval_ms = 0;
-  bool auto_recover = false;
-  /// Shard number, for metric labels and snapshot file names.
-  uint32_t shard = 0;
 };
 
 /// \brief Health/progress snapshot of one replica.
@@ -164,17 +158,6 @@ struct ReplicaSetStatus {
   std::vector<ReplicaStatus> replicas;
 };
 
-/// \brief Which replica answered a failover read.
-struct ReplicaSearchReport {
-  /// Replica index that served the result.
-  uint32_t served_replica = 0;
-  /// Replicas tried (1 = primary answered directly).
-  uint32_t attempts = 0;
-  /// True when a non-primary replica served (replica 0 failed or was
-  /// unhealthy).
-  bool failed_over = false;
-};
-
 /// \brief R byte-identical replicas of one index behind one
 /// SpatialKeywordIndex. See the file comment for the protocol.
 class ReplicaSet final : public SpatialKeywordIndex {
@@ -199,15 +182,12 @@ class ReplicaSet final : public SpatialKeywordIndex {
   Status Update(const SpatialDocument& old_doc,
                 const SpatialDocument& new_doc) override;
 
+  /// \brief Tries healthy replicas in ascending order, re-issuing on any
+  /// per-replica failure, and writes which replica served and whether that
+  /// was a failover into q.control.stats (when set). All replicas
+  /// exhausted => the first failure's status.
   Result<std::vector<ScoredDoc>> Search(const Query& q,
                                         double alpha) override;
-
-  /// \brief Search with failover bookkeeping: tries healthy replicas in
-  /// ascending order, re-issuing on any per-replica failure; `report`
-  /// (optional) receives which replica served and whether that was a
-  /// failover. All replicas exhausted => the first failure's status.
-  Result<std::vector<ScoredDoc>> SearchFailover(const Query& q, double alpha,
-                                                ReplicaSearchReport* report);
 
   /// Replica 0's data space, read at construction (every replica is
   /// configured with the same one, and recovery never changes it).
@@ -269,8 +249,9 @@ class ReplicaSet final : public SpatialKeywordIndex {
     /// Searches shared; writes, heals, and index swaps exclusive.
     mutable std::shared_mutex mutex;
     std::atomic<int> state{static_cast<int>(ReplicaState::kHealthy)};
-    /// Last op sequence applied (written under mutex; read lock-free by
-    /// status reporting).
+    /// Last op sequence applied (written under mutex held exclusively,
+    /// with the op, so a snapshot taken under the shared side pairs an
+    /// image with its own watermark; read lock-free by status reporting).
     std::atomic<uint64_t> watermark{0};
     std::atomic<uint64_t> read_failures{0};
     std::atomic<uint64_t> write_failures{0};

@@ -1,5 +1,6 @@
 #include "model/sharded_index.h"
 
+#include <algorithm>
 #include <cassert>
 #include <mutex>
 #include <shared_mutex>
@@ -22,13 +23,11 @@ std::unique_ptr<SpatialKeywordIndex> OnlyIndex(
 
 ShardedIndex::ShardedIndex(
     std::vector<std::unique_ptr<SpatialKeywordIndex>> shards)
-    : index_(OnlyIndex(std::move(shards))),
-      replica_set_(index_->AsReplicaSet()),
-      write_log_(index_->space()) {
+    : index_(OnlyIndex(std::move(shards))), write_log_(index_->space()) {
   // The primary keeps the bare "search", so unreplicated traces and
   // traces where the primary answered look alike.
-  const uint32_t replicas =
-      replica_set_ != nullptr ? replica_set_->replication_factor() : 1;
+  const ReplicaSet* set = index_->AsReplicaSet();
+  const uint32_t replicas = set != nullptr ? set->replication_factor() : 1;
   stage_names_.push_back("search");
   for (uint32_t r = 1; r < replicas; ++r) {
     stage_names_.push_back("search.r" + std::to_string(r));
@@ -104,26 +103,22 @@ Result<std::vector<ScoredDoc>> ShardedIndex::Search(const Query& q,
   inner.control.stats = stats;
   inner.control.nested = true;
 
+  // A ReplicaSet writes the replica that answered; any other index leaves
+  // the primary's zero.
+  stats->served_replica = 0;
+  stats->failed_over = false;
+
   const uint64_t t0 = trace != nullptr ? obs::NowNanos() : 0;
-  ReplicaSearchReport report;
   std::shared_lock lock(mutex_);
   // A replicated index handles its own retry: a failed (or deadline-blown)
   // primary read is re-issued to a healthy follower, so an error here
   // means every replica failed.
-  Result<std::vector<ScoredDoc>> result =
-      replica_set_ != nullptr
-          ? replica_set_->SearchFailover(inner, alpha, &report)
-          : index_->Search(inner, alpha);
+  Result<std::vector<ScoredDoc>> result = index_->Search(inner, alpha);
   lock.unlock();
   if (trace != nullptr) {
-    const size_t r = report.served_replica < stage_names_.size()
-                         ? report.served_replica
-                         : stage_names_.size() - 1;
+    const size_t r =
+        std::min<size_t>(stats->served_replica, stage_names_.size() - 1);
     trace->AddStage(stage_names_[r], obs::NowNanos() - t0);
-  }
-  if (result.ok()) {
-    stats->served_replica = report.served_replica;
-    stats->failed_over = report.failed_over;
   }
   if (owns_trace) {
     stats->AnnotateTrace(trace);

@@ -61,8 +61,8 @@ class ShardedIndex final : public SpatialKeywordIndex {
   Status Update(const SpatialDocument& old_doc,
                 const SpatialDocument& new_doc) override;
 
-  /// \brief Searches the index under the shared lock, through
-  /// SearchFailover for a ReplicaSet, reporting to q.control.stats. An
+  /// \brief Searches the index under the shared lock, reporting to
+  /// q.control.stats (a ReplicaSet adds the replica that answered). An
   /// already-expired deadline fails before the index is called.
   Result<std::vector<ScoredDoc>> Search(const Query& q,
                                         double alpha) override;
@@ -88,13 +88,10 @@ class ShardedIndex final : public SpatialKeywordIndex {
   SpatialKeywordIndex* shard() { return index_.get(); }
 
   /// The wrapped index as a ReplicaSet, or nullptr when unreplicated.
-  ReplicaSet* replica_set() { return replica_set_; }
+  ReplicaSet* replica_set() { return index_->AsReplicaSet(); }
 
  private:
   std::unique_ptr<SpatialKeywordIndex> index_;
-  /// `index_->AsReplicaSet()`, cached at construction so the query path
-  /// routes through SearchFailover without a per-query virtual probe.
-  ReplicaSet* replica_set_ = nullptr;
   /// Writers exclusive, searches/stats shared.
   mutable RwLock mutex_;
   /// Written under mutex_ held exclusively, after each write is applied.

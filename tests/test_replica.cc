@@ -273,11 +273,13 @@ TEST(ReplicaSetTest, FailoverServesByteIdenticalResults) {
   ASSERT_TRUE(rig.set->KillReplica(0).ok());
   EXPECT_EQ(rig.set->replica_state(0), ReplicaState::kFailed);
 
-  ReplicaSearchReport report;
-  auto after = rig.set->SearchFailover(q, 0.5, &report);
+  QueryStats stats;
+  Query counted = q;
+  counted.control.stats = &stats;
+  auto after = rig.set->Search(counted, 0.5);
   ASSERT_TRUE(after.ok()) << after.status().ToString();
-  EXPECT_EQ(report.served_replica, 1u);
-  EXPECT_TRUE(report.failed_over);
+  EXPECT_EQ(stats.served_replica, 1u);
+  EXPECT_TRUE(stats.failed_over);
   ExpectIdentical(after.ValueOrDie(), before.ValueOrDie(), "failover");
   EXPECT_EQ(rig.set->GetStatus().failovers, 1u);
 }
@@ -298,15 +300,17 @@ TEST(ReplicaSetTest, OrganicReadFailureFailsOverWithoutDemoting) {
   // an operator decides its fate).
   rig.injectors[0]->set_fail_all(true);
   rig.set->ClearCache();
-  ReplicaSearchReport report;
-  auto after = rig.set->SearchFailover(q, 0.5, &report);
+  QueryStats stats;
+  Query counted = q;
+  counted.control.stats = &stats;
+  auto after = rig.set->Search(counted, 0.5);
   ASSERT_TRUE(after.ok()) << after.status().ToString();
-  EXPECT_EQ(report.served_replica, 1u);
-  EXPECT_EQ(report.attempts, 2u);
-  EXPECT_TRUE(report.failed_over);
+  EXPECT_EQ(stats.served_replica, 1u);
+  EXPECT_TRUE(stats.failed_over);
   ExpectIdentical(after.ValueOrDie(), before.ValueOrDie(), "organic");
   EXPECT_EQ(rig.set->replica_state(0), ReplicaState::kHealthy);
-  EXPECT_GE(rig.set->GetStatus().replicas[0].read_failures, 1u);
+  // Two attempts: the primary's read failed once, then replica 1 answered.
+  EXPECT_EQ(rig.set->GetStatus().replicas[0].read_failures, 1u);
 
   // Both replicas failing is an error, not an empty result.
   rig.injectors[1]->set_fail_all(true);

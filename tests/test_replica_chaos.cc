@@ -322,9 +322,7 @@ TEST(ReplicaChaosTest, ConcurrentScrubQueryRewriteAndRecoveryIsClean) {
   std::thread reader([&] {
     size_t i = 0;
     while (!stop.load()) {
-      ReplicaSearchReport report;
-      auto res =
-          rig.set->SearchFailover(queries[i % queries.size()], 0.5, &report);
+      auto res = rig.set->Search(queries[i % queries.size()], 0.5);
       // During a kill/recover window one replica is out; the query must
       // still be served by the survivor (never an error: the recovery
       // machinery may not take the last healthy replica down).
@@ -462,7 +460,6 @@ TEST(ReplicaChaosTest, MaintenanceThreadAutoRecoversAKilledReplica) {
   ReplicaSetOptions opt;
   opt.replication_factor = 2;
   opt.maintenance_interval_ms = 5;
-  opt.auto_recover = true;
   InitReplicaRig(&rig, opt);
   for (const auto& d : MakeCorpus(ChaosCorpus(), 51)) {
     ASSERT_TRUE(rig.set->Insert(d).ok());
