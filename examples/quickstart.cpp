@@ -17,8 +17,9 @@ int main() {
   // The data space. The paper's example is abstract; we use a unit square.
   I3Options options;
   options.space = {0.0, 0.0, 10.0, 10.0};
-  options.page_size = 128;  // tiny pages (4 tuples) so the example actually
-                            // exercises dense-cell splits, like Figure 2
+  // The default 4KB pages hold each keyword's tuples in one keyword cell,
+  // so this index builds no summary nodes; dense-cell splits (Figure 2)
+  // need more documents per keyword than one page holds.
   I3Index index(options);
 
   // Keywords are interned through a Vocabulary; indexes work on TermIds.

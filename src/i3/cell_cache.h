@@ -36,7 +36,7 @@
 namespace i3 {
 
 /// \brief Read-only columnar image of one keyword cell: `n` rows of four
-/// parallel arrays in slot order (not necessarily doc-id order), all
+/// parallel arrays in row order (not necessarily doc-id order), all
 /// carrying term `term` -- kInvalidTermId when the rows mix term ids.
 struct CellColumns {
   uint32_t term = 0;

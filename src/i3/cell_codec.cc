@@ -70,7 +70,7 @@ uint32_t QuantizeQ16(float w, float w_min, float w_step) {
 }
 
 /// True when `w` survives the 16-bit round trip bit for bit (the search
-/// path must replay v1 scores).
+/// path must score the inserted weights exactly).
 bool Q16Exact(float w, float w_min, float w_step) {
   const float q = static_cast<float>(QuantizeQ16(w, w_min, w_step));
   return w_min + q * w_step == w;
@@ -386,13 +386,26 @@ struct Directory {
   }
 };
 
+/// True for a page never written: all zero, and at least a header long.
+/// It reads as an empty page. A shorter buffer, or a zero header over a
+/// nonzero body, is damage.
+bool IsZeroPage(const uint8_t* page, size_t page_size) {
+  return page_size >= kV2PageHeaderBytes && page[0] == 0 &&
+         std::memcmp(page, page + 1, page_size - 1) == 0;
+}
+
 /// Validates the header and every directory offset of `page` before any of
 /// them is trusted -- groups must sit back to back from the end of the
 /// directory to `used`, in directory order, and `used` within the page --
-/// and locates the group of `source`. Damage returns Corruption.
+/// and locates the group of `source`. A zero page reads as the empty
+/// directory. Damage returns Corruption.
 Status ReadDirectory(const uint8_t* page, size_t page_size, uint32_t source,
                      Directory* d) {
   if (!IsV2Page(page, page_size)) {
+    if (IsZeroPage(page, page_size)) {
+      *d = Directory{};
+      return Status::OK();
+    }
     return Status::Corruption("splice of a page that is not v2");
   }
   d->page = page;
@@ -697,6 +710,7 @@ Result<size_t> AddGroup(const uint8_t* page, size_t page_size,
 
 Result<uint32_t> GroupCount(const uint8_t* page, size_t page_size) {
   if (!IsV2Page(page, page_size)) {
+    if (IsZeroPage(page, page_size)) return 0u;
     return Status::Corruption("not a v2 page");
   }
   const uint32_t gc = LoadLe<uint16_t>(page + 6);

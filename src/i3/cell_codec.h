@@ -1,10 +1,12 @@
-// The v2 compressed keyword-cell page encoding and its block decoder.
+// The v2 compressed keyword-cell page encoding and its block decoder: the
+// one format of every I3 data-file page.
 //
 // Motivation (Navarro & Valenzuela; Hon/Shah/Thankachan, PAPERS.md): most
 // of the I3 query cost is page reads whose tuples never enter the top-k
-// heap. Packing several times more tuples into each 4KB page shrinks the
-// data file -- and with it the cold-cache pages/query figure the paper
-// reports -- without changing a single byte of any answer.
+// heap. Packing several times more tuples into each 4KB page than the
+// paper's P/B = 128 fixed 32-byte slots shrinks the data file -- and with
+// it the cold-cache pages/query figure the paper reports -- without
+// changing a single byte of any answer.
 //
 // A v2 page groups its tuples by keyword cell (source id) and encodes each
 // group column-wise. Every transform is *lossless*: doc ids are offsets
@@ -14,9 +16,7 @@
 // stored as the XOR of each double against the group's first tuple,
 // truncated to the bytes that actually differ -- tuples of one keyword cell
 // are spatially close, so their doubles share sign/exponent/high-mantissa
-// bytes. Within-group tuple order is the original slot order, so a v2 page
-// replays the exact visit sequence of its v1 counterpart and search results
-// are byte-identical.
+// bytes. Within-group tuple order is insertion order.
 //
 // Page layout (little-endian; all offsets from the page start):
 //
@@ -44,10 +44,8 @@
 // surfaces as Status::Corruption, never as out-of-bounds reads -- because
 // with checksums disabled this is the only line of defense.
 //
-// A v1 page is recognized by the absence of the magic (v1 slot 0 starts
-// with a source id, allocated sequentially from 1 and nowhere near the
-// magic value), so v1 and v2 pages coexist in one file and old indexes
-// stay readable with compression enabled.
+// A page never written is all zero and reads as an empty page (no magic,
+// no groups); any other page without the magic is Corruption.
 
 #ifndef I3_I3_CELL_CODEC_H_
 #define I3_I3_CELL_CODEC_H_
@@ -79,17 +77,15 @@ constexpr size_t kV2MaxTupleBytes = 24;
 /// \brief Upper bound on the bytes a *new* group of `n` tuples adds to a
 /// page (directory entry + group header + worst-case payload). Used by
 /// placement: a page whose free-byte count covers this bound is guaranteed
-/// to accept the cell, so FindPageWithFreeSlots keeps its v1 contract.
+/// to accept the cell without a trial encode.
 inline size_t NewCellUpperBoundBytes(size_t n) {
   return kV2DirEntryBytes + kV2MaxGroupHeaderBytes + n * kV2MaxTupleBytes;
 }
 
-/// \brief Smallest page size the v2 encoding is used for. Maintenance
-/// needs a fresh page to always hold one relocated or spilled cell of up
-/// to capacity + 1 = P/32 + 1 tuples, i.e. NewCellUpperBoundBytes(P/32+1)
-/// = 76 + 0.75 P <= P - 12, which holds from P = 352; below that (tiny
-/// pages appear only in tests) the data file silently stays v1 -- the two
-/// formats return identical results anyway.
+/// \brief Smallest page size of an I3 data file; smaller sizes are
+/// refused. A group costs 56 bytes of page header, directory entry and
+/// group header before its first row, so smaller pages would hold only a
+/// handful of tuples per keyword cell.
 constexpr size_t kV2MinPageSize = 512;
 
 /// \brief Subset-stable one-page envelope of a keyword cell: an upper
@@ -106,7 +102,8 @@ size_t CellEnvelopeBytes(const SpatialTuple* tuples, size_t n);
 /// Columnar form of the envelope (rows in slot order).
 size_t CellEnvelopeBytes(const CellColumns& cell);
 
-/// True if the page bytes carry the v2 magic + version.
+/// True if the page bytes carry the v2 magic + version (false for a zero
+/// page, which the read and splice paths treat as empty).
 bool IsV2Page(const uint8_t* page, size_t page_size);
 
 // ------------------------------------------------------------- write path
@@ -132,10 +129,10 @@ size_t EncodedPageSize(const StoredTuple* slots, size_t n);
 Result<size_t> EncodePage(const StoredTuple* slots, size_t n, uint8_t* out,
                           size_t page_size);
 
-/// \brief Writes v2 page `page` into `out` (page_size bytes, not aliasing
-/// `page`) with the group of `source` replaced by the rows `cell`, in
-/// place: `cell.n == 0` drops the group, and a source the page lacks is
-/// appended as the last group. Every other group's bytes are copied
+/// \brief Writes v2 or zero page `page` into `out` (page_size bytes, not
+/// aliasing `page`) with the group of `source` replaced by the rows
+/// `cell`, in place: `cell.n == 0` drops the group, and a source the page
+/// lacks is appended as the last group. Every other group's bytes are copied
 /// unchanged; the header and directory offsets are rewritten and the tail
 /// is zeroed, so the result equals EncodePage of the edited slots byte for
 /// byte. The directory is validated before it is trusted (offsets back to
@@ -207,7 +204,8 @@ struct GroupRef {
   float block_max = 0.0f;
 };
 
-/// \brief Validated group count of a v2 page (header + directory bounds).
+/// \brief Validated group count of a v2 page (header + directory bounds);
+/// 0 for a zero page.
 Result<uint32_t> GroupCount(const uint8_t* page, size_t page_size);
 
 /// \brief Reads directory entry `g` with bounds checks.

@@ -8,15 +8,6 @@ namespace i3 {
 
 namespace {
 
-void EncodeSlot(uint8_t* dst, const StoredTuple& st) {
-  std::memcpy(dst + 0, &st.source, 4);
-  std::memcpy(dst + 4, &st.tuple.term, 4);
-  std::memcpy(dst + 8, &st.tuple.doc, 4);
-  std::memcpy(dst + 12, &st.tuple.location.x, 8);
-  std::memcpy(dst + 20, &st.tuple.location.y, 8);
-  std::memcpy(dst + 28, &st.tuple.weight, 4);
-}
-
 // Per-thread stack of page-size scratch buffers backing PageView for
 // uncached pools (and the fault-in copy of PinPage misses). A stack rather
 // than a single buffer so nested views (e.g. an invariant checker holding
@@ -48,11 +39,9 @@ PageView& PageView::operator=(PageView&& o) noexcept {
   if (owns_scratch_) ReleaseViewScratch();
   pin_ = std::move(o.pin_);  // releases any pin this view held
   data_ = o.data_;
-  capacity_ = o.capacity_;
   page_size_ = o.page_size_;
   owns_scratch_ = o.owns_scratch_;
   o.data_ = nullptr;
-  o.capacity_ = 0;
   o.page_size_ = 0;
   o.owns_scratch_ = false;
   return *this;
@@ -63,37 +52,13 @@ PageView::~PageView() {
   owns_scratch_ = false;
 }
 
-std::vector<SpatialTuple> TuplePage::OfSource(SourceId source) const {
-  std::vector<SpatialTuple> out;
-  for (const StoredTuple& st : slots) {
-    if (st.source == source) out.push_back(st.tuple);
-  }
-  return out;
-}
-
-uint32_t TuplePage::CountSource(SourceId source) const {
-  uint32_t n = 0;
-  for (const StoredTuple& st : slots) {
-    if (st.source == source) ++n;
-  }
-  return n;
-}
-
-bool TuplePage::AllFromSource(SourceId source) const {
-  for (const StoredTuple& st : slots) {
-    if (st.source != source) return false;
-  }
-  return !slots.empty();
-}
-
 DataFile::DataFile(size_t page_size, BufferPoolOptions pool_options,
-                   bool compress, size_t cell_cache_bytes)
+                   size_t cell_cache_bytes)
     : DataFile(std::make_unique<InMemoryPageFile>(page_size), pool_options,
-               compress, cell_cache_bytes) {}
+               cell_cache_bytes) {}
 
 DataFile::DataFile(std::unique_ptr<PageFile> file,
-                   BufferPoolOptions pool_options, bool compress,
-                   size_t cell_cache_bytes)
+                   BufferPoolOptions pool_options, size_t cell_cache_bytes)
     : file_(std::move(file)),
       pool_(file_.get(), pool_options),
       // An uncached pool is the deterministic-I/O mode (every access
@@ -102,11 +67,10 @@ DataFile::DataFile(std::unique_ptr<PageFile> file,
       cell_cache_(CellCacheOptions{
           pool_options.capacity_pages > 0 ? cell_cache_bytes : 0, 0}),
       fsm_(static_cast<uint32_t>(file_->page_size()),
-           static_cast<uint32_t>(kTupleBytes)),
-      capacity_(static_cast<uint32_t>(file_->page_size() / kTupleBytes)),
-      compress_(compress && file_->page_size() >= codec::kV2MinPageSize),
+           static_cast<uint32_t>(kFreeSpaceQuantum)),
       scratch_(file_->page_size(), 0),
-      cell_page_(compress_ ? file_->page_size() : 0, 0) {
+      cell_page_(file_->page_size(), 0) {
+  assert(file_->page_size() >= codec::kV2MinPageSize);
   obs::MetricsRegistry& reg = obs::MetricsRegistry::Global();
   appends_in_place_ = reg.GetCounter(
       "i3_cell_appends_in_place_total",
@@ -118,29 +82,16 @@ DataFile::DataFile(std::unique_ptr<PageFile> file,
       "rows: inserts, deletes, and appends whose row changed the plan.");
 }
 
-Result<std::unique_ptr<DataFile>> DataFile::CreateOnDisk(
-    const std::string& path, size_t page_size, BufferPoolOptions pool_options,
-    bool compress, size_t cell_cache_bytes) {
-  auto file_res = OnDiskPageFile::Create(path, page_size);
-  if (!file_res.ok()) return file_res.status();
-  return std::unique_ptr<DataFile>(
-      new DataFile(std::move(file_res.ValueOrDie()), pool_options, compress,
-                   cell_cache_bytes));
-}
-
 bool DataFile::Fits(const TuplePage& page) const {
-  if (!compress_) return page.slots.size() <= capacity_;
   return codec::EncodedPageSize(page.slots.data(), page.slots.size()) <=
          file_->page_size();
 }
 
 bool DataFile::CellOversized(const CellColumns& cell) const {
-  if (!compress_) return cell.n > capacity_;
   return codec::CellEnvelopeBytes(cell) > file_->page_size();
 }
 
 bool DataFile::CellOversized(const std::vector<SpatialTuple>& tuples) const {
-  if (!compress_) return tuples.size() > capacity_;
   return codec::CellEnvelopeBytes(tuples.data(), tuples.size()) >
          file_->page_size();
 }
@@ -152,27 +103,22 @@ Result<PageId> DataFile::PageWithFreeBytes(uint32_t want) {
 }
 
 Result<PageId> DataFile::PageWithFreeSlots(uint32_t want) {
-  // v1 pages need `want` slots; a v2 page is guaranteed to accept a *new*
-  // cell whose worst-case footprint (directory entry + group header +
-  // uncompressed payload) fits its free bytes -- group encodings are
-  // independent, so adding one never grows the others.
+  // A page is guaranteed to accept a *new* cell whose worst-case footprint
+  // (directory entry + group header + uncompressed payload) fits its free
+  // bytes -- group encodings are independent, so adding one never grows
+  // the others.
   return PageWithFreeBytes(
-      compress_ ? static_cast<uint32_t>(codec::NewCellUpperBoundBytes(want))
-                : want * static_cast<uint32_t>(kTupleBytes));
+      static_cast<uint32_t>(codec::NewCellUpperBoundBytes(want)));
 }
 
 Result<PageId> DataFile::PageWithRoomForGroup(
     const std::vector<StoredTuple>& group) {
-  // v1 keeps the slot-count request (identical to PageWithFreeSlots, so
-  // the v1 placement sequence is unchanged); v2 asks for the group's exact
-  // encoded footprint: EncodedPageSize of the group alone is page header +
-  // directory entry + group bytes, and dropping the page header leaves
-  // exactly what the group adds to any existing page.
-  return PageWithFreeBytes(
-      compress_ ? static_cast<uint32_t>(
-                      codec::EncodedPageSize(group.data(), group.size()) -
-                      codec::kV2PageHeaderBytes)
-                : static_cast<uint32_t>(group.size() * kTupleBytes));
+  // EncodedPageSize of the group alone is page header + directory entry +
+  // group bytes; dropping the page header leaves exactly what the group
+  // adds to any existing page.
+  return PageWithFreeBytes(static_cast<uint32_t>(
+      codec::EncodedPageSize(group.data(), group.size()) -
+      codec::kV2PageHeaderBytes));
 }
 
 Result<PageId> DataFile::AllocatePage() {
@@ -185,7 +131,6 @@ Result<PageId> DataFile::AllocatePage() {
 
 Result<PageView> DataFile::View(PageId id) {
   PageView view;
-  view.capacity_ = capacity_;
   view.page_size_ = file_->page_size();
   uint8_t* scratch = AcquireViewScratch(file_->page_size());
   if (pool_.Pinnable()) {
@@ -213,7 +158,6 @@ Result<PageView> DataFile::View(PageId id) {
 
 Status DataFile::ReadSlots(const PageView& view, TuplePage* page) const {
   page->slots.clear();
-  page->slots.reserve(capacity_);
   return view.VisitSlots([page](SourceId source, const SpatialTuple& t) {
     page->slots.push_back({source, t});
   });
@@ -237,29 +181,14 @@ Status DataFile::WriteEncoded(PageId id, const std::vector<uint8_t>& page,
 }
 
 Status DataFile::Write(PageId id, const TuplePage& page) {
-  size_t used;
-  if (compress_) {
-    auto encoded = codec::EncodePage(page.slots.data(), page.slots.size(),
-                                     scratch_.data(), scratch_.size());
-    if (!encoded.ok()) {
-      return Status::InvalidArgument(
-          "page overflow: " + std::to_string(page.slots.size()) +
-          " tuples (" + encoded.status().message() + ")");
-    }
-    used = encoded.ValueOrDie();
-  } else {
-    if (page.slots.size() > capacity_) {
-      return Status::InvalidArgument("page overflow: " +
-                                     std::to_string(page.slots.size()) +
-                                     " tuples");
-    }
-    std::memset(scratch_.data(), 0, scratch_.size());
-    for (size_t s = 0; s < page.slots.size(); ++s) {
-      EncodeSlot(scratch_.data() + s * kTupleBytes, page.slots[s]);
-    }
-    used = page.slots.size() * kTupleBytes;
+  auto encoded = codec::EncodePage(page.slots.data(), page.slots.size(),
+                                   scratch_.data(), scratch_.size());
+  if (!encoded.ok()) {
+    return Status::InvalidArgument(
+        "page overflow: " + std::to_string(page.slots.size()) + " tuples (" +
+        encoded.status().message() + ")");
   }
-  return WriteEncoded(id, scratch_, used);
+  return WriteEncoded(id, scratch_, encoded.ValueOrDie());
 }
 
 void DataFile::CellBuffer::Reserve(uint32_t rows) {
@@ -325,43 +254,21 @@ Status DataFile::WriteSplice(PageView* view, PageId id, SourceId source,
   return WriteEncoded(id, scratch_, used.ValueOrDie());
 }
 
-template <typename Edit>
-Status DataFile::WriteWholePage(PageView* view, PageId id, Edit&& edit) {
-  TuplePage page;
-  I3_RETURN_NOT_OK(ReadSlots(*view, &page));
-  if (!edit(&page)) return Status::OK();
-  if (!Fits(page)) {
-    return Status::ResourceExhausted("page " + std::to_string(id) +
-                                     " is full");
-  }
-  *view = PageView();  // never write a page this thread still views
-  return Write(id, page);
-}
-
 Status DataFile::AppendCell(PageId id, SourceId source) {
   auto view_res = View(id);
   if (!view_res.ok()) return view_res.status();
   PageView view = view_res.MoveValue();
-  if (Splices(view)) {
-    codec::GroupRef g;
-    auto found = codec::FindGroup(view.data_, view.page_size_, source, &g);
-    if (!found.ok()) return found.status();
-    if (found.ValueOrDie()) {
-      codec::DecodeScratch scratch;
-      codec::DecodedGroup d;
-      I3_RETURN_NOT_OK(
-          codec::DecodeGroup(view.data_, view.page_size_, g, &scratch, &d));
-      cell_.Prepend({g.term, d.n, d.docs, d.weights, d.xs, d.ys});
-    }
-    return WriteSplice(&view, id, source, cell_.columns());
+  codec::GroupRef g;
+  auto found = codec::FindGroup(view.data_, view.page_size_, source, &g);
+  if (!found.ok()) return found.status();
+  if (found.ValueOrDie()) {
+    codec::DecodeScratch scratch;
+    codec::DecodedGroup d;
+    I3_RETURN_NOT_OK(
+        codec::DecodeGroup(view.data_, view.page_size_, g, &scratch, &d));
+    cell_.Prepend({g.term, d.n, d.docs, d.weights, d.xs, d.ys});
   }
-  return WriteWholePage(&view, id, [&](TuplePage* page) {
-    const CellColumns cell = cell_.columns();
-    for (uint32_t i = 0; i < cell.n; ++i) {
-      page->slots.push_back({source, cell.Tuple(i)});
-    }
-    return true;
-  });
+  return WriteSplice(&view, id, source, cell_.columns());
 }
 
 Status DataFile::Insert(PageId id, SourceId source,
@@ -383,30 +290,14 @@ Result<bool> DataFile::Remove(PageId id, SourceId source, DocId doc,
   auto view_res = View(id);
   if (!view_res.ok()) return view_res.status();
   PageView view = view_res.MoveValue();
-  if (Splices(view)) {
-    I3_RETURN_NOT_OK(LoadCell(view, source));
-    uint32_t i = 0;
-    while (i < cell_.n && cell_.docs[i] != doc) ++i;
-    if (i == cell_.n) return false;
-    cell_.Erase(i);
-    I3_RETURN_NOT_OK(WriteSplice(&view, id, source, cell_.columns()));
-    if (remaining != nullptr) *remaining = cell_.n;
-    return true;
-  }
-  bool removed = false;
-  I3_RETURN_NOT_OK(WriteWholePage(&view, id, [&](TuplePage* page) {
-    auto it = std::find_if(page->slots.begin(), page->slots.end(),
-                           [&](const StoredTuple& st) {
-                             return st.source == source &&
-                                    st.tuple.doc == doc;
-                           });
-    if (it == page->slots.end()) return false;
-    page->slots.erase(it);
-    removed = true;
-    if (remaining != nullptr) *remaining = page->CountSource(source);
-    return true;
-  }));
-  return removed;
+  I3_RETURN_NOT_OK(LoadCell(view, source));
+  uint32_t i = 0;
+  while (i < cell_.n && cell_.docs[i] != doc) ++i;
+  if (i == cell_.n) return false;
+  cell_.Erase(i);
+  I3_RETURN_NOT_OK(WriteSplice(&view, id, source, cell_.columns()));
+  if (remaining != nullptr) *remaining = cell_.n;
+  return true;
 }
 
 Result<DataFile::CellAdd> DataFile::AddToCell(PageId* page, SourceId source,
@@ -420,60 +311,44 @@ Result<DataFile::CellAdd> DataFile::AddToCell(PageId* page, SourceId source,
     return CellAdd::kMustSplit;
   };
 
-  if (Splices(view)) {
-    // A row that fits its group's plan grows the group in its encoded form.
-    auto grown = codec::AppendRow(view.data_, view.page_size_, source, tuple,
-                                  cell_page_.data());
-    if (!grown.ok()) return grown.status();
-    const codec::AppendResult& g = grown.ValueOrDie();
-    switch (g.outcome) {
-      case codec::RowAppend::kOversized:
-        return must_split();
-      case codec::RowAppend::kAppended:
-        appends_in_place_->Increment();
-        view = PageView();  // never write a page this thread still views
-        I3_RETURN_NOT_OK(WriteEncoded(*page, cell_page_, g.used));
-        return CellAdd::kAdded;
-      case codec::RowAppend::kOverflow: {
-        appends_in_place_->Increment();
-        auto target = MoveCell(&view, *page, source, g.used);
-        if (!target.ok()) return target.status();
-        *page = target.ValueOrDie();
-        return CellAdd::kMoved;
-      }
-      case codec::RowAppend::kReplan:
-        break;
+  // A row that fits its group's plan grows the group in its encoded form.
+  auto grown = codec::AppendRow(view.data_, view.page_size_, source, tuple,
+                                cell_page_.data());
+  if (!grown.ok()) return grown.status();
+  const codec::AppendResult& g = grown.ValueOrDie();
+  switch (g.outcome) {
+    case codec::RowAppend::kOversized:
+      return must_split();
+    case codec::RowAppend::kAppended:
+      appends_in_place_->Increment();
+      view = PageView();  // never write a page this thread still views
+      I3_RETURN_NOT_OK(WriteEncoded(*page, cell_page_, g.used));
+      return CellAdd::kAdded;
+    case codec::RowAppend::kOverflow: {
+      appends_in_place_->Increment();
+      auto target = MoveCell(&view, *page, source, g.used);
+      if (!target.ok()) return target.status();
+      *page = target.ValueOrDie();
+      return CellAdd::kMoved;
     }
+    case codec::RowAppend::kReplan:
+      break;
   }
 
-  // The row changes its group's plan, or the page is v1: decode the cell.
+  // The row changes its group's plan: decode the cell.
   I3_RETURN_NOT_OK(LoadCell(view, source));
   cell_.Append(tuple);
   if (CellOversized(cell_.columns())) return must_split();
-
-  Status st;
-  if (Splices(view)) {
-    st = WriteSplice(&view, *page, source, cell_.columns());
-  } else {
-    st = WriteWholePage(&view, *page, [&](TuplePage* img) {
-      img->slots.push_back({source, tuple});
-      return true;
-    });
-  }
+  const Status st = WriteSplice(&view, *page, source, cell_.columns());
   if (st.code() != StatusCode::kResourceExhausted) {
     if (!st.ok()) return st;
     return CellAdd::kAdded;
   }
-
-  size_t used = 0;
-  if (compress_) {
-    auto encoded = codec::EncodeGroupPage(
-        source, cell_.columns(), cell_page_.data(), cell_page_.size());
-    if (!encoded.ok()) return encoded.status();
-    groups_reencoded_->Increment();
-    used = encoded.ValueOrDie();
-  }
-  auto target = MoveCell(&view, *page, source, used);
+  auto encoded = codec::EncodeGroupPage(source, cell_.columns(),
+                                        cell_page_.data(), cell_page_.size());
+  if (!encoded.ok()) return encoded.status();
+  groups_reencoded_->Increment();
+  auto target = MoveCell(&view, *page, source, encoded.ValueOrDie());
   if (!target.ok()) return target.status();
   *page = target.ValueOrDie();
   return CellAdd::kMoved;
@@ -483,60 +358,33 @@ Result<PageId> DataFile::MoveCell(PageView* view, PageId from,
                                   SourceId source, size_t used) {
   // The target is chosen while `from`'s free-space entry still describes
   // the page with the cell on it. The moved group adds its one-group
-  // page's bytes, less the page header, to any v2 page.
+  // page's bytes, less the page header, to any page.
   auto target_res = PageWithFreeBytes(
-      compress_ ? static_cast<uint32_t>(used - codec::kV2PageHeaderBytes)
-                : cell_.n * static_cast<uint32_t>(kTupleBytes));
+      static_cast<uint32_t>(used - codec::kV2PageHeaderBytes));
   if (!target_res.ok()) return target_res.status();
   PageId target = target_res.ValueOrDie();
   if (target == from) {
-    // Unreachable for v1 pages (the source page is slot-full), but a v2
-    // page can show free bytes while the grown cell's exact encoding
-    // overflows it; relocation must leave the page either way.
+    // The page can show free bytes while the grown cell's exact encoding
+    // overflows it; relocation must leave the page.
     auto fresh = AllocatePage();
     if (!fresh.ok()) return fresh.status();
     target = fresh.ValueOrDie();
   }
 
-  if (Splices(*view)) {
-    I3_RETURN_NOT_OK(WriteSplice(view, from, source, CellColumns{}));
-  } else {
-    I3_RETURN_NOT_OK(WriteWholePage(view, from, [source](TuplePage* img) {
-      auto& slots = img->slots;
-      slots.erase(std::remove_if(slots.begin(), slots.end(),
-                                 [source](const StoredTuple& st) {
-                                   return st.source == source;
-                                 }),
-                  slots.end());
-      return true;
-    }));
-  }
-  I3_RETURN_NOT_OK(compress_ ? PlaceGroup(target, used)
-                             : AppendCell(target, source));
+  I3_RETURN_NOT_OK(WriteSplice(view, from, source, CellColumns{}));
+  I3_RETURN_NOT_OK(PlaceGroup(target));
   return target;
 }
 
-Status DataFile::PlaceGroup(PageId target, size_t used) {
+Status DataFile::PlaceGroup(PageId target) {
   auto view_res = View(target);
   if (!view_res.ok()) return view_res.status();
   PageView view = view_res.MoveValue();
-  if (Splices(view)) {
-    auto added = codec::AddGroup(view.data_, view.page_size_,
-                                 cell_page_.data(), scratch_.data());
-    if (!added.ok()) return added.status();
-    view = PageView();  // never write a page this thread still views
-    return WriteEncoded(target, scratch_, added.ValueOrDie());
-  }
-  // Otherwise a fresh zero page, the only other kind the free-space map
-  // of a compressing file offers: it takes the one-group page as it is.
-  bool fresh = true;
-  view.ForEachSlot([&fresh](SourceId, const SpatialTuple&) { fresh = false; });
-  if (!fresh) {
-    return Status::Corruption("relocation target page " +
-                              std::to_string(target) + " holds v1 tuples");
-  }
-  view = PageView();
-  return WriteEncoded(target, cell_page_, used);
+  auto added = codec::AddGroup(view.data_, view.page_size_,
+                               cell_page_.data(), scratch_.data());
+  if (!added.ok()) return added.status();
+  view = PageView();  // never write a page this thread still views
+  return WriteEncoded(target, scratch_, added.ValueOrDie());
 }
 
 Status DataFile::CheckPage(PageId id) {
@@ -545,15 +393,17 @@ Status DataFile::CheckPage(PageId id) {
   const PageView& view = view_res.ValueOrDie();
   TuplePage page;
   I3_RETURN_NOT_OK(ReadSlots(view, &page));
-  size_t used = page.slots.size() * kTupleBytes;
-  if (view.compressed()) {
+  // ReadSlots accepted it, so a page without the magic is a fresh zero
+  // page: nothing used.
+  size_t used = 0;
+  if (codec::IsV2Page(view.data_, page_size())) {
     std::vector<uint8_t> canonical(page_size());
     auto encoded = codec::EncodePage(page.slots.data(), page.slots.size(),
                                      canonical.data(), canonical.size());
     if (!encoded.ok() ||
         std::memcmp(canonical.data(), view.data_, page_size()) != 0) {
-      return Status::Corruption("v2 page " + std::to_string(id) +
-                                " differs from the encoding of its slots");
+      return Status::Corruption("page " + std::to_string(id) +
+                                " differs from the encoding of its tuples");
     }
     used = encoded.ValueOrDie();
   }

@@ -12,7 +12,7 @@ namespace {
 
 /// Bytes per physical page in the data file's backing store: the logical
 /// page plus the integrity header when checksumming is on, so the
-/// caller-facing page size -- and with it the paper's P/B capacity and I/O
+/// caller-facing page size -- and with it page capacity and I/O
 /// accounting -- is independent of the checksum option.
 size_t PhysicalPageSize(const I3Options& options) {
   return options.page_size +
@@ -28,29 +28,42 @@ std::unique_ptr<PageFile> WithIntegrity(const I3Options& options,
   return std::make_unique<ChecksummedPageFile>(std::move(base));
 }
 
-/// Builds the data file per the options (factory > in-memory default).
-std::unique_ptr<DataFile> MakeDataFile(const I3Options& options) {
+/// Builds the data file per the options: the factory's backing, else --
+/// when `on_disk` -- a disk file at data_file_path, else memory. Only the
+/// disk file can fail.
+Result<std::unique_ptr<DataFile>> MakeDataFile(const I3Options& options,
+                                               bool on_disk) {
   const size_t physical = PhysicalPageSize(options);
-  std::unique_ptr<PageFile> base =
-      options.page_file_factory
-          ? options.page_file_factory(physical)
-          : std::make_unique<InMemoryPageFile>(physical);
+  std::unique_ptr<PageFile> base;
+  if (options.page_file_factory) {
+    base = options.page_file_factory(physical);
+  } else if (on_disk && !options.data_file_path.empty()) {
+    auto file = OnDiskPageFile::Create(options.data_file_path, physical);
+    if (!file.ok()) return file.status();
+    base = file.MoveValue();
+  } else {
+    base = std::make_unique<InMemoryPageFile>(physical);
+  }
   return std::make_unique<DataFile>(WithIntegrity(options, std::move(base)),
                                     options.buffer_pool,
-                                    options.compress_pages,
                                     options.cell_cache_bytes);
 }
 
 }  // namespace
 
 I3Index::I3Index(I3Options options)
+    : I3Index(options, MakeDataFile(options, /*on_disk=*/false).MoveValue()) {
+}
+
+I3Index::I3Index(I3Options options, std::unique_ptr<DataFile> data)
     : options_(options),
       cells_(options.space),
-      data_(MakeDataFile(options)),
+      data_(std::move(data)),
       head_(options.signature_bits),
       stats_emitter_("I3", View(I3SearchStats{})) {
   assert(options_.max_split_level >= 1);
   assert(options_.signature_bits >= 1);
+  assert(options_.page_size >= codec::kV2MinPageSize);
   head_.ConfigurePager(options_.page_size, options_.head_pool_pages);
   obs::MetricsRegistry& reg = obs::MetricsRegistry::Global();
   search_latency_us_[0] =
@@ -68,16 +81,17 @@ I3Index::I3Index(I3Options options)
 }
 
 Result<std::unique_ptr<I3Index>> I3Index::Create(I3Options options) {
-  auto index = std::make_unique<I3Index>(options);
-  if (!options.data_file_path.empty()) {
-    auto file = OnDiskPageFile::Create(options.data_file_path,
-                                       PhysicalPageSize(options));
-    if (!file.ok()) return file.status();
-    index->data_ = std::make_unique<DataFile>(
-        WithIntegrity(options, file.MoveValue()), options.buffer_pool,
-        options.compress_pages);
+  if (options.page_size < codec::kV2MinPageSize) {
+    return Status::InvalidArgument(
+        "page size " + std::to_string(options.page_size) +
+        " is below the minimum of " + std::to_string(codec::kV2MinPageSize));
   }
-  return index;
+  if (options.signature_bits == 0) {
+    return Status::InvalidArgument("signature length must be positive");
+  }
+  auto data = MakeDataFile(options, /*on_disk=*/true);
+  if (!data.ok()) return data.status();
+  return std::unique_ptr<I3Index>(new I3Index(options, data.MoveValue()));
 }
 
 Status I3Index::ValidateDocument(const SpatialDocument& doc) const {
@@ -148,11 +162,9 @@ Status I3Index::InsertNewKeyword(const SpatialTuple& t) {
 }
 
 // Algorithm 2: insertNonDenseKwd. The density test is on the *cell*, not
-// the page: under v1 it is the cell's tuple count against the P/B capacity
-// (equivalent to Algorithm 2's "page full and all tuples ours" -- a cell
-// can only reach capacity alone on its page); under v2 it is the cell's
-// encoded one-page envelope (see DataFile::CellOversized), so compressed
-// cells pack several times more tuples before going dense. The append, or
+// the page: the paper's "page full and all tuples ours" becomes the cell's
+// encoded one-page envelope (see DataFile::CellOversized), so cells pack
+// several times more tuples than P/B before going dense. The append, or
 // the relocation of a cell whose page is full, happens inside AddToCell.
 Status I3Index::InsertNonDenseRoot(const SpatialTuple& t,
                                    LookupEntry* entry) {
@@ -210,10 +222,9 @@ Status I3Index::InsertDense(const SpatialTuple& t, NodeId node_id,
       }
 
       case ChildRef::Kind::kPage: {
-        // Density test on the cell (see InsertNonDenseRoot: slot capacity
-        // under v1, the encoded one-page envelope under v2), then the
-        // append or, on a full page, the move of the cell (Algorithm 3,
-        // lines 12-16).
+        // Density test on the cell (the encoded one-page envelope, see
+        // InsertNonDenseRoot), then the append or, on a full page, the move
+        // of the cell (Algorithm 3, lines 12-16).
         const bool splittable = cell.level() < options_.max_split_level;
         TuplePage page;
         auto added = data_->AddToCell(&ref.page, ref.source, t,
@@ -222,7 +233,7 @@ Status I3Index::InsertDense(const SpatialTuple& t, NodeId node_id,
         if (added.ValueOrDie() == DataFile::CellAdd::kMustSplit) {
           if (!splittable) {
             // Cannot split further: extend the overflow chain. Whether a
-            // page has room is encoding-dependent, so each candidate --
+            // page has room depends on the encoding, so each candidate --
             // the primary page first, then the chain -- is simply tried;
             // a full page answers ResourceExhausted and the scan moves on.
             Status primary = data_->Insert(ref.page, ref.source, t);
@@ -293,12 +304,11 @@ Result<NodeId> I3Index::SplitCell(const Rect& rect, PageId page,
   PageId child_pages[kQuadrants];
   for (int q = 0; q < kQuadrants; ++q) child_pages[q] = page;
 
-  // The v1 layout always re-fits (retagging preserves the slot count), but
-  // the v2 encoding can grow: the split turns one group into up to four,
-  // each with its own directory entry, header, and bases. When the page
-  // overflows, child cells are spilled -- whole groups at a time -- to
-  // pages with room until the rest fits; a child cell is a unit, so every
-  // ChildRef still names exactly one primary page.
+  // Retagging can grow the page's encoding: the split turns one group into
+  // up to four, each with its own directory entry, header, and bases. When
+  // the page overflows, child cells are spilled -- whole groups at a time
+  // -- to pages with room until the rest fits; a child cell is a unit, so
+  // every ChildRef still names exactly one primary page.
   for (int q = 0; q < kQuadrants && !data_->Fits(page_img); ++q) {
     if (child_sources[q] == kFreeSlot) continue;
     std::vector<StoredTuple> kept;

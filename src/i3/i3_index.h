@@ -69,11 +69,15 @@ inline SearchStatsView View(const I3SearchStats& s) {
 /// \brief The I3 index.
 class I3Index final : public SpatialKeywordIndex {
  public:
-  /// Creates an in-memory-backed index. For a disk-backed data file set
-  /// I3Options::data_file_path and use Create().
+  /// Creates an index whose data file lives in memory, or in
+  /// I3Options::page_file_factory's backing. For a disk-backed data file
+  /// set I3Options::data_file_path and use Create(). `options.page_size`
+  /// must be at least codec::kV2MinPageSize.
   explicit I3Index(I3Options options = {});
 
   /// Factory honoring I3Options::data_file_path (fallible: disk I/O).
+  /// InvalidArgument for a page size below codec::kV2MinPageSize or a
+  /// signature length of 0.
   static Result<std::unique_ptr<I3Index>> Create(I3Options options);
 
   std::string Name() const override { return "I3"; }
@@ -159,7 +163,7 @@ class I3Index final : public SpatialKeywordIndex {
 
   /// \brief Structural invariant checker used by the property tests:
   /// verifies that every tuple is stored in the keyword cell containing its
-  /// location, that no non-dense cell exceeds capacity, that summaries
+  /// location, that no splittable cell is oversized, that summaries
   /// cover their subtrees (signature superset, max_s is a max), and that
   /// the free-space map matches the pages. Returns the number of tuples.
   Result<uint64_t> CheckInvariants();
@@ -173,6 +177,8 @@ class I3Index final : public SpatialKeywordIndex {
     // Dense: the root summary node.
     NodeId node = kInvalidNodeId;
   };
+
+  I3Index(I3Options options, std::unique_ptr<DataFile> data);
 
   Status ValidateDocument(const SpatialDocument& doc) const;
 

@@ -12,8 +12,14 @@
 //     4 child refs (kind u8, page u32, source u32, node u32,
 //                   overflow count u32, overflow page ids)
 //   data file: page count u32, then per page
-//     slot count u32, slots (source u32, term u32, doc u32, x f64, y f64,
-//                            weight f32)
+//     tuple count u32, tuples (source u32, term u32, doc u32, x f64, y f64,
+//                              weight f32)
+//
+// The file stores decoded tuples, not page bytes, so it does not depend on
+// the page encoding. LoadFrom refuses structural fields the index cannot
+// serve -- a page size below codec::kV2MinPageSize, a zero signature
+// length, a summary signature whose word count disagrees with it -- as
+// Corruption, before allocating anything for them.
 
 #include <cstdint>
 #include <cstring>
@@ -46,15 +52,28 @@ void WriteEntry(std::ostream& os, const SummaryEntry& e) {
   WriteP(os, e.max_s);
 }
 
-bool ReadEntry(std::istream& is, uint32_t bits, SummaryEntry* e) {
+/// Reads one summary entry of a `bits`-bit signature: Corruption when the
+/// file ends early or the word count is not the one `bits` needs.
+Status ReadEntry(std::istream& is, uint32_t bits, SummaryEntry* e) {
+  const uint32_t want = (bits + 63) / 64;
   uint32_t n = 0;
-  if (!ReadP(is, &n)) return false;
+  if (!ReadP(is, &n)) return Status::Corruption("truncated summary entry");
+  if (n != want) {
+    return Status::Corruption("summary signature has " + std::to_string(n) +
+                              " words, " + std::to_string(bits) +
+                              " bits need " + std::to_string(want));
+  }
   std::vector<uint64_t> words(n);
   for (uint32_t i = 0; i < n; ++i) {
-    if (!ReadP(is, &words[i])) return false;
+    if (!ReadP(is, &words[i])) {
+      return Status::Corruption("truncated summary entry");
+    }
   }
   e->sig = Signature::FromWords(bits, std::move(words));
-  return ReadP(is, &e->max_s);
+  if (!ReadP(is, &e->max_s)) {
+    return Status::Corruption("truncated summary entry");
+  }
+  return Status::OK();
 }
 
 void WriteChildRef(std::ostream& os, const ChildRef& ref) {
@@ -186,6 +205,14 @@ Result<std::unique_ptr<I3Index>> I3Index::LoadFrom(const std::string& path,
       !ReadP(is, &screen)) {
     return Status::Corruption("truncated options in " + path);
   }
+  if (page_size < codec::kV2MinPageSize) {
+    return Status::Corruption("page size " + std::to_string(page_size) +
+                              " in " + path + " is below the minimum of " +
+                              std::to_string(codec::kV2MinPageSize));
+  }
+  if (opt.signature_bits == 0) {
+    return Status::Corruption("zero signature length in " + path);
+  }
   opt.page_size = page_size;
   opt.signature_pruning = sig_pruning != 0;
   opt.summary_screen = screen != 0;
@@ -218,13 +245,10 @@ Result<std::unique_ptr<I3Index>> I3Index::LoadFrom(const std::string& path,
   for (uint64_t i = 0; i < node_count; ++i) {
     const NodeId id = index->head_.Allocate();
     SummaryNode* node = index->head_.Mutate(id);
-    if (!ReadEntry(is, opt.signature_bits, &node->self)) {
-      return Status::Corruption("truncated summary node");
-    }
+    I3_RETURN_NOT_OK(ReadEntry(is, opt.signature_bits, &node->self));
     for (int q = 0; q < kQuadrants; ++q) {
-      if (!ReadEntry(is, opt.signature_bits, &node->child_summary[q])) {
-        return Status::Corruption("truncated child summary");
-      }
+      I3_RETURN_NOT_OK(
+          ReadEntry(is, opt.signature_bits, &node->child_summary[q]));
     }
     for (int q = 0; q < kQuadrants; ++q) {
       if (!ReadChildRef(is, &node->child[q])) {
@@ -243,18 +267,18 @@ Result<std::unique_ptr<I3Index>> I3Index::LoadFrom(const std::string& path,
     if (alloc.ValueOrDie() != p) {
       return Status::Internal("page id mismatch during load");
     }
-    uint32_t slot_count = 0;
-    if (!ReadP(is, &slot_count)) {
+    uint32_t tuple_count = 0;
+    if (!ReadP(is, &tuple_count)) {
       return Status::Corruption("truncated page header");
     }
     TuplePage page;
-    page.slots.resize(slot_count);
-    for (uint32_t s = 0; s < slot_count; ++s) {
+    page.slots.resize(tuple_count);
+    for (uint32_t s = 0; s < tuple_count; ++s) {
       StoredTuple& st = page.slots[s];
       if (!ReadP(is, &st.source) || !ReadP(is, &st.tuple.term) ||
           !ReadP(is, &st.tuple.doc) || !ReadP(is, &st.tuple.location.x) ||
           !ReadP(is, &st.tuple.location.y) || !ReadP(is, &st.tuple.weight)) {
-        return Status::Corruption("truncated tuple slot");
+        return Status::Corruption("truncated tuple");
       }
     }
     I3_RETURN_NOT_OK(index->data_->Write(p, page));

@@ -14,14 +14,16 @@
 
 namespace i3 {
 
-/// \brief Options for I3Index. Defaults reproduce the paper's setup:
-/// P = 4KB pages, B = 32-byte tuples (capacity P/B = 128), eta = 300.
+/// \brief Options for I3Index. Defaults follow the paper's setup, P = 4KB
+/// pages and eta = 300. Pages hold the compressed cell encoding of
+/// i3/cell_codec.h rather than the paper's P/B = 128 fixed 32-byte slots,
+/// so a 4KB page holds several times more tuples.
 struct I3Options {
   /// The data space; every indexed location must fall inside. This is the
   /// root quadtree cell.
   Rect space{-180.0, -90.0, 180.0, 90.0};
 
-  /// Page size P in bytes.
+  /// Page size P in bytes; at least codec::kV2MinPageSize (512).
   size_t page_size = kDefaultPageSize;
 
   /// Signature length eta in bits (tuned in the paper's Figure 5).
@@ -44,21 +46,11 @@ struct I3Options {
   /// Verify every data-file page with a CRC32C checksum header
   /// (storage/checksummed_page_file.h). The physical backing is allocated
   /// kPageHeaderBytes (16) larger per page so the caller-facing page size --
-  /// and with it the paper's P/B page capacity and I/O counts -- is
-  /// unchanged; a damaged page surfaces as Status::Corruption instead of a
-  /// silently wrong top-k. Overhead is one CRC pass per physical page
-  /// access (cache hits never pay it). Disable only for ablation.
+  /// and with it page capacity and I/O counts -- is unchanged; a damaged
+  /// page surfaces as Status::Corruption instead of a silently wrong top-k.
+  /// Overhead is one CRC pass per physical page access (cache hits never
+  /// pay it). Disable only for ablation.
   bool checksum_pages = true;
-
-  /// Store data-file pages in the v2 compressed cell encoding
-  /// (i3/cell_codec.h): per-cell delta + bit-packed doc ids, exactly
-  /// round-tripped quantized weights, XOR-residual coordinates, and a
-  /// per-cell block-max directory. Several times more tuples fit per 4KB
-  /// page, which is where the pages/query reduction comes from; results
-  /// are byte-identical to the uncompressed layout. Pages written before
-  /// the option flips (e.g. a persisted v1 index) remain readable -- the
-  /// format is sniffed per page.
-  bool compress_pages = true;
 
   /// Head-file pager: summary nodes are charged per *page* of
   /// page_size / node-bytes nodes through an LRU pool of this many pages

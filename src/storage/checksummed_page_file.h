@@ -11,8 +11,8 @@
 // section 10).
 //
 // Layout: physical page = [PageHeader | logical payload]. The wrapper
-// exposes the *logical* page size, so capacity math above it (P/B tuple
-// slots, FreeSpaceMap) is unchanged -- callers construct the base file with
+// exposes the *logical* page size, so capacity math above it (the page
+// encoding, FreeSpaceMap) is unchanged -- callers construct the base file with
 // kPageHeaderBytes of extra physical room (I3Index does this when
 // I3Options::checksum_pages is set).
 //

@@ -128,13 +128,11 @@ class OnDiskPageFile final : public PageFile {
 /// placement questions: "select any page with an empty slot" and "find a
 /// page with at least n empty units" (Algorithms 1-3).
 ///
-/// Free space is measured in caller-chosen *units* (fixed-width slots for
-/// the v1 tuple pages, bytes for the v2 compressed pages). Pages are
-/// bucketed by free units quantized to `quantum`; the find query scans the
-/// exact-match bucket (whose pages may straddle the requested amount) and
-/// takes the head of any higher bucket, so both operations stay O(1)
-/// amortized. With quantum = 1 the map reduces to the original per-slot
-/// bucketing, bit for bit.
+/// Free space is measured in caller-chosen *units* (the I3 data file uses
+/// bytes). Pages are bucketed by free units quantized to `quantum`; the
+/// find query scans the exact-match bucket (whose pages may straddle the
+/// requested amount) and takes the head of any higher bucket, so both
+/// operations stay O(1) amortized.
 class FreeSpaceMap {
  public:
   /// \param units_per_page capacity of every page, in units.

@@ -48,7 +48,7 @@ CorpusOptions HierarchyCorpus() {
 I3Options CachedOptions() {
   I3Options opt;
   opt.space = {0.0, 0.0, 100.0, 100.0};
-  opt.page_size = 128;
+  opt.page_size = codec::kV2MinPageSize;
   opt.signature_bits = 64;
   // Deliberately tight budgets so eviction, epoch checks, and re-decode
   // all fire inside the test rather than everything staying resident.

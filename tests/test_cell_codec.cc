@@ -284,19 +284,18 @@ TEST(CellCodecTest, BitFlipsNeverCrashAndErrorsAreCorruption) {
       std::vector<uint8_t> damaged = page;
       damaged[byte] ^= static_cast<uint8_t>(1u << bit);
       std::map<SourceId, std::vector<SpatialTuple>> got;
-      if (IsV2Page(damaged.data(), damaged.size())) {
-        const Status st =
-            DecodeWholePage(damaged.data(), damaged.size(), &got);
-        // Payload flips can decode to wrong-but-well-formed values (that
-        // is what checksum_pages is for); structural damage must be a
-        // clean Corruption. Either way: no crash, no overread, and no
-        // status class other than Corruption.
-        if (!st.ok()) {
-          EXPECT_TRUE(st.IsCorruption()) << st.message();
-        }
+      const Status st = DecodeWholePage(damaged.data(), damaged.size(), &got);
+      // Payload flips can decode to wrong-but-well-formed values (that is
+      // what checksum_pages is for); structural damage must be a clean
+      // Corruption. Either way: no crash, no overread, and no status class
+      // other than Corruption. A flip in the magic or version leaves a
+      // page that is neither v2 nor zero, which must be refused.
+      if (!st.ok()) {
+        EXPECT_TRUE(st.IsCorruption()) << st.message();
       }
-      // else: the flip hit the magic/version -- the page now reads as v1,
-      // which is the sniffing contract, not an error.
+      if (!IsV2Page(damaged.data(), damaged.size())) {
+        EXPECT_FALSE(st.ok()) << "byte " << byte << " bit " << bit;
+      }
     }
   }
 }
@@ -328,17 +327,24 @@ TEST(CellCodecTest, EnvelopeBoundsTheCellAndEverySubset) {
   }
 }
 
+// Bytes in the paper's fixed-slot layout -- a slot whose source id counts
+// up from 1, nowhere near the magic -- are not a page of this format: every
+// read refuses them as Corruption.
 TEST(CellCodecTest, V1BytesAreNotMistakenForV2) {
   std::vector<uint8_t> page(kDefaultPageSize, 0);
-  EXPECT_FALSE(IsV2Page(page.data(), page.size()));
-  // A v1 page starts with a slot whose source id counts up from 1 --
-  // nowhere near the magic.
   StoredTuple st;
   st.source = 1;
   st.tuple = {5, 42, {1.0, 2.0}, 0.5f};
   std::memcpy(page.data(), &st.source, 4);
+  std::memcpy(page.data() + 4, &st.tuple.term, 4);
+  std::memcpy(page.data() + 8, &st.tuple.doc, 4);
   EXPECT_FALSE(IsV2Page(page.data(), page.size()));
   EXPECT_FALSE(IsV2Page(page.data(), 4));  // shorter than the header
+  std::map<SourceId, std::vector<SpatialTuple>> got;
+  EXPECT_TRUE(DecodeWholePage(page.data(), page.size(), &got).IsCorruption());
+  GroupRef ref;
+  EXPECT_TRUE(
+      FindGroup(page.data(), page.size(), 1, &ref).status().IsCorruption());
 }
 
 TEST(CellCodecTest, OverflowingEncodeWritesNothing) {
@@ -351,70 +357,58 @@ TEST(CellCodecTest, OverflowingEncodeWritesNothing) {
   for (uint8_t b : page) EXPECT_EQ(b, 0);
 }
 
-// Forwards to a test-owned backing so two DataFile generations can look at
-// the same physical pages (the DataFile ctor takes ownership of its file).
-class SharedPageFile final : public PageFile {
- public:
-  explicit SharedPageFile(PageFile* base)
-      : PageFile(base->page_size()), base_(base) {}
-  PageId PageCount() const override { return base_->PageCount(); }
-  Result<PageId> AllocatePage() override { return base_->AllocatePage(); }
-  Status ReadPage(PageId id, void* buf, IoCategory category) override {
-    return base_->ReadPage(id, buf, category);
-  }
-  Status WritePage(PageId id, const void* buf,
-                   IoCategory category) override {
-    return base_->WritePage(id, buf, category);
-  }
-  const uint8_t* PeekPage(PageId id) const override {
-    return base_->PeekPage(id);
-  }
+// A page never written is all zero and reads as an empty page: no groups,
+// no cell found, and a splice onto it makes the same bytes as EncodePage.
+// A buffer shorter than the header, or a zero header over a nonzero body,
+// is damage.
+TEST(CellCodecTest, ZeroPageReadsAsEmptyPage) {
+  std::vector<uint8_t> page(kV2MinPageSize, 0);
+  EXPECT_FALSE(IsV2Page(page.data(), page.size()));
+  auto count = GroupCount(page.data(), page.size());
+  ASSERT_TRUE(count.ok()) << count.status().message();
+  EXPECT_EQ(count.ValueOrDie(), 0u);
+  GroupRef ref;
+  auto found = FindGroup(page.data(), page.size(), 1, &ref);
+  ASSERT_TRUE(found.ok());
+  EXPECT_FALSE(found.ValueOrDie());
 
- private:
-  PageFile* base_;
-};
-
-TEST(CellCodecTest, V1PagesStayReadableWithCompressionOn) {
-  InMemoryPageFile backing(kDefaultPageSize);
-
-  // Generation 1: uncompressed writer fills a page with v1 slots.
-  TuplePage original;
-  for (const StoredTuple& st : MakeSlots(3, 15, 59)) {
-    original.slots.push_back(st);
+  const std::vector<StoredTuple> slots = MakeSlots(1, 6, 61);
+  std::vector<DocId> docs;
+  std::vector<float> weights;
+  std::vector<double> xs, ys;
+  for (const StoredTuple& st : slots) {
+    docs.push_back(st.tuple.doc);
+    weights.push_back(st.tuple.weight);
+    xs.push_back(st.tuple.location.x);
+    ys.push_back(st.tuple.location.y);
   }
-  {
-    DataFile v1(std::make_unique<SharedPageFile>(&backing), {},
-                /*compress=*/false);
-    auto page = v1.AllocatePage();
-    ASSERT_TRUE(page.ok());
-    ASSERT_EQ(page.ValueOrDie(), 0u);
-    ASSERT_TRUE(v1.Write(0, original).ok());
-  }
-  ASSERT_FALSE(IsV2Page(backing.PeekPage(0), kDefaultPageSize));
+  CellColumns cell;
+  cell.term = slots[0].tuple.term;
+  cell.n = static_cast<uint32_t>(slots.size());
+  cell.docs = docs.data();
+  cell.weights = weights.data();
+  cell.xs = xs.data();
+  cell.ys = ys.data();
+  std::vector<uint8_t> spliced(page.size(), 0xEE);
+  auto used = SpliceGroup(page.data(), page.size(), slots[0].source, cell,
+                          spliced.data());
+  ASSERT_TRUE(used.ok()) << used.status().message();
+  std::vector<uint8_t> encoded(page.size(), 0);
+  auto want = EncodePage(slots.data(), slots.size(), encoded.data(),
+                         encoded.size());
+  ASSERT_TRUE(want.ok());
+  EXPECT_EQ(used.ValueOrDie(), want.ValueOrDie());
+  EXPECT_EQ(spliced, encoded);
 
-  // Generation 2: the same physical page, opened by a compressed-mode
-  // data file. The per-page sniff must hand back the identical tuples.
-  DataFile v2(std::make_unique<SharedPageFile>(&backing), {},
-              /*compress=*/true);
-  ASSERT_TRUE(v2.compress());
-  auto read = v2.Read(0);
-  ASSERT_TRUE(read.ok()) << read.status().message();
-  const TuplePage& got = read.ValueOrDie();
-  ASSERT_EQ(got.slots.size(), original.slots.size());
-  for (size_t i = 0; i < got.slots.size(); ++i) {
-    EXPECT_EQ(got.slots[i].source, original.slots[i].source);
-    EXPECT_TRUE(got.slots[i].tuple == original.slots[i].tuple);
+  // Damage: a short zero buffer, and one nonzero byte past the header.
+  for (size_t n : {size_t{0}, size_t{1}, kV2PageHeaderBytes - 1}) {
+    EXPECT_TRUE(GroupCount(page.data(), n).status().IsCorruption()) << n;
   }
-
-  // And a page this generation writes itself comes out v2.
-  auto fresh = v2.AllocatePage();
-  ASSERT_TRUE(fresh.ok());
-  ASSERT_TRUE(v2.Write(fresh.ValueOrDie(), original).ok());
-  EXPECT_TRUE(
-      IsV2Page(backing.PeekPage(fresh.ValueOrDie()), kDefaultPageSize));
-  auto reread = v2.Read(fresh.ValueOrDie());
-  ASSERT_TRUE(reread.ok());
-  EXPECT_EQ(reread.ValueOrDie().slots.size(), original.slots.size());
+  page[page.size() - 1] = 1;
+  EXPECT_TRUE(GroupCount(page.data(), page.size()).status().IsCorruption());
+  EXPECT_TRUE(SpliceGroup(page.data(), page.size(), 1, cell, spliced.data())
+                  .status()
+                  .IsCorruption());
 }
 
 // Seeds swept by the randomized splice test: 3 by default, more under

@@ -56,7 +56,7 @@ struct ChaosRig {
 void InitRig(ChaosRig* rig) {
   I3Options opt;
   opt.space = {0.0, 0.0, 100.0, 100.0};
-  opt.page_size = 128;
+  opt.page_size = codec::kV2MinPageSize;
   opt.signature_bits = 64;
   opt.page_file_factory = [rig](size_t page_size) {
     auto file = std::make_unique<FaultInjectionPageFile>(
@@ -202,7 +202,7 @@ TEST(ChaosTest, AllShardsFailingIsAnErrorNotAnEmptyResult) {
 TEST(ChaosTest, ExpiredDeadlineFailsCleanlyOnI3) {
   I3Options opt;
   opt.space = {0.0, 0.0, 100.0, 100.0};
-  opt.page_size = 128;
+  opt.page_size = codec::kV2MinPageSize;
   opt.signature_bits = 64;
   I3Index index(opt);
   CorpusOptions copt;
@@ -233,7 +233,7 @@ TEST(ChaosTest, ExpiredDeadlineFailsCleanlyOnI3) {
 TEST(ChaosTest, CancellationStopsTheSearch) {
   I3Options opt;
   opt.space = {0.0, 0.0, 100.0, 100.0};
-  opt.page_size = 128;
+  opt.page_size = codec::kV2MinPageSize;
   opt.signature_bits = 64;
   I3Index index(opt);
   CorpusOptions copt;

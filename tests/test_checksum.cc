@@ -377,7 +377,7 @@ struct I3Rig {
 void InitI3Rig(I3Rig* rig) {
   I3Options opt;
   opt.space = {0.0, 0.0, 100.0, 100.0};
-  opt.page_size = 128;
+  opt.page_size = codec::kV2MinPageSize;
   opt.signature_bits = 64;
   // checksum_pages defaults to true; the factory receives the *physical*
   // page size (logical + header).
@@ -394,7 +394,8 @@ TEST(ChecksummedIndexTest, FactoryReceivesPhysicalPageSize) {
   I3Rig rig;
   InitI3Rig(&rig);
   ASSERT_NE(rig.faults, nullptr);
-  EXPECT_EQ(rig.faults->page_size(), 128u + kPageHeaderBytes);
+  EXPECT_EQ(rig.faults->page_size(),
+            rig.index->options().page_size + kPageHeaderBytes);
 }
 
 TEST(ChecksummedIndexTest, CorruptionSurfacesAsStatusNeverAsWrongTopK) {
@@ -443,11 +444,12 @@ TEST(ChecksummedIndexTest, ChecksumsOffIsAnUncheckedAblation) {
   I3Rig rig;
   I3Options opt;
   opt.space = {0.0, 0.0, 100.0, 100.0};
-  opt.page_size = 128;
+  opt.page_size = codec::kV2MinPageSize;
   opt.signature_bits = 64;
   opt.checksum_pages = false;
-  opt.page_file_factory = [&rig](size_t page_size) {
-    EXPECT_EQ(page_size, 128u);  // no header overhead without checksums
+  const size_t logical = opt.page_size;
+  opt.page_file_factory = [&rig, logical](size_t page_size) {
+    EXPECT_EQ(page_size, logical);  // no header overhead without checksums
     auto file = std::make_unique<FaultInjectionPageFile>(
         std::make_unique<InMemoryPageFile>(page_size));
     rig.faults = file.get();

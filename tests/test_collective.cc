@@ -22,7 +22,7 @@ SpatialDocument Doc(DocId id, double x, double y,
 I3Options SmallOptions() {
   I3Options opt;
   opt.space = {0.0, 0.0, 100.0, 100.0};
-  opt.page_size = 128;
+  opt.page_size = codec::kV2MinPageSize;
   opt.signature_bits = 64;
   return opt;
 }

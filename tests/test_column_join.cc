@@ -37,12 +37,12 @@ using testutil::MakeQueries;
 
 const Rect kSpace{0.0, 0.0, 100.0, 100.0};
 
-I3Options SmallPageOptions(bool cell_cache, bool compress, bool screen) {
+I3Options SmallPageOptions(bool cell_cache, bool screen) {
   I3Options opt;
   opt.space = kSpace;
-  opt.page_size = 128;  // small cells: deep trees, many fetched columns
+  // Small cells: deep trees, many fetched columns.
+  opt.page_size = codec::kV2MinPageSize;
   opt.signature_bits = 64;
-  opt.compress_pages = compress;
   opt.summary_screen = screen;
   opt.cell_cache_bytes = cell_cache ? (64u << 10) : 0;
   return opt;
@@ -89,7 +89,7 @@ TEST(ColumnJoinTest, ScoresSumWeightsInQueryTermOrder) {
   BruteForceIndex oracle(kSpace);
   for (const auto& d : docs) ASSERT_TRUE(oracle.Insert(d).ok());
   for (bool cache : {false, true}) {
-    I3Index index(SmallPageOptions(cache, /*compress=*/true, /*screen=*/true));
+    I3Index index(SmallPageOptions(cache, /*screen=*/true));
     for (const auto& d : docs) ASSERT_TRUE(index.Insert(d).ok());
     for (Semantics sem : {Semantics::kAnd, Semantics::kOr}) {
       Query q;
@@ -162,25 +162,23 @@ TEST(ColumnJoinDifferentialTest, UnsortedCellsMatchOracleAcrossStacks) {
   for (const auto& d : c.docs) ASSERT_TRUE(oracle.Insert(d).ok());
 
   for (bool cache : {false, true}) {
-    for (bool compress : {false, true}) {
-      for (bool screen : {false, true}) {
-        I3Index index(SmallPageOptions(cache, compress, screen));
-        BuildChurned(&index, c.docs);
-        ASSERT_TRUE(index.CheckInvariants().ok());
-        const std::string stack = std::string("cache=") + (cache ? "1" : "0") +
-                                  " v" + (compress ? "2" : "1") +
-                                  " screen=" + (screen ? "1" : "0");
-        for (const auto* queries : {&c.and_queries, &c.or_queries}) {
-          for (uint32_t k : {1u, 10u, 100u}) {
-            for (Query q : *queries) {
-              q.k = k;
-              auto want = oracle.Search(q, 0.5);
-              auto got = index.Search(q, 0.5);
-              ASSERT_TRUE(want.ok());
-              ASSERT_TRUE(got.ok()) << got.status().ToString();
-              ExpectByteIdentical(got.ValueOrDie(), want.ValueOrDie(),
-                                  stack + " k=" + std::to_string(k));
-            }
+    for (bool screen : {false, true}) {
+      I3Index index(SmallPageOptions(cache, screen));
+      BuildChurned(&index, c.docs);
+      ASSERT_TRUE(index.CheckInvariants().ok());
+      ASSERT_GE(index.SummaryNodeCount(), 48u);
+      const std::string stack = std::string("cache=") + (cache ? "1" : "0") +
+                                " screen=" + (screen ? "1" : "0");
+      for (const auto* queries : {&c.and_queries, &c.or_queries}) {
+        for (uint32_t k : {1u, 10u, 100u}) {
+          for (Query q : *queries) {
+            q.k = k;
+            auto want = oracle.Search(q, 0.5);
+            auto got = index.Search(q, 0.5);
+            ASSERT_TRUE(want.ok());
+            ASSERT_TRUE(got.ok()) << got.status().ToString();
+            ExpectByteIdentical(got.ValueOrDie(), want.ValueOrDie(),
+                                stack + " k=" + std::to_string(k));
           }
         }
       }
@@ -271,23 +269,20 @@ TEST(ColumnJoinDifferentialTest, OrSplitScoringMatchesOracleAcrossStacks) {
   EXPECT_GT(look_alike, 0u);
 
   for (bool cache : {false, true}) {
-    for (bool compress : {false, true}) {
-      for (bool screen : {false, true}) {
-        I3Index index(SmallPageOptions(cache, compress, screen));
-        for (const auto& d : docs) ASSERT_TRUE(index.Insert(d).ok());
-        const std::string stack = std::string("cache=") + (cache ? "1" : "0") +
-                                  " v" + (compress ? "2" : "1") +
-                                  " screen=" + (screen ? "1" : "0");
-        for (uint32_t k : {1u, 10u, 100u}) {
-          for (Query q : queries) {
-            q.k = k;
-            auto want = oracle.Search(q, 0.5);
-            auto got = index.Search(q, 0.5);
-            ASSERT_TRUE(want.ok());
-            ASSERT_TRUE(got.ok()) << got.status().ToString();
-            ExpectByteIdentical(got.ValueOrDie(), want.ValueOrDie(),
-                                stack + " k=" + std::to_string(k));
-          }
+    for (bool screen : {false, true}) {
+      I3Index index(SmallPageOptions(cache, screen));
+      for (const auto& d : docs) ASSERT_TRUE(index.Insert(d).ok());
+      const std::string stack = std::string("cache=") + (cache ? "1" : "0") +
+                                " screen=" + (screen ? "1" : "0");
+      for (uint32_t k : {1u, 10u, 100u}) {
+        for (Query q : queries) {
+          q.k = k;
+          auto want = oracle.Search(q, 0.5);
+          auto got = index.Search(q, 0.5);
+          ASSERT_TRUE(want.ok());
+          ASSERT_TRUE(got.ok()) << got.status().ToString();
+          ExpectByteIdentical(got.ValueOrDie(), want.ValueOrDie(),
+                              stack + " k=" + std::to_string(k));
         }
       }
     }
@@ -298,8 +293,7 @@ TEST(ColumnJoinDifferentialTest, ConcurrentReadersMatchOracle) {
   const ChurnedCorpus c = MakeChurnedCorpus();
   BruteForceIndex oracle(kSpace);
   for (const auto& d : c.docs) ASSERT_TRUE(oracle.Insert(d).ok());
-  I3Index index(SmallPageOptions(/*cell_cache=*/true, /*compress=*/true,
-                                 /*screen=*/true));
+  I3Index index(SmallPageOptions(/*cell_cache=*/true, /*screen=*/true));
   BuildChurned(&index, c.docs);
 
   std::vector<Query> queries;
@@ -352,8 +346,7 @@ TEST(ColumnJoinDifferentialTest, ConcurrentReadersMatchOracle) {
 // the request's context next to docs_scored.
 TEST(ColumnJoinTest, RowsJoinedIsDeterministicAndTraced) {
   const ChurnedCorpus c = MakeChurnedCorpus();
-  I3Index index(SmallPageOptions(/*cell_cache=*/true, /*compress=*/true,
-                                 /*screen=*/true));
+  I3Index index(SmallPageOptions(/*cell_cache=*/true, /*screen=*/true));
   BuildChurned(&index, c.docs);
   for (const Query& base : c.or_queries) {
     Query q = base;

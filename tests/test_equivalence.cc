@@ -40,7 +40,7 @@ Fixture BuildFixture(const CorpusOptions& copt, uint64_t seed) {
   Fixture f;
   I3Options i3opt;
   i3opt.space = copt.space;
-  i3opt.page_size = 256;  // capacity 8: forces deep cell trees
+  i3opt.page_size = codec::kV2MinPageSize;  // small cells: deep trees
   i3opt.signature_bits = 128;
   f.i3 = std::make_unique<I3Index>(i3opt);
 
@@ -104,6 +104,8 @@ CorpusOptions* AllIndexEquivalenceTest::copt_ = nullptr;
 
 TEST_P(AllIndexEquivalenceTest, AllIndexesAgree) {
   const EquivCase p = GetParam();
+  // The smallest pages split this corpus into a deep cell tree.
+  ASSERT_GE(fixture_->i3->SummaryNodeCount(), 64u);
   auto queries = MakeQueries(*copt_, /*num_queries=*/20, p.qn, p.k,
                              p.semantics, /*seed=*/p.qn * 100 + p.k);
   for (const Query& q : queries) {
@@ -146,6 +148,7 @@ TEST(EquivalenceAfterUpdates, AllIndexesAgreeAfterChurn) {
   copt.num_docs = 500;
   copt.vocab_size = 25;
   Fixture f = BuildFixture(copt, 31);
+  ASSERT_GE(f.i3->SummaryNodeCount(), 32u);
 
   // Delete a third of the documents, re-insert some with new ids.
   Rng rng(77);
@@ -231,6 +234,7 @@ TEST(EquivalenceWikipediaStyle, KeywordRichDocumentsAndLongQueries) {
   copt.min_terms = 20;
   copt.max_terms = 40;
   Fixture f = BuildFixture(copt, 777);
+  ASSERT_GE(f.i3->SummaryNodeCount(), 200u);
 
   for (Semantics sem : {Semantics::kAnd, Semantics::kOr}) {
     for (uint32_t qn : {3u, 8u, 15u}) {
@@ -274,8 +278,8 @@ std::vector<SpatialDocument> TiedScoreCorpus() {
   return docs;
 }
 
-/// Runs `q` on I3 (raw and compressed cells), IR-tree and S2I (TA and
-/// NRA) at page sizes 128, 256 and 4096 over `docs`, and requires each
+/// Runs `q` on I3 at page sizes 512 and 4096 and on IR-tree and S2I (TA
+/// and NRA) at page sizes 128, 256 and 4096 over `docs`, and requires each
 /// ranking to equal BruteForce's doc for doc and score for score, with
 /// doc 5 last.
 void ExpectOracleRanking(const Rect& space,
@@ -284,14 +288,13 @@ void ExpectOracleRanking(const Rect& space,
   BruteForceIndex oracle(space);
   for (const auto& d : docs) ASSERT_TRUE(oracle.Insert(d).ok());
   std::vector<std::unique_ptr<SpatialKeywordIndex>> indexes;
+  for (size_t page_size : {codec::kV2MinPageSize, kDefaultPageSize}) {
+    I3Options opt;
+    opt.space = space;
+    opt.page_size = page_size;
+    indexes.push_back(std::make_unique<I3Index>(opt));
+  }
   for (size_t page_size : {128, 256, 4096}) {
-    for (bool compress : {false, true}) {
-      I3Options opt;
-      opt.space = space;
-      opt.page_size = page_size;
-      opt.compress_pages = compress;
-      indexes.push_back(std::make_unique<I3Index>(opt));
-    }
     IrTreeOptions iropt;
     iropt.space = space;
     iropt.page_size = page_size;

@@ -28,7 +28,7 @@ Harness MakeHarness() {
   Harness h;
   I3Options opt;
   opt.space = {0.0, 0.0, 100.0, 100.0};
-  opt.page_size = 128;
+  opt.page_size = codec::kV2MinPageSize;
   opt.signature_bits = 64;
   opt.page_file_factory = [&h](size_t page_size) {
     auto file = std::make_unique<FaultInjectionPageFile>(

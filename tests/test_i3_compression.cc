@@ -1,15 +1,12 @@
-// Differential tests of the v2 compressed page format against the v1
-// baseline. The codec's losslessness plus the deterministic score/doc-id
-// tie-break of the top-k heap make the exact answer independent of the
-// quadtree shape and page layout, so v1 and v2 indexes over the same
-// corpus must return *byte-identical* top-k lists -- not merely
-// score-equivalent ones -- across semantics, k, alpha, and eta. Also
-// covered: the density win that motivates the format, structural
-// invariants under insert/delete churn, clean error paths when a
-// compressed block is damaged with page checksums disabled, and
-// persistence across format generations (the backward-compat guarantee
-// that an index built before compression existed opens and answers
-// correctly with compression enabled).
+// Differential tests of the compressed page format against the
+// BruteForceIndex oracle. The codec's losslessness plus the deterministic
+// score/doc-id tie-break of the top-k heap make the exact answer
+// independent of the quadtree shape and page layout, so an I3 index must
+// return the oracle's top-k lists *byte for byte* -- doc ids and score
+// bits, not merely score-equivalent lists -- across semantics, k, alpha,
+// and eta. Also covered: structural invariants under insert/delete churn,
+// clean error paths when a compressed block is damaged with page checksums
+// disabled, per-write I/O charges, and persistence round trips.
 
 #include <gtest/gtest.h>
 
@@ -19,8 +16,9 @@
 #include <utility>
 #include <vector>
 
-#include "i3/i3_index.h"
 #include "i3/cell_codec.h"
+#include "i3/i3_index.h"
+#include "model/brute_force.h"
 #include "storage/fault_injection.h"
 #include "test_util.h"
 
@@ -31,9 +29,9 @@ using testutil::CorpusOptions;
 using testutil::MakeCorpus;
 using testutil::MakeQueries;
 
-// A corpus whose keywords go dense under both formats: ~9000 tuples over a
-// 15-term vocabulary means hundreds of tuples per keyword, far past the v1
-// capacity of 128 and past the v2 one-page envelope.
+// A corpus whose keywords go dense: ~9000 tuples over a 15-term vocabulary
+// means hundreds of tuples per keyword, far past the one-page envelope of
+// a 4KB page.
 CorpusOptions DenseCorpus() {
   CorpusOptions opt;
   opt.num_docs = 3000;
@@ -42,12 +40,10 @@ CorpusOptions DenseCorpus() {
   return opt;
 }
 
-I3Options Options(bool compress, uint32_t eta = 64) {
+I3Options Options(uint32_t eta = 64) {
   I3Options opt;
   opt.space = {0.0, 0.0, 100.0, 100.0};
-  opt.page_size = kDefaultPageSize;  // v2 engages only at realistic sizes
   opt.signature_bits = eta;
-  opt.compress_pages = compress;
   return opt;
 }
 
@@ -58,6 +54,15 @@ std::unique_ptr<I3Index> Build(const std::vector<SpatialDocument>& docs,
     EXPECT_TRUE(index->Insert(d).ok());
   }
   return index;
+}
+
+std::unique_ptr<BruteForceIndex> Oracle(
+    const std::vector<SpatialDocument>& docs) {
+  auto oracle = std::make_unique<BruteForceIndex>(Options().space);
+  for (const SpatialDocument& d : docs) {
+    EXPECT_TRUE(oracle->Insert(d).ok());
+  }
+  return oracle;
 }
 
 // Byte-identical result lists: same docs in the same order with bit-equal
@@ -72,20 +77,22 @@ void ExpectIdenticalResults(const std::vector<ScoredDoc>& a,
   }
 }
 
-void ExpectIdenticalAnswers(I3Index* v1, I3Index* v2, const Query& q,
-                            double alpha, const std::string& what) {
-  auto r1 = v1->Search(q, alpha);
-  auto r2 = v2->Search(q, alpha);
+void ExpectIdenticalAnswers(SpatialKeywordIndex* want, I3Index* got,
+                            const Query& q, double alpha,
+                            const std::string& what) {
+  auto r1 = want->Search(q, alpha);
+  auto r2 = got->Search(q, alpha);
   ASSERT_TRUE(r1.ok()) << what << ": " << r1.status().message();
   ASSERT_TRUE(r2.ok()) << what << ": " << r2.status().message();
   ExpectIdenticalResults(r1.ValueOrDie(), r2.ValueOrDie(), what);
 }
 
-TEST(I3CompressionTest, TopKIsByteIdenticalAcrossFormats) {
+TEST(I3CompressionTest, TopKIsByteIdenticalToBruteForce) {
   const CorpusOptions copt = DenseCorpus();
   const auto docs = MakeCorpus(copt, 1);
-  auto v1 = Build(docs, Options(/*compress=*/false));
-  auto v2 = Build(docs, Options(/*compress=*/true));
+  auto oracle = Oracle(docs);
+  auto index = Build(docs, Options());
+  ASSERT_GT(index->SummaryNodeCount(), 0u);
 
   for (Semantics sem : {Semantics::kAnd, Semantics::kOr}) {
     for (uint32_t k : {1u, 5u, 20u}) {
@@ -93,7 +100,7 @@ TEST(I3CompressionTest, TopKIsByteIdenticalAcrossFormats) {
         const auto queries = MakeQueries(copt, 10, 2, k, sem, 99 + k);
         for (size_t i = 0; i < queries.size(); ++i) {
           ExpectIdenticalAnswers(
-              v1.get(), v2.get(), queries[i], alpha,
+              oracle.get(), index.get(), queries[i], alpha,
               std::string(SemanticsName(sem)) + " k=" + std::to_string(k) +
                   " alpha=" + std::to_string(alpha) + " q=" +
                   std::to_string(i));
@@ -107,13 +114,13 @@ TEST(I3CompressionTest, TopKIsByteIdenticalAcrossEta) {
   CorpusOptions copt = DenseCorpus();
   copt.num_docs = 1200;
   const auto docs = MakeCorpus(copt, 2);
+  auto oracle = Oracle(docs);
   for (uint32_t eta : {32u, 64u, 300u}) {
-    auto v1 = Build(docs, Options(false, eta));
-    auto v2 = Build(docs, Options(true, eta));
+    auto index = Build(docs, Options(eta));
     for (Semantics sem : {Semantics::kAnd, Semantics::kOr}) {
       const auto queries = MakeQueries(copt, 8, 2, 10, sem, eta);
       for (size_t i = 0; i < queries.size(); ++i) {
-        ExpectIdenticalAnswers(v1.get(), v2.get(), queries[i], 0.5,
+        ExpectIdenticalAnswers(oracle.get(), index.get(), queries[i], 0.5,
                                std::string(SemanticsName(sem)) + " eta=" +
                                    std::to_string(eta) + " q=" +
                                    std::to_string(i));
@@ -122,50 +129,32 @@ TEST(I3CompressionTest, TopKIsByteIdenticalAcrossEta) {
   }
 }
 
-TEST(I3CompressionTest, CompressionPacksSubstantiallyMorePerPage) {
-  const auto docs = MakeCorpus(DenseCorpus(), 3);
-  auto v1 = Build(docs, Options(false));
-  auto v2 = Build(docs, Options(true));
-
-  // The tentpole claim in storage terms: byte-based cells hold more tuples
-  // before splitting, so the compressed index needs fewer data pages and a
-  // shallower quadtree (fewer summary nodes). This synthetic corpus has
-  // full-precision random coordinates -- the format's worst case, since
-  // coordinate residuals dominate -- so the margin asserted here is
-  // conservative; the clustered benchmark corpus packs far denser (see
-  // EXPERIMENTS.md).
-  EXPECT_LE(v2->DataPageCount() * 5, v1->DataPageCount() * 4)
-      << "v2 pages " << v2->DataPageCount() << " vs v1 "
-      << v1->DataPageCount();
-  EXPECT_LT(v2->SummaryNodeCount(), v1->SummaryNodeCount());
-}
-
 TEST(I3CompressionTest, InvariantsHoldAfterChurnAndAnswersStayIdentical) {
   CorpusOptions copt = DenseCorpus();
   copt.num_docs = 1200;
   const auto docs = MakeCorpus(copt, 4);
-  auto v1 = Build(docs, Options(false));
-  auto v2 = Build(docs, Options(true));
+  auto oracle = Oracle(docs);
+  auto index = Build(docs, Options());
 
   uint64_t tuples = 0;
   for (const auto& d : docs) tuples += d.terms.size();
-  auto check = v2->CheckInvariants();
+  auto check = index->CheckInvariants();
   ASSERT_TRUE(check.ok()) << check.status().message();
   EXPECT_EQ(check.ValueOrDie(), tuples);
 
   for (size_t i = 0; i < docs.size(); i += 3) {
-    ASSERT_TRUE(v1->Delete(docs[i]).ok());
-    ASSERT_TRUE(v2->Delete(docs[i]).ok());
+    ASSERT_TRUE(oracle->Delete(docs[i]).ok());
+    ASSERT_TRUE(index->Delete(docs[i]).ok());
     tuples -= docs[i].terms.size();
   }
-  check = v2->CheckInvariants();
+  check = index->CheckInvariants();
   ASSERT_TRUE(check.ok()) << check.status().message();
   EXPECT_EQ(check.ValueOrDie(), tuples);
 
   for (Semantics sem : {Semantics::kAnd, Semantics::kOr}) {
     const auto queries = MakeQueries(copt, 10, 2, 10, sem, 7);
     for (size_t i = 0; i < queries.size(); ++i) {
-      ExpectIdenticalAnswers(v1.get(), v2.get(), queries[i], 0.5,
+      ExpectIdenticalAnswers(oracle.get(), index.get(), queries[i], 0.5,
                              std::string("post-churn ") +
                                  SemanticsName(sem) + " q=" +
                                  std::to_string(i));
@@ -175,7 +164,7 @@ TEST(I3CompressionTest, InvariantsHoldAfterChurnAndAnswersStayIdentical) {
 
 TEST(I3CompressionTest, DeferredFetchPruningFires) {
   const CorpusOptions copt = DenseCorpus();
-  auto index = Build(MakeCorpus(copt, 5), Options(true));
+  auto index = Build(MakeCorpus(copt, 5), Options());
   uint64_t skipped = 0, pruned = 0;
   for (Semantics sem : {Semantics::kAnd, Semantics::kOr}) {
     for (const Query& q : MakeQueries(copt, 20, 2, 5, sem, 11)) {
@@ -200,7 +189,7 @@ struct FaultHarness {
 
 FaultHarness MakeFaultHarness(const std::vector<SpatialDocument>& docs) {
   FaultHarness h;
-  I3Options opt = Options(/*compress=*/true);
+  I3Options opt = Options();
   // Checksums off: the codec's own bounds checks are the only line of
   // defense, which is exactly what these tests probe.
   opt.checksum_pages = false;
@@ -223,7 +212,7 @@ TEST(I3CompressionTest, CorruptedBlocksFailCleanlyAndHeal) {
   copt.num_docs = 800;
   const auto docs = MakeCorpus(copt, 6);
   FaultHarness h = MakeFaultHarness(docs);
-  auto reference = Build(docs, Options(true));
+  auto reference = Oracle(docs);
   const auto queries = MakeQueries(copt, 20, 2, 10, Semantics::kOr, 13);
 
   // Phase 1 -- transient wire damage: every page read comes back with a
@@ -283,8 +272,8 @@ TEST(I3CompressionTest, CorruptedBlocksFailCleanlyAndHeal) {
   ASSERT_FALSE(res.ok());
   EXPECT_TRUE(res.status().IsIOError()) << res.status().message();
 
-  // After the device heals, the index is intact: answers match a clean
-  // index byte for byte.
+  // After the device heals, the index is intact: answers match the
+  // oracle byte for byte.
   h.injector->injector()->Heal();
   h.index->ClearCache();
   for (size_t i = 0; i < queries.size(); ++i) {
@@ -305,105 +294,98 @@ struct TempFile {
 };
 
 // Data-file charges of each index write with an uncached pool (every
-// access charged), under both formats: one read and one write for a new
-// keyword, an append and a non-dense delete; a dense delete also reads the
-// leaf again to rebuild its summary.
+// access charged): one read and one write for a new keyword, an append and
+// a non-dense delete; a dense delete also reads the leaf again to rebuild
+// its summary.
 TEST(I3CompressionTest, UncachedWriteChargesPerOperation) {
-  for (bool compress : {false, true}) {
-    I3Options opt = Options(compress);
-    opt.buffer_pool.capacity_pages = 0;
-    I3Index index(opt);
-    auto doc = [](DocId id, TermId term, double x, double y) {
-      SpatialDocument d;
-      d.id = id;
-      d.location = {x, y};
-      d.terms = {{term, 0.5f}};
-      return d;
-    };
-    // Data-file (reads, writes) charged since the previous call.
-    IoStats last = index.io_stats();
-    auto charged = [&]() {
-      const IoStats now = index.io_stats();
-      const std::pair<uint64_t, uint64_t> delta{
-          now.reads(IoCategory::kI3DataFile) -
-              last.reads(IoCategory::kI3DataFile),
-          now.writes(IoCategory::kI3DataFile) -
-              last.writes(IoCategory::kI3DataFile)};
-      last = now;
-      return delta;
-    };
-    const std::pair<uint64_t, uint64_t> one_each{1, 1};
-    const std::string format = compress ? " (v2)" : " (v1)";
+  I3Options opt = Options();
+  opt.buffer_pool.capacity_pages = 0;
+  I3Index index(opt);
+  auto doc = [](DocId id, TermId term, double x, double y) {
+    SpatialDocument d;
+    d.id = id;
+    d.location = {x, y};
+    d.terms = {{term, 0.5f}};
+    return d;
+  };
+  // Data-file (reads, writes) charged since the previous call.
+  IoStats last = index.io_stats();
+  auto charged = [&]() {
+    const IoStats now = index.io_stats();
+    const std::pair<uint64_t, uint64_t> delta{
+        now.reads(IoCategory::kI3DataFile) -
+            last.reads(IoCategory::kI3DataFile),
+        now.writes(IoCategory::kI3DataFile) -
+            last.writes(IoCategory::kI3DataFile)};
+    last = now;
+    return delta;
+  };
+  const std::pair<uint64_t, uint64_t> one_each{1, 1};
 
-    ASSERT_TRUE(index.Insert(doc(1, 1, 10.0, 10.0)).ok());
-    EXPECT_EQ(charged(), one_each) << "new keyword" << format;
-    ASSERT_TRUE(index.Insert(doc(2, 1, 10.5, 10.5)).ok());
-    EXPECT_EQ(charged(), one_each) << "append to a non-dense cell" << format;
-    ASSERT_TRUE(index.Delete(doc(2, 1, 10.5, 10.5)).ok());
-    EXPECT_EQ(charged(), one_each) << "non-dense delete" << format;
+  ASSERT_TRUE(index.Insert(doc(1, 1, 10.0, 10.0)).ok());
+  EXPECT_EQ(charged(), one_each) << "new keyword";
+  ASSERT_TRUE(index.Insert(doc(2, 1, 10.5, 10.5)).ok());
+  EXPECT_EQ(charged(), one_each) << "append to a non-dense cell";
+  ASSERT_TRUE(index.Delete(doc(2, 1, 10.5, 10.5)).ok());
+  EXPECT_EQ(charged(), one_each) << "non-dense delete";
 
-    // Grow keyword 2 until it is dense.
-    Rng rng(17);
-    std::vector<SpatialDocument> dense;
-    for (DocId id = 100; index.SummaryNodeCount() == 0; ++id) {
-      dense.push_back(doc(id, 2, rng.UniformDouble(0.0, 100.0),
-                          rng.UniformDouble(0.0, 100.0)));
-      ASSERT_TRUE(index.Insert(dense.back()).ok());
-    }
-    charged();
-    const SpatialDocument& victim = dense[dense.size() / 2];
-    ASSERT_TRUE(index.Delete(victim).ok());
-    EXPECT_EQ(charged(), std::make_pair(uint64_t{2}, uint64_t{1}))
-        << "dense delete" << format;
-    ASSERT_TRUE(index.Insert(victim).ok());
-    EXPECT_EQ(charged(), one_each) << "append to a dense leaf cell" << format;
-    EXPECT_TRUE(index.CheckInvariants().ok());
+  // Grow keyword 2 until it is dense.
+  Rng rng(17);
+  std::vector<SpatialDocument> dense;
+  for (DocId id = 100; index.SummaryNodeCount() == 0; ++id) {
+    dense.push_back(doc(id, 2, rng.UniformDouble(0.0, 100.0),
+                        rng.UniformDouble(0.0, 100.0)));
+    ASSERT_TRUE(index.Insert(dense.back()).ok());
   }
+  charged();
+  const SpatialDocument& victim = dense[dense.size() / 2];
+  ASSERT_TRUE(index.Delete(victim).ok());
+  EXPECT_EQ(charged(), std::make_pair(uint64_t{2}, uint64_t{1}))
+      << "dense delete";
+  ASSERT_TRUE(index.Insert(victim).ok());
+  EXPECT_EQ(charged(), one_each) << "append to a dense leaf cell";
+  EXPECT_TRUE(index.CheckInvariants().ok());
 }
 
-TEST(I3CompressionTest, PersistRoundTripsAcrossFormatGenerations) {
+// SaveTo writes tuples, not pages, so a round trip rebuilds every page in
+// its canonical encoding, at the smallest and the default page size; the
+// loaded index answers as the saved one and stays maintainable.
+TEST(I3CompressionTest, PersistRoundTripsAtEveryPageSize) {
   CorpusOptions copt = DenseCorpus();
   copt.num_docs = 900;
   const auto docs = MakeCorpus(copt, 8);
   const auto queries = MakeQueries(copt, 12, 2, 10, Semantics::kAnd, 19);
 
-  struct Case {
-    bool build_compressed;
-    bool load_compressed;
-    const char* name;
-  };
-  // v1 file -> compressed runtime is the backward-compat guarantee: an
-  // index persisted before the v2 format existed must open and answer
-  // correctly with compression enabled.
-  const Case cases[] = {{false, false, "v1->v1"},
-                        {false, true, "v1->v2"},
-                        {true, true, "v2->v2"}};
-  for (const Case& c : cases) {
-    auto source = Build(docs, Options(c.build_compressed));
-    TempFile file(std::string("i3_compression_") + c.name + ".idx");
-    ASSERT_TRUE(source->SaveTo(file.path).ok()) << c.name;
+  for (size_t page_size : {codec::kV2MinPageSize, kDefaultPageSize}) {
+    const std::string name = "page " + std::to_string(page_size);
+    I3Options opt = Options();
+    opt.page_size = page_size;
+    auto source = Build(docs, opt);
+    TempFile file("i3_compression_" + std::to_string(page_size) + ".idx");
+    ASSERT_TRUE(source->SaveTo(file.path).ok()) << name;
 
-    auto loaded_res = I3Index::LoadFrom(file.path, Options(c.load_compressed));
+    auto loaded_res = I3Index::LoadFrom(file.path, Options());
     ASSERT_TRUE(loaded_res.ok())
-        << c.name << ": " << loaded_res.status().message();
+        << name << ": " << loaded_res.status().message();
     auto loaded = loaded_res.MoveValue();
-    EXPECT_EQ(loaded->DocumentCount(), source->DocumentCount()) << c.name;
+    EXPECT_EQ(loaded->options().page_size, page_size) << name;
+    EXPECT_EQ(loaded->DocumentCount(), source->DocumentCount()) << name;
+    EXPECT_EQ(loaded->DataPageCount(), source->DataPageCount()) << name;
 
     for (size_t i = 0; i < queries.size(); ++i) {
       ExpectIdenticalAnswers(source.get(), loaded.get(), queries[i], 0.5,
-                             std::string(c.name) + " q=" +
-                                 std::to_string(i));
+                             name + " q=" + std::to_string(i));
     }
 
-    // The loaded index must stay fully maintainable in its new format.
+    // The loaded index must stay fully maintainable.
     CorpusOptions extra = copt;
     extra.num_docs = 100;
     extra.first_id = 10000;
     for (const SpatialDocument& d : MakeCorpus(extra, 9)) {
-      ASSERT_TRUE(loaded->Insert(d).ok()) << c.name;
+      ASSERT_TRUE(loaded->Insert(d).ok()) << name;
     }
     auto check = loaded->CheckInvariants();
-    ASSERT_TRUE(check.ok()) << c.name << ": " << check.status().message();
+    ASSERT_TRUE(check.ok()) << name << ": " << check.status().message();
   }
 }
 

@@ -4,7 +4,12 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <cstring>
+#include <fstream>
+#include <iterator>
+#include <string>
 #include <unordered_set>
+#include <vector>
 
 #include "i3/i3_index.h"
 #include "model/brute_force.h"
@@ -21,7 +26,7 @@ using testutil::SameScores;
 I3Options SmallOptions() {
   I3Options opt;
   opt.space = {0.0, 0.0, 100.0, 100.0};
-  opt.page_size = 128;  // capacity 4: plenty of dense cells
+  opt.page_size = codec::kV2MinPageSize;
   opt.signature_bits = 64;
   return opt;
 }
@@ -64,6 +69,7 @@ TEST(SearchRangeTest, MatchesBruteForceScan) {
   auto docs = MakeCorpus(copt, 61);
   I3Index index(SmallOptions());
   for (const auto& d : docs) ASSERT_TRUE(index.Insert(d).ok());
+  ASSERT_GE(index.SummaryNodeCount(), 48u);  // plenty of dense cells
 
   Rng rng(5);
   for (int trial = 0; trial < 30; ++trial) {
@@ -196,6 +202,82 @@ TEST(PersistenceTest, LoadedIndexAcceptsUpdates) {
     ASSERT_TRUE(b.ok());
     EXPECT_TRUE(SameScores(a.ValueOrDie(), b.ValueOrDie()));
   }
+  std::remove(path.c_str());
+}
+
+/// The bytes of the file at `path`.
+std::vector<char> ReadFileBytes(const std::string& path) {
+  std::ifstream is(path, std::ios::binary);
+  return std::vector<char>(std::istreambuf_iterator<char>(is), {});
+}
+
+void WriteFileBytes(const std::string& path, const std::vector<char>& b) {
+  std::ofstream os(path, std::ios::binary | std::ios::trunc);
+  os.write(b.data(), static_cast<std::streamsize>(b.size()));
+}
+
+// SaveTo's layout (i3_persist.cc): the page size sits at byte 40 and the
+// signature length at byte 48, after the magic, version and space. Each
+// structural field the index cannot serve -- a zero signature length (every
+// AND search would divide by it), a page below the smallest page size, a
+// summary signature one word short (it would load as an empty signature
+// and prune documents it holds) -- is refused as Corruption.
+TEST(PersistenceTest, LoadRejectsFieldsTheIndexCannotServe) {
+  CorpusOptions copt;
+  copt.num_docs = 400;
+  copt.vocab_size = 15;
+  I3Options opt = SmallOptions();
+  opt.signature_bits = 300;  // five words per signature
+  I3Index original(opt);
+  for (const auto& d : MakeCorpus(copt, 91)) {
+    ASSERT_TRUE(original.Insert(d).ok());
+  }
+  ASSERT_GT(original.SummaryNodeCount(), 0u);
+  const std::string path = testing::TempDir() + "/i3_persist_doctored.idx";
+  ASSERT_TRUE(original.SaveTo(path).ok());
+  const std::vector<char> saved = ReadFileBytes(path);
+  ASSERT_TRUE(I3Index::LoadFrom(path).ok());
+
+  auto load_doctored = [&](const std::vector<char>& bytes) {
+    WriteFileBytes(path, bytes);
+    return I3Index::LoadFrom(path).status();
+  };
+  auto put_u32 = [](std::vector<char>* b, size_t at, uint32_t v) {
+    std::memcpy(b->data() + at, &v, 4);
+  };
+  auto get_u64 = [&saved](size_t at) {
+    uint64_t v;
+    std::memcpy(&v, saved.data() + at, 8);
+    return v;
+  };
+
+  std::vector<char> doctored = saved;
+  put_u32(&doctored, 48, 0);
+  Status st = load_doctored(doctored);
+  EXPECT_TRUE(st.IsCorruption()) << "zero signature length: " << st.ToString();
+
+  doctored = saved;
+  const uint64_t small_page = codec::kV2MinPageSize / 2;
+  std::memcpy(doctored.data() + 40, &small_page, 8);
+  st = load_doctored(doctored);
+  EXPECT_TRUE(st.IsCorruption()) << "page size: " << st.ToString();
+
+  // The head file starts after the options (55 bytes), the doc count and
+  // next source (12) and the lookup table (8 + 17 per entry); its node
+  // count comes first, then the first node's self entry: word count, five
+  // words, max_s. Dropping its last word keeps the rest of the file intact.
+  const size_t lookup_at = 55 + 12;
+  const size_t nodes_at = lookup_at + 8 + 17 * get_u64(lookup_at);
+  ASSERT_EQ(get_u64(nodes_at), original.SummaryNodeCount());
+  const size_t entry_at = nodes_at + 8;
+  doctored = saved;
+  put_u32(&doctored, entry_at, 4);
+  const size_t last_word = entry_at + 4 + 4 * 8;
+  doctored.erase(doctored.begin() + last_word,
+                 doctored.begin() + last_word + 8);
+  st = load_doctored(doctored);
+  EXPECT_TRUE(st.IsCorruption()) << "short signature: " << st.ToString();
+
   std::remove(path.c_str());
 }
 

@@ -4,11 +4,14 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <fstream>
 #include <memory>
 #include <unordered_set>
 
 #include "i3/i3_index.h"
 #include "model/brute_force.h"
+#include "obs/metrics.h"
 #include "test_util.h"
 
 namespace i3 {
@@ -19,10 +22,11 @@ using testutil::MakeCorpus;
 using testutil::MakeQueries;
 using testutil::SameScores;
 
-I3Options SmallOptions(size_t page_size = 128, uint32_t eta = 64) {
+I3Options SmallOptions(size_t page_size = codec::kV2MinPageSize,
+                       uint32_t eta = 64) {
   I3Options opt;
   opt.space = {0.0, 0.0, 100.0, 100.0};
-  opt.page_size = page_size;  // capacity = page_size / 32 tuples
+  opt.page_size = page_size;
   opt.signature_bits = eta;
   return opt;
 }
@@ -137,9 +141,9 @@ TEST(I3IndexTest, AndWithAbsentKeywordReturnsEmpty) {
 }
 
 TEST(I3IndexTest, DenseSplitPreservesAnswers) {
-  // Page capacity 4 (128B page): inserting many docs with one hot keyword
-  // forces root density and recursive splits.
-  I3Index index(SmallOptions(128));
+  // Small pages: inserting many docs with one hot keyword forces root
+  // density and recursive splits.
+  I3Index index(SmallOptions());
   const int n = 64;
   for (int i = 0; i < n; ++i) {
     const double x = (i % 8) * 12.0 + 1.0;
@@ -150,7 +154,7 @@ TEST(I3IndexTest, DenseSplitPreservesAnswers) {
                     .ok())
         << i;
   }
-  ASSERT_GT(index.SummaryNodeCount(), 0u);  // keyword went dense
+  ASSERT_GT(index.SummaryNodeCount(), 1u);  // keyword went dense, twice
   auto check = index.CheckInvariants();
   ASSERT_TRUE(check.ok()) << check.status().ToString();
   EXPECT_EQ(check.ValueOrDie(), static_cast<uint64_t>(n));
@@ -217,10 +221,12 @@ TEST(I3IndexTest, UpdateMovesDocument) {
 TEST(I3IndexTest, DuplicateLocationsOverflowChain) {
   // All tuples at the same point with the same keyword: the cell cannot be
   // split spatially and must grow an overflow chain at max_split_level.
-  I3Options opt = SmallOptions(128);  // capacity 4
+  // Constant weights and one location leave ~1 byte per tuple, so a page
+  // holds a few hundred: 1,000 tuples need a chain.
+  I3Options opt = SmallOptions();
   opt.max_split_level = 3;
   I3Index index(opt);
-  const int n = 40;
+  const int n = 1000;
   for (int i = 0; i < n; ++i) {
     ASSERT_TRUE(index.Insert(Doc(i, 33.0, 33.0, {{1, 0.5f}})).ok()) << i;
   }
@@ -232,6 +238,7 @@ TEST(I3IndexTest, DuplicateLocationsOverflowChain) {
   auto res = index.Search(q, 0.5);
   ASSERT_TRUE(res.ok());
   EXPECT_EQ(res.ValueOrDie().size(), static_cast<size_t>(n));
+  EXPECT_GT(index.DataPageCount(), 2u);
 
   // And they can all be deleted again.
   for (int i = 0; i < n; ++i) {
@@ -293,16 +300,16 @@ TEST_P(I3EquivalenceTest, MatchesBruteForce) {
 INSTANTIATE_TEST_SUITE_P(
     Sweep, I3EquivalenceTest,
     ::testing::Values(
-        EquivParam{Semantics::kAnd, 0, 0.5, 10, 128, 2},
-        EquivParam{Semantics::kOr, 0, 0.5, 10, 128, 2},
-        EquivParam{Semantics::kAnd, 0xFFFFFFFF, 0.1, 10, 128, 3},
-        EquivParam{Semantics::kOr, 0x00005591, 0.1, 10, 128, 3},
-        EquivParam{Semantics::kAnd, 0, 0.9, 10, 128, 3},
-        EquivParam{Semantics::kOr, 0x00007FCF, 0.9, 10, 128, 3},
-        EquivParam{Semantics::kAnd, 0x00007FCF, 0.5, 1, 256, 4},
-        EquivParam{Semantics::kOr, 0x632E7865, 0.5, 1, 256, 4},
-        EquivParam{Semantics::kAnd, 0, 0.5, 50, 256, 5},
-        EquivParam{Semantics::kOr, 0, 0.5, 50, 256, 5},
+        EquivParam{Semantics::kAnd, 0, 0.5, 10, 512, 2},
+        EquivParam{Semantics::kOr, 0, 0.5, 10, 512, 2},
+        EquivParam{Semantics::kAnd, 0xFFFFFFFF, 0.1, 10, 512, 3},
+        EquivParam{Semantics::kOr, 0x00005591, 0.1, 10, 512, 3},
+        EquivParam{Semantics::kAnd, 0, 0.9, 10, 512, 3},
+        EquivParam{Semantics::kOr, 0x00007FCF, 0.9, 10, 512, 3},
+        EquivParam{Semantics::kAnd, 0x00007FCF, 0.5, 1, 1024, 4},
+        EquivParam{Semantics::kOr, 0x632E7865, 0.5, 1, 1024, 4},
+        EquivParam{Semantics::kAnd, 0, 0.5, 50, 1024, 5},
+        EquivParam{Semantics::kOr, 0, 0.5, 50, 1024, 5},
         EquivParam{Semantics::kAnd, 0x002C3B03, 0.0, 20, 512, 2},
         EquivParam{Semantics::kOr, 0, 1.0, 20, 512, 2},
         EquivParam{Semantics::kAnd, 0, 0.5, 200, 4096, 3},
@@ -314,7 +321,7 @@ TEST(I3PropertyTest, InvariantsHoldUnderMixedWorkload) {
   copt.vocab_size = 30;
   auto docs = MakeCorpus(copt, 99);
 
-  I3Index index(SmallOptions(128));
+  I3Index index(SmallOptions());
   BruteForceIndex oracle(SmallOptions().space);
   Rng rng(123);
   std::vector<size_t> live;
@@ -390,13 +397,45 @@ TEST(I3IndexTest, OnDiskBackendMatchesInMemory) {
     ASSERT_TRUE(disk.Insert(d).ok());
     ASSERT_TRUE(mem.Insert(d).ok());
   }
-  for (const Query& q : MakeQueries(copt, 10, 2, 10, Semantics::kOr, 11)) {
+  const auto queries = MakeQueries(copt, 10, 2, 10, Semantics::kOr, 11);
+  for (const Query& q : queries) {
     auto a = disk.Search(q, 0.5);
     auto b = mem.Search(q, 0.5);
     ASSERT_TRUE(a.ok());
     ASSERT_TRUE(b.ok());
     EXPECT_TRUE(SameScores(a.ValueOrDie(), b.ValueOrDie()));
   }
+
+  // The disk-backed data file has the decoded-cell cache too: the same
+  // queries again are served from it.
+  const obs::Counter* hits = obs::MetricsRegistry::Global().GetCounter(
+      "i3_cell_cache_hits_total", "");
+  const uint64_t hits_before = hits->Value();
+  for (const Query& q : queries) ASSERT_TRUE(disk.Search(q, 0.5).ok());
+  EXPECT_GT(hits->Value(), hits_before);
+
+  // A page_file_factory takes precedence over data_file_path: no file is
+  // made at the path.
+  I3Options both = SmallOptions();
+  both.data_file_path = testing::TempDir() + "/i3_test_factory_first.bin";
+  std::remove(both.data_file_path.c_str());
+  both.page_file_factory = [](size_t page_size) {
+    return std::make_unique<InMemoryPageFile>(page_size);
+  };
+  auto both_res = I3Index::Create(both);
+  ASSERT_TRUE(both_res.ok());
+  ASSERT_TRUE(both_res.ValueOrDie()->Insert(Doc(1, 5, 5, {{1, 0.5f}})).ok());
+  EXPECT_FALSE(std::ifstream(both.data_file_path).good());
+}
+
+// Create refuses what the index cannot serve instead of building it.
+TEST(I3IndexTest, CreateRejectsUnservableOptions) {
+  I3Options small = SmallOptions(codec::kV2MinPageSize / 2);
+  EXPECT_TRUE(I3Index::Create(small).status().IsInvalidArgument());
+  I3Options no_signature = SmallOptions();
+  no_signature.signature_bits = 0;
+  EXPECT_TRUE(I3Index::Create(no_signature).status().IsInvalidArgument());
+  EXPECT_TRUE(I3Index::Create(SmallOptions()).ok());
 }
 
 
@@ -404,25 +443,26 @@ TEST(I3IndexTest, RecursiveSplitWhenAllTuplesInOneQuadrant) {
   // All tuples cluster in a tiny corner region: a root split pushes every
   // tuple into the same child, which must immediately split again
   // (recursive dense descent) without losing any tuple.
-  I3Index index(SmallOptions(128));  // capacity 4
-  for (int i = 0; i < 32; ++i) {
+  I3Index index(SmallOptions());
+  const uint32_t n = 128;
+  for (uint32_t i = 0; i < n; ++i) {
     const double x = 1.0 + 0.01 * i;
     const double y = 2.0 + 0.005 * i;
     ASSERT_TRUE(index.Insert(Doc(i, x, y, {{1, 0.5f}})).ok()) << i;
   }
   auto check = index.CheckInvariants();
   ASSERT_TRUE(check.ok()) << check.status().ToString();
-  EXPECT_EQ(check.ValueOrDie(), 32u);
+  EXPECT_EQ(check.ValueOrDie(), n);
   EXPECT_GT(index.SummaryNodeCount(), 2u);  // several levels of nodes
 
   Query q;
   q.location = {1.0, 2.0};
   q.terms = {1};
-  q.k = 32;
+  q.k = n;
   q.semantics = Semantics::kAnd;
   auto res = index.Search(q, 0.5);
   ASSERT_TRUE(res.ok());
-  EXPECT_EQ(res.ValueOrDie().size(), 32u);
+  EXPECT_EQ(res.ValueOrDie().size(), n);
 }
 
 TEST(I3IndexTest, SearchAndSearchRangeAgree) {
@@ -431,7 +471,7 @@ TEST(I3IndexTest, SearchAndSearchRangeAgree) {
   CorpusOptions copt;
   copt.num_docs = 400;
   copt.vocab_size = 20;
-  I3Index index(SmallOptions(128));
+  I3Index index(SmallOptions());
   for (const auto& d : MakeCorpus(copt, 123)) {
     ASSERT_TRUE(index.Insert(d).ok());
   }

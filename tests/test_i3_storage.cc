@@ -65,33 +65,60 @@ TEST(SignatureTest, SizeBytes) {
   EXPECT_EQ(Signature(9).SizeBytes(), 2u);
 }
 
+/// Tuples of `source` on `page`, in row order.
+std::vector<SpatialTuple> OfSource(const TuplePage& page, SourceId source) {
+  std::vector<SpatialTuple> out;
+  for (const StoredTuple& st : page.slots) {
+    if (st.source == source) out.push_back(st.tuple);
+  }
+  return out;
+}
+
+/// A tuple of `term` at a random location with a random weight: full
+/// coordinate residuals and a raw weight column, the encoding's worst case.
+SpatialTuple RandomTuple(Rng* rng, TermId term, DocId doc) {
+  return {term, doc,
+          {rng->UniformDouble(0.0, 100.0), rng->UniformDouble(0.0, 100.0)},
+          static_cast<float>(rng->UniformDouble(0.05, 1.0))};
+}
+
+// The paper's page holds P/B fixed 32-byte slots (128 at P = 4KB). An
+// encoded page holds at least as many tuples of one keyword cell, even of
+// one with random coordinates and weights.
 TEST(DataFileTest, CapacityFollowsPaperSetting) {
-  DataFile df;  // P = 4KB, B = 32
-  EXPECT_EQ(df.capacity(), 128u);
-  DataFile small(256);
-  EXPECT_EQ(small.capacity(), 8u);
+  for (size_t page_size : {codec::kV2MinPageSize, kDefaultPageSize}) {
+    DataFile df(page_size);
+    const PageId p = df.AllocatePage().ValueOrDie();
+    Rng rng(page_size);
+    uint32_t n = 0;
+    while (df.Insert(p, 1, RandomTuple(&rng, 1, n * 7919)).ok()) ++n;
+    EXPECT_GE(n, page_size / 32) << "page size " << page_size;
+    EXPECT_TRUE(df.CheckPage(p).ok());
+  }
 }
 
 TEST(DataFileTest, InsertReadRemove) {
-  DataFile df(256);  // capacity 8
+  DataFile df(codec::kV2MinPageSize);
   auto page = df.PageWithFreeSlots(1);
   ASSERT_TRUE(page.ok());
   const PageId p = page.ValueOrDie();
+  EXPECT_EQ(df.FreeBytes(p), codec::kV2MinPageSize);
 
   const SpatialTuple t1{/*term=*/5, /*doc=*/10, {1.5, 2.5}, 0.7f};
   const SpatialTuple t2{/*term=*/5, /*doc=*/11, {3.0, 4.0}, 0.3f};
   ASSERT_TRUE(df.Insert(p, /*source=*/1, t1).ok());
+  const uint32_t one_cell = df.FreeBytes(p);
   ASSERT_TRUE(df.Insert(p, /*source=*/2, t2).ok());
-  EXPECT_EQ(df.FreeSlots(p), 6u);
+  EXPECT_LT(df.FreeBytes(p), one_cell);
+  EXPECT_TRUE(df.CheckPage(p).ok());
 
   auto read = df.Read(p);
   ASSERT_TRUE(read.ok());
-  EXPECT_EQ(read.ValueOrDie().slots.size(), 2u);
-  EXPECT_EQ(read.ValueOrDie().CountSource(1), 1u);
-  EXPECT_FALSE(read.ValueOrDie().AllFromSource(1));
-  auto of1 = read.ValueOrDie().OfSource(1);
-  ASSERT_EQ(of1.size(), 1u);
-  EXPECT_EQ(of1[0], t1);
+  ASSERT_EQ(read.ValueOrDie().slots.size(), 2u);
+  EXPECT_EQ(read.ValueOrDie().slots[0].source, 1u);
+  EXPECT_EQ(read.ValueOrDie().slots[0].tuple, t1);
+  EXPECT_EQ(read.ValueOrDie().slots[1].source, 2u);
+  EXPECT_EQ(read.ValueOrDie().slots[1].tuple, t2);
 
   auto removed = df.Remove(p, 1, 10);
   ASSERT_TRUE(removed.ok());
@@ -99,21 +126,30 @@ TEST(DataFileTest, InsertReadRemove) {
   auto removed_again = df.Remove(p, 1, 10);
   ASSERT_TRUE(removed_again.ok());
   EXPECT_FALSE(removed_again.ValueOrDie());
-  EXPECT_EQ(df.FreeSlots(p), 7u);
+  // The page now holds t2's group alone: what t1's group alone took.
+  EXPECT_EQ(df.FreeBytes(p), one_cell);
+  EXPECT_TRUE(df.CheckPage(p).ok());
+  read = df.Read(p);
+  ASSERT_TRUE(read.ok());
+  ASSERT_EQ(read.ValueOrDie().slots.size(), 1u);
+  EXPECT_EQ(read.ValueOrDie().slots[0].tuple, t2);
 }
 
 TEST(DataFileTest, FullPageRejectsInsert) {
-  DataFile df(256);
-  auto page = df.PageWithFreeSlots(8);
+  DataFile df(codec::kV2MinPageSize);
+  auto page = df.PageWithFreeSlots(1);
   ASSERT_TRUE(page.ok());
   const PageId p = page.ValueOrDie();
-  for (uint32_t i = 0; i < 8; ++i) {
-    ASSERT_TRUE(
-        df.Insert(p, 1, {1, i, {double(i), 0.0}, 0.5f}).ok());
-  }
-  EXPECT_EQ(df.FreeSlots(p), 0u);
-  auto st = df.Insert(p, 1, {1, 99, {0, 0}, 0.5f});
+  Rng rng(3);
+  Status st;
+  DocId doc = 0;
+  for (; st.ok(); ++doc) st = df.Insert(p, 1, RandomTuple(&rng, 1, doc));
   EXPECT_EQ(st.code(), StatusCode::kResourceExhausted);
+  // The refused insert wrote nothing.
+  auto read = df.Read(p);
+  ASSERT_TRUE(read.ok());
+  EXPECT_EQ(read.ValueOrDie().slots.size(), doc - 1);
+  EXPECT_TRUE(df.CheckPage(p).ok());
   // A fresh request gets a different page.
   auto other = df.PageWithFreeSlots(1);
   ASSERT_TRUE(other.ok());
@@ -121,39 +157,43 @@ TEST(DataFileTest, FullPageRejectsInsert) {
 }
 
 TEST(DataFileTest, FullPageMovesCell) {
-  DataFile df(256);  // capacity 8
-  const PageId p = df.PageWithFreeSlots(8).ValueOrDie();
+  DataFile df(codec::kV2MinPageSize);
+  const PageId p = df.PageWithFreeSlots(1).ValueOrDie();
   for (uint32_t i = 0; i < 5; ++i) {
     ASSERT_TRUE(df.Insert(p, 7, {1, i, {double(i), 0.0}, 0.5f}).ok());
   }
-  for (uint32_t i = 0; i < 3; ++i) {
-    ASSERT_TRUE(df.Insert(p, 8, {2, 50 + i, {9, 9}, 0.9f}).ok());
-  }
-  EXPECT_EQ(df.FreeSlots(p), 0u);
-  // The grown cell no longer fits its page: it moves, with the new tuple.
+  // Fill the rest of the page with cell 8.
+  Rng rng(8);
+  Status st;
+  uint32_t cell8 = 0;
+  for (; st.ok(); ++cell8) st = df.Insert(p, 8, RandomTuple(&rng, 2, cell8));
+  ASSERT_EQ(st.code(), StatusCode::kResourceExhausted);
+  --cell8;
+  // The grown cell no longer fits its page (a distant row widens every
+  // column): it moves, with the new tuple.
   PageId cell_page = p;
-  const SpatialTuple extra{1, 99, {5.0, 0.0}, 0.5f};
+  const SpatialTuple extra{1, 1 << 20, {95.0, 95.0}, 0.75f};
   auto added = df.AddToCell(&cell_page, 7, extra, nullptr);
   ASSERT_TRUE(added.ok()) << added.status().message();
   EXPECT_EQ(added.ValueOrDie(), DataFile::CellAdd::kMoved);
   ASSERT_NE(cell_page, p);
-  EXPECT_EQ(df.FreeSlots(p), 5u);
-  EXPECT_EQ(df.FreeSlots(cell_page), 2u);
+  EXPECT_TRUE(df.CheckPage(p).ok());
+  EXPECT_TRUE(df.CheckPage(cell_page).ok());
 
   auto old_page = df.Read(p);
   ASSERT_TRUE(old_page.ok());
-  EXPECT_EQ(old_page.ValueOrDie().CountSource(7), 0u);
-  EXPECT_EQ(old_page.ValueOrDie().CountSource(8), 3u);
+  EXPECT_TRUE(OfSource(old_page.ValueOrDie(), 7).empty());
+  EXPECT_EQ(OfSource(old_page.ValueOrDie(), 8).size(), cell8);
   auto new_page = df.Read(cell_page);
   ASSERT_TRUE(new_page.ok());
-  const std::vector<SpatialTuple> moved = new_page.ValueOrDie().OfSource(7);
+  const std::vector<SpatialTuple> moved = OfSource(new_page.ValueOrDie(), 7);
   ASSERT_EQ(moved.size(), 6u);
   for (uint32_t i = 0; i < 5; ++i) EXPECT_EQ(moved[i].doc, i);
   EXPECT_EQ(moved[5], extra);
 }
 
 TEST(DataFileTest, RoundTripPreservesTupleBytes) {
-  DataFile df(256);
+  DataFile df(codec::kV2MinPageSize);
   const PageId p = df.PageWithFreeSlots(1).ValueOrDie();
   const SpatialTuple t{123456, 987654, {-73.98765, 40.12345}, 0.8125f};
   ASSERT_TRUE(df.Insert(p, 42, t).ok());
@@ -166,9 +206,10 @@ TEST(DataFileTest, RoundTripPreservesTupleBytes) {
 
 // The cell-level writes (Insert, Remove, AddToCell) must leave exactly the
 // pages, free-space entries and placement of the whole-page cycle they
-// replaced -- Read, edit the TuplePage, check Fits, Write -- on v1 (256B)
-// and v2 (4KB) files alike. A reference file runs that cycle for the same
-// seeded operations and every page is compared byte for byte after each.
+// replaced -- Read, edit the TuplePage, check Fits, Write -- at the
+// smallest and the default page size. A reference file runs that cycle for
+// the same seeded operations and every page is compared byte for byte
+// after each.
 class DataFileCellOpsTest : public ::testing::TestWithParam<size_t> {};
 
 /// The whole-page relocation branch of Algorithms 2-3: move the cell plus
@@ -197,9 +238,8 @@ Result<PageId> WholePageMove(DataFile* ref, PageId p, TuplePage page,
 
 TEST_P(DataFileCellOpsTest, MatchWholePageRewrites) {
   const size_t page_size = GetParam();
-  DataFile df(page_size, {}, /*compress=*/true);
-  DataFile ref(page_size, {}, /*compress=*/true);
-  ASSERT_EQ(df.compress(), page_size >= codec::kV2MinPageSize);
+  DataFile df(page_size);
+  DataFile ref(page_size);
 
   Rng rng(page_size);
   struct Cell {
@@ -267,7 +307,7 @@ TEST_P(DataFileCellOpsTest, MatchWholePageRewrites) {
       const SpatialTuple t = tuple_of(source, c);
       auto page = ref.Read(c.page);
       ASSERT_TRUE(page.ok());
-      std::vector<SpatialTuple> grown = page.ValueOrDie().OfSource(source);
+      std::vector<SpatialTuple> grown = OfSource(page.ValueOrDie(), source);
       grown.push_back(t);
       DataFile::CellAdd want;
       PageId want_page = c.page;
@@ -331,7 +371,7 @@ TEST_P(DataFileCellOpsTest, MatchWholePageRewrites) {
       if (hit == slots.end()) continue;
       slots.erase(hit);
       ASSERT_TRUE(ref.Write(c.page, page.ValueOrDie()).ok());
-      EXPECT_EQ(remaining, page.ValueOrDie().CountSource(source));
+      EXPECT_EQ(remaining, OfSource(page.ValueOrDie(), source).size());
       c.docs.erase(c.docs.begin() + idx);
       c.full = false;
       ++removes;
@@ -345,7 +385,7 @@ TEST_P(DataFileCellOpsTest, MatchWholePageRewrites) {
       ASSERT_TRUE(got.ok() && want.ok());
       ASSERT_EQ(got.ValueOrDie(), want.ValueOrDie())
           << "page " << p << " after step " << step;
-      ASSERT_EQ(df.FreeSlots(p), ref.FreeSlots(p)) << "page " << p;
+      ASSERT_EQ(df.FreeBytes(p), ref.FreeBytes(p)) << "page " << p;
     }
   }
   for (PageId p = 0; p < df.PageCount(); ++p) {
@@ -364,7 +404,7 @@ TEST_P(DataFileCellOpsTest, UncachedChargesPerOperation) {
   const size_t page_size = GetParam();
   BufferPoolOptions uncached;
   uncached.capacity_pages = 0;
-  DataFile df(page_size, uncached, /*compress=*/true);
+  DataFile df(page_size, uncached);
   using Charge = std::pair<uint64_t, uint64_t>;  // data-file reads, writes
   Charge last{0, 0};
   // What was charged since the previous call.
@@ -455,12 +495,12 @@ TEST_P(DataFileCellOpsTest, RelocationLandsOnThePageChosenBeforeTheMove) {
   uncached.capacity_pages = 0;  // every view is a logged device read
   auto file = std::make_unique<LoggingPageFile>(page_size);
   LoggingPageFile* logged = file.get();
-  DataFile df(std::move(file), uncached, /*compress=*/true);
+  DataFile df(std::move(file), uncached);
 
   const PageId p = df.AllocatePage().ValueOrDie();
   const PageId q = df.AllocatePage().ValueOrDie();
-  // Rows of the growing cell keep the plan its first two rows set, so on
-  // v2 pages it grows in its encoded form and relocates as bytes.
+  // Rows of the growing cell keep the plan its first two rows set, so it
+  // grows in its encoded form and relocates as bytes.
   auto grow_row = [](DocId i) {
     return SpatialTuple{1, 1000 + i, {i % 2 ? -1.0 : 1.0, i % 2 ? 1.0 : -1.0},
                         i % 2 ? 0.75f : 0.25f};
@@ -487,8 +527,8 @@ TEST_P(DataFileCellOpsTest, RelocationLandsOnThePageChosenBeforeTheMove) {
     auto added = df.AddToCell(&cell_page, 1, grow_row(i), nullptr);
     ASSERT_TRUE(added.ok()) << added.status().message();
     ASSERT_NE(added.ValueOrDie(), DataFile::CellAdd::kMustSplit);
-    // v2: every append, the relocating one too, skipped the decode.
-    EXPECT_EQ(in_place->Value() - in_place_before, df.compress() ? 1u : 0u);
+    // Every append, the relocating one too, skipped the decode.
+    EXPECT_EQ(in_place->Value() - in_place_before, 1u);
     if (added.ValueOrDie() == DataFile::CellAdd::kAdded) {
       ASSERT_EQ(cell_page, p);
       continue;
@@ -503,13 +543,13 @@ TEST_P(DataFileCellOpsTest, RelocationLandsOnThePageChosenBeforeTheMove) {
   EXPECT_TRUE(df.CheckPage(q).ok());
 }
 
+// The instantiation keeps the name its cases have been tracked under; both
+// sizes are v2 pages, the only format.
 INSTANTIATE_TEST_SUITE_P(V1AndV2, DataFileCellOpsTest,
-                         ::testing::Values(size_t{256},
+                         ::testing::Values(codec::kV2MinPageSize,
                                            size_t{kDefaultPageSize}),
                          [](const ::testing::TestParamInfo<size_t>& info) {
-                           return info.param < codec::kV2MinPageSize
-                                      ? std::string("V1Page256")
-                                      : std::string("V2Page4096");
+                           return "V2Page" + std::to_string(info.param);
                          });
 
 TEST(HeadFileTest, AllocateAndUpdate) {

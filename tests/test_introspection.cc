@@ -48,7 +48,7 @@ std::unique_ptr<ShardedIndex> MakeIndex(const CorpusOptions& copt,
                                         uint64_t seed) {
   I3Options opt;
   opt.space = copt.space;
-  opt.page_size = 128;
+  opt.page_size = codec::kV2MinPageSize;
   opt.signature_bits = 64;
   std::vector<std::unique_ptr<SpatialKeywordIndex>> one;
   one.push_back(std::make_unique<I3Index>(opt));

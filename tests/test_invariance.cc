@@ -52,7 +52,7 @@ TEST_P(EtaInvarianceTest, ResultsIndependentOfSignatureLength) {
 
   I3Options opt;
   opt.space = copt.space;
-  opt.page_size = 128;
+  opt.page_size = codec::kV2MinPageSize;
   opt.signature_bits = GetParam();
   I3Index index(opt);
   for (const auto& d : docs) ASSERT_TRUE(index.Insert(d).ok());
@@ -100,10 +100,10 @@ TEST_P(PageSizeInvarianceTest, ResultsIndependentOfPageSize) {
   }
 }
 
-// 64B pages hold 2 tuples (maximal splitting); 8KB pages never split here.
+// 512B, the smallest page, splits the most; 8KB pages split the least.
 INSTANTIATE_TEST_SUITE_P(Sweep, PageSizeInvarianceTest,
-                         ::testing::Values(size_t{64}, size_t{128},
-                                           size_t{512}, size_t{4096},
+                         ::testing::Values(size_t{512}, size_t{1024},
+                                           size_t{2048}, size_t{4096},
                                            size_t{8192}));
 
 class S2IThresholdInvarianceTest
@@ -148,7 +148,7 @@ TEST(AblationInvarianceTest, PruningSwitchesNeverChangeResults) {
     for (bool screen : {true, false}) {
       I3Options opt;
       opt.space = copt.space;
-      opt.page_size = 128;
+      opt.page_size = codec::kV2MinPageSize;
       opt.signature_bits = 64;
       opt.signature_pruning = signatures;
       opt.summary_screen = screen;
@@ -179,7 +179,7 @@ TEST(MaxSplitLevelInvarianceTest, ShallowTreesStillCorrect) {
   for (uint8_t max_level : {1, 2, 4, 24}) {
     I3Options opt;
     opt.space = copt.space;
-    opt.page_size = 128;
+    opt.page_size = codec::kV2MinPageSize;
     opt.signature_bits = 64;
     opt.max_split_level = max_level;  // low levels force overflow chains
     I3Index index(opt);

@@ -55,7 +55,7 @@ std::unique_ptr<ShardedIndex> WrappedI3(
     std::function<std::unique_ptr<PageFile>(size_t)> factory = nullptr) {
   I3Options opt;
   opt.space = copt.space;
-  opt.page_size = 128;
+  opt.page_size = codec::kV2MinPageSize;
   opt.signature_bits = 64;
   opt.page_file_factory = std::move(factory);
   std::vector<std::unique_ptr<SpatialKeywordIndex>> one;
@@ -554,12 +554,15 @@ TEST_F(NetServerTest, SearchStalledOnStorageDoesNotDelayOtherLoop) {
   ASSERT_TRUE(fast.ValueOrDie()->Ping().ok());
   const uint64_t ping_us = (obs::NowNanos() - t0) / 1000;
   searcher.join();
+  const uint64_t stalled_us = spikes() * stall.latency_spike_us;
   for (auto* f : files) f->Heal();
 
   ASSERT_TRUE(slow_resp.ok()) << slow_resp.status().ToString();
   ASSERT_EQ(slow_resp.ValueOrDie().outcome, ResponseOutcome::kOk);
-  // The search really stalled (at least seven sleeping reads)...
-  EXPECT_GE(slow_us, 200000u);
+  // The search really stalled: it slept through every spiked read, and
+  // they outlast the ping's bound below...
+  EXPECT_GE(slow_us, stalled_us);
+  EXPECT_GT(stalled_us, 100000u);
   // ...and the other loop did not wait for it.
   EXPECT_LT(ping_us, 100000u);
 }

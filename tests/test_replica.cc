@@ -153,7 +153,7 @@ struct ReplicaRig {
   I3Options OptionsFor(uint32_t r) {
     I3Options opt;
     opt.space = {0.0, 0.0, 100.0, 100.0};
-    opt.page_size = 128;
+    opt.page_size = codec::kV2MinPageSize;
     opt.signature_bits = 64;
     opt.page_file_factory = [this, r](size_t page_size) {
       auto inner = std::make_unique<InMemoryPageFile>(page_size);
@@ -212,7 +212,7 @@ TEST(ReplicaSetTest, ReplicatedSearchMatchesUnreplicatedIndex) {
   InitRig(&rig);
   I3Options solo_opt;
   solo_opt.space = {0.0, 0.0, 100.0, 100.0};
-  solo_opt.page_size = 128;
+  solo_opt.page_size = codec::kV2MinPageSize;
   solo_opt.signature_bits = 64;
   I3Index solo(solo_opt);
 

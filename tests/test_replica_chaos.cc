@@ -55,7 +55,7 @@ void ExpectIdentical(const std::vector<ScoredDoc>& a,
 I3Options BaseOptions() {
   I3Options opt;
   opt.space = {0.0, 0.0, 100.0, 100.0};
-  opt.page_size = 128;
+  opt.page_size = codec::kV2MinPageSize;
   opt.signature_bits = 64;
   return opt;
 }

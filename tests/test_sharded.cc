@@ -31,7 +31,7 @@ using testutil::MakeQueries;
 I3Options SmallI3Options() {
   I3Options opt;
   opt.space = {0.0, 0.0, 100.0, 100.0};
-  opt.page_size = 256;  // capacity 8: forces deep cell trees
+  opt.page_size = codec::kV2MinPageSize;
   opt.signature_bits = 128;
   return opt;
 }

@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <thread>
 #include <vector>
@@ -16,23 +17,46 @@
 namespace i3 {
 namespace {
 
-// A deterministic random page image: several sources interleaved, with the
-// occasional slot-count shortfall leaving free slots.
-TuplePage RandomPage(Rng* rng, uint32_t capacity, uint32_t n_sources) {
+constexpr size_t kPageSize = codec::kV2MinPageSize;
+
+// A deterministic random page image: up to `max_tuples` tuples of several
+// interleaved keyword cells (one term each), trimmed until it encodes into
+// one page of `df`.
+TuplePage RandomPage(Rng* rng, const DataFile& df, uint32_t max_tuples,
+                     uint32_t n_sources) {
   TuplePage page;
   const uint32_t n = static_cast<uint32_t>(
-      rng->UniformInt(0, static_cast<int64_t>(capacity)));
+      rng->UniformInt(0, static_cast<int64_t>(max_tuples)));
   for (uint32_t s = 0; s < n; ++s) {
     StoredTuple st;
     st.source = static_cast<SourceId>(rng->UniformInt(1, n_sources));
-    st.tuple.term = static_cast<TermId>(rng->UniformInt(0, 1 << 20));
+    st.tuple.term = st.source * 1000;
     st.tuple.doc = static_cast<DocId>(rng->UniformInt(0, 1 << 30));
     st.tuple.location.x = rng->UniformDouble(-180.0, 180.0);
     st.tuple.location.y = rng->UniformDouble(-90.0, 90.0);
     st.tuple.weight = static_cast<float>(rng->UniformDouble(0.0, 1.0));
     page.slots.push_back(st);
   }
+  while (!df.Fits(page)) page.slots.pop_back();
   return page;
+}
+
+/// `img`'s tuples in the order a page stores them: grouped by keyword
+/// cell in first-appearance order, insertion order within a group.
+std::vector<StoredTuple> Grouped(const TuplePage& img) {
+  std::vector<SourceId> order;
+  for (const StoredTuple& st : img.slots) {
+    if (std::find(order.begin(), order.end(), st.source) == order.end()) {
+      order.push_back(st.source);
+    }
+  }
+  std::vector<StoredTuple> out;
+  for (SourceId src : order) {
+    for (const StoredTuple& st : img.slots) {
+      if (st.source == src) out.push_back(st);
+    }
+  }
+  return out;
 }
 
 void ExpectSameTuple(const SpatialTuple& a, const SpatialTuple& b) {
@@ -43,10 +67,31 @@ void ExpectSameTuple(const SpatialTuple& a, const SpatialTuple& b) {
   EXPECT_EQ(a.weight, b.weight);
 }
 
+/// Columnar copy of the cell `source` out of `view`.
+std::vector<SpatialTuple> CopyCell(const PageView& view, SourceId source) {
+  std::vector<DocId> docs;
+  std::vector<float> weights;
+  std::vector<double> xs, ys;
+  auto cols = view.CopySource(source, [&](uint32_t n) {
+    docs.resize(n);
+    weights.resize(n);
+    xs.resize(n);
+    ys.resize(n);
+    return CellRows{docs.data(), weights.data(), xs.data(), ys.data()};
+  });
+  EXPECT_TRUE(cols.ok()) << cols.status().message();
+  std::vector<SpatialTuple> out;
+  if (!cols.ok()) return out;
+  for (uint32_t i = 0; i < cols.ValueOrDie().n; ++i) {
+    out.push_back(cols.ValueOrDie().Tuple(i));
+  }
+  return out;
+}
+
 // View must agree with the legacy decode on random pages, for both a
 // pinning pool and the uncached (capacity-0) pool.
 void RunDifferential(BufferPoolOptions pool) {
-  DataFile df(512, pool);  // 16 slots/page
+  DataFile df(kPageSize, pool);
   Rng rng(20260805);
   constexpr uint32_t kPages = 64;
   constexpr uint32_t kSources = 5;
@@ -55,7 +100,7 @@ void RunDifferential(BufferPoolOptions pool) {
   for (uint32_t p = 0; p < kPages; ++p) {
     auto id = df.AllocatePage();
     ASSERT_TRUE(id.ok());
-    images.push_back(RandomPage(&rng, df.capacity(), kSources));
+    images.push_back(RandomPage(&rng, df, 24, kSources));
     ASSERT_TRUE(df.Write(id.ValueOrDie(), images.back()).ok());
   }
 
@@ -64,28 +109,29 @@ void RunDifferential(BufferPoolOptions pool) {
       auto view_res = df.View(p);
       ASSERT_TRUE(view_res.ok());
       const PageView& view = view_res.ValueOrDie();
-      const TuplePage& img = images[p];
+      const std::vector<StoredTuple> legacy = Grouped(images[p]);
 
       for (SourceId src = 1; src <= kSources; ++src) {
-        const std::vector<SpatialTuple> legacy = img.OfSource(src);
-        std::vector<SpatialTuple> visited;
-        const uint32_t n = view.ForEachOfSource(
-            src, [&](const SpatialTuple& t) { visited.push_back(t); });
-        ASSERT_EQ(n, legacy.size());
-        ASSERT_EQ(n, img.CountSource(src));
-        for (size_t i = 0; i < legacy.size(); ++i) {
-          ExpectSameTuple(visited[i], legacy[i]);
+        std::vector<SpatialTuple> want;
+        for (const StoredTuple& st : legacy) {
+          if (st.source == src) want.push_back(st.tuple);
+        }
+        const std::vector<SpatialTuple> got = CopyCell(view, src);
+        ASSERT_EQ(got.size(), want.size());
+        for (size_t i = 0; i < want.size(); ++i) {
+          ExpectSameTuple(got[i], want[i]);
         }
       }
 
-      uint32_t occupied = 0;
-      view.ForEachSlot([&](SourceId src, const SpatialTuple& t) {
-        ASSERT_LT(occupied, img.slots.size());
-        EXPECT_EQ(src, img.slots[occupied].source);
-        ExpectSameTuple(t, img.slots[occupied].tuple);
-        ++occupied;
-      });
-      EXPECT_EQ(occupied, img.slots.size());
+      uint32_t visited = 0;
+      auto visit = [&](SourceId src, const SpatialTuple& t) {
+        ASSERT_LT(visited, legacy.size());
+        EXPECT_EQ(src, legacy[visited].source);
+        ExpectSameTuple(t, legacy[visited].tuple);
+        ++visited;
+      };
+      ASSERT_TRUE(view.VisitSlots(visit).ok());
+      EXPECT_EQ(visited, legacy.size());
     }
     // Cold-cache the pool between rounds so both hit and miss paths of
     // PinPage are exercised.
@@ -112,33 +158,35 @@ TEST(ZeroCopyDifferentialTest, UncachedPoolMatchesLegacyDecode) {
 TEST(ZeroCopyDifferentialTest, NestedViewsAreIndependent) {
   // A caller may hold one view while opening another (the invariant checker
   // and overflow chains do); both must decode their own page.
-  DataFile df(512, BufferPoolOptions{});  // scratch stack, depth 2
+  DataFile df(kPageSize, BufferPoolOptions{});  // scratch stack, depth 2
   Rng rng(7);
-  TuplePage a = RandomPage(&rng, df.capacity(), 3);
-  TuplePage b = RandomPage(&rng, df.capacity(), 3);
+  const TuplePage a = RandomPage(&rng, df, 16, 3);
+  const TuplePage b = RandomPage(&rng, df, 16, 3);
   ASSERT_TRUE(df.AllocatePage().ok());
   ASSERT_TRUE(df.AllocatePage().ok());
   ASSERT_TRUE(df.Write(0, a).ok());
   ASSERT_TRUE(df.Write(1, b).ok());
 
+  // Visits every tuple of `view` against `img`'s stored order.
+  auto expect_page = [](const PageView& view, const TuplePage& img) {
+    const std::vector<StoredTuple> want = Grouped(img);
+    uint32_t n = 0;
+    auto visit = [&](SourceId, const SpatialTuple& t) {
+      ASSERT_LT(n, want.size());
+      ExpectSameTuple(t, want[n].tuple);
+      ++n;
+    };
+    ASSERT_TRUE(view.VisitSlots(visit).ok());
+    EXPECT_EQ(n, want.size());
+  };
   auto va = df.View(0);
   ASSERT_TRUE(va.ok());
   {
     auto vb = df.View(1);  // nested: destroyed before va (LIFO)
     ASSERT_TRUE(vb.ok());
-    uint32_t n = 0;
-    vb.ValueOrDie().ForEachSlot([&](SourceId, const SpatialTuple& t) {
-      ExpectSameTuple(t, b.slots[n].tuple);
-      ++n;
-    });
-    EXPECT_EQ(n, b.slots.size());
+    expect_page(vb.ValueOrDie(), b);
   }
-  uint32_t n = 0;
-  va.ValueOrDie().ForEachSlot([&](SourceId, const SpatialTuple& t) {
-    ExpectSameTuple(t, a.slots[n].tuple);
-    ++n;
-  });
-  EXPECT_EQ(n, a.slots.size());
+  expect_page(va.ValueOrDie(), a);
 }
 
 // Concurrent readers over a pool much smaller than the page set: every view
@@ -148,14 +196,14 @@ TEST(ZeroCopyDifferentialTest, NestedViewsAreIndependent) {
 TEST(ZeroCopyConcurrencyTest, PinnedWindowSurvivesEvictionChurn) {
   BufferPoolOptions pool;
   pool.capacity_pages = 4;
-  DataFile df(512, pool);
+  DataFile df(kPageSize, pool);
   constexpr uint32_t kPages = 32;
-  const uint32_t capacity = df.capacity();
+  constexpr uint32_t kRows = 16;
 
   for (uint32_t p = 0; p < kPages; ++p) {
     ASSERT_TRUE(df.AllocatePage().ok());
     TuplePage page;
-    for (uint32_t s = 0; s < capacity; ++s) {
+    for (uint32_t s = 0; s < kRows; ++s) {
       StoredTuple st;
       st.source = p + 1;
       st.tuple.term = p;
@@ -185,15 +233,14 @@ TEST(ZeroCopyConcurrencyTest, PinnedWindowSurvivesEvictionChurn) {
         const PageView& view = view_res.ValueOrDie();
         uint32_t n = 0;
         uint64_t doc_sum = 0;
-        view.ForEachOfSource(p + 1, [&](const SpatialTuple& t) {
+        auto visit = [&](SourceId src, const SpatialTuple& t) {
           doc_sum += t.doc;
-          if (t.term != p) ++failures;
+          if (src != p + 1 || t.term != p) ++failures;
           ++n;
-        });
-        if (n != capacity) ++failures;
-        const uint64_t expect =
-            static_cast<uint64_t>(capacity) * (p * 1000) +
-            static_cast<uint64_t>(capacity) * (capacity - 1) / 2;
+        };
+        if (!view.VisitSlots(visit).ok() || n != kRows) ++failures;
+        const uint64_t expect = uint64_t{kRows} * (p * 1000) +
+                                uint64_t{kRows} * (kRows - 1) / 2;
         if (doc_sum != expect) ++failures;
       }
     });
