@@ -1,11 +1,11 @@
-// Multi-threaded search throughput of the serving wrapper.
+// Multi-threaded search throughput of the serving index.
 //
 // Measures, at 1/2/4/8 client threads over one Twitter-tier corpus, one
-// I3 index in ShardedIndex, the thread-safe serving wrapper: readers share
-// its lock and run in parallel. Every search runs on its caller's thread,
-// so the client threads are the only parallelism; each cell also shows the
-// speedup over one client thread. DESIGN.md §7 compares this with the
-// 8-shard index the wrapper no longer builds.
+// I3 index in a one-replica ReplicaSet, the thread-safe serving index:
+// readers share its replica's lock and run in parallel. Every search runs
+// on its caller's thread, so the client threads are the only parallelism;
+// each cell also shows the speedup over one client thread. DESIGN.md §7
+// compares this with the 8-shard index the serving stack no longer builds.
 //
 // Every cell starts from cleared caches and runs the same queries, split
 // evenly over its client threads, so each cell pays the same device reads
@@ -21,7 +21,7 @@
 #include <vector>
 
 #include "bench_common.h"
-#include "model/sharded_index.h"
+#include "model/replica_set.h"
 #include "storage/io_stats.h"
 
 using namespace i3;
@@ -98,7 +98,7 @@ int main(int argc, char** argv) {
 
   std::vector<std::unique_ptr<SpatialKeywordIndex>> one;
   one.push_back(BuildI3(ds, cfg.eta));
-  ShardedIndex index(std::move(one));
+  ReplicaSet index(std::move(one));
 
   ScopedIoLatency latency(iolat);
 

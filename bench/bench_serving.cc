@@ -9,7 +9,7 @@
 // served over the wire are the very answers the hot-path smoke run
 // records, across the whole serving stack. Within the run, a second
 // (order- and score-sensitive) checksum proves wire results
-// byte-identical to direct ShardedIndex::Search calls.
+// byte-identical to direct ReplicaSet::Search calls.
 //
 // Shed phase: a fresh server with a starvation-level default tenant
 // budget takes a burst, which must shed with zero errors.
@@ -47,7 +47,6 @@
 #include "bench_common.h"
 #include "i3/replica_ops.h"
 #include "model/replica_set.h"
-#include "model/sharded_index.h"
 #include "net/client.h"
 #include "net/protocol.h"
 #include "net/server.h"
@@ -64,7 +63,7 @@ struct ServingResult {
   double p50_us = 0.0;
   double p99_us = 0.0;
   /// Order+score-sensitive FNV fold over the wire responses, and the same
-  /// fold over direct ShardedIndex::Search -- equal iff the wire serves
+  /// fold over direct ReplicaSet::Search -- equal iff the wire serves
   /// byte-identical results.
   uint64_t wire_checksum = 0;
   uint64_t direct_checksum = 0;
@@ -98,7 +97,7 @@ net::Request ToRequest(const Query& q, uint64_t id, double alpha) {
   return req;
 }
 
-ServingResult MeasureSemantics(net::Client* client, ShardedIndex* index,
+ServingResult MeasureSemantics(net::Client* client, ReplicaSet* index,
                                const std::vector<Query>& queries,
                                double alpha, uint32_t reps) {
   ServingResult r;
@@ -175,7 +174,7 @@ struct ShedResult {
 
 /// Overload phase: a starvation-level default budget (burst 5, 1/s) takes
 /// a burst of `sent` requests; everything past the burst must shed, fast.
-ShedResult MeasureShedding(ShardedIndex* index, const Query& query,
+ShedResult MeasureShedding(ReplicaSet* index, const Query& query,
                            double alpha) {
   ShedResult out;
   net::ServerOptions sopts;
@@ -238,7 +237,7 @@ struct ObsPhaseResult {
 /// Observability phase: every request is traced and the slow-query
 /// threshold is 0, so every request must return a timeline and land in
 /// the slow log -- and the traced/slow/SLO metric series must move.
-ObsPhaseResult MeasureObservability(ShardedIndex* index,
+ObsPhaseResult MeasureObservability(ReplicaSet* index,
                                     const std::vector<Query>& queries,
                                     double alpha) {
   ObsPhaseResult out;
@@ -350,19 +349,12 @@ ReplicaPhaseResult MeasureReplication(const Dataset& ds,
   opt.buffer_pool.capacity_pages = cfg.pool_pages;
   opt.head_pool_pages = cfg.head_pool_pages;
   opt.cell_cache_bytes = cfg.cell_cache_mb << 20;
-  ReplicaSetOptions ropt;
-  ropt.replication_factor = 2;
-  auto set = ReplicaSet::Create(
-      [&opt](uint32_t) { return std::make_unique<I3Index>(opt); },
-      MakeI3ReplicaOps([opt](uint32_t) { return opt; }), ropt);
-  if (!set.ok()) {
-    std::fprintf(stderr, "replica-phase set failed: %s\n",
-                 set.status().ToString().c_str());
-    std::abort();
+  std::vector<std::unique_ptr<SpatialKeywordIndex>> replicas;
+  for (int r = 0; r < 2; ++r) {
+    replicas.push_back(std::make_unique<I3Index>(opt));
   }
-  std::vector<std::unique_ptr<SpatialKeywordIndex>> shards;
-  shards.push_back(set.MoveValue());
-  ShardedIndex index(std::move(shards));
+  auto ops = MakeI3ReplicaOps([opt](uint32_t) { return opt; });
+  ReplicaSet index(std::move(replicas), ops);
   for (const auto& d : ds.docs) {
     auto st = index.Insert(d);
     if (!st.ok()) {
@@ -371,7 +363,6 @@ ReplicaPhaseResult MeasureReplication(const Dataset& ds,
       std::abort();
     }
   }
-  ReplicaSet* rset = index.replica_set();
 
   net::ServerOptions sopts;
   sopts.worker_threads = 2;
@@ -410,7 +401,7 @@ ReplicaPhaseResult MeasureReplication(const Dataset& ds,
 
   // Kill the primary: every query must fail over to replica 1 and still
   // serve the identical bytes.
-  if (auto st = rset->KillReplica(0); !st.ok()) {
+  if (auto st = index.KillReplica(0); !st.ok()) {
     std::fprintf(stderr, "KillReplica failed: %s\n", st.ToString().c_str());
     std::abort();
   }
@@ -421,7 +412,7 @@ ReplicaPhaseResult MeasureReplication(const Dataset& ds,
   // Online recovery (snapshot + catch-up) while the set keeps serving,
   // then the recovered primary serves the same bytes again.
   Timer recover_timer;
-  if (auto st = rset->RecoverReplica(0); !st.ok()) {
+  if (auto st = index.RecoverReplica(0); !st.ok()) {
     std::fprintf(stderr, "RecoverReplica failed: %s\n",
                  st.ToString().c_str());
     std::abort();
@@ -438,19 +429,19 @@ ReplicaPhaseResult MeasureReplication(const Dataset& ds,
   std::atomic<bool> scrub_done{false};
   // The bench built the replicas itself, so the downcast is safe.
   const uint64_t data_pages =
-      static_cast<I3Index*>(rset->replica(0))->DataPageCount();
-  std::thread scrubber([&rset, &scrub_done, data_pages]() {
-    const uint64_t pages = rset->GetStatus().scrub_pages_verified;
+      static_cast<I3Index*>(index.replica(0))->DataPageCount();
+  std::thread scrubber([&index, &scrub_done, data_pages]() {
+    const uint64_t pages = index.GetStatus().scrub_pages_verified;
     uint64_t verified = pages;
     // Sweep until every page of both replicas was verified at least once
     // more (the tick size is ReplicaSetOptions::scrub_pages_per_tick).
     while (verified < pages + 2 * data_pages) {
-      if (auto st = rset->ScrubTick(); !st.ok()) {
+      if (auto st = index.ScrubTick(); !st.ok()) {
         std::fprintf(stderr, "ScrubTick failed: %s\n",
                      st.ToString().c_str());
         std::abort();
       }
-      verified = rset->GetStatus().scrub_pages_verified;
+      verified = index.GetStatus().scrub_pages_verified;
     }
     scrub_done.store(true);
   });
@@ -459,7 +450,7 @@ ReplicaPhaseResult MeasureReplication(const Dataset& ds,
   }
   scrubber.join();
 
-  const ReplicaSetStatus status = rset->GetStatus();
+  const ReplicaSetStatus status = index.GetStatus();
   out.failovers = status.failovers;
   out.recoveries = status.recoveries;
   out.scrub_pages_verified = status.scrub_pages_verified;
@@ -488,10 +479,9 @@ int Main(int argc, char** argv) {
   std::printf("building %s (scale %.2f)...\n", kTwitterNames[tier],
               cfg.scale);
   Dataset ds = MakeTwitter(cfg, tier);
-  auto inner = BuildI3(ds, cfg);
-  std::vector<std::unique_ptr<SpatialKeywordIndex>> shards;
-  shards.push_back(std::move(inner));
-  ShardedIndex index(std::move(shards));
+  std::vector<std::unique_ptr<SpatialKeywordIndex>> one;
+  one.push_back(BuildI3(ds, cfg));
+  ReplicaSet index(std::move(one));
   QueryGenerator qgen(ds);
 
   net::ServerOptions sopts;

@@ -14,7 +14,8 @@
 //                        <and|or> <text...>
 //   spatialkw_cli serve  <index-prefix> [--port=N] [--workers=N]
 //                        [--rate=R] [--burst=B]
-//                        [--max-queue=N] [--slow-threshold-us=N]
+//                        [--max-queue=N] [--result-cache-entries=N]
+//                        [--slow-threshold-us=N]
 //                        [--replicas=N] [--scrub-interval-ms=N]
 //
 // `serve` loads the index and answers the binary query protocol
@@ -22,21 +23,22 @@
 // `/tracez`, `/cachez`, and `/healthz` on the same port; --port=0 (the
 // default) picks an ephemeral port, printed as "serving on port N" for
 // scripts (tools/loadgen) to scrape. --workers=N runs N event loops
-// (default 2), each serving its connections' requests start to finish,
-// searches included. --rate/--burst set the default
+// (default 2, at most 64), each serving its connections' requests start to
+// finish, searches included. --rate/--burst set the default
 // per-tenant admission budget (requests/second and bucket size; 0 =
 // unlimited); --slow-threshold-us sets the slow-query-log bar.
-// --replicas=N loads N byte-identical copies of the index behind a
-// ReplicaSet (model/replica_set.h): reads fail over transparently and a
-// killed copy is rebuilt online from a peer snapshot.
-// --scrub-interval-ms=N starts the set's background maintenance thread at
-// that cadence (paced CRC scrub + heal-from-peer + auto-recovery);
-// --scrub-interval-ms without --replicas>=2 still scrubs, but detected
-// damage has no peer to heal from. /healthz reports the per-replica
-// picture. The
-// process serves until SIGINT or SIGTERM; SIGUSR1 dumps a JSON metrics
-// snapshot to stdout without stopping, and a clean shutdown prints a
-// final snapshot.
+// The index is served by a ReplicaSet (model/replica_set.h) of
+// --replicas=N byte-identical loads (default 1, at most 16): reads fail
+// over transparently and a killed copy is rebuilt online from a peer
+// snapshot. --scrub-interval-ms=N starts the set's background maintenance
+// thread at that cadence (paced CRC scrub + heal-from-peer +
+// auto-recovery); with one replica it still scrubs, but detected damage
+// has no peer to heal from. /healthz reports the per-replica picture.
+// Integer flags take digits only, within their bounds (--port 0..65535),
+// and --rate/--burst a number >= 0; a bad value fails before the index is
+// loaded. The process serves until SIGINT or SIGTERM; SIGUSR1 dumps a
+// JSON metrics snapshot to stdout without stopping, and a clean shutdown
+// prints a final snapshot.
 //
 // `build` writes <prefix>.i3 (the index) and <prefix>.vocab (the term
 // dictionary with document frequencies, needed to interpret query text).
@@ -53,7 +55,9 @@
 // and --cell-cache-mb=N the decoded-cell cache (0 = off) of every loaded
 // index.
 
+#include <cmath>
 #include <csignal>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -68,7 +72,6 @@
 #include "i3/i3_index.h"
 #include "i3/replica_ops.h"
 #include "model/replica_set.h"
-#include "model/sharded_index.h"
 #include "net/server.h"
 #include "obs/export.h"
 #include "obs/metrics.h"
@@ -373,80 +376,117 @@ void HandleStopSignal(int) { g_stop_serving = 1; }
 volatile std::sig_atomic_t g_dump_metrics = 0;
 void HandleDumpSignal(int) { g_dump_metrics = 1; }
 
+/// Bounds of the serve flags that start threads or load index copies.
+constexpr uint64_t kMaxWorkers = 64;
+constexpr uint64_t kMaxReplicas = 16;
+
+/// Parses `text` as a decimal integer in [lo, hi]: digits only, no sign,
+/// blank or suffix.
+bool ParseUint(const char* text, uint64_t lo, uint64_t hi, uint64_t* out) {
+  if (*text == '\0') return false;
+  uint64_t v = 0;
+  for (const char* p = text; *p != '\0'; ++p) {
+    if (*p < '0' || *p > '9') return false;
+    const uint64_t digit = static_cast<uint64_t>(*p - '0');
+    if (digit > hi || v > (hi - digit) / 10) return false;
+    v = v * 10 + digit;
+  }
+  if (v < lo) return false;
+  *out = v;
+  return true;
+}
+
+/// Parses `text` as a finite, non-negative number with nothing after it.
+bool ParseNonNegative(const char* text, double* out) {
+  char* end = nullptr;
+  const double v = std::strtod(text, &end);
+  if (end == text || *end != '\0' || !std::isfinite(v) || v < 0) {
+    return false;
+  }
+  *out = v;
+  return true;
+}
+
 int CmdServe(int argc, char** argv) {
   if (argc < 3) return Fail("serve needs <index-prefix>");
   const std::string prefix = argv[2];
   net::ServerOptions sopts;
-  uint32_t replicas = 1;
-  uint32_t scrub_interval_ms = 0;
+  uint64_t port = sopts.port;
+  uint64_t workers = sopts.worker_threads;
+  uint64_t max_queue = sopts.max_queue;
+  uint64_t cache_entries = sopts.result_cache_entries;
+  uint64_t slow_us = sopts.slow_threshold_us;
+  uint64_t replicas = 1;
+  uint64_t scrub_interval_ms = 0;
+  // Every integer flag, its bounds and its destination: a value that is
+  // not all digits, or out of bounds, fails before anything is loaded.
+  const struct {
+    const char* flag;
+    uint64_t lo, hi;
+    uint64_t* out;
+  } uint_flags[] = {
+      {"--port=", 0, 65535, &port},
+      {"--workers=", 1, kMaxWorkers, &workers},
+      {"--max-queue=", 0, SIZE_MAX, &max_queue},
+      {"--result-cache-entries=", 0, SIZE_MAX, &cache_entries},
+      {"--slow-threshold-us=", 0, UINT64_MAX, &slow_us},
+      {"--replicas=", 1, kMaxReplicas, &replicas},
+      {"--scrub-interval-ms=", 0, UINT32_MAX, &scrub_interval_ms},
+  };
   for (int i = 3; i < argc; ++i) {
-    if (std::strncmp(argv[i], "--port=", 7) == 0) {
-      sopts.port = static_cast<uint16_t>(std::atoi(argv[i] + 7));
-    } else if (std::strncmp(argv[i], "--workers=", 10) == 0) {
-      sopts.worker_threads = static_cast<uint32_t>(std::atoi(argv[i] + 10));
-    } else if (std::strncmp(argv[i], "--rate=", 7) == 0) {
-      sopts.default_limit.rate = std::atof(argv[i] + 7);
+    bool known = false;
+    for (const auto& f : uint_flags) {
+      const size_t n = std::strlen(f.flag);
+      if (std::strncmp(argv[i], f.flag, n) != 0) continue;
+      if (!ParseUint(argv[i] + n, f.lo, f.hi, f.out)) {
+        return Fail(std::string("bad value in ") + argv[i] + " (want " +
+                    std::to_string(f.lo) + ".." + std::to_string(f.hi) +
+                    ")");
+      }
+      known = true;
+      break;
+    }
+    if (known) continue;
+    double* number = nullptr;
+    if (std::strncmp(argv[i], "--rate=", 7) == 0) {
+      number = &sopts.default_limit.rate;
     } else if (std::strncmp(argv[i], "--burst=", 8) == 0) {
-      sopts.default_limit.burst = std::atof(argv[i] + 8);
-    } else if (std::strncmp(argv[i], "--max-queue=", 12) == 0) {
-      sopts.max_queue = static_cast<size_t>(std::atoll(argv[i] + 12));
-    } else if (std::strncmp(argv[i], "--result-cache-entries=", 23) == 0) {
-      sopts.result_cache_entries =
-          static_cast<size_t>(std::atoll(argv[i] + 23));
-    } else if (std::strncmp(argv[i], "--slow-threshold-us=", 20) == 0) {
-      sopts.slow_threshold_us =
-          static_cast<uint64_t>(std::atoll(argv[i] + 20));
-    } else if (std::strncmp(argv[i], "--replicas=", 11) == 0) {
-      replicas = static_cast<uint32_t>(std::atoi(argv[i] + 11));
-    } else if (std::strncmp(argv[i], "--scrub-interval-ms=", 20) == 0) {
-      scrub_interval_ms = static_cast<uint32_t>(std::atoi(argv[i] + 20));
+      number = &sopts.default_limit.burst;
     } else {
       return Fail(std::string("unknown serve flag: ") + argv[i]);
     }
-  }
-  if (replicas < 1) return Fail("--replicas must be >= 1");
-
-  // The server runs over the serving wrapper of the loaded index.
-  std::vector<std::unique_ptr<SpatialKeywordIndex>> shards;
-  if (replicas > 1 || scrub_interval_ms > 0) {
-    // Replicated serve: the index is a ReplicaSet of N independent
-    // loads of the same persisted index (each re-homed onto its own
-    // backing by LoadFrom, so replicas share no storage).
-    ReplicaSetOptions ropt;
-    ropt.replication_factor = replicas;
-    ropt.maintenance_interval_ms = scrub_interval_ms;
-    std::string load_error;
-    auto set = ReplicaSet::Create(
-        [&prefix, &load_error](uint32_t) -> std::unique_ptr<I3Index> {
-          auto res = LoadIndex(prefix);
-          if (!res.ok()) {
-            load_error = res.status().ToString();
-            return nullptr;
-          }
-          return res.MoveValue();
-        },
-        MakeI3ReplicaOps([](uint32_t) {
-          auto opt = BuildLoadOptions();
-          return opt.ok() ? opt.ValueOrDie() : I3Options{};
-        }),
-        ropt);
-    if (!set.ok()) {
-      return Fail(load_error.empty() ? set.status().ToString()
-                                     : load_error);
+    if (!ParseNonNegative(std::strchr(argv[i], '=') + 1, number)) {
+      return Fail(std::string("bad value in ") + argv[i] +
+                  " (want a number >= 0)");
     }
-    shards.push_back(set.MoveValue());
-  } else {
+  }
+  sopts.port = static_cast<uint16_t>(port);
+  sopts.worker_threads = static_cast<uint32_t>(workers);
+  sopts.max_queue = static_cast<size_t>(max_queue);
+  sopts.result_cache_entries = static_cast<size_t>(cache_entries);
+  sopts.slow_threshold_us = slow_us;
+
+  // The server runs over a ReplicaSet of --replicas independent loads of
+  // the same persisted index (each re-homed onto its own backing by
+  // LoadFrom, so replicas share no storage).
+  std::vector<std::unique_ptr<SpatialKeywordIndex>> loads;
+  for (uint64_t r = 0; r < replicas; ++r) {
     auto res = LoadIndex(prefix);
     if (!res.ok()) return Fail(res.status().ToString());
-    shards.push_back(res.MoveValue());
+    loads.push_back(res.MoveValue());
   }
-  ShardedIndex index(std::move(shards));
+  ReplicaOps ops = MakeI3ReplicaOps([](uint32_t) {
+    auto opt = BuildLoadOptions();
+    return opt.ok() ? opt.ValueOrDie() : I3Options{};
+  });
+  ReplicaSetOptions ropt;
+  ropt.maintenance_interval_ms = static_cast<uint32_t>(scrub_interval_ms);
+  ReplicaSet index(std::move(loads), std::move(ops), ropt);
   std::printf("loaded %s.i3: %llu documents\n", prefix.c_str(),
               static_cast<unsigned long long>(index.DocumentCount()));
-  if (replicas > 1 || scrub_interval_ms > 0) {
-    std::printf("replication: %u replica(s), scrub interval %u ms\n",
-                replicas, scrub_interval_ms);
-  }
+  std::printf("replication: %llu replica(s), scrub interval %llu ms\n",
+              static_cast<unsigned long long>(replicas),
+              static_cast<unsigned long long>(scrub_interval_ms));
 
   net::Server server(&index, sopts);
   auto st = server.Start();

@@ -10,9 +10,9 @@ namespace i3 {
 
 namespace {
 
-/// Every hook receives indexes built by the ReplicaSet factory, which the
+/// Every hook receives one of the set's replicas, which the
 /// MakeI3ReplicaOps contract pins to I3Index; the cast is checked anyway
-/// so a mis-wired factory fails loudly instead of corrupting memory.
+/// so a mis-wired set fails loudly instead of corrupting memory.
 I3Index* AsI3(SpatialKeywordIndex& index) {
   return dynamic_cast<I3Index*>(&index);
 }

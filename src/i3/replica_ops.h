@@ -26,8 +26,8 @@ namespace i3 {
 /// stack, so a recovered replica lands back behind its own backing (e.g.
 /// the fault injector the chaos rigs planted under it). Every hook
 /// expects the index to actually be an I3Index and fails with Internal
-/// otherwise -- the factory passed to ReplicaSet::Create establishes
-/// that contract.
+/// otherwise -- whoever builds the set's replicas establishes that
+/// contract.
 ReplicaOps MakeI3ReplicaOps(
     std::function<I3Options(uint32_t replica)> options_for_replica);
 

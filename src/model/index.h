@@ -19,8 +19,6 @@
 
 namespace i3 {
 
-class ReplicaSet;
-
 /// \brief Storage footprint of an index, broken down by component (the rows
 /// of the paper's Table 5).
 struct IndexSizeInfo {
@@ -40,11 +38,11 @@ struct IndexSizeInfo {
 ///
 /// Concurrency contract: one writer and any number of concurrent readers.
 /// Search may run on many threads at once as long as no Insert / Delete /
-/// Update / ClearCache runs beside it (ShardedIndex, the serving wrapper,
-/// supplies that exclusion with one reader-writer lock). Every implementation
-/// keeps per-query state on the searching thread's stack, reports
-/// per-query facts only through the caller's QueryControl::stats, and
-/// charges I/O to atomic counters. All fallible operations return Status;
+/// Update / ClearCache runs beside it (ReplicaSet, the serving index,
+/// supplies that exclusion with a reader-writer lock per replica). Every
+/// implementation keeps per-query state on the searching thread's stack,
+/// reports per-query facts only through the caller's QueryControl::stats,
+/// and charges I/O to atomic counters. All fallible operations return Status;
 /// Search returns the top-k documents in decreasing score.
 class SpatialKeywordIndex {
  public:
@@ -94,12 +92,6 @@ class SpatialKeywordIndex {
   /// \brief Drops any cached pages (cold-cache reset); default no-op for
   /// purely in-memory implementations.
   virtual void ClearCache() {}
-
-  /// \brief Checked downcast for replication-aware wrappers: a ReplicaSet
-  /// (model/replica_set.h) returns itself, everything else returns null.
-  /// Lets ShardedIndex discover failover behind the common interface
-  /// without RTTI on the query path.
-  virtual ReplicaSet* AsReplicaSet() { return nullptr; }
 };
 
 }  // namespace i3

@@ -40,8 +40,7 @@ struct QueryStats {
   /// The index's work counters (summed over the replicas a failover
   /// tried).
   SearchStatsView work;
-  /// Replica that answered (0 = the primary, or an unreplicated index);
-  /// filled by ShardedIndex.
+  /// Replica that answered (0 = the primary); filled by ReplicaSet.
   uint32_t served_replica = 0;
   /// A follower answered because the primary failed.
   bool failed_over = false;
@@ -77,11 +76,11 @@ struct QueryControl {
   /// the query; single writer (the executing thread).
   obs::QueryTrace* trace = nullptr;
   /// Caller-owned per-query facts: when non-null, each layer adds what it
-  /// learned -- the index its work counters, ShardedIndex the replica
+  /// learned -- the index its work counters, ReplicaSet the replica
   /// that answered. Pass a fresh QueryStats per request; the pointee must
   /// outlive the query.
   QueryStats* stats = nullptr;
-  /// Set by ShardedIndex on the control it hands its index. Only the
+  /// Set by ReplicaSet on the control it hands its replica. Only the
   /// outermost search samples the global tracer and annotates and
   /// publishes the trace it sampled; a nested one just adds its stages to
   /// `trace` and its counters to `stats`.

@@ -4,9 +4,12 @@
 
 #include <chrono>
 #include <filesystem>
+#include <shared_mutex>
 #include <sstream>
 #include <utility>
 
+#include "common/deadline.h"
+#include "obs/trace.h"
 #include "storage/snapshot.h"
 
 namespace i3 {
@@ -14,11 +17,31 @@ namespace i3 {
 namespace {
 
 /// The set's shard number, in its metric labels, /healthz and snapshot
-/// file names: the serving wrapper holds one index, so it is shard 0.
+/// file names: a server serves one set, so it is shard 0.
 constexpr uint32_t kShard = 0;
 /// Snapshot-recovery attempts (each from the then-healthiest source)
 /// before RecoverReplica gives up.
 constexpr uint32_t kMaxSnapshotAttempts = 3;
+/// The document argument of a write that has none.
+const SpatialDocument kNoDoc;
+
+/// Applies one write to one replica's index (the caller holds the
+/// replica's exclusive lock).
+Status Apply(SpatialKeywordIndex& index, WriteLog::Kind kind,
+             const SpatialDocument& doc, const SpatialDocument& old_doc) {
+  switch (kind) {
+    case WriteLog::Kind::kInsert:
+      return index.Insert(doc);
+    case WriteLog::Kind::kDelete:
+      return index.Delete(doc);
+    case WriteLog::Kind::kUpdate:
+      return index.Update(old_doc, doc);
+    case WriteLog::Kind::kClear:
+      index.ClearCache();
+      return Status::OK();
+  }
+  return Status::Internal("ReplicaSet: unknown write kind");
+}
 
 }  // namespace
 
@@ -34,43 +57,25 @@ const char* ReplicaStateName(ReplicaState s) {
   return "unknown";
 }
 
-Result<std::unique_ptr<ReplicaSet>> ReplicaSet::Create(
-    const ReplicaFactory& factory, ReplicaOps ops,
-    ReplicaSetOptions options) {
-  if (!factory) {
-    return Status::InvalidArgument("ReplicaSet: factory is required");
-  }
-  if (options.replication_factor < 1) {
-    return Status::InvalidArgument(
-        "ReplicaSet: replication_factor must be >= 1");
-  }
-  std::vector<std::unique_ptr<SpatialKeywordIndex>> replicas;
-  replicas.reserve(options.replication_factor);
-  for (uint32_t r = 0; r < options.replication_factor; ++r) {
-    std::unique_ptr<SpatialKeywordIndex> index = factory(r);
-    if (index == nullptr) {
-      return Status::InvalidArgument("ReplicaSet: factory returned null for "
-                                     "replica " +
-                                     std::to_string(r));
-    }
-    replicas.push_back(std::move(index));
-  }
-  return std::unique_ptr<ReplicaSet>(
-      new ReplicaSet(std::move(replicas), std::move(ops), std::move(options)));
-}
-
 ReplicaSet::ReplicaSet(
     std::vector<std::unique_ptr<SpatialKeywordIndex>> replicas,
     ReplicaOps ops, ReplicaSetOptions options)
     : ops_(std::move(ops)),
       options_(std::move(options)),
-      space_(replicas[0]->space()) {
+      space_(replicas.front()->space()),
+      write_log_(space_) {
   replicas_.reserve(replicas.size());
   for (auto& index : replicas) {
     auto rep = std::make_unique<Replica>();
     rep->index = std::move(index);
     rep->scrub_cursor = ScrubCursor(options_.scrub_pages_per_tick);
     replicas_.push_back(std::move(rep));
+  }
+  // The primary keeps the bare "search", so traces where it answered look
+  // alike at every replica count.
+  stage_names_.push_back("search");
+  for (uint32_t r = 1; r < replicas_.size(); ++r) {
+    stage_names_.push_back("search.r" + std::to_string(r));
   }
 
   obs::MetricsRegistry& reg = obs::MetricsRegistry::Global();
@@ -81,7 +86,8 @@ ReplicaSet::ReplicaSet(
       shard_labels);
   replica_write_failures_metric_ = reg.GetCounter(
       "i3_replica_write_failures_total",
-      "Replica write applies that failed on storage (replica demoted).",
+      "Replica write applies that failed on storage (the replica is "
+      "demoted unless it is the last healthy one).",
       shard_labels);
   replica_recoveries_metric_ = reg.GetCounter(
       "i3_replica_recoveries_total",
@@ -103,7 +109,7 @@ ReplicaSet::ReplicaSet(
     obs::Labels labels = shard_labels;
     labels.emplace_back("replica", std::to_string(r));
     lag_metrics_.push_back(reg.GetGauge(
-        "i3_replica_lag", "Ops this replica is behind the log head.",
+        "i3_replica_lag", "Writes this replica is behind the write log.",
         std::move(labels)));
   }
   UpdateHealthGauges();
@@ -125,16 +131,17 @@ ReplicaSet::~ReplicaSet() {
 }
 
 std::string ReplicaSet::Name() const {
-  std::shared_lock<std::shared_mutex> lock(replicas_[0]->mutex);
-  return replicas_[0]->index->Name() + " (replicated x" +
-         std::to_string(replicas_.size()) + ")";
+  std::shared_lock lock(replicas_[0]->mutex);
+  const std::string name = replicas_[0]->index->Name();
+  if (replicas_.size() == 1) return name;
+  return name + " (replicated x" + std::to_string(replicas_.size()) + ")";
 }
 
 bool ReplicaSet::IsStorageFailure(const Status& st) {
   // Logical failures (duplicate insert, missing delete, bad argument) are
-  // deterministic: every replica applying the same op from the same state
-  // reaches the same verdict, so they do not mean divergence. Storage
-  // failures mean this one replica's copy can no longer be trusted.
+  // deterministic: every replica applying the same write from the same
+  // state reaches the same verdict, so they do not mean divergence.
+  // Storage failures mean this one replica's copy can no longer be trusted.
   switch (st.code()) {
     case StatusCode::kIOError:
     case StatusCode::kCorruption:
@@ -145,138 +152,162 @@ bool ReplicaSet::IsStorageFailure(const Status& st) {
   }
 }
 
-Status ReplicaSet::ApplyOp(SpatialKeywordIndex& index, const Op& op) {
-  switch (op.kind) {
-    case Op::Kind::kInsert:
-      return index.Insert(op.doc);
-    case Op::Kind::kDelete:
-      return index.Delete(op.doc);
-    case Op::Kind::kUpdate:
-      return index.Update(op.old_doc, op.doc);
-  }
-  return Status::Internal("ReplicaSet: unknown op kind");
-}
-
-Status ReplicaSet::Replicate(Op op) {
+Status ReplicaSet::Replicate(WriteLog::Kind kind, const SpatialDocument& doc,
+                             const SpatialDocument& old_doc) {
   // Let a pending catch-up take op_mutex_ first (see catchup_waiters_).
   while (catchup_waiters_.load(std::memory_order_acquire) != 0) {
     std::this_thread::yield();
   }
   std::lock_guard<std::mutex> op_lock(op_mutex_);
-  op.seq = log_head_.load(std::memory_order_relaxed) + 1;
-  log_head_.store(op.seq, std::memory_order_release);
-  log_.push_back(op);
-  while (log_.size() > options_.max_log_ops) log_.pop_front();
-
-  Status first_outcome;
-  bool applied_anywhere = false;
-  Status first_storage_error;
+  const uint64_t generation = write_log_.generation() + 1;
+  Status outcome = Status::ResourceExhausted(
+      "ReplicaSet: no healthy replica to apply write");
+  bool kept_anywhere = false;
   for (uint32_t r = 0; r < replicas_.size(); ++r) {
     Replica& rep = *replicas_[r];
     if (replica_state(r) != ReplicaState::kHealthy) continue;
     Status st;
-    bool applied = false;
+    bool kept = false;
     {
-      std::unique_lock<std::shared_mutex> lock(rep.mutex);
-      st = ApplyOp(*rep.index, op);
-      // A logical failure still advances the watermark: replaying this op
-      // during catch-up reproduces the same (non-)effect deterministically.
-      // The store stays inside the exclusive section: a snapshot reading
-      // the watermark under the shared side must never see this op in the
-      // image but not in the watermark, or catch-up applies it twice.
-      applied = st.ok() || !IsStorageFailure(st);
-      if (applied) rep.watermark.store(op.seq, std::memory_order_release);
+      std::unique_lock lock(rep.mutex);
+      st = Apply(*rep.index, kind, doc, old_doc);
+      // A logical failure still advances the watermark: replaying this
+      // write during catch-up reproduces the same (non-)effect. So does a
+      // storage failure on the last healthy replica, which keeps serving
+      // as a bare index would. The store stays inside the exclusive
+      // section: a snapshot reading the watermark under the shared side
+      // must never see this write in the image but not in the watermark,
+      // or catch-up applies it twice.
+      kept = !IsStorageFailure(st) || PickHealthySource(r) == UINT32_MAX;
+      if (kept) rep.watermark.store(generation, std::memory_order_release);
     }
-    if (applied) {
-      if (!applied_anywhere) {
-        applied_anywhere = true;
-        first_outcome = st;
-      }
-    } else {
+    if (IsStorageFailure(st)) {
       rep.write_failures.fetch_add(1, std::memory_order_relaxed);
       replica_write_failures_metric_->Increment();
-      MarkFailed(r, "write apply failed");
-      if (first_storage_error.ok()) first_storage_error = st;
+    }
+    if (!kept) {
+      MarkFailed(r);
+    } else if (!kept_anywhere) {
+      kept_anywhere = true;
+      outcome = st;
     }
   }
+  // Only the last healthy replica keeps a storage failure, so the
+  // outcome is its status then; catch-up never replays such a write.
+  WriteLog::Outcome logged = WriteLog::Outcome::kApplied;
+  if (!outcome.ok()) {
+    logged = IsStorageFailure(outcome) ? WriteLog::Outcome::kStorageFailure
+                                       : WriteLog::Outcome::kRejected;
+  }
+  // Published only now: a search that reads this generation then finds
+  // the write on whichever healthy replica serves it.
+  write_log_.Append(kind, doc, old_doc, logged);
   UpdateHealthGauges();
-  if (applied_anywhere) return first_outcome;
-  if (!first_storage_error.ok()) return first_storage_error;
-  return Status::ResourceExhausted(
-      "ReplicaSet: no healthy replica to apply write");
+  return outcome;
 }
 
 Status ReplicaSet::Insert(const SpatialDocument& doc) {
-  Op op;
-  op.kind = Op::Kind::kInsert;
-  op.doc = doc;
-  return Replicate(std::move(op));
+  return Replicate(WriteLog::Kind::kInsert, doc, kNoDoc);
 }
 
 Status ReplicaSet::Delete(const SpatialDocument& doc) {
-  Op op;
-  op.kind = Op::Kind::kDelete;
-  op.doc = doc;
-  return Replicate(std::move(op));
+  return Replicate(WriteLog::Kind::kDelete, doc, kNoDoc);
 }
 
 Status ReplicaSet::Update(const SpatialDocument& old_doc,
                           const SpatialDocument& new_doc) {
-  Op op;
-  op.kind = Op::Kind::kUpdate;
-  op.doc = new_doc;
-  op.old_doc = old_doc;
-  return Replicate(std::move(op));
+  return Replicate(WriteLog::Kind::kUpdate, new_doc, old_doc);
+}
+
+void ReplicaSet::ClearCache() {
+  // A request for cold behavior, logged as a write that may have changed
+  // anything, so result caches stop serving answers computed before it.
+  (void)Replicate(WriteLog::Kind::kClear, kNoDoc, kNoDoc);
 }
 
 Result<std::vector<ScoredDoc>> ReplicaSet::Search(const Query& q,
                                                   double alpha) {
-  Status first_error;
-  bool tried = false;
-  // The first pass reads replica states without a lock, so it can race a
-  // handover -- a recovery flipping replica A healthy, then a kill of
-  // replica B -- and see A before and B after: no healthy replica, though
-  // one was healthy throughout (KillReplica refuses the last). Both
-  // transitions run under op_mutex_; a second pass holding it cannot race.
-  for (int pass = 0; pass < 2 && !tried; ++pass) {
-    std::unique_lock<std::mutex> op_lock(op_mutex_, std::defer_lock);
-    if (pass == 1) op_lock.lock();
-    for (uint32_t r = 0; r < replicas_.size(); ++r) {
-      Replica& rep = *replicas_[r];
-      if (replica_state(r) != ReplicaState::kHealthy) continue;
-      tried = true;
-      Result<std::vector<ScoredDoc>> res = [&]() {
-        std::shared_lock<std::shared_mutex> lock(rep.mutex);
-        return rep.index->Search(q, alpha);
-      }();
-      if (res.ok()) {
-        const bool failed_over = (r != 0);
-        if (failed_over) {
-          failovers_.fetch_add(1, std::memory_order_relaxed);
-          failover_metric_->Increment();
-        }
-        if (q.control.stats != nullptr) {
-          q.control.stats->served_replica = r;
-          q.control.stats->failed_over = failed_over;
-        }
-        return res;
-      }
-      // Any per-replica failure -- storage error, deadline blown mid-read
-      // -- is re-issued to the next healthy replica; the first failure is
-      // kept in case all of them fall over.
-      rep.read_failures.fetch_add(1, std::memory_order_relaxed);
-      if (first_error.ok()) first_error = res.status();
-    }
+  // IR-tree and S2I do not check deadlines themselves, so a request that
+  // waited out its budget must not reach them.
+  if (DeadlineTimer::AtSteadyNanos(q.control.deadline_ns).Expired()) {
+    return Status::DeadlineExceeded("query deadline exceeded");
   }
-  if (!first_error.ok()) return first_error;
-  return Status::ResourceExhausted(
-      "ReplicaSet: no healthy replica to serve read");
+  QueryStats own_stats;
+  QueryStats* stats =
+      q.control.stats != nullptr ? q.control.stats : &own_stats;
+  // A caller-supplied span sink wins over sampling (see I3Index::Search).
+  obs::QueryTrace* trace = q.control.trace;
+  obs::QueryTrace sampled;
+  const bool owns_trace =
+      trace == nullptr && !q.control.nested &&
+      obs::Tracer::Global().StartTrace("ReplicaSet.Search", &sampled);
+  if (owns_trace) trace = &sampled;
+  // The replica reports into this request's stats and trace and never
+  // samples on its own.
+  Query inner = q;
+  inner.control.trace = trace;
+  inner.control.stats = stats;
+  inner.control.nested = true;
+  stats->served_replica = 0;
+  stats->failed_over = false;
+  const uint64_t t0 = trace != nullptr ? obs::NowNanos() : 0;
+
+  auto failover = [&]() -> Result<std::vector<ScoredDoc>> {
+    Status first_error;
+    bool tried = false;
+    // The first pass reads replica states without a lock, so it can race
+    // a handover -- a recovery flipping replica A healthy, then a kill of
+    // replica B -- and see A before and B after: no healthy replica,
+    // though one was healthy throughout (KillReplica refuses the last).
+    // Both transitions run under op_mutex_; a second pass holding it
+    // cannot race.
+    for (int pass = 0; pass < 2 && !tried; ++pass) {
+      std::unique_lock<std::mutex> op_lock(op_mutex_, std::defer_lock);
+      if (pass == 1) op_lock.lock();
+      for (uint32_t r = 0; r < replicas_.size(); ++r) {
+        Replica& rep = *replicas_[r];
+        if (replica_state(r) != ReplicaState::kHealthy) continue;
+        tried = true;
+        Result<std::vector<ScoredDoc>> res = [&]() {
+          std::shared_lock lock(rep.mutex);
+          return rep.index->Search(inner, alpha);
+        }();
+        if (res.ok()) {
+          if (r != 0) {
+            failovers_.fetch_add(1, std::memory_order_relaxed);
+            failover_metric_->Increment();
+          }
+          stats->served_replica = r;
+          stats->failed_over = r != 0;
+          return res;
+        }
+        // Any per-replica failure -- storage error, deadline blown
+        // mid-read -- is re-issued to the next healthy replica; the first
+        // failure is kept in case all of them fall over.
+        rep.read_failures.fetch_add(1, std::memory_order_relaxed);
+        if (first_error.ok()) first_error = res.status();
+      }
+    }
+    if (!first_error.ok()) return first_error;
+    return Status::ResourceExhausted(
+        "ReplicaSet: no healthy replica to serve read");
+  };
+  Result<std::vector<ScoredDoc>> result = failover();
+  if (trace != nullptr) {
+    trace->AddStage(stage_names_[stats->served_replica], obs::NowNanos() - t0);
+  }
+  if (owns_trace) {
+    stats->AnnotateTrace(trace);
+    if (result.ok()) trace->Annotate("results", result.ValueOrDie().size());
+    obs::Tracer::Global().Finish(std::move(sampled));
+  }
+  return result;
 }
 
 uint64_t ReplicaSet::DocumentCount() const {
   for (uint32_t r = 0; r < replicas_.size(); ++r) {
     if (replica_state(r) != ReplicaState::kHealthy) continue;
-    std::shared_lock<std::shared_mutex> lock(replicas_[r]->mutex);
+    std::shared_lock lock(replicas_[r]->mutex);
     return replicas_[r]->index->DocumentCount();
   }
   return 0;
@@ -287,7 +318,7 @@ IndexSizeInfo ReplicaSet::SizeInfo() const {
   // report the first healthy replica's breakdown (physical bytes are R x).
   for (uint32_t r = 0; r < replicas_.size(); ++r) {
     if (replica_state(r) != ReplicaState::kHealthy) continue;
-    std::shared_lock<std::shared_mutex> lock(replicas_[r]->mutex);
+    std::shared_lock lock(replicas_[r]->mutex);
     return replicas_[r]->index->SizeInfo();
   }
   return {};
@@ -296,7 +327,7 @@ IndexSizeInfo ReplicaSet::SizeInfo() const {
 IoStats ReplicaSet::io_stats() const {
   IoStats merged;
   for (const auto& rep : replicas_) {
-    std::shared_lock<std::shared_mutex> rlock(rep->mutex);
+    std::shared_lock lock(rep->mutex);
     merged.MergeFrom(rep->index->io_stats());
   }
   return merged;
@@ -304,21 +335,12 @@ IoStats ReplicaSet::io_stats() const {
 
 void ReplicaSet::ResetIoStats() {
   for (auto& rep : replicas_) {
-    std::unique_lock<std::shared_mutex> lock(rep->mutex);
+    std::unique_lock lock(rep->mutex);
     rep->index->ResetIoStats();
   }
 }
 
-void ReplicaSet::ClearCache() {
-  // Not a logged op: dropping cached pages changes no logical content, so
-  // replicas stay byte-identical without replaying it during catch-up.
-  for (auto& rep : replicas_) {
-    std::unique_lock<std::shared_mutex> lock(rep->mutex);
-    rep->index->ClearCache();
-  }
-}
-
-void ReplicaSet::MarkFailed(uint32_t r, const char* /*why*/) {
+void ReplicaSet::MarkFailed(uint32_t r) {
   replicas_[r]->state.store(static_cast<int>(ReplicaState::kFailed),
                             std::memory_order_release);
 }
@@ -340,7 +362,7 @@ Status ReplicaSet::KillReplica(uint32_t r) {
     return Status::ResourceExhausted(
         "ReplicaSet: refusing to kill the last healthy replica");
   }
-  MarkFailed(r, "killed");
+  MarkFailed(r);
   UpdateHealthGauges();
   return Status::OK();
 }
@@ -379,8 +401,9 @@ Status ReplicaSet::SnapshotInto(uint32_t r, uint32_t source) {
     // The shared lock blocks write applies to the source (writers take the
     // replica's exclusive lock), so the watermark and the page contents
     // are frozen together for the duration of the serialization. Reads
-    // keep flowing on every replica.
-    std::shared_lock<std::shared_mutex> src_lock(src.mutex);
+    // keep flowing on the other replicas, and on the source until a write
+    // queues behind the snapshot (the lock prefers writers).
+    std::shared_lock src_lock(src.mutex);
     snap_mark = src.watermark.load(std::memory_order_acquire);
     save_status = ops_.save(*src.index, path);
   }
@@ -390,7 +413,7 @@ Status ReplicaSet::SnapshotInto(uint32_t r, uint32_t source) {
       // The source's own checksum layer rejected its pages mid-snapshot:
       // the source is damaged, not the snapshot machinery. Demote it so
       // the retry picks a different replica.
-      MarkFailed(source, "snapshot source corrupt");
+      MarkFailed(source);
       UpdateHealthGauges();
     }
     return save_status;
@@ -407,7 +430,7 @@ Status ReplicaSet::SnapshotInto(uint32_t r, uint32_t source) {
     return loaded.status();
   }
   {
-    std::unique_lock<std::shared_mutex> tgt_lock(tgt.mutex);
+    std::unique_lock tgt_lock(tgt.mutex);
     tgt.index = loaded.MoveValue();
     tgt.watermark.store(snap_mark, std::memory_order_release);
   }
@@ -417,30 +440,38 @@ Status ReplicaSet::SnapshotInto(uint32_t r, uint32_t source) {
 
 Status ReplicaSet::CatchUp(uint32_t r) {
   Replica& rep = *replicas_[r];
-  // Holding op_mutex_ freezes the log head: once the replay below drains
-  // the tail, the replica is exactly caught up, and flipping it healthy
-  // before releasing the mutex means the very next write includes it.
+  // Holding op_mutex_ freezes the log: once the replay below drains it,
+  // the replica is exactly caught up, and flipping it healthy before
+  // releasing the mutex means the very next write includes it.
   catchup_waiters_.fetch_add(1, std::memory_order_acq_rel);
   std::lock_guard<std::mutex> op_lock(op_mutex_);
   catchup_waiters_.fetch_sub(1, std::memory_order_acq_rel);
-  const uint64_t watermark = rep.watermark.load(std::memory_order_acquire);
-  const uint64_t head = log_head_.load(std::memory_order_relaxed);
-  if (watermark < head) {
-    const uint64_t oldest = log_.empty() ? head + 1 : log_.front().seq;
-    if (watermark + 1 < oldest) {
-      return Status::OutOfRange(
-          "ReplicaSet: replication log trimmed past replica watermark");
-    }
+  std::vector<WriteLog::Record> tail;
+  if (!write_log_.RecordsAfter(rep.watermark.load(std::memory_order_acquire),
+                               &tail)) {
+    return Status::OutOfRange(
+        "ReplicaSet: write log overwrote writes past the replica watermark");
   }
-  std::unique_lock<std::shared_mutex> lock(rep.mutex);
-  for (const Op& op : log_) {
-    if (op.seq <= watermark) continue;
-    Status st = ApplyOp(*rep.index, op);
-    if (!st.ok() && IsStorageFailure(st)) {
-      rep.write_failures.fetch_add(1, std::memory_order_relaxed);
-      return st;
+  std::unique_lock lock(rep.mutex);
+  for (const WriteLog::Record& w : tail) {
+    // The survivor kept whatever part of this write reached its storage;
+    // replaying it here could apply all of it, and the copies would
+    // differ.
+    if (w.outcome == WriteLog::Outcome::kStorageFailure) {
+      return Status::OutOfRange(
+          "ReplicaSet: a write past the replica watermark failed on "
+          "storage");
     }
-    rep.watermark.store(op.seq, std::memory_order_release);
+    // Rejected writes replay too (a logical failure reaches the same
+    // outcome again); a clear changes no document.
+    if (w.kind != WriteLog::Kind::kClear) {
+      Status st = Apply(*rep.index, w.kind, w.doc, w.old_doc);
+      if (IsStorageFailure(st)) {
+        rep.write_failures.fetch_add(1, std::memory_order_relaxed);
+        return st;
+      }
+    }
+    rep.watermark.store(w.generation, std::memory_order_release);
   }
   rep.state.store(static_cast<int>(ReplicaState::kHealthy),
                   std::memory_order_release);
@@ -464,7 +495,7 @@ Status ReplicaSet::RecoverReplica(uint32_t r) {
   for (uint32_t attempt = 0; attempt < kMaxSnapshotAttempts; ++attempt) {
     const uint32_t source = PickHealthySource(r);
     if (source == UINT32_MAX) {
-      MarkFailed(r, "no healthy snapshot source");
+      MarkFailed(r);
       UpdateHealthGauges();
       return Status::ResourceExhausted(
           "ReplicaSet: no healthy replica to snapshot from");
@@ -477,11 +508,12 @@ Status ReplicaSet::RecoverReplica(uint32_t r) {
       UpdateHealthGauges();
       return Status::OK();
     }
-    // OutOfRange means the log was trimmed while the snapshot was being
-    // taken -- retake a fresh snapshot (at a newer watermark) and retry.
+    // OutOfRange means a write the snapshot lacks cannot be replayed: the
+    // log overwrote it, or it failed on the survivor's storage -- retake a
+    // fresh snapshot (at a newer watermark).
     last_error = st;
   }
-  MarkFailed(r, "snapshot attempts exhausted");
+  MarkFailed(r);
   UpdateHealthGauges();
   if (!last_error.ok()) return last_error;
   return Status::ResourceExhausted("ReplicaSet: snapshot attempts exhausted");
@@ -508,7 +540,7 @@ Status ReplicaSet::HealPage(uint32_t r, uint64_t page) {
     std::vector<uint8_t> bytes;
     {
       Replica& p = *replicas_[peer];
-      std::shared_lock<std::shared_mutex> peer_lock(p.mutex);
+      std::shared_lock peer_lock(p.mutex);
       Result<std::vector<uint8_t>> res = ops_.read_page(*p.index, page);
       if (!res.ok()) {
         if (first_error.ok()) first_error = res.status();
@@ -516,7 +548,7 @@ Status ReplicaSet::HealPage(uint32_t r, uint64_t page) {
       }
       bytes = res.MoveValue();
     }
-    std::unique_lock<std::shared_mutex> tgt_lock(rep.mutex);
+    std::unique_lock tgt_lock(rep.mutex);
     return ops_.write_page(*rep.index, page, bytes);
   }
   if (!first_error.ok()) return first_error;
@@ -537,14 +569,14 @@ Status ReplicaSet::ScrubTick() {
     if (replica_state(r) != ReplicaState::kHealthy) continue;
     uint64_t pages = 0;
     {
-      std::shared_lock<std::shared_mutex> lock(rep.mutex);
+      std::shared_lock lock(rep.mutex);
       pages = ops_.page_count(*rep.index);
     }
     const std::vector<uint64_t> batch = rep.scrub_cursor.NextBatch(pages);
     for (uint64_t page : batch) {
       Status st;
       {
-        std::shared_lock<std::shared_mutex> lock(rep.mutex);
+        std::shared_lock lock(rep.mutex);
         st = ops_.verify_page(*rep.index, page);
       }
       scrub_pages_verified_.fetch_add(1, std::memory_order_relaxed);
@@ -572,7 +604,7 @@ ReplicaSetStatus ReplicaSet::GetStatus() const {
   ReplicaSetStatus status;
   status.shard = kShard;
   status.replicated = replicas_.size() > 1;
-  status.log_head = log_head_.load(std::memory_order_acquire);
+  status.log_head = write_log_.generation();
   status.scrub_pages_verified =
       scrub_pages_verified_.load(std::memory_order_relaxed);
   status.scrub_corrupt_found =
@@ -592,7 +624,7 @@ ReplicaSetStatus ReplicaSet::GetStatus() const {
     rs.read_failures = rep.read_failures.load(std::memory_order_relaxed);
     rs.write_failures = rep.write_failures.load(std::memory_order_relaxed);
     if (ops_.quarantined_pages) {
-      std::shared_lock<std::shared_mutex> lock(rep.mutex);
+      std::shared_lock lock(rep.mutex);
       rs.quarantined_pages = ops_.quarantined_pages(*rep.index);
     }
     status.replicas.push_back(rs);
@@ -601,7 +633,7 @@ ReplicaSetStatus ReplicaSet::GetStatus() const {
 }
 
 void ReplicaSet::UpdateHealthGauges() {
-  const uint64_t head = log_head_.load(std::memory_order_acquire);
+  const uint64_t head = write_log_.generation();
   int64_t healthy = 0;
   for (uint32_t r = 0; r < replicas_.size(); ++r) {
     if (replica_state(r) == ReplicaState::kHealthy) ++healthy;

@@ -178,10 +178,6 @@ std::string HealthzJson(bool ok, uint64_t uptime_s,
   return os.str();
 }
 
-std::string HealthzJson(bool ok, uint64_t uptime_s) {
-  return HealthzJson(ok, uptime_s, {});
-}
-
 std::string HttpOk(const std::string& content_type, const std::string& body) {
   return "HTTP/1.1 200 OK\r\nContent-Type: " + content_type +
          "\r\nConnection: close\r\nContent-Length: " +

@@ -56,8 +56,8 @@ struct ServerStatus {
   /// Per event loop; "open_connections" renders their sum.
   std::vector<LoopStatus> loops;
 
-  /// Replication summary (all zero when the index is not replicated);
-  /// the per-replica detail lives on /healthz.
+  /// Replication summary (replicated_shards is 0 when the serving set
+  /// has one replica); the per-replica detail lives on /healthz.
   uint32_t replicated_shards = 0;
   uint64_t failovers = 0;
   uint64_t recoveries = 0;
@@ -80,16 +80,13 @@ std::string TracezJson(double sample_rate,
 std::string CachezJson(const obs::MetricsSnapshot& snapshot,
                        const std::vector<size_t>& result_cache_stripes);
 
-/// \brief /healthz. Beyond ok/stopping, renders replica health for a
-/// replicated index (one "shards" entry, ReplicaSet::GetStatus): replica
-/// states and watermarks/lag, quarantined-page counts, scrub progress,
-/// and failover/recovery totals -- strict JSON, so probes can alert on
-/// "any replica not healthy" without scraping /metrics.
+/// \brief /healthz. Beyond ok/stopping, renders the health of each
+/// serving set (the server's one "shards" entry, ReplicaSet::GetStatus):
+/// replica states and watermarks/lag, quarantined-page counts, scrub
+/// progress, and failover/recovery totals -- strict JSON, so probes can
+/// alert on "any replica not healthy" without scraping /metrics.
 std::string HealthzJson(bool ok, uint64_t uptime_s,
                         const std::vector<ReplicaSetStatus>& shards);
-
-/// Unreplicated form (identical to passing no shards).
-std::string HealthzJson(bool ok, uint64_t uptime_s);
 
 /// \brief One-shot HTTP/1.1 responses with the conformance headers every
 /// side-channel reply carries: Content-Type, exact Content-Length, and

@@ -153,7 +153,7 @@ struct Server::Loop {
   std::thread thread;
 };
 
-Server::Server(ShardedIndex* index, ServerOptions options)
+Server::Server(ReplicaSet* index, ServerOptions options)
     : index_(index),
       options_(std::move(options)),
       limiter_(options_.default_limit),
@@ -622,13 +622,11 @@ bool Server::ConsumeHttp(Connection* conn) {
     s.requests_ok = requests_ok();
     s.requests_shed = requests_shed();
     s.requests_error = requests_error();
-    if (ReplicaSet* rs = index_->replica_set()) {
-      const ReplicaSetStatus st = rs->GetStatus();
-      s.replicated_shards = 1;
-      s.failovers = st.failovers;
-      s.recoveries = st.recoveries;
-      s.scrub_pages_healed = st.scrub_pages_healed;
-    }
+    const ReplicaSetStatus st = index_->GetStatus();
+    s.replicated_shards = st.replicated ? 1 : 0;
+    s.failovers = st.failovers;
+    s.recoveries = st.recoveries;
+    s.scrub_pages_healed = st.scrub_pages_healed;
     s.slo_json = slo_.ToJson(now_ns);
     http = HttpOk("application/json", StatuszJson(s));
   } else if (path == "/tracez") {
@@ -642,12 +640,8 @@ bool Server::ConsumeHttp(Connection* conn) {
   } else if (path == "/healthz") {
     const bool healthy = running_.load(std::memory_order_acquire) &&
                          !stopping_.load(std::memory_order_acquire);
-    std::vector<ReplicaSetStatus> replicas;
-    if (ReplicaSet* rs = index_->replica_set()) {
-      replicas.push_back(rs->GetStatus());
-    }
     http = HttpOk("application/json",
-                  HealthzJson(healthy, uptime_s, replicas));
+                  HealthzJson(healthy, uptime_s, {index_->GetStatus()}));
   } else {
     http = HttpNotFound();
   }
@@ -813,7 +807,7 @@ void Server::RunBatch(Loop* loop) {
       trace.AddStage("queue_wait", dequeue_ns - p.admitted_ns);
       trace.Annotate("batch_size", batch.size());
       // Request-scoped trace: the index layers add their stages (the
-      // wrapper's search, descent, cell-cache hits) to this object.
+      // replica set's search, descent, cell-cache hits) to this object.
       p.query.control.trace = &trace;
       p.query.control.trace_id = p.trace_id;
     }

@@ -1,6 +1,6 @@
 // The async network serving front end: `worker_threads` epoll event loops
 // answering the length-prefixed query protocol (net/protocol.h) over one
-// index in its serving wrapper (model/sharded_index.h).
+// serving index (model/replica_set.h).
 //
 // Architecture (DESIGN.md §12), one loop turn:
 //
@@ -17,7 +17,7 @@
 //    Admission control (per-tenant token buckets + a per-turn search
 //    bound) and the result-cache probe run at decode: a shed or a hit is
 //    answered in the turn it arrives, before that turn's searches run at
-//    its end, one ShardedIndex::Search each with the request's own
+//    its end, one ReplicaSet::Search each with the request's own
 //    QueryControl (deadline, trace sink, QueryStats).
 //  - Trade-off: whatever arrives while a loop runs its batch (a shed, a
 //    hit, a ping, an accept on loop 0) waits for it, and a search blocked
@@ -56,7 +56,7 @@
 #include <vector>
 
 #include "common/status.h"
-#include "model/sharded_index.h"
+#include "model/replica_set.h"
 #include "net/introspection.h"
 #include "net/protocol.h"
 #include "net/result_cache.h"
@@ -113,7 +113,7 @@ class Server {
   /// until they drain. Unsent bytes exceed it by at most one frame.
   static constexpr size_t kMaxUnsentBytes = size_t{1} << 20;
 
-  Server(ShardedIndex* index, ServerOptions options);
+  Server(ReplicaSet* index, ServerOptions options);
   ~Server();
 
   Server(const Server&) = delete;
@@ -198,7 +198,7 @@ class Server {
   static WireTrace BuildWireTrace(uint64_t trace_id, uint64_t total_ns,
                                   const obs::QueryTrace& trace);
 
-  ShardedIndex* index_;
+  ReplicaSet* index_;
   ServerOptions options_;
   TenantRateLimiter limiter_;
   ResultCache result_cache_;

@@ -11,9 +11,9 @@
 // Stage accumulators (rather than a span-per-call list) keep a traced I3
 // descent bounded: pruning and page-scan sites fire hundreds of times per
 // query, and the per-stage totals are what the paper-style cost
-// breakdowns need. The serving wrapper (ShardedIndex) adds one "search"
-// stage around the index's own ("search.r1" when replica 1 answered after
-// a failover).
+// breakdowns need. The serving index (ReplicaSet) adds one "search"
+// stage around the replica's own ("search.r1" when replica 1 answered
+// after a failover).
 
 #ifndef I3_OBS_TRACE_H_
 #define I3_OBS_TRACE_H_

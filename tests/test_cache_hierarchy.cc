@@ -20,7 +20,7 @@
 #include <vector>
 
 #include "i3/i3_index.h"
-#include "model/sharded_index.h"
+#include "model/replica_set.h"
 #include "storage/fault_injection.h"
 #include "test_util.h"
 
@@ -116,7 +116,7 @@ TEST(CacheHierarchyTest, CacheOnOffByteIdenticalSweep) {
   }
 }
 
-// Concurrent churn over the serving wrapper with tight cache budgets:
+// Concurrent churn over the serving index with tight cache budgets:
 // writers insert fresh documents and delete seeded ones while readers
 // query nonstop. TSan owns the race hunt; afterwards the settled index
 // must agree byte-for-byte with a cache-free oracle built from the final
@@ -128,7 +128,7 @@ TEST(CacheHierarchyTest, ConcurrentChurnStaysCoherent) {
 
   std::vector<std::unique_ptr<SpatialKeywordIndex>> one;
   one.push_back(std::make_unique<I3Index>(CachedOptions()));
-  auto index = std::make_unique<ShardedIndex>(std::move(one));
+  auto index = std::make_unique<ReplicaSet>(std::move(one));
   for (const auto& d : seed_docs) {
     ASSERT_TRUE(index->Insert(d).ok());
   }

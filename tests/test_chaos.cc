@@ -1,7 +1,7 @@
 // Chaos tests of the full fault-tolerant serving stack: the serving
-// wrapper (ShardedIndex) over a checksummed, fault-injected I3 index under
-// probabilistic fault profiles, concurrent readers, a hard storage
-// failure, and per-query deadlines.
+// index (a one-replica ReplicaSet) over a checksummed, fault-injected I3
+// index under probabilistic fault profiles, concurrent readers, a hard
+// storage failure, and per-query deadlines.
 //
 // The contract under chaos: every query either succeeds with the complete
 // top-k, or returns a clean Status -- never a crash, a hang, or silently
@@ -20,7 +20,7 @@
 #include <vector>
 
 #include "i3/i3_index.h"
-#include "model/sharded_index.h"
+#include "model/replica_set.h"
 #include "storage/fault_injection.h"
 #include "test_util.h"
 
@@ -41,7 +41,7 @@ uint64_t ChaosSeeds() {
 struct ChaosRig {
   /// The index's physical backing, owned by the index.
   FaultInjectionPageFile* injector = nullptr;
-  std::unique_ptr<ShardedIndex> index;
+  std::unique_ptr<ReplicaSet> index;
 
   void Arm(const FaultProfile& base, uint64_t seed) {
     FaultProfile p = base;
@@ -66,7 +66,7 @@ void InitRig(ChaosRig* rig) {
   };
   std::vector<std::unique_ptr<SpatialKeywordIndex>> one;
   one.push_back(std::make_unique<I3Index>(opt));
-  rig->index = std::make_unique<ShardedIndex>(std::move(one));
+  rig->index = std::make_unique<ReplicaSet>(std::move(one));
   ASSERT_NE(rig->injector, nullptr);
 }
 
@@ -267,7 +267,7 @@ TEST(ChaosTest, ExpiredDeadlineOnShardedIndexIsAnError) {
   q.terms = {0};
   q.k = 10;
   q.semantics = Semantics::kOr;
-  // Already expired before the search starts: the wrapper fails it before
+  // Already expired before the search starts: the set fails it before
   // calling the index (an error, not an empty success).
   q.control.deadline_ns = 1;
   auto res = rig.index->Search(q, 0.5);

@@ -1,8 +1,8 @@
 // Stress tests of the concurrency layer: N reader + M writer threads over
-// the serving wrapper (ShardedIndex) of one I3 index must neither crash nor
-// corrupt the structure, results observed mid-flight must be well-formed,
-// and the final state must match both a sequential replay and the
-// BruteForceIndex oracle.
+// the serving index (a one-replica ReplicaSet) of one I3 index must
+// neither crash nor corrupt the structure, results observed mid-flight
+// must be well-formed, and the final state must match both a sequential
+// replay and the BruteForceIndex oracle.
 // Concurrent callers must also each get exactly their own per-request
 // context (QueryControl::stats).
 
@@ -17,7 +17,7 @@
 
 #include "i3/i3_index.h"
 #include "model/brute_force.h"
-#include "model/sharded_index.h"
+#include "model/replica_set.h"
 #include "test_util.h"
 
 namespace i3 {
@@ -35,19 +35,19 @@ I3Options SmallOptions() {
   return opt;
 }
 
-/// The thread-safe serving wrapper of `index`.
-ShardedIndex Wrap(std::unique_ptr<SpatialKeywordIndex> index) {
+/// The thread-safe serving set of `index`.
+ReplicaSet Wrap(std::unique_ptr<SpatialKeywordIndex> index) {
   std::vector<std::unique_ptr<SpatialKeywordIndex>> one;
   one.push_back(std::move(index));
-  return ShardedIndex(std::move(one));
+  return ReplicaSet(std::move(one));
 }
 
-ShardedIndex OneShardI3() {
+ReplicaSet OneShardI3() {
   return Wrap(std::make_unique<I3Index>(SmallOptions()));
 }
 
 TEST(ConcurrentIndexTest, SingleThreadedBehaviourUnchanged) {
-  ShardedIndex index = OneShardI3();
+  ReplicaSet index = OneShardI3();
   EXPECT_EQ(index.Name(), "I3");
   SpatialDocument d{1, {10, 10}, {{1, 0.5f}}};
   ASSERT_TRUE(index.Insert(d).ok());
@@ -77,7 +77,7 @@ TEST(ConcurrentIndexTest, ConcurrentReadersSeeSequentialResults) {
   const auto docs = MakeCorpus(copt, 2024);
   const auto queries = MakeQueries(copt, 40, 2, 10, Semantics::kOr, 2025);
 
-  ShardedIndex index = OneShardI3();
+  ReplicaSet index = OneShardI3();
   for (const auto& d : docs) ASSERT_TRUE(index.Insert(d).ok());
 
   // Sequential ground truth first.
@@ -213,12 +213,12 @@ TEST(ConcurrentIndexTest, ParallelWritersAndReaders) {
   const auto docs = MakeCorpus(copt, 404);
   const auto queries = MakeQueries(copt, 50, 2, 10, Semantics::kOr, 405);
 
-  ShardedIndex index = OneShardI3();
+  ReplicaSet index = OneShardI3();
   StressAndValidate(&index, copt, docs, queries, /*num_writers=*/4,
                     /*num_readers=*/4, /*queries_per_reader=*/150);
 
   // The wrapped I3 must also be structurally sound.
-  auto* i3 = static_cast<I3Index*>(index.shard());
+  auto* i3 = static_cast<I3Index*>(index.replica(0));
   auto check = i3->CheckInvariants();
   ASSERT_TRUE(check.ok()) << check.status().ToString();
 
@@ -241,26 +241,27 @@ TEST(ShardedIndexTest, ParallelWritersAndReaders) {
   const auto docs = MakeCorpus(copt, 606);
   const auto queries = MakeQueries(copt, 50, 2, 10, Semantics::kOr, 607);
 
-  ShardedIndex index = OneShardI3();
+  ReplicaSet index = OneShardI3();
   StressAndValidate(&index, copt, docs, queries, /*num_writers=*/4,
                     /*num_readers=*/4, /*queries_per_reader=*/150);
 
-  auto* i3 = static_cast<I3Index*>(index.shard());
+  auto* i3 = static_cast<I3Index*>(index.replica(0));
   auto check = i3->CheckInvariants();
   ASSERT_TRUE(check.ok()) << check.status().ToString();
 }
 
 TEST(ShardedIndexTest, ParallelFanOutUnderWriters) {
   // The same stress on a second seed and a smaller corpus: each reader
-  // takes the wrapper's shared lock while writer threads take it
-  // exclusively (the TSan-interesting interleaving).
+  // takes the replica's shared lock while writer threads take the op
+  // mutex and then the replica's lock exclusively (the TSan-interesting
+  // interleaving).
   CorpusOptions copt;
   copt.num_docs = 1200;
   copt.vocab_size = 25;
   const auto docs = MakeCorpus(copt, 808);
   const auto queries = MakeQueries(copt, 40, 2, 10, Semantics::kOr, 809);
 
-  ShardedIndex index = OneShardI3();
+  ReplicaSet index = OneShardI3();
   StressAndValidate(&index, copt, docs, queries, /*num_writers=*/3,
                     /*num_readers=*/3, /*queries_per_reader=*/80);
 }
@@ -321,7 +322,7 @@ TEST(ShardedIndexTest, ConcurrentCallersKeepTheirOwnContexts) {
   auto queries = MakeQueries(copt, 24, 2, 10, Semantics::kOr, 1314);
   queries[0].terms.push_back(PoisonTermIndex::kPoisonTerm);
 
-  ShardedIndex index = Wrap(std::make_unique<PoisonTermIndex>(
+  ReplicaSet index = Wrap(std::make_unique<PoisonTermIndex>(
       std::make_unique<I3Index>(SmallOptions())));
   for (const auto& d : docs) ASSERT_TRUE(index.Insert(d).ok());
 

@@ -4,9 +4,12 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
 #include <cstdio>
 #include <fstream>
 #include <memory>
+#include <type_traits>
 #include <unordered_set>
 
 #include "i3/i3_index.h"
@@ -252,18 +255,33 @@ TEST(I3IndexTest, DuplicateLocationsOverflowChain) {
 // workloads across semantics, alpha, k, and page capacities.
 // ---------------------------------------------------------------------------
 
-// gtest registers each case under a byte dump of its parameter, so the
-// padding after `semantics` used to leak indeterminate bytes into the test
-// names. `name_tag` fills that gap explicitly; its values pin every case to
-// the name it has been tracked under.
+// gtest registers each case under a byte dump of its parameter, so every
+// byte of it must hold a value: a padding byte would print indeterminate
+// memory into the test names. `name_tag` fills the gap after `semantics`,
+// `k` and `qn` are 64 bits wide, and alpha is kept as its bit pattern (a
+// double has no unique object representation), as the static_assert
+// checks. The bytes -- name_tag's values included -- are the ones each
+// case has been tracked under.
 struct EquivParam {
+  constexpr EquivParam(Semantics semantics, uint32_t name_tag, double alpha,
+                       uint64_t k, size_t page_size, uint64_t qn)
+      : semantics(semantics),
+        name_tag(name_tag),
+        alpha_bits(std::bit_cast<uint64_t>(alpha)),
+        k(k),
+        page_size(page_size),
+        qn(qn) {}
+
+  double alpha() const { return std::bit_cast<double>(alpha_bits); }
+
   Semantics semantics;
   uint32_t name_tag;
-  double alpha;
-  uint32_t k;
+  uint64_t alpha_bits;
+  uint64_t k;
   size_t page_size;
-  uint32_t qn;
+  uint64_t qn;
 };
+static_assert(std::has_unique_object_representations_v<EquivParam>);
 
 class I3EquivalenceTest : public ::testing::TestWithParam<EquivParam> {};
 
@@ -284,15 +302,17 @@ TEST_P(I3EquivalenceTest, MatchesBruteForce) {
   ASSERT_TRUE(check.ok()) << check.status().ToString();
 
   for (const Query& q :
-       MakeQueries(copt, /*num_queries=*/25, p.qn, p.k, p.semantics,
+       MakeQueries(copt, /*num_queries=*/25, static_cast<uint32_t>(p.qn),
+                   static_cast<uint32_t>(p.k), p.semantics,
                    /*seed=*/7)) {
-    auto got = index.Search(q, p.alpha);
-    auto want = oracle.Search(q, p.alpha);
+    auto got = index.Search(q, p.alpha());
+    auto want = oracle.Search(q, p.alpha());
     ASSERT_TRUE(got.ok()) << got.status().ToString();
     ASSERT_TRUE(want.ok());
     EXPECT_TRUE(SameScores(got.ValueOrDie(), want.ValueOrDie()))
-        << "semantics=" << SemanticsName(q.semantics) << " alpha=" << p.alpha
-        << " k=" << p.k << " got=" << got.ValueOrDie().size()
+        << "semantics=" << SemanticsName(q.semantics)
+        << " alpha=" << p.alpha() << " k=" << p.k
+        << " got=" << got.ValueOrDie().size()
         << " want=" << want.ValueOrDie().size();
   }
 }

@@ -21,7 +21,7 @@
 #include <vector>
 
 #include "i3/i3_index.h"
-#include "model/sharded_index.h"
+#include "model/replica_set.h"
 #include "net/client.h"
 #include "net/introspection.h"
 #include "net/protocol.h"
@@ -44,15 +44,15 @@ CorpusOptions ServingCorpus() {
   return copt;
 }
 
-std::unique_ptr<ShardedIndex> MakeIndex(const CorpusOptions& copt,
-                                        uint64_t seed) {
+std::unique_ptr<ReplicaSet> MakeIndex(const CorpusOptions& copt,
+                                      uint64_t seed) {
   I3Options opt;
   opt.space = copt.space;
   opt.page_size = codec::kV2MinPageSize;
   opt.signature_bits = 64;
   std::vector<std::unique_ptr<SpatialKeywordIndex>> one;
   one.push_back(std::make_unique<I3Index>(opt));
-  auto index = std::make_unique<ShardedIndex>(std::move(one));
+  auto index = std::make_unique<ReplicaSet>(std::move(one));
   for (const auto& d : MakeCorpus(copt, seed)) {
     EXPECT_TRUE(index->Insert(d).ok());
   }
@@ -237,15 +237,27 @@ bool IsValidJson(const std::string& s) { return JsonChecker(s).Valid(); }
 // HealthzJson as a pure function: the replica-aware shape.
 
 TEST(HealthzJsonTest, UnreplicatedFormStaysMinimal) {
-  const std::string ok = HealthzJson(true, 12);
+  // A one-replica set is one shard entry, not replicated, with one
+  // replica; no set at all is an empty list.
+  ReplicaSetStatus one;
+  one.log_head = 5;
+  ReplicaStatus primary;
+  primary.watermark = 5;
+  one.replicas = {primary};
+  const std::string ok = HealthzJson(true, 12, {one});
   EXPECT_TRUE(IsValidJson(ok)) << ok;
-  EXPECT_NE(ok.find("\"status\": \"ok\""), std::string::npos);
-  EXPECT_NE(ok.find("\"uptime_s\": 12"), std::string::npos);
-  EXPECT_NE(ok.find("\"shards\": []"), std::string::npos);
+  for (const char* key :
+       {"\"status\": \"ok\"", "\"uptime_s\": 12",
+        "\"shards\": [{\"shard\": 0, \"replicated\": false",
+        "\"log_head\": 5", "\"replica\": 0, \"state\": \"healthy\""}) {
+    EXPECT_NE(ok.find(key), std::string::npos) << key << " in " << ok;
+  }
+  EXPECT_EQ(ok.find("\"replica\": 1"), std::string::npos) << ok;
 
-  const std::string stopping = HealthzJson(false, 99);
+  const std::string stopping = HealthzJson(false, 99, {});
   EXPECT_TRUE(IsValidJson(stopping)) << stopping;
   EXPECT_NE(stopping.find("\"status\": \"stopping\""), std::string::npos);
+  EXPECT_NE(stopping.find("\"shards\": []"), std::string::npos);
 }
 
 TEST(HealthzJsonTest, RendersPerShardReplicaHealth) {
@@ -361,7 +373,7 @@ class IntrospectionTest : public ::testing::Test {
     return res.ok() ? res.ValueOrDie() : "";
   }
 
-  std::unique_ptr<ShardedIndex> index_;
+  std::unique_ptr<ReplicaSet> index_;
   std::unique_ptr<Server> server_;
 };
 
@@ -407,9 +419,9 @@ TEST_F(IntrospectionTest, TracedResponseTimelineIsConsistent) {
     for (const char* name : {"admission", "queue_wait", "encode"}) {
       EXPECT_TRUE(stage.count(name)) << "missing stage " << name;
     }
-    // ...as is the wrapper's search stage.
+    // ...as is the replica set's search stage.
     EXPECT_TRUE(stage.count("search"));
-    // The wrapper's search and the serving stages around it sum to no
+    // The set's search and the serving stages around it sum to no
     // more than the server's end-to-end time.
     EXPECT_LE(stage["admission"] + stage["queue_wait"] + stage["search"] +
                   stage["encode"],
@@ -661,7 +673,7 @@ TEST_F(IntrospectionTest, UntracedSlowLogRecordCarriesWorkCounters) {
     EXPECT_EQ(notes["cells_pruned_score"],
               direct.work.Get("cells_pruned_score"));
     // The record carries the index's work counters and nothing else: no
-    // failover happened, and the wrapper adds no annotation of its own.
+    // failover happened, and the set adds no annotation of its own.
     EXPECT_EQ(seen.size(), direct.work.count);
   }
 }
@@ -740,11 +752,19 @@ TEST_F(IntrospectionTest, EndpointsServeValidJsonUnderTraffic) {
     EXPECT_NE(cachez.body.find(key), std::string::npos) << key;
   }
 
-  // /healthz says ok while running; the index here is not replicated, so
-  // the "shards" section is present but empty.
+  // /healthz says ok while running and lists the one serving set, which
+  // has a single replica here and so is not replicated.
   const HttpResponse healthz = ParseHttp(Get("/healthz"));
   EXPECT_NE(healthz.body.find("\"status\": \"ok\""), std::string::npos);
-  EXPECT_NE(healthz.body.find("\"shards\": []"), std::string::npos);
+  EXPECT_NE(healthz.body.find(
+                "\"shards\": [{\"shard\": 0, \"replicated\": false"),
+            std::string::npos)
+      << healthz.body;
+  EXPECT_NE(healthz.body.find("\"replica\": 0, \"state\": \"healthy\""),
+            std::string::npos)
+      << healthz.body;
+  EXPECT_EQ(healthz.body.find("\"replica\": 1"), std::string::npos)
+      << healthz.body;
 }
 
 // Conformance of the /metrics handler and the 404 fallback: exact

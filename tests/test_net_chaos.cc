@@ -19,7 +19,7 @@
 #include <vector>
 
 #include "i3/i3_index.h"
-#include "model/sharded_index.h"
+#include "model/replica_set.h"
 #include "net/client.h"
 #include "net/protocol.h"
 #include "net/server.h"
@@ -44,7 +44,7 @@ uint64_t ChaosSeeds() {
 struct ServingChaosRig {
   /// The index's physical backing, owned by the index.
   FaultInjectionPageFile* injector = nullptr;
-  std::unique_ptr<ShardedIndex> index;
+  std::unique_ptr<ReplicaSet> index;
   std::unique_ptr<Server> server;
 
   void Arm(const FaultProfile& base, uint64_t seed) {
@@ -75,7 +75,7 @@ void InitRig(ServingChaosRig* rig, uint64_t corpus_seed,
   };
   std::vector<std::unique_ptr<SpatialKeywordIndex>> one;
   one.push_back(std::make_unique<I3Index>(opt));
-  rig->index = std::make_unique<ShardedIndex>(std::move(one));
+  rig->index = std::make_unique<ReplicaSet>(std::move(one));
   ASSERT_NE(rig->injector, nullptr);
   for (const auto& d : MakeCorpus(ChaosCorpus(), corpus_seed)) {
     ASSERT_TRUE(rig->index->Insert(d).ok());

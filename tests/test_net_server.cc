@@ -1,6 +1,6 @@
 // End-to-end tests of the serving front end (net/server.h) over loopback:
 // a differential harness proving wire responses byte-identical (by
-// order-sensitive checksum) to direct ShardedIndex::Search calls under a
+// order-sensitive checksum) to direct ReplicaSet::Search calls under a
 // seeded concurrent mixed workload; protocol-abuse scenarios (garbage,
 // oversized frames, slow dribbling writers, pipelining); the HTTP metrics
 // side channel; the admission-control contract -- a saturating tenant
@@ -24,7 +24,7 @@
 #include <vector>
 
 #include "i3/i3_index.h"
-#include "model/sharded_index.h"
+#include "model/replica_set.h"
 #include "net/client.h"
 #include "net/protocol.h"
 #include "net/server.h"
@@ -48,9 +48,9 @@ CorpusOptions ServingCorpus() {
   return copt;
 }
 
-/// The serving wrapper of one I3 index over `copt`'s space, with
+/// The one-replica serving set of an I3 index over `copt`'s space, with
 /// `factory` (when set) as its page file.
-std::unique_ptr<ShardedIndex> WrappedI3(
+std::unique_ptr<ReplicaSet> WrappedI3(
     const CorpusOptions& copt,
     std::function<std::unique_ptr<PageFile>(size_t)> factory = nullptr) {
   I3Options opt;
@@ -60,11 +60,11 @@ std::unique_ptr<ShardedIndex> WrappedI3(
   opt.page_file_factory = std::move(factory);
   std::vector<std::unique_ptr<SpatialKeywordIndex>> one;
   one.push_back(std::make_unique<I3Index>(opt));
-  return std::make_unique<ShardedIndex>(std::move(one));
+  return std::make_unique<ReplicaSet>(std::move(one));
 }
 
-std::unique_ptr<ShardedIndex> MakeIndex(const CorpusOptions& copt,
-                                        uint64_t seed) {
+std::unique_ptr<ReplicaSet> MakeIndex(const CorpusOptions& copt,
+                                      uint64_t seed) {
   auto index = WrappedI3(copt);
   for (const auto& d : MakeCorpus(copt, seed)) {
     EXPECT_TRUE(index->Insert(d).ok());
@@ -101,7 +101,7 @@ class NetServerTest : public ::testing::Test {
     return Client::Connect(opts);
   }
 
-  std::unique_ptr<ShardedIndex> index_;
+  std::unique_ptr<ReplicaSet> index_;
   std::unique_ptr<Server> server_;
 };
 

@@ -16,6 +16,7 @@
 #include <filesystem>
 #include <fstream>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -143,8 +144,9 @@ TEST(ScrubCursorTest, ZeroPaceIsPinnedToOne) {
 /// Checksummed(FaultInjection(InMemory)) stack. The rig keeps pointers to
 /// every replica's injector (read-side chaos) and raw in-memory file
 /// (writing garbage there bypasses the checksum wrapper -- persistent
-/// at-rest corruption that only a heal repairs). The factory re-plants
-/// those pointers whenever recovery re-homes a replica onto fresh storage.
+/// at-rest corruption that only a heal repairs). The page-file factory
+/// re-plants those pointers whenever recovery re-homes a replica onto
+/// fresh storage.
 struct ReplicaRig {
   std::vector<FaultInjectionPageFile*> injectors;
   std::vector<InMemoryPageFile*> raw;
@@ -167,17 +169,19 @@ struct ReplicaRig {
   }
 };
 
-void InitRig(ReplicaRig* rig, ReplicaSetOptions opt = {}) {
-  rig->injectors.assign(opt.replication_factor, nullptr);
-  rig->raw.assign(opt.replication_factor, nullptr);
-  auto res = ReplicaSet::Create(
-      [rig](uint32_t r) {
-        return std::make_unique<I3Index>(rig->OptionsFor(r));
-      },
-      MakeI3ReplicaOps([rig](uint32_t r) { return rig->OptionsFor(r); }),
-      opt);
-  ASSERT_TRUE(res.ok()) << res.status().ToString();
-  rig->set = res.MoveValue();
+/// `replicas` empty I3 replicas, with the I3 ops unless `ops` is given.
+void InitRig(ReplicaRig* rig, uint32_t replicas = 2,
+             std::optional<ReplicaOps> ops = std::nullopt) {
+  rig->injectors.assign(replicas, nullptr);
+  rig->raw.assign(replicas, nullptr);
+  std::vector<std::unique_ptr<SpatialKeywordIndex>> indexes;
+  for (uint32_t r = 0; r < replicas; ++r) {
+    indexes.push_back(std::make_unique<I3Index>(rig->OptionsFor(r)));
+  }
+  if (!ops) {
+    ops = MakeI3ReplicaOps([rig](uint32_t r) { return rig->OptionsFor(r); });
+  }
+  rig->set = std::make_unique<ReplicaSet>(std::move(indexes), *ops);
   for (auto* f : rig->injectors) ASSERT_NE(f, nullptr);
 }
 
@@ -232,7 +236,7 @@ TEST(ReplicaSetTest, ReplicatedSearchMatchesUnreplicatedIndex) {
                   "replicated vs solo");
 
   // Every replica individually answers identically (byte-identity).
-  for (uint32_t r = 0; r < rig.set->replication_factor(); ++r) {
+  for (uint32_t r = 0; r < rig.injectors.size(); ++r) {
     auto one = rig.set->replica(r)->Search(q, 0.5);
     ASSERT_TRUE(one.ok());
     ExpectIdentical(one.ValueOrDie(), direct.ValueOrDie(),
@@ -358,6 +362,103 @@ TEST(ReplicaSetTest, LogicalFailureIsUniformAndDoesNotDemote) {
   }
 }
 
+TEST(ReplicaSetTest, StorageFailureNeverDemotesTheLastHealthyReplica) {
+  // Every replica's device fails one insert. Replica 0 fails first, while
+  // replica 1 is healthy, so it is demoted. Replica 1 is then the last
+  // healthy replica: it returns the error and keeps serving, as a bare
+  // index would, its watermark moves past the write, and the log marks
+  // the write failed.
+  ReplicaRig rig;
+  InitRig(&rig);
+  const auto docs = MakeCorpus(RigCorpus(), 56);
+  for (const auto& d : docs) ASSERT_TRUE(rig.set->Insert(d).ok());
+
+  for (auto* f : rig.injectors) f->set_fail_all(true);
+  SpatialDocument extra = docs[0];
+  extra.id = 500'000;
+  const Status st = rig.set->Insert(extra);
+  for (auto* f : rig.injectors) f->Heal();
+  ASSERT_FALSE(st.ok());
+  EXPECT_TRUE(st.IsIOError()) << st.ToString();
+
+  const ReplicaSetStatus status = rig.set->GetStatus();
+  EXPECT_EQ(status.log_head, docs.size() + 1);
+  EXPECT_EQ(rig.set->replica_state(0), ReplicaState::kFailed);
+  EXPECT_EQ(status.replicas[0].watermark, docs.size());
+  EXPECT_EQ(rig.set->replica_state(1), ReplicaState::kHealthy);
+  EXPECT_EQ(status.replicas[1].watermark, docs.size() + 1);
+  EXPECT_EQ(status.replicas[1].write_failures, 1u);
+  std::vector<WriteLog::Record> tail;
+  ASSERT_TRUE(rig.set->write_log().RecordsAfter(docs.size(), &tail));
+  ASSERT_EQ(tail.size(), 1u);
+  EXPECT_EQ(tail[0].outcome, WriteLog::Outcome::kStorageFailure);
+
+  // The survivor serves, and the demoted replica rejoins as its copy.
+  const Query q = HeadTermQuery(30);
+  QueryStats stats;
+  Query counted = q;
+  counted.control.stats = &stats;
+  ASSERT_TRUE(rig.set->Search(counted, 0.5).ok());
+  EXPECT_EQ(stats.served_replica, 1u);
+  ASSERT_TRUE(rig.set->RecoverReplica(0).ok());
+  auto primary = rig.set->replica(0)->Search(q, 0.5);
+  auto survivor = rig.set->replica(1)->Search(q, 0.5);
+  ASSERT_TRUE(primary.ok()) << primary.status().ToString();
+  ASSERT_TRUE(survivor.ok()) << survivor.status().ToString();
+  ExpectIdentical(primary.ValueOrDie(), survivor.ValueOrDie(), "rejoined");
+}
+
+TEST(ReplicaSetTest, CatchUpNeverReplaysAWriteTheSurvivorFailedOnStorage) {
+  // Replica 1 is recovering. After its snapshot is taken and before its
+  // catch-up, an insert fails on replica 0's device; replica 0 is the last
+  // healthy replica, so it keeps serving with whatever part of the write
+  // reached it. Replaying that insert on replica 1 would succeed there and
+  // leave the copies different: recovery must take a fresh snapshot whose
+  // watermark is past the failed write instead.
+  const auto docs = MakeCorpus(RigCorpus(), 58);
+  SpatialDocument extra = docs[0];
+  extra.id = 500'000;
+  // Declared before the rig, whose set holds the hook below.
+  int loads = 0;
+  Status failed_write;
+  ReplicaRig rig;
+  ReplicaOps ops =
+      MakeI3ReplicaOps([&rig](uint32_t r) { return rig.OptionsFor(r); });
+  ops.load = [&, load = ops.load](const std::string& path, uint32_t r) {
+    if (++loads == 1) {
+      rig.injectors[0]->set_fail_all(true);
+      failed_write = rig.set->Insert(extra);
+      rig.injectors[0]->Heal();
+    }
+    return load(path, r);
+  };
+  InitRig(&rig, 2, ops);
+  for (const auto& d : docs) ASSERT_TRUE(rig.set->Insert(d).ok());
+  ASSERT_TRUE(rig.set->KillReplica(1).ok());
+
+  ASSERT_TRUE(rig.set->RecoverReplica(1).ok());
+  EXPECT_TRUE(failed_write.IsIOError()) << failed_write.ToString();
+  EXPECT_EQ(loads, 2);
+  EXPECT_EQ(rig.set->replica_state(0), ReplicaState::kHealthy);
+  EXPECT_EQ(rig.set->replica_state(1), ReplicaState::kHealthy);
+  std::vector<WriteLog::Record> tail;
+  ASSERT_TRUE(rig.set->write_log().RecordsAfter(docs.size(), &tail));
+  ASSERT_EQ(tail.size(), 1u);
+  EXPECT_EQ(tail[0].outcome, WriteLog::Outcome::kStorageFailure);
+
+  Query q;
+  q.location = extra.location;
+  for (const WeightedTerm& t : extra.terms) q.terms.push_back(t.term);
+  q.k = 10;
+  q.semantics = Semantics::kOr;
+  auto primary = rig.set->replica(0)->Search(q, 0.5);
+  auto rejoined = rig.set->replica(1)->Search(q, 0.5);
+  ASSERT_TRUE(primary.ok()) << primary.status().ToString();
+  ASSERT_TRUE(rejoined.ok()) << rejoined.status().ToString();
+  ExpectIdentical(rejoined.ValueOrDie(), primary.ValueOrDie(),
+                  "after a failed write in the catch-up window");
+}
+
 TEST(ReplicaSetTest, CatchUpRecoversAKilledReplicaFromTheLog) {
   ReplicaRig rig;
   InitRig(&rig);
@@ -394,9 +495,7 @@ TEST(ReplicaSetTest, CatchUpRecoversAKilledReplicaFromTheLog) {
 
 TEST(ReplicaSetTest, SnapshotRecoveryWhenTheLogWasTrimmed) {
   ReplicaRig rig;
-  ReplicaSetOptions opt;
-  opt.max_log_ops = 8;  // force the log to trim past the dead watermark
-  InitRig(&rig, opt);
+  InitRig(&rig);
   const CorpusOptions copt = RigCorpus();
   const auto docs = MakeCorpus(copt, 71);
   for (const auto& d : docs) ASSERT_TRUE(rig.set->Insert(d).ok());
@@ -404,7 +503,8 @@ TEST(ReplicaSetTest, SnapshotRecoveryWhenTheLogWasTrimmed) {
   ASSERT_TRUE(rig.set->KillReplica(1).ok());
   CorpusOptions more = copt;
   more.first_id = 20'000;
-  more.num_docs = 50;  // >> max_log_ops: catch-up alone cannot work
+  // More writes than the log holds: catch-up alone cannot work.
+  more.num_docs = WriteLog::kCapacity + 50;
   for (const auto& d : MakeCorpus(more, 72)) {
     ASSERT_TRUE(rig.set->Insert(d).ok());
   }
@@ -493,9 +593,7 @@ TEST(ReplicaSetTest, ScrubDetectsAndHealsAtRestCorruption) {
 
 TEST(ReplicaSetTest, SingleReplicaSetScrubsButCannotHeal) {
   ReplicaRig rig;
-  ReplicaSetOptions opt;
-  opt.replication_factor = 1;
-  InitRig(&rig, opt);
+  InitRig(&rig, /*replicas=*/1);
   for (const auto& d : MakeCorpus(RigCorpus(), 101)) {
     ASSERT_TRUE(rig.set->Insert(d).ok());
   }
@@ -530,16 +628,9 @@ TEST(ReplicaSetTest, SingleReplicaSetScrubsButCannotHeal) {
 
 TEST(ReplicaSetTest, MissingOpsReportNotSupported) {
   ReplicaRig rig;
-  rig.injectors.assign(2, nullptr);
-  rig.raw.assign(2, nullptr);
-  auto res = ReplicaSet::Create(
-      [&rig](uint32_t r) {
-        return std::make_unique<I3Index>(rig.OptionsFor(r));
-      },
-      ReplicaOps{},  // no hooks: recovery and scrubbing are unavailable
-      ReplicaSetOptions{});
-  ASSERT_TRUE(res.ok());
-  auto set = res.MoveValue();
+  // No hooks: recovery and scrubbing are unavailable.
+  InitRig(&rig, /*replicas=*/2, ReplicaOps{});
+  ReplicaSet* set = rig.set.get();
   for (const auto& d : MakeCorpus(RigCorpus(), 111)) {
     ASSERT_TRUE(set->Insert(d).ok());
   }

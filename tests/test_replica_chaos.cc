@@ -1,6 +1,6 @@
-// Chaos tests for replicated serving (DESIGN.md §15): the serving wrapper
-// (ShardedIndex) over a ReplicaSet, driven through kill/recover cycles,
-// corrupt snapshot sources, and concurrent scrub + query + rewrite races.
+// Chaos tests for replicated serving (DESIGN.md §15): ReplicaSets of I3
+// replicas driven through kill/recover cycles, corrupt snapshot sources,
+// and concurrent scrub + query + rewrite races.
 //
 // The replicated contract sharpens the plain chaos contract: with R >= 2
 // and any single replica down, queries do NOT fail -- failover serves
@@ -23,7 +23,6 @@
 #include "i3/i3_index.h"
 #include "i3/replica_ops.h"
 #include "model/replica_set.h"
-#include "model/sharded_index.h"
 #include "obs/trace.h"
 #include "storage/fault_injection.h"
 #include "test_util.h"
@@ -61,14 +60,15 @@ I3Options BaseOptions() {
 }
 
 // ---------------------------------------------------------------------------
-// Serving rig: the wrapped index is a ReplicaSet of I3 replicas, each
-// replica on its own Checksummed(FaultInjection(InMemory)) stack.
+// Serving rig: a ReplicaSet of I3 replicas, each replica on its own
+// Checksummed(FaultInjection(InMemory)) stack.
 
 struct ReplicatedServingRig {
   static constexpr uint32_t kReplicas = 2;
-  /// Per replica; re-planted by the factory when recovery re-homes.
+  /// Per replica; re-planted by the page-file factory when recovery
+  /// re-homes.
   std::vector<FaultInjectionPageFile*> injectors;
-  std::unique_ptr<ShardedIndex> index;
+  std::unique_ptr<ReplicaSet> index;
 
   I3Options OptionsFor(uint32_t r) {
     I3Options opt = BaseOptions();
@@ -84,19 +84,13 @@ struct ReplicatedServingRig {
 
 void InitServingRig(ReplicatedServingRig* rig) {
   rig->injectors.assign(ReplicatedServingRig::kReplicas, nullptr);
-  ReplicaSetOptions ropt;
-  ropt.replication_factor = ReplicatedServingRig::kReplicas;
-  auto set = ReplicaSet::Create(
-      [rig](uint32_t r) {
-        return std::make_unique<I3Index>(rig->OptionsFor(r));
-      },
-      MakeI3ReplicaOps([rig](uint32_t r) { return rig->OptionsFor(r); }),
-      ropt);
-  ASSERT_TRUE(set.ok()) << set.status().ToString();
-  std::vector<std::unique_ptr<SpatialKeywordIndex>> one;
-  one.push_back(set.MoveValue());
-  rig->index = std::make_unique<ShardedIndex>(std::move(one));
-  ASSERT_NE(rig->index->replica_set(), nullptr);
+  std::vector<std::unique_ptr<SpatialKeywordIndex>> replicas;
+  for (uint32_t r = 0; r < ReplicatedServingRig::kReplicas; ++r) {
+    replicas.push_back(std::make_unique<I3Index>(rig->OptionsFor(r)));
+  }
+  auto options_for = [rig](uint32_t r) { return rig->OptionsFor(r); };
+  ReplicaOps ops = MakeI3ReplicaOps(options_for);
+  rig->index = std::make_unique<ReplicaSet>(std::move(replicas), ops);
   for (auto* f : rig->injectors) ASSERT_NE(f, nullptr);
 }
 
@@ -129,7 +123,7 @@ TEST(ReplicaChaosTest, KilledPrimariesUnderLoadYieldZeroDegraded) {
 
     // Kill the primary. With R=2 this is the worst single-replica
     // failure, and the serving contract is byte identity, not an error.
-    ASSERT_TRUE(rig.index->replica_set()->KillReplica(0).ok());
+    ASSERT_TRUE(rig.index->KillReplica(0).ok());
     rig.index->ClearCache();
 
     constexpr int kThreads = 4;
@@ -156,8 +150,7 @@ TEST(ReplicaChaosTest, KilledPrimariesUnderLoadYieldZeroDegraded) {
     EXPECT_FALSE(mismatch.load()) << "seed " << seed;
 
     // The failovers actually happened (they were just invisible).
-    EXPECT_GT(rig.index->replica_set()->GetStatus().failovers, 0u)
-        << "seed " << seed;
+    EXPECT_GT(rig.index->GetStatus().failovers, 0u) << "seed " << seed;
 
     // Stats and the trace attribute the serving replica: a fresh
     // single-threaded search shows replica 1 answered.
@@ -186,8 +179,7 @@ TEST(ReplicaChaosTest, KilledPrimariesUnderLoadYieldZeroDegraded) {
         ++i;
       }
     });
-    EXPECT_TRUE(rig.index->replica_set()->RecoverReplica(0).ok())
-        << "seed " << seed;
+    EXPECT_TRUE(rig.index->RecoverReplica(0).ok()) << "seed " << seed;
     stop.store(true);
     sweeper.join();
     EXPECT_FALSE(broken.load()) << "seed " << seed;
@@ -209,7 +201,7 @@ TEST(ReplicaChaosTest, KilledPrimariesUnderLoadYieldZeroDegraded) {
 }
 
 // ---------------------------------------------------------------------------
-// Bare ReplicaSet rigs (no serving wrapper).
+// ReplicaSet rigs with the raw files exposed.
 
 struct ReplicaRig {
   std::vector<FaultInjectionPageFile*> injectors;
@@ -230,17 +222,17 @@ struct ReplicaRig {
   }
 };
 
-void InitReplicaRig(ReplicaRig* rig, ReplicaSetOptions opt) {
-  rig->injectors.assign(opt.replication_factor, nullptr);
-  rig->raw.assign(opt.replication_factor, nullptr);
-  auto res = ReplicaSet::Create(
-      [rig](uint32_t r) {
-        return std::make_unique<I3Index>(rig->OptionsFor(r));
-      },
-      MakeI3ReplicaOps([rig](uint32_t r) { return rig->OptionsFor(r); }),
-      opt);
-  ASSERT_TRUE(res.ok()) << res.status().ToString();
-  rig->set = res.MoveValue();
+void InitReplicaRig(ReplicaRig* rig, uint32_t replicas,
+                    ReplicaSetOptions opt = {}) {
+  rig->injectors.assign(replicas, nullptr);
+  rig->raw.assign(replicas, nullptr);
+  std::vector<std::unique_ptr<SpatialKeywordIndex>> indexes;
+  for (uint32_t r = 0; r < replicas; ++r) {
+    indexes.push_back(std::make_unique<I3Index>(rig->OptionsFor(r)));
+  }
+  auto options_for = [rig](uint32_t r) { return rig->OptionsFor(r); };
+  ReplicaOps ops = MakeI3ReplicaOps(options_for);
+  rig->set = std::make_unique<ReplicaSet>(std::move(indexes), ops, opt);
 }
 
 TEST(ReplicaChaosTest, CorruptSnapshotSourceFailsCleanlyAndRetries) {
@@ -249,9 +241,7 @@ TEST(ReplicaChaosTest, CorruptSnapshotSourceFailsCleanlyAndRetries) {
   // bytes are never installed -- demote the rotten source, and retry from
   // replica 1, which succeeds.
   ReplicaRig rig;
-  ReplicaSetOptions opt;
-  opt.replication_factor = 3;
-  InitReplicaRig(&rig, opt);
+  InitReplicaRig(&rig, /*replicas=*/3);
   const CorpusOptions copt = ChaosCorpus();
   for (const auto& d : MakeCorpus(copt, 21)) {
     ASSERT_TRUE(rig.set->Insert(d).ok());
@@ -296,9 +286,8 @@ TEST(ReplicaChaosTest, ConcurrentScrubQueryRewriteAndRecoveryIsClean) {
   // crash, no lock-order inversion, and every outcome a clean Status.
   ReplicaRig rig;
   ReplicaSetOptions opt;
-  opt.replication_factor = 2;
   opt.scrub_pages_per_tick = 16;
-  InitReplicaRig(&rig, opt);
+  InitReplicaRig(&rig, /*replicas=*/2, opt);
   const CorpusOptions copt = ChaosCorpus();
   auto docs = MakeCorpus(copt, 31);
   for (const auto& d : docs) ASSERT_TRUE(rig.set->Insert(d).ok());
@@ -382,9 +371,8 @@ TEST(ReplicaChaosTest, QuarantineHealRaceConvergesToHealed) {
   // converge: page verified, quarantine empty, byte-identity restored.
   ReplicaRig rig;
   ReplicaSetOptions opt;
-  opt.replication_factor = 2;
   opt.scrub_pages_per_tick = 8;
-  InitReplicaRig(&rig, opt);
+  InitReplicaRig(&rig, /*replicas=*/2, opt);
   const CorpusOptions copt = ChaosCorpus();
   for (const auto& d : MakeCorpus(copt, 41)) {
     ASSERT_TRUE(rig.set->Insert(d).ok());
@@ -458,9 +446,8 @@ TEST(ReplicaChaosTest, QuarantineHealRaceConvergesToHealed) {
 TEST(ReplicaChaosTest, MaintenanceThreadAutoRecoversAKilledReplica) {
   ReplicaRig rig;
   ReplicaSetOptions opt;
-  opt.replication_factor = 2;
   opt.maintenance_interval_ms = 5;
-  InitReplicaRig(&rig, opt);
+  InitReplicaRig(&rig, /*replicas=*/2, opt);
   for (const auto& d : MakeCorpus(ChaosCorpus(), 51)) {
     ASSERT_TRUE(rig.set->Insert(d).ok());
   }

@@ -5,7 +5,9 @@
 // served byte-identically from cache, a write that changes an answer makes
 // the very next identical request see fresh results, no_cache bypasses,
 // and error responses are never cached. A seeded interleaving of writes
-// and repeated wire searches is checked against the brute-force oracle.
+// and repeated wire searches, over one replica and over two with replica
+// kills, recoveries and scrubs mixed in, is checked against the
+// brute-force oracle.
 
 #include <gtest/gtest.h>
 
@@ -17,8 +19,9 @@
 
 #include "common/rng.h"
 #include "i3/i3_index.h"
+#include "i3/replica_ops.h"
 #include "model/brute_force.h"
-#include "model/sharded_index.h"
+#include "model/replica_set.h"
 #include "model/write_log.h"
 #include "net/client.h"
 #include "net/protocol.h"
@@ -111,7 +114,9 @@ TEST(ResultCacheTest, LookupServesOnlyMatchingGeneration) {
   EXPECT_EQ(replayed, 0u);
 
   // Deleting a document outside the answer cannot change it.
-  log.RecordDelete(Doc(500, {12.5, 33.25}, {{2, 1.0f}, {7, 1.0f}}));
+  log.Append(WriteLog::Kind::kDelete,
+             Doc(500, {12.5, 33.25}, {{2, 1.0f}, {7, 1.0f}}), {},
+             WriteLog::Outcome::kApplied);
   ASSERT_TRUE(cache.Lookup(key, log, &out, &replayed));
   EXPECT_EQ(ResultChecksum(out.results), ResultChecksum(SomeResults()));
   EXPECT_EQ(replayed, 1u);
@@ -122,7 +127,8 @@ TEST(ResultCacheTest, LookupServesOnlyMatchingGeneration) {
   // Deleting doc 41, which the answer holds, makes the entry stale: the
   // lookup misses AND drops it, so a second lookup cannot resurrect the
   // stale answer.
-  log.RecordDelete(Doc(41, {1, 2}, {{2, 0.5f}}));
+  log.Append(WriteLog::Kind::kDelete, Doc(41, {1, 2}, {{2, 0.5f}}), {},
+             WriteLog::Outcome::kApplied);
   EXPECT_FALSE(cache.Lookup(key, log, &out));
   EXPECT_FALSE(cache.Lookup(key, log, &out));
   EXPECT_EQ(cache.entry_count(), 0u);
@@ -131,8 +137,8 @@ TEST(ResultCacheTest, LookupServesOnlyMatchingGeneration) {
 TEST(ResultCacheTest, InsertReplacesAndEvictionBoundsEntries) {
   ResultCache cache({/*capacity_entries=*/8, /*stripes=*/2});
   WriteLog log(kSpace);
-  log.RecordEverything();
-  log.RecordEverything();
+  log.Append(WriteLog::Kind::kClear, {}, {}, WriteLog::Outcome::kApplied);
+  log.Append(WriteLog::Kind::kClear, {}, {}, WriteLog::Outcome::kApplied);
   // Re-inserting the same key at a newer generation replaces in place.
   const std::string key = ResultCache::KeyOf(MakeRequest());
   cache.Insert(key, 1, SomeResults());
@@ -183,7 +189,7 @@ Request Ask(std::vector<TermId> terms, Semantics semantics, uint32_t k) {
   return req;
 }
 
-/// The brute-force oracle behind the serving wrapper, with a result cache
+/// The brute-force oracle in a one-replica serving set, with a result cache
 /// in front driven the way the server drives it: a lookup first, and on a
 /// miss a search tagged with the generation read before it.
 class ReplayRig {
@@ -196,7 +202,7 @@ class ReplayRig {
 
   ReplayRig() : index_(OneIndex()), cache_({/*capacity_entries=*/64}) {}
 
-  ShardedIndex& index() { return index_; }
+  ReplicaSet& index() { return index_; }
 
   Served Serve(const Request& req) {
     Served s;
@@ -227,7 +233,7 @@ class ReplayRig {
     return one;
   }
 
-  ShardedIndex index_;
+  ReplicaSet index_;
   ResultCache cache_;
 };
 
@@ -306,8 +312,8 @@ TEST(ResultCacheReplayTest, InsertFailingAnAndQuerySurvives) {
 }
 
 // Deleting a document outside the answer leaves it, and so does an
-// Update whose delete and insert both miss it (two writes replayed);
-// deleting a document of the answer does not.
+// Update whose delete and insert both miss it (one write replayed: an
+// update is one record); deleting a document of the answer does not.
 TEST(ResultCacheReplayTest, DeleteOutsideTheAnswerSurvives) {
   ReplayRig rig;
   std::vector<SpatialDocument> docs;
@@ -328,7 +334,7 @@ TEST(ResultCacheReplayTest, DeleteOutsideTheAnswerSurvives) {
       rig.index().Update(docs[3], Doc(6, {90.0, 90.0}, {{2, 0.5f}})).ok());
   s = rig.Serve(req);
   EXPECT_TRUE(s.hit);
-  EXPECT_EQ(s.replayed, 2u);
+  EXPECT_EQ(s.replayed, 1u);
   ExpectSameAnswer(s.results, rig.Fresh(req), "update outside");
 
   ASSERT_TRUE(rig.index().Delete(docs[1]).ok());
@@ -404,21 +410,33 @@ CorpusOptions CacheCorpus() {
 
 class ResultCacheServerTest : public ::testing::Test {
  protected:
-  void StartServer(ServerOptions opts = {}, uint64_t corpus_seed = 77) {
-    server_.reset();
+  /// Replica `r`'s options: its page file is fault-injected, and a
+  /// recovery that re-homes the replica plants the new file's injector.
+  I3Options OptionsFor(uint32_t r) {
     I3Options opt;
     opt.space = {0.0, 0.0, 100.0, 100.0};
     opt.page_size = codec::kV2MinPageSize;
     opt.signature_bits = 64;
-    opt.page_file_factory = [this](size_t page_size) {
+    opt.page_file_factory = [this, r](size_t page_size) {
       auto file = std::make_unique<FaultInjectionPageFile>(
           std::make_unique<InMemoryPageFile>(page_size));
-      injector_ = file.get();
+      injectors_[r] = file.get();
       return file;
     };
-    std::vector<std::unique_ptr<SpatialKeywordIndex>> one;
-    one.push_back(std::make_unique<I3Index>(opt));
-    index_ = std::make_unique<ShardedIndex>(std::move(one));
+    return opt;
+  }
+
+  void StartServer(ServerOptions opts = {}, uint64_t corpus_seed = 77,
+                   uint32_t replicas = 1) {
+    server_.reset();
+    index_.reset();
+    injectors_.assign(replicas, nullptr);
+    std::vector<std::unique_ptr<SpatialKeywordIndex>> indexes;
+    for (uint32_t r = 0; r < replicas; ++r) {
+      indexes.push_back(std::make_unique<I3Index>(OptionsFor(r)));
+    }
+    auto ops = MakeI3ReplicaOps([this](uint32_t r) { return OptionsFor(r); });
+    index_ = std::make_unique<ReplicaSet>(std::move(indexes), ops);
     corpus_ = MakeCorpus(CacheCorpus(), corpus_seed);
     for (const auto& d : corpus_) {
       ASSERT_TRUE(index_->Insert(d).ok());
@@ -446,9 +464,10 @@ class ResultCacheServerTest : public ::testing::Test {
     return req;
   }
 
-  FaultInjectionPageFile* injector_ = nullptr;
+  /// Per replica, owned by the index.
+  std::vector<FaultInjectionPageFile*> injectors_;
   std::vector<SpatialDocument> corpus_;
-  std::unique_ptr<ShardedIndex> index_;
+  std::unique_ptr<ReplicaSet> index_;
   std::unique_ptr<Server> server_;
 };
 
@@ -587,7 +606,7 @@ TEST_F(ResultCacheServerTest, DegradedResponsesAreNotCached) {
   }
   index_->ClearCache();
 
-  injector_->injector()->set_fail_all(true);
+  injectors_[0]->injector()->set_fail_all(true);
   for (int rep = 0; rep < 2; ++rep) {
     for (size_t i = 0; i < queries.size(); ++i) {
       auto resp = client.ValueOrDie()->Call(
@@ -601,7 +620,7 @@ TEST_F(ResultCacheServerTest, DegradedResponsesAreNotCached) {
     }
   }
 
-  injector_->Heal();
+  injectors_[0]->Heal();
   index_->ClearCache();
   for (size_t i = 0; i < queries.size(); ++i) {
     auto resp = client.ValueOrDie()->Call(SearchRequest(queries[i], 200 + i));
@@ -667,14 +686,20 @@ class ResultCacheReplayWireTest : public ResultCacheServerTest {};
 // small request pool over the wire between writes. Every response must
 // equal the brute-force oracle's answer by doc ids and score bits, and
 // some hits must have been replayed across a write -- a cache that still
-// drops every entry on any write cannot pass.
+// drops every entry on any write cannot pass. Each seed runs over one
+// replica, then over two, where a replica kill, recovery or scrub may
+// follow each write and the failed write fails every replica's device.
 TEST_F(ResultCacheReplayWireTest, SeededWritesMatchTheOracle) {
   const CorpusOptions copt = CacheCorpus();
   // No request asks for this keyword.
   const TermId kUnasked = copt.vocab_size + 100;
-  for (uint64_t seed = 1; seed <= ChaosSeeds(); ++seed) {
-    SCOPED_TRACE("seed " + std::to_string(seed));
-    StartServer({}, /*corpus_seed=*/1000 + seed);
+  const uint64_t seeds = ChaosSeeds();
+  for (uint64_t run = 0; run < 2 * seeds; ++run) {
+    const uint32_t replicas = 1 + static_cast<uint32_t>(run / seeds);
+    const uint64_t seed = 1 + run % seeds;
+    SCOPED_TRACE(std::to_string(replicas) + " replica(s), seed " +
+                 std::to_string(seed));
+    StartServer({}, /*corpus_seed=*/1000 + seed, replicas);
     BruteForceIndex oracle(copt.space);
     for (const auto& d : corpus_) ASSERT_TRUE(oracle.Insert(d).ok());
     std::vector<SpatialDocument> live = corpus_;
@@ -746,10 +771,10 @@ TEST_F(ResultCacheReplayWireTest, SeededWritesMatchTheOracle) {
         // write that may have changed anything.
         serve(pool[0], "before the failed write");
         ASSERT_TRUE(serve(pool[0], "cached before the failed write"));
-        injector_->set_fail_all(true);
+        for (FaultInjectionPageFile* f : injectors_) f->set_fail_all(true);
         const Status st = index_->Insert(
             Doc(200000, {50.0, 50.0}, {{kUnasked, 0.5f}}));
-        injector_->Heal();
+        for (FaultInjectionPageFile* f : injectors_) f->Heal();
         EXPECT_FALSE(st.ok()) << "the injected fault did not fail the write";
         EXPECT_FALSE(serve(pool[0], "after the failed write"))
             << "a cached answer survived a failed write";
@@ -774,9 +799,29 @@ TEST_F(ResultCacheReplayWireTest, SeededWritesMatchTheOracle) {
       } else {
         index_->ClearCache();
       }
+      if (replicas > 1) {
+        // Kill a replica (refused for the last healthy one), recover one
+        // (a no-op when it is healthy), scrub, or leave the set alone.
+        const int m = static_cast<int>(rng.UniformInt(0, 3));
+        const auto r = static_cast<uint32_t>(rng.UniformInt(0, 1));
+        if (m == 0) {
+          const Status st = index_->KillReplica(r);
+          EXPECT_TRUE(st.ok() || st.code() == StatusCode::kResourceExhausted)
+              << st.ToString();
+        } else if (m == 1) {
+          const Status st = index_->RecoverReplica(r);
+          EXPECT_TRUE(st.ok()) << st.ToString();
+        } else if (m == 2) {
+          const Status st = index_->ScrubTick();
+          EXPECT_TRUE(st.ok()) << st.ToString();
+        }
+      }
       search_round();
     }
     EXPECT_GT(replayed_hits, 0u) << "no cached answer survived a write";
+    if (replicas > 1) {
+      EXPECT_GT(index_->GetStatus().recoveries, 0u) << "nothing recovered";
+    }
     EXPECT_EQ(MetricValue("i3_result_cache_replayed_hits_total") - replayed0,
               static_cast<double>(replayed_hits));
   }

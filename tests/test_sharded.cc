@@ -1,4 +1,4 @@
-// Tests of ShardedIndex, the serving wrapper of one index: it must return
+// Tests of ReplicaSet as the serving index of one replica: it must return
 // byte-identical results -- order, ties, AND/OR, extreme alpha, k >
 // matching docs -- to the bare I3Index on the same corpus, also after
 // deletes and updates; pass through the index's name, DocumentCount,
@@ -17,7 +17,7 @@
 
 #include "i3/i3_index.h"
 #include "irtree/irtree_index.h"
-#include "model/sharded_index.h"
+#include "model/replica_set.h"
 #include "obs/trace.h"
 #include "test_util.h"
 
@@ -36,22 +36,21 @@ I3Options SmallI3Options() {
   return opt;
 }
 
-/// The serving wrapper of `index`.
-std::unique_ptr<ShardedIndex> Wrap(
-    std::unique_ptr<SpatialKeywordIndex> index) {
+/// The one-replica serving set of `index`.
+std::unique_ptr<ReplicaSet> Wrap(std::unique_ptr<SpatialKeywordIndex> index) {
   std::vector<std::unique_ptr<SpatialKeywordIndex>> one;
   one.push_back(std::move(index));
-  return std::make_unique<ShardedIndex>(std::move(one));
+  return std::make_unique<ReplicaSet>(std::move(one));
 }
 
-std::unique_ptr<ShardedIndex> WrappedI3(
+std::unique_ptr<ReplicaSet> WrappedI3(
     const I3Options& opt = SmallI3Options()) {
   return Wrap(std::make_unique<I3Index>(opt));
 }
 
 /// Byte-identical comparison: same length, same docs in the same order,
 /// bitwise-equal scores. This is stricter than testutil::SameScores (which
-/// tolerates epsilon and tie reordering) on purpose: the wrapper must
+/// tolerates epsilon and tie reordering) on purpose: the set must
 /// return exactly what the bare index computes.
 void ExpectIdenticalResults(const std::vector<ScoredDoc>& got,
                             const std::vector<ScoredDoc>& expected,
@@ -76,18 +75,14 @@ SpatialDocument Shifted(const SpatialDocument& d) {
 }
 
 TEST(ShardedIndexTest, NameComposesAcrossDecorators) {
-  // The wrapper adds no tag of its own; a ReplicaSet underneath still
-  // shows in the name.
+  // One replica keeps the index's name; more are tagged with their count.
   EXPECT_EQ(WrappedI3()->Name(), "I3");
 
-  auto set = ReplicaSet::Create(
-      [](uint32_t) { return std::make_unique<I3Index>(SmallI3Options()); },
-      ReplicaOps{}, {.replication_factor = 2});
-  ASSERT_TRUE(set.ok()) << set.status().ToString();
-  auto over_replicas = Wrap(set.MoveValue());
-  EXPECT_EQ(over_replicas->Name(), "I3 (replicated x2)");
-  EXPECT_NE(over_replicas->replica_set(), nullptr);
-  EXPECT_EQ(WrappedI3()->replica_set(), nullptr);
+  std::vector<std::unique_ptr<SpatialKeywordIndex>> two;
+  for (int r = 0; r < 2; ++r) {
+    two.push_back(std::make_unique<I3Index>(SmallI3Options()));
+  }
+  EXPECT_EQ(ReplicaSet(std::move(two)).Name(), "I3 (replicated x2)");
 }
 
 TEST(ShardedIndexTest, SizeInfoMergesComponentsByName) {
@@ -103,7 +98,7 @@ TEST(ShardedIndexTest, SizeInfoMergesComponentsByName) {
   // One row per I3 component, named as the index names it.
   const IndexSizeInfo merged = index.SizeInfo();
   ASSERT_EQ(merged.components.size(), 3u) << merged.ToString();
-  EXPECT_EQ(merged.TotalBytes(), index.shard()->SizeInfo().TotalBytes());
+  EXPECT_EQ(merged.TotalBytes(), index.replica(0)->SizeInfo().TotalBytes());
   EXPECT_NE(merged.ToString().find("head file"), std::string::npos);
 }
 
@@ -121,11 +116,11 @@ TEST(ShardedIndexTest, IoStatsMergeOnRead) {
   EXPECT_EQ(index.io_stats().Total(), 0u);
   for (const Query& q : queries) ASSERT_TRUE(index.Search(q, 0.5).ok());
 
-  // I3 merges its head- and data-file counters on read; the wrapper's
+  // I3 merges its head- and data-file counters on read; the set's
   // snapshot is the index's.
   const IoStats merged = index.io_stats();  // copy = durable snapshot
   EXPECT_GT(merged.TotalReads(), 0u);
-  EXPECT_EQ(merged.TotalReads(), index.shard()->io_stats().TotalReads());
+  EXPECT_EQ(merged.TotalReads(), index.replica(0)->io_stats().TotalReads());
 }
 
 // --- the randomized differential suite ---
@@ -190,7 +185,7 @@ class ShardedDifferentialTest : public ::testing::Test {
   CorpusOptions copt_;
   std::vector<SpatialDocument> docs_;
   std::unique_ptr<I3Index> bare_;
-  std::unique_ptr<ShardedIndex> wrapped_;
+  std::unique_ptr<ReplicaSet> wrapped_;
 };
 
 TEST_F(ShardedDifferentialTest, IdenticalOnStaticCorpus) {
@@ -304,7 +299,7 @@ TEST(ShardedIndexTest, IoStatsNeverGoBackwardsUnderConcurrentReads) {
   EXPECT_GT(index.io_stats().TotalReads(), 0u);
 }
 
-/// Runs `queries` through a fresh wrapped index at trace sample `rate` and
+/// Runs `queries` through a fresh serving set at trace sample `rate` and
 /// returns what the global tracer published.
 std::vector<obs::QueryTrace> SampledTraces(double rate, size_t num_queries) {
   auto wrapped = WrappedI3();
@@ -328,12 +323,12 @@ std::vector<obs::QueryTrace> SampledTraces(double rate, size_t num_queries) {
 
 TEST(ShardedIndexTest, SampledTraceCoversTheWholeFanOut) {
   // One request is one sampling decision: at rate 1 each query publishes
-  // exactly one trace, holding the wrapper's stage and the index's own I3
+  // exactly one trace, holding the set's stage and the index's own I3
   // stages, with each fact annotated once.
   const auto traces = SampledTraces(1.0, 10);
   ASSERT_EQ(traces.size(), 10u);
   for (const obs::QueryTrace& t : traces) {
-    EXPECT_EQ(t.label, "Sharded.Search");
+    EXPECT_EQ(t.label, "ReplicaSet.Search");
     for (const char* stage : {"search", "signature_filter"}) {
       EXPECT_TRUE(std::any_of(
           t.stages.begin(), t.stages.end(),
